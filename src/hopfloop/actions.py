@@ -9,8 +9,7 @@ candidate Hopf structures.
 from .errors import DimMismatch
 from .fields import check_same_field
 from .report import LawAccumulator, VerificationReport
-from .structures import (basis_sparse, mul_sparse_tensor,
-                         split_sparse_tensor)
+from .structures import tensor2, tensor_mul
 from .tensors import sadd, sscale
 
 
@@ -66,28 +65,14 @@ class ActionData:
         return cls.from_entries(f, n, n, entries)
 
     def _pairs(self, h, m):
+        """Nonzeros of h . e_m as (m', coeff) pairs."""
         if self._view is None:
             z = self.field.zero
-            view = {}
-            for h2 in range(self.h_dim):
-                for m2 in range(self.m_dim):
-                    nz = [(k, c)
-                          for k, c in enumerate(self.data[h2][m2]) if c != z]
-                    if nz:
-                        view[(h2, m2)] = nz
-            self._view = view
-        return self._view.get((h, m), ())
-
-    def act(self, hu, mu):
-        """Apply the linearized action to sparse elements of H and M."""
-        f = self.field
-        out = {}
-        for (h,), a in hu.items():
-            for (m,), b in mu.items():
-                ab = f.mul(a, b)
-                for k, c in self._pairs(h, m):
-                    sadd(f, out, (k,), f.mul(ab, c))
-        return out
+            self._view = tuple(
+                tuple(tuple((k, c) for k, c in enumerate(row) if c != z)
+                      for row in plane)
+                for plane in self.data)
+        return self._view[h][m]
 
 
 class CoactionData:
@@ -165,6 +150,7 @@ class CoactionData:
         return cls.from_entries(f, act.m_dim, act.h_dim, entries)
 
     def _pairs(self, m):
+        """Nonzeros of rho(e_m) as ((m', h), coeff) pairs."""
         if self._view is None:
             z = self.field.zero
             view = []
@@ -200,35 +186,47 @@ def _require_coaction_dims(H, coact):
         raise DimMismatch(f"coaction H_dim {coact.h_dim} != structure dim {H.dim}")
 
 
+def _unital(rep, f, law_id, H, act):
+    """1 . m = m over every basis vector of M."""
+    acc = LawAccumulator(rep, f, law_id)
+    one = H.unit.nonzero()
+    for m in range(act.m_dim):
+        out = {}
+        for u, a in one:
+            for k, c in act._pairs(u, m):
+                sadd(f, out, (k,), f.mul(a, c))
+        acc.check((m,), out, {(m,): f.one})
+    acc.finish()
+
+
 def check_quasimodule(H, act):
     """Unitality plus the two antipode-cancellation laws of the action."""
     _require_action_dims(H, act)
     f = H.field
+    split, anti, pairs = H.delta.split_pairs, H.antipode.column, act._pairs
     rep = VerificationReport()
-    one = H.unit_sparse()
-    unital = LawAccumulator(rep, f, "qm.unital")
-    for m in range(act.m_dim):
-        em = basis_sparse(f, m)
-        unital.check((m,), act.act(one, em), em)
-    unital.finish()
+    _unital(rep, f, "qm.unital", H, act)
     left = LawAccumulator(rep, f, "qm2.left")
     right = LawAccumulator(rep, f, "qm2.right")
     for h in range(H.dim):
-        dh = H.delta_sparse(basis_sparse(f, h))
+        dh = split(h)
         eps = H.counit[h]
         for m in range(act.m_dim):
-            em = basis_sparse(f, m)
-            expected = sscale(f, em, eps)
+            expected = {(m,): eps} if eps != f.zero else {}
             lhs, rhs = {}, {}
-            for (h1, h2), c in dh.items():
-                e1 = basis_sparse(f, h1)
-                e2 = basis_sparse(f, h2)
-                s1 = H.antipode_sparse(e1)
-                s2 = H.antipode_sparse(e2)
-                for k, v in act.act(e1, act.act(s2, em)).items():
-                    sadd(f, lhs, k, f.mul(c, v))
-                for k, v in act.act(s1, act.act(e2, em)).items():
-                    sadd(f, rhs, k, f.mul(c, v))
+            for (h1, h2), c in dh:
+                # h1 . (S(h2) . m)
+                for x, a in anti(h2):
+                    for k, b in pairs(x, m):
+                        ab = f.mul(c, f.mul(a, b))
+                        for k2, v in pairs(h1, k):
+                            sadd(f, lhs, (k2,), f.mul(ab, v))
+                # S(h1) . (h2 . m)
+                for x, a in anti(h1):
+                    for k, b in pairs(h2, m):
+                        ab = f.mul(c, f.mul(a, b))
+                        for k2, v in pairs(x, k):
+                            sadd(f, rhs, (k2,), f.mul(ab, v))
             left.check((h, m), lhs, expected)
             right.check((h, m), rhs, expected)
     left.finish()
@@ -240,26 +238,32 @@ def check_module(H, act):
     """Strict unital associative module laws (the coquasigroup-side input)."""
     _require_action_dims(H, act)
     f = H.field
+    pairs = act._pairs
     rep = VerificationReport()
-    one = H.unit_sparse()
-    unital = LawAccumulator(rep, f, "mod.unital")
-    for m in range(act.m_dim):
-        em = basis_sparse(f, m)
-        unital.check((m,), act.act(one, em), em)
-    unital.finish()
+    _unital(rep, f, "mod.unital", H, act)
     assoc = LawAccumulator(rep, f, "mod.assoc")
     for h in range(H.dim):
-        eh = basis_sparse(f, h)
         for g in range(H.dim):
-            eg = basis_sparse(f, g)
-            hg = H.mul_sparse(eh, eg)
+            hg = H.mu.mul_pairs(h, g)
             for m in range(act.m_dim):
-                em = basis_sparse(f, m)
-                assoc.check((h, g, m),
-                            act.act(eh, act.act(eg, em)),
-                            act.act(hg, em))
+                lhs, rhs = {}, {}
+                for k, b in pairs(g, m):
+                    for k2, v in pairs(h, k):
+                        sadd(f, lhs, (k2,), f.mul(b, v))
+                for x, a in hg:
+                    for k, v in pairs(x, m):
+                        sadd(f, rhs, (k,), f.mul(a, v))
+                assoc.check((h, g, m), lhs, rhs)
     assoc.finish()
     return rep
+
+
+def _counital(f, H, rm):
+    """(id (x) counit) of a coaction value given as ((m, h), coeff) pairs."""
+    out = {}
+    for (m1, h), c in rm:
+        sadd(f, out, (m1,), f.mul(c, H.counit[h]))
+    return out
 
 
 def check_comodule(H, coact):
@@ -270,17 +274,13 @@ def check_comodule(H, coact):
     counital = LawAccumulator(rep, f, "comod.counital")
     coassoc = LawAccumulator(rep, f, "comod.coassoc")
     for m in range(coact.m_dim):
-        em = basis_sparse(f, m)
-        rm = coact.coact(em)
-        ce = {}
-        for (m1, h), c in rm.items():
-            sadd(f, ce, (m1,), f.mul(c, H.counit[h]))
-        counital.check((m,), ce, em)
+        rm = coact._pairs(m)
+        counital.check((m,), _counital(f, H, rm), {(m,): f.one})
         lhs, rhs = {}, {}
-        for (m1, h), c in rm.items():
-            for (m2, h2), c2 in coact.coact(basis_sparse(f, m1)).items():
+        for (m1, h), c in rm:
+            for (m2, h2), c2 in coact._pairs(m1):
                 sadd(f, lhs, (m2, h2, h), f.mul(c, c2))
-            for (a, b), c2 in H.delta_sparse(basis_sparse(f, h)).items():
+            for (a, b), c2 in H.delta.split_pairs(h):
                 sadd(f, rhs, (m1, a, b), f.mul(c, c2))
         coassoc.check((m,), lhs, rhs)
     counital.finish()
@@ -292,34 +292,29 @@ def check_quasicomodule(H, coact):
     """Counitality plus the two antipode-cancellation laws of the coaction."""
     _require_coaction_dims(H, coact)
     f = H.field
+    mul, anti = H.mu.mul_pairs, H.antipode.column
     rep = VerificationReport()
     counital = LawAccumulator(rep, f, "cqm.counital")
     left = LawAccumulator(rep, f, "cqm2.left")
     right = LawAccumulator(rep, f, "cqm2.right")
-    one = H.unit_sparse()
+    one = H.unit.nonzero()
     for m in range(coact.m_dim):
-        em = basis_sparse(f, m)
-        rm = coact.coact(em)
-        ce = {}
-        for (m1, h), c in rm.items():
-            sadd(f, ce, (m1,), f.mul(c, H.counit[h]))
-        counital.check((m,), ce, em)
-        expected = {}
-        for (m1,), a in em.items():
-            for (u,), b in one.items():
-                sadd(f, expected, (m1, u), f.mul(a, b))
+        rm = coact._pairs(m)
+        counital.check((m,), _counital(f, H, rm), {(m,): f.one})
+        expected = {(m, u): b for u, b in one}
         lhs, rhs = {}, {}
-        for (m0, h), c in rm.items():
-            sh = H.antipode_sparse(basis_sparse(f, h))
-            for (m00, h0), c2 in coact.coact(basis_sparse(f, m0)).items():
+        for (m0, h), c in rm:
+            sh = anti(h)
+            for (m00, h0), c2 in coact._pairs(m0):
                 cc = f.mul(c, c2)
-                e0 = basis_sparse(f, h0)
-                for (x,), v in H.mul_sparse(e0, sh).items():
-                    sadd(f, lhs, (m00, x), f.mul(cc, v))
-                s0 = H.antipode_sparse(e0)
-                eh = basis_sparse(f, h)
-                for (x,), v in H.mul_sparse(s0, eh).items():
-                    sadd(f, rhs, (m00, x), f.mul(cc, v))
+                # h0 S(h)
+                for x, a in sh:
+                    for y, v in mul(h0, x):
+                        sadd(f, lhs, (m00, y), f.mul(cc, f.mul(a, v)))
+                # S(h0) h
+                for x, a in anti(h0):
+                    for y, v in mul(x, h):
+                        sadd(f, rhs, (m00, y), f.mul(cc, f.mul(a, v)))
         left.check((m,), lhs, expected)
         right.check((m,), rhs, expected)
     counital.finish()
@@ -336,7 +331,7 @@ def diagonal_action(H, act1, act2):
     n2 = act2.m_dim
     entries = {}
     for h in range(H.dim):
-        for (h1, h2), c in H.delta_sparse(basis_sparse(f, h)).items():
+        for (h1, h2), c in H.delta.split_pairs(h):
             for m in range(act1.m_dim):
                 for m2, c1 in act1._pairs(h1, m):
                     for n in range(n2):
@@ -377,29 +372,36 @@ def check_qm_algebra(H, alg, act):
     if alg.dim != act.m_dim:
         raise DimMismatch("algebra dim != action M_dim")
     f = H.field
+    amul, pairs = alg.mu.mul_pairs, act._pairs
     rep = VerificationReport()
     mult = LawAccumulator(rep, f, "qmalg.mult")
     for h in range(H.dim):
-        eh = basis_sparse(f, h)
-        dh = H.delta_sparse(eh)
+        dh = H.delta.split_pairs(h)
         for a in range(alg.dim):
-            ea = basis_sparse(f, a)
             for b in range(alg.dim):
-                eb = basis_sparse(f, b)
-                lhs = {}
-                for (h1, h2), c in dh.items():
-                    ha = act.act(basis_sparse(f, h1), ea)
-                    hb = act.act(basis_sparse(f, h2), eb)
-                    for k, v in mul_sparse_tensor(f, alg.mu, ha, hb).items():
-                        sadd(f, lhs, k, f.mul(c, v))
-                rhs = act.act(eh, mul_sparse_tensor(f, alg.mu, ea, eb))
+                lhs, rhs = {}, {}
+                # (h1 . a)(h2 . b)
+                for (h1, h2), c in dh:
+                    for x, u in pairs(h1, a):
+                        for y, v in pairs(h2, b):
+                            uv = f.mul(c, f.mul(u, v))
+                            for k, w in amul(x, y):
+                                sadd(f, lhs, (k,), f.mul(uv, w))
+                # h . (ab)
+                for x, u in amul(a, b):
+                    for k, w in pairs(h, x):
+                        sadd(f, rhs, (k,), f.mul(u, w))
                 mult.check((h, a, b), lhs, rhs)
     mult.finish()
     unit = LawAccumulator(rep, f, "qmalg.unit")
-    one_a = {(i,): c for i, c in alg.unit.nonzero()}
+    one_a = alg.unit.nonzero()
+    one_sparse = {(i,): c for i, c in one_a}
     for h in range(H.dim):
-        eh = basis_sparse(f, h)
-        unit.check((h,), act.act(eh, one_a), sscale(f, one_a, H.counit[h]))
+        lhs = {}
+        for x, u in one_a:
+            for k, w in pairs(h, x):
+                sadd(f, lhs, (k,), f.mul(u, w))
+        unit.check((h,), lhs, sscale(f, one_sparse, H.counit[h]))
     unit.finish()
     return rep
 
@@ -410,31 +412,28 @@ def check_qm_coalgebra(H, coalg, act):
     if coalg.dim != act.m_dim:
         raise DimMismatch("coalgebra dim != action M_dim")
     f = H.field
+    csplit, pairs = coalg.delta.split_pairs, act._pairs
     rep = VerificationReport()
     comult = LawAccumulator(rep, f, "qmcoalg.comult")
     counit = LawAccumulator(rep, f, "qmcoalg.counit")
     for h in range(H.dim):
-        eh = basis_sparse(f, h)
-        dh = H.delta_sparse(eh)
+        dh = H.delta.split_pairs(h)
         for cidx in range(coalg.dim):
-            ec = basis_sparse(f, cidx)
-            hc = act.act(eh, ec)
-            lhs = split_sparse_tensor(f, coalg.delta, hc)
-            rhs = {}
-            for (h1, h2), c in dh.items():
-                for (c1, c2), c2v in split_sparse_tensor(
-                        f, coalg.delta, ec).items():
-                    cc = f.mul(c, c2v)
-                    t1 = act.act(basis_sparse(f, h1), basis_sparse(f, c1))
-                    t2 = act.act(basis_sparse(f, h2), basis_sparse(f, c2))
-                    for (x,), v1 in t1.items():
-                        for (y,), v2 in t2.items():
-                            sadd(f, rhs, (x, y),
-                                 f.mul(cc, f.mul(v1, v2)))
-            comult.check((h, cidx), lhs, rhs)
+            hc = pairs(h, cidx)
+            lhs = {}
             lhs_eps = f.zero
-            for (x,), v in hc.items():
+            for x, v in hc:
+                for jk, w in csplit(x):
+                    sadd(f, lhs, jk, f.mul(v, w))
                 lhs_eps = f.add(lhs_eps, f.mul(v, coalg.counit[x]))
+            rhs = {}
+            for (h1, h2), c in dh:
+                for (c1, c2), c2v in csplit(cidx):
+                    cc = f.mul(c, c2v)
+                    for x, v1 in pairs(h1, c1):
+                        for y, v2 in pairs(h2, c2):
+                            sadd(f, rhs, (x, y), f.mul(cc, f.mul(v1, v2)))
+            comult.check((h, cidx), lhs, rhs)
             rhs_eps = f.mul(H.counit[h], coalg.counit[cidx])
             counit.check((h, cidx),
                          {(): lhs_eps} if lhs_eps != f.zero else {},
@@ -450,32 +449,21 @@ def check_antipode_linear(H, A, act):
     if A.dim != act.m_dim:
         raise DimMismatch("structure dim != action M_dim")
     f = H.field
+    anti, pairs = A.antipode.column, act._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "antipode.linear")
     for h in range(H.dim):
-        eh = basis_sparse(f, h)
         for a in range(A.dim):
-            ea = basis_sparse(f, a)
-            acc.check((h, a),
-                      A.antipode_sparse(act.act(eh, ea)),
-                      act.act(eh, A.antipode_sparse(ea)))
+            lhs, rhs = {}, {}
+            for x, v in pairs(h, a):
+                for y, s in anti(x):
+                    sadd(f, lhs, (y,), f.mul(v, s))
+            for x, s in anti(a):
+                for k, w in pairs(h, x):
+                    sadd(f, rhs, (k,), f.mul(s, w))
+            acc.check((h, a), lhs, rhs)
     acc.finish()
     return rep
-
-
-def _tensor_mixed_mul(f, mu_m, H, u2, v2):
-    """Product on M (x) H of 2-leg elements (first leg via mu_m)."""
-    out = {}
-    for (a, h), ca in u2.items():
-        for (b, g), cb in v2.items():
-            coeff = f.mul(ca, cb)
-            prod_m = mul_sparse_tensor(
-                f, mu_m, basis_sparse(f, a), basis_sparse(f, b))
-            prod_h = H.mul_sparse(basis_sparse(f, h), basis_sparse(f, g))
-            for (x,), cx in prod_m.items():
-                for (y,), cy in prod_h.items():
-                    sadd(f, out, (x, y), f.mul(coeff, f.mul(cx, cy)))
-    return out
 
 
 def check_coqm_algebra(H, alg, coact):
@@ -487,21 +475,18 @@ def check_coqm_algebra(H, alg, coact):
     rep = VerificationReport()
     mult = LawAccumulator(rep, f, "coqmalg.mult")
     for a in range(alg.dim):
-        ea = basis_sparse(f, a)
-        ra = coact.coact(ea)
+        ra = coact._pairs(a)
         for b in range(alg.dim):
-            eb = basis_sparse(f, b)
-            lhs = coact.coact(mul_sparse_tensor(f, alg.mu, ea, eb))
-            rhs = _tensor_mixed_mul(f, alg.mu, H, ra, coact.coact(eb))
+            lhs = {}
+            for x, u in alg.mu.mul_pairs(a, b):
+                for mh, c in coact._pairs(x):
+                    sadd(f, lhs, mh, f.mul(u, c))
+            rhs = tensor_mul(f, alg.mu, H.mu, ra, coact._pairs(b))
             mult.check((a, b), lhs, rhs)
     mult.finish()
     unit = LawAccumulator(rep, f, "coqmalg.unit")
     one_a = {(i,): c for i, c in alg.unit.nonzero()}
-    expected = {}
-    for (i,), c1 in one_a.items():
-        for (u,), c2 in H.unit_sparse().items():
-            sadd(f, expected, (i, u), f.mul(c1, c2))
-    unit.check((), coact.coact(one_a), expected)
+    unit.check((), coact.coact(one_a), tensor2(f, one_a, H.unit_sparse()))
     unit.finish()
     return rep
 
@@ -512,28 +497,25 @@ def check_coqm_coalgebra(H, coalg, coact):
     if coalg.dim != coact.m_dim:
         raise DimMismatch("coalgebra dim != coaction M_dim")
     f = H.field
+    csplit, pairs = coalg.delta.split_pairs, coact._pairs
     rep = VerificationReport()
     comult = LawAccumulator(rep, f, "coqmcoalg.comult")
     counit = LawAccumulator(rep, f, "coqmcoalg.counit")
     one = H.unit_sparse()
     for cidx in range(coalg.dim):
-        ec = basis_sparse(f, cidx)
-        lhs = {}
-        for (c0, h), c in coact.coact(ec).items():
-            for (c1, c2), c2v in split_sparse_tensor(
-                    f, coalg.delta, basis_sparse(f, c0)).items():
+        lhs, lhs_eps = {}, {}
+        for (c0, h), c in pairs(cidx):
+            for (c1, c2), c2v in csplit(c0):
                 sadd(f, lhs, (c1, c2, h), f.mul(c, c2v))
+            sadd(f, lhs_eps, (h,), f.mul(c, coalg.counit[c0]))
         rhs = {}
-        for (c1, c2), cv in split_sparse_tensor(f, coalg.delta, ec).items():
-            for (c10, h1), v1 in coact.coact(basis_sparse(f, c1)).items():
-                for (c20, h2), v2 in coact.coact(basis_sparse(f, c2)).items():
+        for (c1, c2), cv in csplit(cidx):
+            for (c10, h1), v1 in pairs(c1):
+                for (c20, h2), v2 in pairs(c2):
                     cc = f.mul(cv, f.mul(v1, v2))
                     for k, c in H.mu.mul_pairs(h1, h2):
                         sadd(f, rhs, (c10, c20, k), f.mul(cc, c))
         comult.check((cidx,), lhs, rhs)
-        lhs_eps = {}
-        for (c0, h), c in coact.coact(ec).items():
-            sadd(f, lhs_eps, (h,), f.mul(c, coalg.counit[c0]))
         counit.check((cidx,), lhs_eps,
                      sscale(f, one, coalg.counit[cidx]))
     comult.finish()
@@ -547,14 +529,16 @@ def check_antipode_colinear(H, C, coact):
     if C.dim != coact.m_dim:
         raise DimMismatch("structure dim != coaction M_dim")
     f = H.field
+    anti, pairs = C.antipode.column, coact._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "antipode.colinear")
     for cidx in range(C.dim):
-        ec = basis_sparse(f, cidx)
-        lhs = coact.coact(C.antipode_sparse(ec))
-        rhs = {}
-        for (c0, h), c in coact.coact(ec).items():
-            for (x,), v in C.antipode_sparse(basis_sparse(f, c0)).items():
+        lhs, rhs = {}, {}
+        for x, s in anti(cidx):
+            for mh, c in pairs(x):
+                sadd(f, lhs, mh, f.mul(s, c))
+        for (c0, h), c in pairs(cidx):
+            for x, v in anti(c0):
                 sadd(f, rhs, (x, h), f.mul(c, v))
         acc.check((cidx,), lhs, rhs)
     acc.finish()

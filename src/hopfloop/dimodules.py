@@ -11,10 +11,8 @@ from .actions import (ActionData, CoactionData, check_comodule, check_module,
                       tensor_coaction)
 from .errors import DimMismatch, HMismatch
 from .report import LawAccumulator, VerificationReport
-from .structures import HopfQuasigroup, basis_sparse
+from .structures import HopfQuasigroup
 from .tensors import Mat, pair_index, sadd
-
-DEQ_DENSE_MAX_DIM = 8  # above this, the D-equation check streams
 
 OVER_QUASIGROUP = "quasigroup"
 OVER_COQUASIGROUP = "coquasigroup"
@@ -53,16 +51,17 @@ class LongDimodule:
 def check_compatibility(D):
     """rho(h.m) = h.m^(0) (x) m^(1) over all basis pairs (law ldm1)."""
     f = D.field
+    act, coact = D.act._pairs, D.coact._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "ldm1")
     for h in range(D.H.dim):
-        eh = basis_sparse(f, h)
         for m in range(D.dim):
-            em = basis_sparse(f, m)
-            lhs = D.coact.coact(D.act.act(eh, em))
-            rhs = {}
-            for (m0, h1), c in D.coact.coact(em).items():
-                for (x,), v in D.act.act(eh, basis_sparse(f, m0)).items():
+            lhs, rhs = {}, {}
+            for x, v in act(h, m):
+                for mh, c in coact(x):
+                    sadd(f, lhs, mh, f.mul(v, c))
+            for (m0, h1), c in coact(m):
+                for x, v in act(h, m0):
                     sadd(f, rhs, (x, h1), f.mul(c, v))
             acc.check((h, m), lhs, rhs)
     acc.finish()
@@ -178,31 +177,34 @@ def check_lemma_identities(D):
     acc1 = LawAccumulator(rep, f, f"ldm{suffix}1")
     acc2 = LawAccumulator(rep, f, f"ldm{suffix}2")
 
+    act, anti = D.act._pairs, H.antipode.column
+
     def inner(m):
         """S(m^(1)) . m^(0) and its split form S(m^(1)_(2)) . m^(0) (x) m^(1)_(1)."""
-        em = basis_sparse(f, m)
         plain, split = {}, {}
-        for (m0, h), c in D.coact.coact(em).items():
-            e0 = basis_sparse(f, m0)
-            eh = basis_sparse(f, h)
-            for k, v in D.act.act(H.antipode_sparse(eh), e0).items():
-                sadd(f, plain, k, f.mul(c, v))
-            for (h1, h2), c2 in H.delta_sparse(eh).items():
-                s2 = H.antipode_sparse(basis_sparse(f, h2))
-                for (x,), v in D.act.act(s2, e0).items():
-                    sadd(f, split, (x, h1), f.mul(c, f.mul(c2, v)))
+        for (m0, h), c in D.coact._pairs(m):
+            for x, s in anti(h):
+                for k, v in act(x, m0):
+                    sadd(f, plain, (k,), f.mul(c, f.mul(s, v)))
+            for (h1, h2), c2 in H.delta.split_pairs(h):
+                cc = f.mul(c, c2)
+                for x, s in anti(h2):
+                    for k, v in act(x, m0):
+                        sadd(f, split, (k, h1), f.mul(cc, f.mul(s, v)))
         return plain, split
 
     for m in range(D.dim):
         plain, split = inner(m)
         acc1.check((m,), D.coact.coact(plain), split)
         for h in range(H.dim):
-            eh = basis_sparse(f, h)
-            lhs = D.coact.coact(D.act.act(eh, plain))
-            rhs = {}
+            hplain, rhs = {}, {}
+            for (x,), c in plain.items():
+                for y, v in act(h, x):
+                    sadd(f, hplain, (y,), f.mul(c, v))
             for (x, h1), c in split.items():
-                for (y,), v in D.act.act(eh, basis_sparse(f, x)).items():
+                for y, v in act(h, x):
                     sadd(f, rhs, (y, h1), f.mul(c, v))
+            lhs = D.coact.coact(hplain)
             acc2.check((h, m), lhs, rhs)
     acc1.finish()
     acc2.finish()
@@ -220,55 +222,53 @@ def check_adjunction(H, D):
     f = H.field
     rep = VerificationReport()
     n = H.dim
-    target = build_from_quasimodule(H, D.act)
+    free = build_from_quasimodule(H, D.act)
+    coact = D.coact._pairs
 
-    def eta(u):  # sparse M -> sparse (m, k) flattened as target indices
+    def eta(u):  # (m, coeff) pairs of M -> sparse element of M (x) H
         out = {}
-        for (m,), a in u.items():
-            for (m0, h1), c in D.coact.coact(basis_sparse(f, m)).items():
+        for m, a in u:
+            for (m0, h1), c in coact(m):
                 sadd(f, out, (pair_index(m0, h1, n),), f.mul(a, c))
         return out
 
     linear = LawAccumulator(rep, f, "adj.unit_linear")
     colinear = LawAccumulator(rep, f, "adj.unit_colinear")
     for m in range(D.dim):
-        em = basis_sparse(f, m)
-        im = eta(em)
+        im = {(pair_index(m0, h1, n),): c for (m0, h1), c in coact(m)}
         for h in range(n):
-            eh = basis_sparse(f, h)
-            linear.check((h, m),
-                         eta(D.act.act(eh, em)),
-                         target.act.act(eh, im))
-        lhs = target.coact.coact(im)
+            him = {}
+            for (j,), b in im.items():
+                for k, c in free.act._pairs(h, j):
+                    sadd(f, him, (k,), f.mul(b, c))
+            linear.check((h, m), eta(D.act._pairs(h, m)), him)
+        lhs = free.coact.coact(im)
         rhs = {}
-        for (m0, h1), c in D.coact.coact(em).items():
-            for (k,), v in eta(basis_sparse(f, m0)).items():
-                sadd(f, rhs, (k, h1), f.mul(c, v))
+        for (m0, h1), c in coact(m):
+            for (m00, h2), v in coact(m0):
+                sadd(f, rhs, (pair_index(m00, h2, n), h1), f.mul(c, v))
         colinear.check((m,), lhs, rhs)
     linear.finish()
     colinear.finish()
 
     tri1 = LawAccumulator(rep, f, "adj.triangle1")
     for m in range(D.dim):
-        em = basis_sparse(f, m)
         out = {}
-        for (m0, h1), c in D.coact.coact(em).items():
+        for (m0, h1), c in coact(m):
             sadd(f, out, (m0,), f.mul(c, H.counit[h1]))
-        tri1.check((m,), out, em)
+        tri1.check((m,), out, {(m,): f.one})
     tri1.finish()
 
     # second triangle on the free dimodule over the underlying quasimodule
     tri2 = LawAccumulator(rep, f, "adj.triangle2")
-    free = build_from_quasimodule(H, D.act)
     for i in range(free.dim):
-        ei = basis_sparse(f, i)
         # (sigma (x) id) o (id (x) delta) with sigma = id (x) counit
         collapsed = {}
-        for (j, h1), c in free.coact.coact(ei).items():
+        for (j, h1), c in free.coact._pairs(i):
             m0, k1 = divmod(j, n)
             sadd(f, collapsed, (pair_index(m0, h1, n),),
                  f.mul(c, H.counit[k1]))
-        tri2.check((i,), collapsed, ei)
+        tri2.check((i,), collapsed, {(i,): f.one})
     tri2.finish()
     return rep
 
@@ -317,52 +317,26 @@ def d_map(D):
     nd = D.dim
     columns = {}
     for n_idx in range(nd):
-        co = D.coact.coact(basis_sparse(f, n_idx))
+        co = D.coact._pairs(n_idx)
         for m_idx in range(nd):
-            em = basis_sparse(f, m_idx)
             col = {}
-            for (n0, h), c in co.items():
-                for (m2,), v in D.act.act(basis_sparse(f, h), em).items():
-                    sadd(f, col, (pair_index(m2, n0, nd),), f.mul(c, v))
+            for (n0, h), c in co:
+                for m2, v in D.act._pairs(h, m_idx):
+                    sadd(f, col, pair_index(m2, n0, nd), f.mul(c, v))
             j = pair_index(m_idx, n_idx, nd)
-            entries = tuple(sorted((k, c) for (k,), c in col.items()))
+            entries = tuple(sorted(col.items()))
             if entries:
                 columns[j] = entries
     return RMap(f, nd, columns)
 
 
 def check_d_equation(R):
-    """R12 R23 = R23 R12 on M (x) M (x) M, exactly.
-
-    Dense matrices are materialized only for small carriers; larger ones
-    are streamed basis triple by basis triple.
-    """
+    """R12 R23 = R23 R12 on M (x) M (x) M, exactly, streamed basis triple
+    by basis triple; a witness is keyed by (l, m, n) triples."""
     f = R.field
     nd = R.m_dim
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "eq.d")
-    if nd <= DEQ_DENSE_MAX_DIM:
-        eye = Mat.identity(f, nd)
-        from .tensors import kron
-        rmat = R.as_matrix()
-        r12 = kron(rmat, eye)
-        r23 = kron(eye, rmat)
-        lhs = r12.matmul(r23)
-        rhs = r23.matmul(r12)
-        if lhs != rhs:
-            # locate a witness column (a basis triple) for the report
-            for j in range(nd ** 3):
-                colL = {(i,): lhs.rows[i][j] for i in range(nd ** 3)
-                        if lhs.rows[i][j] != f.zero}
-                colR = {(i,): rhs.rows[i][j] for i in range(nd ** 3)
-                        if rhs.rows[i][j] != f.zero}
-                if colL != colR:
-                    l_idx, rest = divmod(j, nd * nd)
-                    m_idx, n_idx = divmod(rest, nd)
-                    acc.check((l_idx, m_idx, n_idx), colL, colR)
-                    break
-        acc.finish()
-        return rep
 
     def apply12(vec):
         out = {}
@@ -383,9 +357,11 @@ def check_d_equation(R):
     for l in range(nd):
         for m in range(nd):
             for n_ in range(nd):
-                start = {(l, m, n_): f.one}
-                acc.check((l, m, n_),
-                          apply12(apply23(start)),
-                          apply23(apply12(start)))
+                r23, r12 = {}, {}
+                for k, v in R.column(pair_index(m, n_, nd)):
+                    sadd(f, r23, (l,) + divmod(k, nd), v)
+                for k, v in R.column(pair_index(l, m, nd)):
+                    sadd(f, r12, divmod(k, nd) + (n_,), v)
+                acc.check((l, m, n_), apply12(r23), apply23(r12))
     acc.finish()
     return rep

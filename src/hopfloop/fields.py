@@ -1,23 +1,45 @@
 """Exact scalar arithmetic over the rationals or a prime field GF(p).
 
-Rational scalars are `fractions.Fraction` values (always reduced, positive
-denominator by construction).  GF(p) scalars are plain ints in [0, p).
-Containers carry the field; scalars themselves stay lightweight.
+Rational scalars are plain ints when integral and `fractions.Fraction`
+values (reduced, positive denominator) only once a denominator appears;
+the two compare, hash and print identically, so containers and reports do
+not depend on which one holds a value.  GF(p) scalars are plain ints in
+[0, p).  Containers carry the field; scalars themselves stay lightweight.
 """
 
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
+# Miller-Rabin on the prime bases 2..41 is exact for every n below this
+# bound, the least strong pseudoprime to all of them (Sorenson & Webster
+# 2015).  Bases 2..37 alone would pass 318665857834031151167461.  Larger
+# moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 
 def _is_prime(p):
+    """Deterministic primality for p < _MR_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -50,10 +72,10 @@ class Field:
 
 
 class RationalField(Field):
-    """The field of rational numbers with exact Fraction arithmetic."""
+    """The field of rational numbers: ints when integral, else Fractions."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -67,22 +89,24 @@ class RationalField(Field):
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by zero in Q")
-        return a / b
+        q = Fraction(a) / b
+        return q.numerator if q.denominator == 1 else q
 
     def neg(self, a):
         return -a
 
     def from_int(self, k):
-        return Fraction(k)
+        return int(k)
 
     def format(self, a):
         return str(a)
 
     def parse(self, text, line=None):
         try:
-            return Fraction(text)
+            q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational scalar {text!r}: {exc}", line)
+        return q.numerator if q.denominator == 1 else q
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -98,6 +122,10 @@ class PrimeField(Field):
     """GF(p) with residues stored as ints in [0, p)."""
 
     def __init__(self, p):
+        if p >= _MR_BOUND:
+            raise ParseError(
+                f"modulus {p} is too large: primality is decided exactly "
+                f"only below {_MR_BOUND}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -61,6 +61,15 @@ def _index(token, bound, line):
     return v
 
 
+def _put(entries, key, value, section, line):
+    """Store one parsed entry; an index tuple given twice is an error."""
+    if key in entries:
+        raise ParseError(
+            f"duplicate {section} entry for indices "
+            + " ".join(map(str, key)), line)
+    entries[key] = value
+
+
 def _parse_indices(tokens, count, bound, line):
     if len(tokens) != count + 1:
         raise ParseError(
@@ -77,7 +86,7 @@ def _parse_field_line(lines):
     if len(parts) == 3 and parts[:2] == ["field", "F"]:
         try:
             return GF(int(parts[2]))
-        except ValueError as exc:
+        except (ValueError, ParseError) as exc:
             raise ParseError(f"bad prime {parts[2]!r}: {exc}", no) from exc
     raise ParseError(f"expected 'field Q' or 'field F <p>', got {line!r}", no)
 
@@ -122,24 +131,26 @@ def parse_structure(text):
             "missing sections: " + ", ".join(missing),
             lines.items[-1][0] if lines.items else 0)
 
-    def tensor(name):
-        entries = []
+    def entries(name, count):
+        out = {}
         for no, toks in sections[name]:
-            i, j, k = _parse_indices(toks, 3, n, no)
-            entries.append((i, j, k, _parse_scalar(field, toks[3], no)))
-        return Ten3.from_entries(field, n, entries)
+            key = tuple(_parse_indices(toks, count, n, no))
+            _put(out, key, _parse_scalar(field, toks[count], no), name, no)
+        return out
+
+    def tensor(name):
+        return Ten3.from_entries(
+            field, n, (key + (c,) for key, c in entries(name, 3).items()))
 
     def vector(name):
         data = [field.zero] * n
-        for no, toks in sections[name]:
-            (i,) = _parse_indices(toks, 1, n, no)
-            data[i] = _parse_scalar(field, toks[1], no)
+        for (i,), c in entries(name, 1).items():
+            data[i] = c
         return Vec(field, data)
 
     rows = [[field.zero] * n for _ in range(n)]
-    for no, toks in sections["antipode"]:
-        i, j = _parse_indices(toks, 2, n, no)
-        rows[i][j] = _parse_scalar(field, toks[2], no)
+    for (i, j), c in entries("antipode", 2).items():
+        rows[i][j] = c
 
     return cls(AlgebraData(tensor("mu"), vector("unit")),
                CoalgebraData(tensor("delta"), vector("counit")),
@@ -221,18 +232,18 @@ def parse_action(text, field):
         h_dim, m_dim = int(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ParseError(f"bad dimensions in {header!r}", no) from exc
-    entries = []
+    entries = {}
     while lines.peek() is not None:
         no, line = lines.next("action entry")
         toks = line.split()
         if len(toks) != 4:
             raise ParseError(
                 f"expected 'h m m2 <scalar>', got {line!r}", no)
-        entries.append((_index(toks[0], h_dim, no),
-                        _index(toks[1], m_dim, no),
-                        _index(toks[2], m_dim, no),
-                        _parse_scalar(field, toks[3], no)))
-    return ActionData.from_entries(field, h_dim, m_dim, entries)
+        key = (_index(toks[0], h_dim, no), _index(toks[1], m_dim, no),
+               _index(toks[2], m_dim, no))
+        _put(entries, key, _parse_scalar(field, toks[3], no), "action", no)
+    return ActionData.from_entries(
+        field, h_dim, m_dim, (key + (c,) for key, c in entries.items()))
 
 
 def serialize_action(act):
@@ -258,18 +269,19 @@ def parse_coaction(text, field):
         m_dim, h_dim = int(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ParseError(f"bad dimensions in {header!r}", no) from exc
-    entries = []
+    entries = {}
     while lines.peek() is not None:
         no, line = lines.next("coaction entry")
         toks = line.split()
         if len(toks) != 4:
             raise ParseError(
                 f"expected 'm m2 h <scalar>', got {line!r}", no)
-        entries.append((_index(toks[0], m_dim, no),
-                        _index(toks[1], m_dim, no),
-                        _index(toks[2], h_dim, no),
-                        _parse_scalar(field, toks[3], no)))
-    return CoactionData.from_entries(field, m_dim, h_dim, entries)
+        key = (_index(toks[0], m_dim, no), _index(toks[1], m_dim, no),
+               _index(toks[2], h_dim, no))
+        _put(entries, key, _parse_scalar(field, toks[3], no), "coaction",
+             no)
+    return CoactionData.from_entries(
+        field, m_dim, h_dim, (key + (c,) for key, c in entries.items()))
 
 
 def serialize_coaction(coact):

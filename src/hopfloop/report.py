@@ -6,6 +6,11 @@ carries a witness (the basis indices plus both evaluated sides) that
 reproduces the discrepancy when re-evaluated.
 """
 
+# Annotations stay unevaluated: an Optional[Witness] built at class creation
+# is kept in typing's cache, which then holds every re-imported copy of this
+# module (its classes and functions) alive.
+from __future__ import annotations
+
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 

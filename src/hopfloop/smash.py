@@ -13,8 +13,8 @@ from .actions import (check_coqm_algebra, check_coqm_coalgebra,
 from .errors import DimMismatch, HypothesisNotMet, InvalidInput
 from .report import LawAccumulator, VerificationReport
 from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
-                         HopfQuasigroup, basis_sparse,
-                         check_hopf_coquasigroup, check_hopf_quasigroup)
+                         HopfQuasigroup, check_hopf_coquasigroup,
+                         check_hopf_quasigroup)
 from .tensors import Mat, Ten3, Vec, pair_index, sadd
 
 
@@ -66,17 +66,17 @@ class CosmashInput:
 def check_cocommu(inp):
     """h_(1) (x) h_(2).a = h_(2) (x) h_(1).a for all basis h, a."""
     f = inp.H.field
+    pairs = inp.act._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "cocommu")
     for h in range(inp.H.dim):
-        split = inp.H.delta_sparse(basis_sparse(f, h))
+        split = inp.H.delta.split_pairs(h)
         for a in range(inp.A.dim):
-            ea = basis_sparse(f, a)
             lhs, rhs = {}, {}
-            for (h1, h2), c in split.items():
-                for (x,), v in inp.act.act(basis_sparse(f, h2), ea).items():
+            for (h1, h2), c in split:
+                for x, v in pairs(h2, a):
                     sadd(f, lhs, (h1, x), f.mul(c, v))
-                for (x,), v in inp.act.act(basis_sparse(f, h1), ea).items():
+                for x, v in pairs(h1, a):
                     sadd(f, rhs, (h2, x), f.mul(c, v))
             acc.check((h, a), lhs, rhs)
     acc.finish()
@@ -90,26 +90,43 @@ def check_modass(inp):
     g.(h.a) = (gh).a holds (law id modass.strict): the main law is the
     associativity of the action only up to the antipodal twist.
     """
-    H, act = inp.H, inp.act
+    H = inp.H
     f = H.field
+    mul, pairs = H.mu.mul_pairs, inp.act._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "modass")
     strict = LawAccumulator(rep, f, "modass.strict", informational=True)
+
+    def act_g(g, t):
+        """e_g . t for t given as (basis index of A, coeff) pairs."""
+        out = {}
+        for k, b in t:
+            for k2, v in pairs(g, k):
+                sadd(f, out, (k2,), f.mul(b, v))
+        return out
+
+    def act_on(u, a):
+        """u . e_a for u given as (basis index of H, coeff) pairs."""
+        out = {}
+        for x, s in u:
+            for k, v in pairs(x, a):
+                sadd(f, out, (k,), f.mul(s, v))
+        return out
+
     for g in range(H.dim):
-        eg = basis_sparse(f, g)
         for h in range(H.dim):
-            eh = basis_sparse(f, h)
-            sh = H.antipode_sparse(eh)
-            gsh = H.mul_sparse(eg, sh)
-            gh = H.mul_sparse(eg, eh)
+            sh = H.antipode.column(h)
+            gsh = {}
+            for x, s in sh:
+                for k, c in mul(g, x):
+                    sadd(f, gsh, k, f.mul(s, c))
+            gsh = list(gsh.items())
+            gh = mul(g, h)
             for a in range(inp.A.dim):
-                ea = basis_sparse(f, a)
-                acc.check((g, h, a),
-                          act.act(eg, act.act(sh, ea)),
-                          act.act(gsh, ea))
-                strict.check((g, h, a),
-                             act.act(eg, act.act(eh, ea)),
-                             act.act(gh, ea))
+                sha = [(k, f.mul(s, b)) for x, s in sh for k, b in pairs(x, a)]
+                acc.check((g, h, a), act_g(g, sha), act_on(gsh, a))
+                strict.check((g, h, a), act_g(g, pairs(h, a)),
+                             act_on(gh, a))
     acc.finish()
     strict.finish()
     return rep
@@ -127,27 +144,27 @@ def build_smash_product(inp):
         raise InvalidInput(
             "not a quasimodule Hopf quasigroup: "
             + ", ".join(l.law_id for l in val.failing()))
-    H, A, act = inp.H, inp.A, inp.act
+    H, A, pairs = inp.H, inp.A, inp.act._pairs
     f = H.field
     nA, nH = A.dim, H.dim
     n = nA * nH
+    split, anti = H.delta.split_pairs, H.antipode.column
 
     mu_entries = []
     for a in range(nA):
         for h in range(nH):
             i = pair_index(a, h, nH)
-            eh_split = H.delta_sparse(basis_sparse(f, h))
             for b in range(nA):
-                eb = basis_sparse(f, b)
                 for g in range(nH):
                     j = pair_index(b, g, nH)
-                    for (h1, h2), c in eh_split.items():
-                        hb = act.act(basis_sparse(f, h1), eb)
-                        left = A.mul_sparse(basis_sparse(f, a), hb)
-                        right = H.mul_sparse(basis_sparse(f, h2),
-                                             basis_sparse(f, g))
-                        for (x,), u in left.items():
-                            for (y,), v in right.items():
+                    for (h1, h2), c in split(h):
+                        left = {}
+                        for y, v in pairs(h1, b):
+                            for x, w in A.mu.mul_pairs(a, y):
+                                sadd(f, left, x, f.mul(v, w))
+                        right = H.mu.mul_pairs(h2, g)
+                        for x, u in left.items():
+                            for y, v in right:
                                 mu_entries.append(
                                     (i, j, pair_index(x, y, nH),
                                      f.mul(c, f.mul(u, v))))
@@ -159,28 +176,30 @@ def build_smash_product(inp):
     delta_entries = []
     counit = [f.zero] * n
     for a in range(nA):
-        a_split = A.delta_sparse(basis_sparse(f, a))
         for h in range(nH):
             i = pair_index(a, h, nH)
             counit[i] = f.mul(A.counit[a], H.counit[h])
-            for (a1, a2), ca in a_split.items():
-                for (h1, h2), ch in H.delta_sparse(
-                        basis_sparse(f, h)).items():
+            for (a1, a2), ca in A.delta.split_pairs(a):
+                for (h1, h2), ch in split(h):
                     delta_entries.append(
                         (i, pair_index(a1, h1, nH), pair_index(a2, h2, nH),
                          f.mul(ca, ch)))
 
     srows = [[f.zero] * n for _ in range(n)]
     for a in range(nA):
-        sa = A.antipode_sparse(basis_sparse(f, a))
+        sa = A.antipode.column(a)
         for h in range(nH):
             j = pair_index(a, h, nH)
-            for (h1, h2), c in H.delta_sparse(basis_sparse(f, h)).items():
-                s2 = H.antipode_sparse(basis_sparse(f, h2))
-                acted = act.act(s2, sa)
-                s1 = H.antipode_sparse(basis_sparse(f, h1))
-                for (x,), u in acted.items():
-                    for (y,), v in s1.items():
+            for (h1, h2), c in split(h):
+                # S(h2) . S(a)
+                acted = {}
+                for z, s in anti(h2):
+                    for t, w in sa:
+                        sw = f.mul(s, w)
+                        for x, v in pairs(z, t):
+                            sadd(f, acted, x, f.mul(sw, v))
+                for x, u in acted.items():
+                    for y, v in anti(h1):
                         k = pair_index(x, y, nH)
                         srows[k][j] = f.add(srows[k][j],
                                             f.mul(c, f.mul(u, v)))
@@ -196,18 +215,17 @@ def check_commu(inp):
     """c^(0) (x) c^(1)h = c^(0) (x) hc^(1) for all basis c, h."""
     H = inp.H
     f = H.field
+    mul = H.mu.mul_pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "commu")
     for c in range(inp.C.dim):
-        co = inp.coact.coact(basis_sparse(f, c))
+        co = inp.coact._pairs(c)
         for h in range(H.dim):
-            eh = basis_sparse(f, h)
             lhs, rhs = {}, {}
-            for (c0, c1), v in co.items():
-                e1 = basis_sparse(f, c1)
-                for (x,), u in H.mul_sparse(e1, eh).items():
+            for (c0, c1), v in co:
+                for x, u in mul(c1, h):
                     sadd(f, lhs, (c0, x), f.mul(v, u))
-                for (x,), u in H.mul_sparse(eh, e1).items():
+                for x, u in mul(h, c1):
                     sadd(f, rhs, (c0, x), f.mul(v, u))
             acc.check((c, h), lhs, rhs)
     acc.finish()
@@ -218,18 +236,17 @@ def check_comodcoass(inp):
     """c^(0)(0) (x) S(c^(0)(1)) (x) c^(1) = c^(0) (x) S(c^(1)_(1)) (x) c^(1)_(2)."""
     H = inp.H
     f = H.field
+    pairs, anti = inp.coact._pairs, H.antipode.column
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "comodcoass")
     for c in range(inp.C.dim):
-        co = inp.coact.coact(basis_sparse(f, c))
         lhs, rhs = {}, {}
-        for (c0, c1), v in co.items():
-            for (c00, c01), w in inp.coact.coact(basis_sparse(f, c0)).items():
-                for (x,), u in H.antipode_sparse(
-                        basis_sparse(f, c01)).items():
+        for (c0, c1), v in pairs(c):
+            for (c00, c01), w in pairs(c0):
+                for x, u in anti(c01):
                     sadd(f, lhs, (c00, x, c1), f.mul(v, f.mul(w, u)))
-            for (h1, h2), w in H.delta_sparse(basis_sparse(f, c1)).items():
-                for (x,), u in H.antipode_sparse(basis_sparse(f, h1)).items():
+            for (h1, h2), w in H.delta.split_pairs(c1):
+                for x, u in anti(h1):
                     sadd(f, rhs, (c0, x, h2), f.mul(v, f.mul(w, u)))
         acc.check((c,), lhs, rhs)
     acc.finish()
@@ -248,20 +265,21 @@ def build_smash_coproduct(inp):
         raise InvalidInput(
             "not a quasicomodule Hopf coquasigroup: "
             + ", ".join(l.law_id for l in val.failing()))
-    H, C, coact = inp.H, inp.C, inp.coact
+    H, C, pairs = inp.H, inp.C, inp.coact._pairs
     f = H.field
     nH, nC = H.dim, C.dim
     n = nH * nC
+    mul = H.mu.mul_pairs
 
     mu_entries = []
     for h in range(nH):
         for g in range(nH):
-            hg = H.mul_sparse(basis_sparse(f, h), basis_sparse(f, g))
+            hg = mul(h, g)
             for c in range(nC):
                 for d in range(nC):
-                    cd = C.mul_sparse(basis_sparse(f, c), basis_sparse(f, d))
-                    for (x,), u in hg.items():
-                        for (y,), v in cd.items():
+                    cd = C.mu.mul_pairs(c, d)
+                    for x, u in hg:
+                        for y, v in cd:
                             mu_entries.append(
                                 (pair_index(h, c, nC), pair_index(g, d, nC),
                                  pair_index(x, y, nC), f.mul(u, v)))
@@ -273,17 +291,14 @@ def build_smash_coproduct(inp):
     delta_entries = []
     counit = [f.zero] * n
     for h in range(nH):
-        h_split = H.delta_sparse(basis_sparse(f, h))
+        h_split = H.delta.split_pairs(h)
         for c in range(nC):
             i = pair_index(h, c, nC)
             counit[i] = f.mul(H.counit[h], C.counit[c])
-            for (c1, c2), vc in C.delta_sparse(basis_sparse(f, c)).items():
-                for (c10, c11), w in coact.coact(
-                        basis_sparse(f, c1)).items():
-                    for (h1, h2), vh in h_split.items():
-                        for (y,), u in H.mul_sparse(
-                                basis_sparse(f, h2),
-                                basis_sparse(f, c11)).items():
+            for (c1, c2), vc in C.delta.split_pairs(c):
+                for (c10, c11), w in pairs(c1):
+                    for (h1, h2), vh in h_split:
+                        for y, u in mul(h2, c11):
                             delta_entries.append(
                                 (i, pair_index(h1, c10, nC),
                                  pair_index(y, c2, nC),
@@ -291,15 +306,16 @@ def build_smash_coproduct(inp):
 
     srows = [[f.zero] * n for _ in range(n)]
     for h in range(nH):
-        eh = basis_sparse(f, h)
         for c in range(nC):
             j = pair_index(h, c, nC)
-            for (c0, c1), v in coact.coact(basis_sparse(f, c)).items():
-                hc1 = H.mul_sparse(eh, basis_sparse(f, c1))
-                shc1 = H.antipode_sparse(hc1)
-                sc0 = C.antipode_sparse(basis_sparse(f, c0))
-                for (x,), u in shc1.items():
-                    for (y,), w in sc0.items():
+            for (c0, c1), v in pairs(c):
+                # S(h c1)
+                shc1 = {}
+                for z, a in mul(h, c1):
+                    for x, s in H.antipode.column(z):
+                        sadd(f, shc1, x, f.mul(a, s))
+                for x, u in shc1.items():
+                    for y, w in C.antipode.column(c0):
                         k = pair_index(x, y, nC)
                         srows[k][j] = f.add(srows[k][j],
                                             f.mul(v, f.mul(u, w)))

@@ -53,17 +53,6 @@ class CoalgebraData:
         return self.delta.field
 
 
-def mul_sparse_tensor(f, mu, u, v):
-    """Product of two 1-leg sparse elements through a multiplication tensor."""
-    out = {}
-    for (i,), a in u.items():
-        for (j,), b in v.items():
-            ab = f.mul(a, b)
-            for k, c in mu.mul_pairs(i, j):
-                sadd(f, out, (k,), f.mul(ab, c))
-    return out
-
-
 def split_sparse_tensor(f, delta, u):
     """Coproduct of a 1-leg sparse element as a 2-leg sparse element."""
     out = {}
@@ -121,20 +110,6 @@ class HopfStructure:
     def unit_sparse(self):
         return {(i,): c for i, c in self.unit.nonzero()}
 
-    def mul_sparse(self, u, v):
-        return mul_sparse_tensor(self.field, self.mu, u, v)
-
-    def delta_sparse(self, u):
-        return split_sparse_tensor(self.field, self.delta, u)
-
-    def antipode_sparse(self, u):
-        f = self.field
-        out = {}
-        for (j,), a in u.items():
-            for i, c in self.antipode.column(j):
-                sadd(f, out, (i,), f.mul(a, c))
-        return out
-
     def counit_scalar(self, u):
         f = self.field
         s = f.zero
@@ -151,10 +126,6 @@ class HopfCoquasigroup(HopfStructure):
     """Associative algebra, possibly non-coassociative coalgebra."""
 
 
-def basis_sparse(field, i):
-    return {(i,): field.one}
-
-
 def tensor2(field, u, v):
     """Tensor product of two 1-leg sparse elements as a 2-leg element."""
     out = {}
@@ -165,29 +136,40 @@ def tensor2(field, u, v):
 
 
 # --- checkers ---------------------------------------------------------------
+#
+# Basis inputs never go through the sparse element operations: the checkers
+# read structure constants from the cached views mu.mul_pairs(i, j),
+# delta.split_pairs(i) and antipode.column(j) (S(e_j) = sum_i c e_i).
 
 
 def check_unital_counital(H):
     """Unit and counit laws over every basis vector."""
     f = H.field
+    mul, split = H.mu.mul_pairs, H.delta.split_pairs
     rep = VerificationReport()
-    one = H.unit_sparse()
+    one = H.unit.nonzero()
     ul = LawAccumulator(rep, f, "unit.left")
     ur = LawAccumulator(rep, f, "unit.right")
     for i in range(H.dim):
-        e = basis_sparse(f, i)
-        ul.check((i,), H.mul_sparse(one, e), e)
-        ur.check((i,), H.mul_sparse(e, one), e)
+        left, right = {}, {}
+        for u, a in one:
+            for k, c in mul(u, i):
+                sadd(f, left, (k,), f.mul(a, c))
+            for k, c in mul(i, u):
+                sadd(f, right, (k,), f.mul(a, c))
+        e = {(i,): f.one}
+        ul.check((i,), left, e)
+        ur.check((i,), right, e)
     ul.finish()
     ur.finish()
     cl = LawAccumulator(rep, f, "counit.left")
     cr = LawAccumulator(rep, f, "counit.right")
     for i in range(H.dim):
-        e = basis_sparse(f, i)
         left, right = {}, {}
-        for (j, k), c in H.delta_sparse(e).items():
+        for (j, k), c in split(i):
             sadd(f, left, (k,), f.mul(c, H.counit[j]))
             sadd(f, right, (j,), f.mul(c, H.counit[k]))
+        e = {(i,): f.one}
         cl.check((i,), left, e)
         cr.check((i,), right, e)
     cl.finish()
@@ -198,18 +180,21 @@ def check_unital_counital(H):
 def check_associativity(H, informational=False):
     """(xy)z = x(yz) over all basis triples, with a witness triple."""
     f = H.field
+    mul = H.mu.mul_pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "assoc", informational)
     for i in range(H.dim):
-        ei = basis_sparse(f, i)
         for j in range(H.dim):
-            ej = basis_sparse(f, j)
-            ij = H.mul_sparse(ei, ej)
+            ij = mul(i, j)
             for k in range(H.dim):
-                ek = basis_sparse(f, k)
-                acc.check((i, j, k),
-                          H.mul_sparse(ij, ek),
-                          H.mul_sparse(ei, H.mul_sparse(ej, ek)))
+                left, right = {}, {}
+                for x, a in ij:
+                    for y, b in mul(x, k):
+                        sadd(f, left, (y,), f.mul(a, b))
+                for x, a in mul(j, k):
+                    for y, b in mul(i, x):
+                        sadd(f, right, (y,), f.mul(a, b))
+                acc.check((i, j, k), left, right)
     acc.finish()
     return rep
 
@@ -217,33 +202,35 @@ def check_associativity(H, informational=False):
 def check_coassociativity(H, informational=False):
     """(delta (x) id) delta = (id (x) delta) delta over all basis vectors."""
     f = H.field
+    split = H.delta.split_pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "coassoc", informational)
     for i in range(H.dim):
-        e = basis_sparse(f, i)
-        d = H.delta_sparse(e)
         left, right = {}, {}
-        for (j, k), c in d.items():
-            for (a, b), c2 in H.delta_sparse(basis_sparse(f, j)).items():
+        for (j, k), c in split(i):
+            for (a, b), c2 in split(j):
                 sadd(f, left, (a, b, k), f.mul(c, c2))
-            for (a, b), c2 in H.delta_sparse(basis_sparse(f, k)).items():
+            for (a, b), c2 in split(k):
                 sadd(f, right, (j, a, b), f.mul(c, c2))
         acc.check((i,), left, right)
     acc.finish()
     return rep
 
 
-def _tensor_square_mul(H, u2, v2):
-    """Product on H (x) H: (a(x)b)(c(x)d) = ac (x) bd, on 2-leg elements."""
-    f = H.field
+def tensor_mul(f, mu1, mu2, u2, v2):
+    """Product on a tensor product of algebras, (a(x)b)(c(x)d) = ac (x) bd
+    with mu1 on the first leg and mu2 on the second, of ((a, b), coeff)
+    pair sequences."""
+    mul1, mul2 = mu1.mul_pairs, mu2.mul_pairs
     out = {}
-    for (a, b), ca in u2.items():
-        for (c, d), cb in v2.items():
+    for (a, b), ca in u2:
+        for (c, d), cb in v2:
+            ac = mul1(a, c)
+            if not ac:
+                continue
             coeff = f.mul(ca, cb)
-            for (x,), cx in H.mul_sparse(basis_sparse(f, a),
-                                         basis_sparse(f, c)).items():
-                for (y,), cy in H.mul_sparse(basis_sparse(f, b),
-                                             basis_sparse(f, d)).items():
+            for x, cx in ac:
+                for y, cy in mul2(b, d):
                     sadd(f, out, (x, y), f.mul(coeff, f.mul(cx, cy)))
     return out
 
@@ -251,26 +238,29 @@ def _tensor_square_mul(H, u2, v2):
 def check_bialgebra_compat(H):
     """Delta and epsilon are algebra homomorphisms."""
     f = H.field
+    mul, split, counit = H.mu.mul_pairs, H.delta.split_pairs, H.counit
     rep = VerificationReport()
     dm = LawAccumulator(rep, f, "bialg.delta_mult")
     cm = LawAccumulator(rep, f, "bialg.counit_mult")
     for i in range(H.dim):
-        ei = basis_sparse(f, i)
-        di = H.delta_sparse(ei)
+        di = split(i)
         for j in range(H.dim):
-            ej = basis_sparse(f, j)
-            prod = H.mul_sparse(ei, ej)
-            dm.check((i, j), H.delta_sparse(prod),
-                     _tensor_square_mul(H, di, H.delta_sparse(ej)))
-            lhs = H.counit_scalar(prod)
-            rhs = f.mul(H.counit[i], H.counit[j])
+            prod = mul(i, j)
+            dprod = {}
+            lhs = f.zero
+            for x, a in prod:
+                for jk, c in split(x):
+                    sadd(f, dprod, jk, f.mul(a, c))
+                lhs = f.add(lhs, f.mul(a, counit[x]))
+            dm.check((i, j), dprod, tensor_mul(f, H.mu, H.mu, di, split(j)))
+            rhs = f.mul(counit[i], counit[j])
             cm.check((i, j), {(): lhs} if lhs != f.zero else {},
                      {(): rhs} if rhs != f.zero else {})
     dm.finish()
     cm.finish()
     one = H.unit_sparse()
     du = LawAccumulator(rep, f, "bialg.delta_unit")
-    du.check((), H.delta_sparse(one), tensor2(f, one, one))
+    du.check((), split_sparse_tensor(f, H.delta, one), tensor2(f, one, one))
     du.finish()
     cu = LawAccumulator(rep, f, "bialg.counit_unit")
     s = H.counit_scalar(one)
@@ -285,39 +275,43 @@ def check_quasi_identities(H):
     Coassociativity is a prerequisite and is reported first.
     """
     f = H.field
+    mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
     rep = VerificationReport()
     rep.extend(check_coassociativity(H))
     accs = {name: LawAccumulator(rep, f, name) for name in
             ("quasi1.left", "quasi1.right", "quasi2.left", "quasi2.right")}
     for h in range(H.dim):
-        eh = basis_sparse(f, h)
-        dh = H.delta_sparse(eh)
+        dh = split(h)
         eps_h = H.counit[h]
         for g in range(H.dim):
-            eg = basis_sparse(f, g)
-            expected = sscale(f, eg, eps_h)
+            expected = {(g,): eps_h} if eps_h != f.zero else {}
             q1l, q1r, q2l, q2r = {}, {}, {}, {}
-            for (h1, h2), c in dh.items():
-                e1 = basis_sparse(f, h1)
-                e2 = basis_sparse(f, h2)
-                s1 = H.antipode_sparse(e1)
-                s2 = H.antipode_sparse(e2)
+            for (h1, h2), c in dh:
+                s1, s2 = anti(h1), anti(h2)
                 # S(h1)(h2 g)
-                t = H.mul_sparse(s1, H.mul_sparse(e2, eg))
-                for k, v in t.items():
-                    sadd(f, q1l, k, f.mul(c, v))
+                for y, b in mul(h2, g):
+                    for x, a in s1:
+                        ab = f.mul(c, f.mul(a, b))
+                        for k, v in mul(x, y):
+                            sadd(f, q1l, (k,), f.mul(ab, v))
                 # h1 (S(h2) g)
-                t = H.mul_sparse(e1, H.mul_sparse(s2, eg))
-                for k, v in t.items():
-                    sadd(f, q1r, k, f.mul(c, v))
+                for x, a in s2:
+                    for y, b in mul(x, g):
+                        ab = f.mul(c, f.mul(a, b))
+                        for k, v in mul(h1, y):
+                            sadd(f, q1r, (k,), f.mul(ab, v))
                 # (g h1) S(h2)
-                t = H.mul_sparse(H.mul_sparse(eg, e1), s2)
-                for k, v in t.items():
-                    sadd(f, q2l, k, f.mul(c, v))
+                for x, a in mul(g, h1):
+                    for y, b in s2:
+                        ab = f.mul(c, f.mul(a, b))
+                        for k, v in mul(x, y):
+                            sadd(f, q2l, (k,), f.mul(ab, v))
                 # (g S(h1)) h2
-                t = H.mul_sparse(H.mul_sparse(eg, s1), e2)
-                for k, v in t.items():
-                    sadd(f, q2r, k, f.mul(c, v))
+                for y, b in s1:
+                    for x, a in mul(g, y):
+                        ab = f.mul(c, f.mul(a, b))
+                        for k, v in mul(x, h2):
+                            sadd(f, q2r, (k,), f.mul(ab, v))
             accs["quasi1.left"].check((h, g), q1l, expected)
             accs["quasi1.right"].check((h, g), q1r, expected)
             accs["quasi2.left"].check((h, g), q2l, expected)
@@ -333,40 +327,37 @@ def check_coq_identities(H):
     Associativity of the product is a prerequisite and is reported first.
     """
     f = H.field
+    mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
     rep = VerificationReport()
     rep.extend(check_associativity(H))
     accs = {name: LawAccumulator(rep, f, name) for name in
             ("coq1.left", "coq1.right", "coq2.left", "coq2.right")}
-    one = H.unit_sparse()
+    one = H.unit.nonzero()
     for h in range(H.dim):
-        eh = basis_sparse(f, h)
-        dh = H.delta_sparse(eh)
-        one_h = tensor2(f, one, eh)
-        h_one = tensor2(f, eh, one)
+        one_h = {(u, h): a for u, a in one}
+        h_one = {(h, u): a for u, a in one}
         c1l, c1r, c2l, c2r = {}, {}, {}, {}
-        for (h1, h2), c in dh.items():
-            e1 = basis_sparse(f, h1)
-            e2 = basis_sparse(f, h2)
-            s1 = H.antipode_sparse(e1)
+        for (h1, h2), c in split(h):
             # S(h1) h2(1) (x) h2(2)  and  h1 S(h2(1)) (x) h2(2)
-            for (a, b), c2 in H.delta_sparse(e2).items():
-                ea = basis_sparse(f, a)
-                sa = H.antipode_sparse(ea)
+            s1 = anti(h1)
+            for (a, b), c2 in split(h2):
                 cc = f.mul(c, c2)
-                for (x,), v in H.mul_sparse(s1, ea).items():
-                    sadd(f, c1l, (x, b), f.mul(cc, v))
-                for (x,), v in H.mul_sparse(e1, sa).items():
-                    sadd(f, c1r, (x, b), f.mul(cc, v))
+                for x, sx in s1:
+                    for y, v in mul(x, a):
+                        sadd(f, c1l, (y, b), f.mul(cc, f.mul(sx, v)))
+                for x, sx in anti(a):
+                    for y, v in mul(h1, x):
+                        sadd(f, c1r, (y, b), f.mul(cc, f.mul(sx, v)))
             # h1(1) (x) h1(2) S(h2)  and  h1(1) (x) S(h1(2)) h2
-            s2 = H.antipode_sparse(e2)
-            for (a, b), c2 in H.delta_sparse(e1).items():
-                eb = basis_sparse(f, b)
-                sb = H.antipode_sparse(eb)
+            s2 = anti(h2)
+            for (a, b), c2 in split(h1):
                 cc = f.mul(c, c2)
-                for (x,), v in H.mul_sparse(eb, s2).items():
-                    sadd(f, c2l, (a, x), f.mul(cc, v))
-                for (x,), v in H.mul_sparse(sb, e2).items():
-                    sadd(f, c2r, (a, x), f.mul(cc, v))
+                for x, sx in s2:
+                    for y, v in mul(b, x):
+                        sadd(f, c2l, (a, y), f.mul(cc, f.mul(sx, v)))
+                for x, sx in anti(b):
+                    for y, v in mul(x, h2):
+                        sadd(f, c2r, (a, y), f.mul(cc, f.mul(sx, v)))
         accs["coq1.left"].check((h,), c1l, one_h)
         accs["coq1.right"].check((h,), c1r, one_h)
         accs["coq2.left"].check((h,), c2l, h_one)
@@ -379,47 +370,52 @@ def check_coq_identities(H):
 def check_antipode_basic(H):
     """Convolution identities plus anti(co)multiplicativity of the antipode."""
     f = H.field
+    mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
     rep = VerificationReport()
     one = H.unit_sparse()
     cv_l = LawAccumulator(rep, f, "antipode.conv_left")
     cv_r = LawAccumulator(rep, f, "antipode.conv_right")
     anti_co = LawAccumulator(rep, f, "antipode.anticomult")
     for h in range(H.dim):
-        eh = basis_sparse(f, h)
-        dh = H.delta_sparse(eh)
+        dh = split(h)
         expected = sscale(f, one, H.counit[h])
-        left, right = {}, {}
-        for (h1, h2), c in dh.items():
-            e1 = basis_sparse(f, h1)
-            e2 = basis_sparse(f, h2)
-            for k, v in H.mul_sparse(H.antipode_sparse(e1), e2).items():
-                sadd(f, left, k, f.mul(c, v))
-            for k, v in H.mul_sparse(e1, H.antipode_sparse(e2)).items():
-                sadd(f, right, k, f.mul(c, v))
+        left, right, lhs = {}, {}, {}
+        for (h1, h2), c in dh:
+            s1, s2 = anti(h1), anti(h2)
+            for x, a in s1:
+                for k, v in mul(x, h2):
+                    sadd(f, left, (k,), f.mul(c, f.mul(a, v)))
+            for x, a in s2:
+                for k, v in mul(h1, x):
+                    sadd(f, right, (k,), f.mul(c, f.mul(a, v)))
+            # (S (x) S)(delta h)
+            for a, c1 in s1:
+                for b, c2 in s2:
+                    sadd(f, lhs, (a, b), f.mul(c, f.mul(c1, c2)))
         cv_l.check((h,), left, expected)
         cv_r.check((h,), right, expected)
-        # (S (x) S)(delta h) = flip(delta(S h))
-        lhs = {}
-        for (h1, h2), c in dh.items():
-            for (a,), c1 in H.antipode_sparse(basis_sparse(f, h1)).items():
-                for (b,), c2 in H.antipode_sparse(basis_sparse(f, h2)).items():
-                    sadd(f, lhs, (a, b), f.mul(c, f.mul(c1, c2)))
+        # flip(delta(S h))
         rhs = {}
-        for (a, b), c in H.delta_sparse(H.antipode_sparse(eh)).items():
-            sadd(f, rhs, (b, a), c)
+        for x, a in anti(h):
+            for (p, q), c in split(x):
+                sadd(f, rhs, (q, p), f.mul(a, c))
         anti_co.check((h,), lhs, rhs)
     cv_l.finish()
     cv_r.finish()
     anti_mul = LawAccumulator(rep, f, "antipode.antimult")
     for i in range(H.dim):
-        ei = basis_sparse(f, i)
-        si = H.antipode_sparse(ei)
+        si = anti(i)
         for j in range(H.dim):
-            ej = basis_sparse(f, j)
-            anti_mul.check(
-                (i, j),
-                H.antipode_sparse(H.mul_sparse(ei, ej)),
-                H.mul_sparse(H.antipode_sparse(ej), si))
+            lhs, rhs = {}, {}
+            for x, a in mul(i, j):
+                for y, c in anti(x):
+                    sadd(f, lhs, (y,), f.mul(a, c))
+            for x, a in anti(j):
+                for y, b in si:
+                    ab = f.mul(a, b)
+                    for k, c in mul(x, y):
+                        sadd(f, rhs, (k,), f.mul(ab, c))
+            anti_mul.check((i, j), lhs, rhs)
     anti_mul.finish()
     anti_co.finish()
     return rep

@@ -193,16 +193,11 @@ class Ten3:
         """Product view: nonzeros of e_i * e_j as (k, coeff) pairs."""
         if self._mul_view is None:
             z = self.field.zero
-            n = self.dim
-            view = {}
-            for i2 in range(n):
-                for j2 in range(n):
-                    row = self.data[i2][j2]
-                    nz = [(k, c) for k, c in enumerate(row) if c != z]
-                    if nz:
-                        view[(i2, j2)] = nz
-            self._mul_view = view
-        return self._mul_view.get((i, j), ())
+            self._mul_view = tuple(
+                tuple(tuple((k, c) for k, c in enumerate(row) if c != z)
+                      for row in plane)
+                for plane in self.data)
+        return self._mul_view[i][j]
 
     def split_pairs(self, i):
         """Coproduct view: nonzeros of delta(e_i) as ((j, k), coeff) pairs."""

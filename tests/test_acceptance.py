@@ -55,12 +55,12 @@ def test_criterion_2_nonassociative_witness():
     assert time.perf_counter() - t0 < 60.0
 
 
-def _dimodule_fixture_set():
-    H2 = loop_algebra(cyclic(2))
-    HS3 = loop_algebra(s3_table())
-    H7 = loop_algebra(loop7())
+def _dimodule_fixture_set(field=QQ):
+    H2 = loop_algebra(cyclic(2), field=field)
+    HS3 = loop_algebra(s3_table(), field=field)
+    H7 = loop_algebra(loop7(), field=field)
     H2d, HS3d = dualize(H2), dualize(HS3)
-    inv = inversion_action()
+    inv = inversion_action(field)
     dual_inv = CoactionData.dual_of_action(inv)
     d6 = trivial_coaction_dimodule(H2, inv)
     d7 = trivial_action_dimodule(H2, CoactionData.graded(H2, [0, 1, 1]))
@@ -137,7 +137,7 @@ def test_criterion_5_classical_recovery():
     assert check_hopf_quasigroup(cand).ok
 
 
-def _sweep_inputs(rng, count):
+def _sweep_inputs(rng, count, field=QQ):
     h_tables = [cyclic(2), klein(), cyclic(4)]
     a_tables = [cyclic(3), cyclic(4), cyclic(5), klein()]
     auts = {id(t): automorphisms(t) for t in a_tables}
@@ -145,7 +145,7 @@ def _sweep_inputs(rng, count):
 
     def alg(table):
         if id(table) not in algebras:
-            algebras[id(table)] = loop_algebra(table)
+            algebras[id(table)] = loop_algebra(table, field=field)
         return algebras[id(table)]
 
     def invert(p):
@@ -172,7 +172,7 @@ def _sweep_inputs(rng, count):
                 p = rng.choice(pool)
                 assign[h] = p
                 assign[hinv] = invert(p)
-        act = perm_action(QQ, ht.n, [assign[h] for h in range(ht.n)])
+        act = perm_action(field, ht.n, [assign[h] for h in range(ht.n)])
         out.append(SmashInput(alg(ht), alg(at), act))
     return out
 

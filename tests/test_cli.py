@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from conftest import cyclic, inversion_action, loop7
 
@@ -168,3 +171,67 @@ def test_report_determinism(tmp_path, capsys, H2):
     first = capsys.readouterr().out
     main(["verify", str(path)])
     assert capsys.readouterr().out == first
+
+
+def _duplicate_entry(text, header):
+    """Repeat the first entry after the header line with another scalar;
+    return the new text and the line number of the repeat."""
+    lines = text.splitlines()
+    at = lines.index(header) + 1
+    repeat = " ".join(lines[at].split()[:-1] + ["5"])
+    lines.insert(at + 1, repeat)
+    return "\n".join(lines) + "\n", at + 2
+
+
+def _assert_one_line_error(capsys, line):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert f"line {line}: duplicate" in captured.err
+
+
+@pytest.mark.parametrize("section",
+                         ["mu", "delta", "unit", "counit", "antipode"])
+def test_duplicate_structure_entry_exit_2(tmp_path, capsys, H2, section):
+    text, line = _duplicate_entry(fileio.serialize_structure(H2),
+                                  f"{section}:")
+    path = tmp_path / "dup.hq"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    _assert_one_line_error(capsys, line)
+
+
+@pytest.mark.parametrize("kind", ["act", "coact"])
+def test_duplicate_action_coaction_entry_exit_2(tmp_path, capsys, H2, H3,
+                                                kind):
+    write_fixture_tree(tmp_path, H2, H3)
+    name = "inv.act" if kind == "act" else "triv.coact"
+    target = tmp_path / name
+    text = target.read_text()
+    text, line = _duplicate_entry(text, text.splitlines()[0])
+    target.write_text(text)
+    bundle = tmp_path / "d.bundle"
+    bundle.write_text("dimodule quasigroup\nh2.hq\ninv.act\ntriv.coact\n")
+    assert main(["verify", str(bundle)]) == 2
+    _assert_one_line_error(capsys, line)
+
+
+def test_huge_prime_field_accepted_quickly(tmp_path, capsys):
+    path = tmp_path / "big.hq"
+    path.write_text("hopfqg\nfield F 1000000000000000003\ndim 1\n"
+                    "mu:\n0 0 0 1\ndelta:\n0 0 0 1\nunit:\n0 1\n"
+                    "counit:\n0 1\nantipode:\n0 0 1\n")
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    capsys.readouterr()
+
+
+def test_modulus_beyond_primality_bound_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.hq"
+    path.write_text("hopfqg\nfield F 3317044064679887385961981\ndim 1\n")
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "line 2" in err and "too large" in err

@@ -84,7 +84,7 @@ def test_tensor_dimodule_h_mismatch(H2, H3):
         tensor_dimodule(D1, D2)
 
 
-def test_d_equation_dense_path(H2):
+def test_d_equation_small_carrier(H2):
     assert check_d_equation(d_map(free_dimodule(H2))).ok
 
 
@@ -107,8 +107,12 @@ def test_d_equation_failure_witness(H2):
     R = RMap(f, 2, cols)
     rep = check_d_equation(R)
     assert not rep.ok
-    assert rep.law("eq.d").witness is not None
-    assert len(rep.law("eq.d").witness.indices) == 3
+    witness = rep.law("eq.d").witness
+    assert witness is not None
+    assert len(witness.indices) == 3
+    # the same (l, m, n) key shape as on large carriers
+    assert witness.lhs and witness.rhs
+    assert all(len(key) == 3 for key, _ in witness.lhs + witness.rhs)
 
 
 def test_compatibility_failure(H2):

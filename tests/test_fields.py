@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,33 @@ def test_gf_rejects_composite():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def test_gf_large_prime_is_fast():
+    t0 = time.perf_counter()
+    f = GF(10**18 + 3)
+    assert time.perf_counter() - t0 < 1.0
+    assert f.mul(f.from_int(2), f.div(f.one, f.from_int(2))) == f.one
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3215031751,
+                               318665857834031151167461])
+def test_gf_rejects_strong_pseudoprimes(n):
+    # strong pseudoprimes to the smallest bases (the last one to every
+    # prime base up to 37)
+    with pytest.raises(ValueError):
+        GF(n)
+
+
+def test_gf_billion_and_seven():
+    f = GF(1000000007)
+    assert f.div(f.one, f.from_int(2)) == 500000004
+    assert f.parse("-1") == 1000000006
+
+
+def test_gf_modulus_beyond_exact_primality_bound():
+    with pytest.raises(ParseError):
+        GF(3317044064679887385961981)
 
 
 def test_field_equality_and_mismatch():

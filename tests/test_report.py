@@ -1,6 +1,11 @@
+import gc
+import importlib.util
+import sys
+import weakref
+
 import pytest
 
-from hopfloop import QQ, VerificationReport
+from hopfloop import QQ, VerificationReport, report
 from hopfloop.report import LawAccumulator, Witness, witness_side
 
 
@@ -58,3 +63,20 @@ def test_extend_and_to_dict_shape():
 def test_law_lookup_missing():
     with pytest.raises(KeyError):
         VerificationReport().law("nope")
+
+
+def test_module_copy_is_released():
+    # a fresh copy of the module, as a re-import makes, must not be kept
+    # alive by caches once nothing refers to it
+    spec = importlib.util.spec_from_file_location("report_copy",
+                                                  report.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = copy
+    try:
+        spec.loader.exec_module(copy)
+    finally:
+        del sys.modules[spec.name]
+    ref = weakref.ref(copy.Witness)
+    del copy, spec
+    gc.collect()
+    assert ref() is None
