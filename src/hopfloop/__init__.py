@@ -19,7 +19,7 @@ from .dimodules import (OVER_COQUASIGROUP, OVER_QUASIGROUP, LongDimodule,
                         check_long_dimodule, d_map, tensor_dimodule,
                         trivial_action_dimodule, trivial_coaction_dimodule,
                         unit_dimodule)
-from .fields import GF, QQ, field_ops
+from .fields import GF, QQ
 from .loops import (LoopTable, check_ip_loop, is_associative, loop_algebra,
                     search_ip_loops)
 from .report import VerificationReport
@@ -34,7 +34,7 @@ from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
                          check_hopf_coquasigroup, check_hopf_quasigroup,
                          check_quasi_identities, check_unital_counital,
                          dualize)
-from .tensors import Mat, Ten3, Vec, contract_mul, kron
+from .tensors import Mat, Ten3, Vec, contract_mul
 
 __all__ = [
     "ActionData", "AlgebraData", "CoactionData", "CoalgebraData", "GF",
@@ -54,7 +54,7 @@ __all__ = [
     "theorem_cosmash_roundtrip", "theorem_smash_roundtrip",
     "check_quasi_identities", "check_quasicomodule", "check_quasimodule",
     "check_unital_counital", "contract_mul", "d_map", "diagonal_action",
-    "dualize", "field_ops", "is_associative", "kron", "loop_algebra",
+    "dualize", "is_associative", "loop_algebra",
     "search_ip_loops", "tensor_coaction", "tensor_dimodule",
     "trivial_action_dimodule", "trivial_coaction_dimodule", "unit_dimodule",
 ]

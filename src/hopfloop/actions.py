@@ -1,47 +1,32 @@
 """Actions and coactions as standalone tensors, with the module-layer checks.
 
-An ActionData stores h . e_m = sum_{m'} rho[h][m][m'] e_{m'}; a CoactionData
-stores rho(e_m) = sum_{m',h} rho[m][m'][h] e_{m'} (x) e_h.  Both reference
-dimensions only, so the same tensor can be checked against different
-candidate Hopf structures.
+An ActionData stores h . e_m = sum_{m'} rho[h, m, m'] e_{m'}; a CoactionData
+stores rho(e_m) = sum_{m',h} rho[m, m', h] e_{m'} (x) e_h.  Both are sparse
+tensors that reference dimensions only, so the same tensor can be checked
+against different candidate Hopf structures.
 """
 
 from .errors import DimMismatch
 from .fields import check_same_field
 from .report import LawAccumulator, VerificationReport
 from .structures import tensor2, tensor_mul
-from .tensors import sadd, sscale
+from .tensors import SparseTensor, sadd, sscale
 
 
-class ActionData:
-    __slots__ = ("field", "h_dim", "m_dim", "data", "_view")
-
-    def __init__(self, field, data):
-        data = tuple(tuple(tuple(r) for r in plane) for plane in data)
-        self.field = field
-        self.h_dim = len(data)
-        self.m_dim = len(data[0]) if data else 0
-        for plane in data:
-            if len(plane) != self.m_dim or any(
-                    len(r) != self.m_dim for r in plane):
-                raise DimMismatch("action tensor is not H_dim x M_dim x M_dim")
-        self.data = data
-        self._view = None
-
-    def __eq__(self, other):
-        return (isinstance(other, ActionData) and self.field == other.field
-                and self.data == other.data)
-
-    def __repr__(self):
-        return f"ActionData(H_dim={self.h_dim}, M_dim={self.m_dim})"
+class ActionData(SparseTensor):
+    """h . e_m = sum_{m'} rho[h, m, m'] e_{m'}, dims (H_dim, M_dim, M_dim)."""
 
     @classmethod
     def from_entries(cls, field, h_dim, m_dim, entries):
-        data = [[[field.zero] * m_dim for _ in range(m_dim)]
-                for _ in range(h_dim)]
-        for h, m, m2, c in entries:
-            data[h][m][m2] = c
-        return cls(field, data)
+        return cls(field, (h_dim, m_dim, m_dim), entries)
+
+    @property
+    def h_dim(self):
+        return self.dims[0]
+
+    @property
+    def m_dim(self):
+        return self.dims[1]
 
     @classmethod
     def trivial(cls, H, m_dim):
@@ -55,74 +40,42 @@ class ActionData:
     @classmethod
     def from_mu(cls, H):
         """H acting on itself by its own multiplication."""
-        f = H.field
-        n = H.dim
-        entries = []
-        for h in range(n):
-            for m in range(n):
-                for k, c in H.mu.mul_pairs(h, m):
-                    entries.append((h, m, k, c))
-        return cls.from_entries(f, n, n, entries)
+        return cls(H.field, H.mu.dims,
+                   (key + (c,) for key, c in H.mu.nz.items()))
 
     def _pairs(self, h, m):
         """Nonzeros of h . e_m as (m', coeff) pairs."""
-        if self._view is None:
-            z = self.field.zero
-            self._view = tuple(
-                tuple(tuple((k, c) for k, c in enumerate(row) if c != z)
-                      for row in plane)
-                for plane in self.data)
-        return self._view[h][m]
+        return self._by_first_two[h][m]
 
 
-class CoactionData:
-    __slots__ = ("field", "m_dim", "h_dim", "data", "_view")
-
-    def __init__(self, field, data):
-        data = tuple(tuple(tuple(r) for r in plane) for plane in data)
-        self.field = field
-        self.m_dim = len(data)
-        self.h_dim = len(data[0][0]) if data else 0
-        for plane in data:
-            if len(plane) != self.m_dim or any(
-                    len(r) != self.h_dim for r in plane):
-                raise DimMismatch("coaction tensor is not M_dim x M_dim x H_dim")
-        self.data = data
-        self._view = None
-
-    def __eq__(self, other):
-        return (isinstance(other, CoactionData) and self.field == other.field
-                and self.data == other.data)
-
-    def __repr__(self):
-        return f"CoactionData(M_dim={self.m_dim}, H_dim={self.h_dim})"
+class CoactionData(SparseTensor):
+    """rho(e_m) = sum_{m',h} rho[m, m', h] e_{m'} (x) e_h, dims
+    (M_dim, M_dim, H_dim)."""
 
     @classmethod
     def from_entries(cls, field, m_dim, h_dim, entries):
-        data = [[[field.zero] * h_dim for _ in range(m_dim)]
-                for _ in range(m_dim)]
-        for m, m2, h, c in entries:
-            data[m][m2][h] = c
-        return cls(field, data)
+        return cls(field, (m_dim, m_dim, h_dim), entries)
+
+    @property
+    def m_dim(self):
+        return self.dims[0]
+
+    @property
+    def h_dim(self):
+        return self.dims[2]
 
     @classmethod
     def trivial(cls, H, m_dim):
         """m -> m (x) 1."""
-        f = H.field
-        entries = []
-        for m in range(m_dim):
-            for h, c in H.unit.nonzero():
-                entries.append((m, m, h, c))
-        return cls.from_entries(f, m_dim, H.dim, entries)
+        return cls.from_entries(
+            H.field, m_dim, H.dim,
+            ((m, m, h, c) for m in range(m_dim) for h, c in H.unit.nonzero()))
 
     @classmethod
     def from_delta(cls, H):
         """H coacting on itself by its own comultiplication."""
-        entries = []
-        for i in range(H.dim):
-            for (j, k), c in H.delta.split_pairs(i):
-                entries.append((i, j, k, c))
-        return cls.from_entries(H.field, H.dim, H.dim, entries)
+        return cls(H.field, H.delta.dims,
+                   (key + (c,) for key, c in H.delta.nz.items()))
 
     @classmethod
     def graded(cls, H, grading):
@@ -137,32 +90,17 @@ class CoactionData:
         """The coaction over the dual structure induced by an action.
 
         The carrier stays the same: rho(m) = sum_i (h_i . m) (x) h^i over
-        dual bases, i.e. coact[m][m'][h] = act[h][m][m'].  Pair the result
+        dual bases, i.e. coact[m, m', h] = act[h, m, m'].  Pair the result
         with the dualized Hopf structure; (quasi)module laws for the action
         become the corresponding (quasi)comodule laws for this coaction.
         """
-        f = act.field
-        entries = []
-        for h in range(act.h_dim):
-            for m in range(act.m_dim):
-                for m2, c in act._pairs(h, m):
-                    entries.append((m, m2, h, c))
-        return cls.from_entries(f, act.m_dim, act.h_dim, entries)
+        return cls.from_entries(
+            act.field, act.m_dim, act.h_dim,
+            ((m, m2, h, c) for (h, m, m2), c in act.nz.items()))
 
     def _pairs(self, m):
         """Nonzeros of rho(e_m) as ((m', h), coeff) pairs."""
-        if self._view is None:
-            z = self.field.zero
-            view = []
-            for m2 in range(self.m_dim):
-                nz = []
-                for mp, row in enumerate(self.data[m2]):
-                    for h, c in enumerate(row):
-                        if c != z:
-                            nz.append(((mp, h), c))
-                view.append(tuple(nz))
-            self._view = view
-        return self._view[m]
+        return self._by_first[m]
 
     def coact(self, mu):
         """Apply to a sparse element of M; result keyed (m', h)."""
@@ -329,20 +267,15 @@ def diagonal_action(H, act1, act2):
     _require_action_dims(H, act2)
     f = H.field
     n2 = act2.m_dim
-    entries = {}
-    for h in range(H.dim):
-        for (h1, h2), c in H.delta.split_pairs(h):
-            for m in range(act1.m_dim):
-                for m2, c1 in act1._pairs(h1, m):
-                    for n in range(n2):
-                        for np, c2 in act2._pairs(h2, n):
-                            key = (h, m * n2 + n, m2 * n2 + np)
-                            cur = entries.get(key, f.zero)
-                            entries[key] = f.add(
-                                cur, f.mul(c, f.mul(c1, c2)))
     return ActionData.from_entries(
         f, H.dim, act1.m_dim * n2,
-        ((h, m, m2, c) for (h, m, m2), c in entries.items()))
+        ((h, m * n2 + n, m2 * n2 + np, f.mul(c, f.mul(c1, c2)))
+         for h in range(H.dim)
+         for (h1, h2), c in H.delta.split_pairs(h)
+         for m in range(act1.m_dim)
+         for m2, c1 in act1._pairs(h1, m)
+         for n in range(n2)
+         for np, c2 in act2._pairs(h2, n)))
 
 
 def tensor_coaction(H, co1, co2):
@@ -351,19 +284,14 @@ def tensor_coaction(H, co1, co2):
     _require_coaction_dims(H, co2)
     f = H.field
     n2 = co2.m_dim
-    entries = {}
-    for m in range(co1.m_dim):
-        for (mp, h1), c1 in co1._pairs(m):
-            for n in range(n2):
-                for (np, h2), c2 in co2._pairs(n):
-                    cc = f.mul(c1, c2)
-                    for k, c in H.mu.mul_pairs(h1, h2):
-                        key = (m * n2 + n, mp * n2 + np, k)
-                        cur = entries.get(key, f.zero)
-                        entries[key] = f.add(cur, f.mul(cc, c))
     return CoactionData.from_entries(
         f, co1.m_dim * n2, H.dim,
-        ((m, m2, h, c) for (m, m2, h), c in entries.items()))
+        ((m * n2 + n, mp * n2 + np, k, f.mul(f.mul(c1, c2), c))
+         for m in range(co1.m_dim)
+         for (mp, h1), c1 in co1._pairs(m)
+         for n in range(n2)
+         for (np, h2), c2 in co2._pairs(n)
+         for k, c in H.mu.mul_pairs(h1, h2)))
 
 
 def check_qm_algebra(H, alg, act):

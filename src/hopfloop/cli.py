@@ -3,7 +3,7 @@
 Subcommands: verify, loop-algebra, smash, cosmash, dequation, search-loops,
 dual.  Exit codes: 0 all checked laws pass, 1 at least one law fails (or the
 input violates a structural precondition such as the IP-loop laws), 2 parse
-or I/O error.
+or I/O error, or memory exhausted.
 """
 
 import argparse
@@ -136,11 +136,8 @@ def cmd_dequation(args):
 
 
 def cmd_search_loops(args):
-    limit = args.limit
-    if args.budget is not None:
-        limit = args.budget if limit is None else min(limit, args.budget)
     tables = search_ip_loops(args.n, want_nonassociative=args.nonassoc,
-                             limit=limit)
+                             limit=args.limit)
     written = []
     for idx, table in enumerate(tables):
         path = f"{args.prefix}loop{args.n}-{idx}.cayley"
@@ -162,10 +159,6 @@ def build_parser():
                    help="scalar field: Q (default) or F<p>")
     p.add_argument("--report", default=None,
                    help="also write the JSON report to this path")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sweeps (reserved)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="cap on search results")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the full law suite on a file")
@@ -229,6 +222,9 @@ def main(argv=None):
         return EXIT_ERROR
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return EXIT_ERROR
 
 

@@ -273,61 +273,31 @@ def check_adjunction(H, D):
     return rep
 
 
-class RMap:
-    """A linear endomorphism of M (x) M, stored column-sparse.
+class RMap(Mat):
+    """A linear endomorphism of M (x) M as a matrix on flattened pairs:
+    R(e_j) = sum_i R[i, j] e_i."""
 
-    Columns are keyed by the flattened source pair; each column lists
-    (flattened target pair, coeff) entries.
-    """
-
-    __slots__ = ("field", "m_dim", "columns")
-
-    def __init__(self, field, m_dim, columns):
-        self.field = field
+    def __init__(self, field, m_dim, entries):
+        super().__init__(field, (m_dim * m_dim,) * 2, entries)
         self.m_dim = m_dim
-        self.columns = columns
 
     @property
     def dim(self):
         return self.m_dim * self.m_dim
 
-    def column(self, j):
-        return self.columns.get(j, ())
-
     def is_identity(self):
-        f = self.field
-        for j in range(self.dim):
-            col = dict(self.column(j))
-            if col != {j: f.one}:
-                return False
-        return True
-
-    def as_matrix(self):
-        f = self.field
-        rows = [[f.zero] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for i, c in self.column(j):
-                rows[i][j] = c
-        return Mat(f, rows)
+        one = self.field.one
+        return self.nz == {(j, j): one for j in range(self.dim)}
 
 
 def d_map(D):
     """The candidate D-equation solution m (x) n -> n^(1) . m (x) n^(0)."""
     f = D.field
     nd = D.dim
-    columns = {}
-    for n_idx in range(nd):
-        co = D.coact._pairs(n_idx)
-        for m_idx in range(nd):
-            col = {}
-            for (n0, h), c in co:
-                for m2, v in D.act._pairs(h, m_idx):
-                    sadd(f, col, pair_index(m2, n0, nd), f.mul(c, v))
-            j = pair_index(m_idx, n_idx, nd)
-            entries = tuple(sorted(col.items()))
-            if entries:
-                columns[j] = entries
-    return RMap(f, nd, columns)
+    return RMap(f, nd, (
+        (pair_index(m2, n0, nd), pair_index(m, n, nd), f.mul(c, v))
+        for n in range(nd) for (n0, h), c in D.coact._pairs(n)
+        for m in range(nd) for m2, v in D.act._pairs(h, m)))
 
 
 def check_d_equation(R):

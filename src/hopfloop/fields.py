@@ -61,9 +61,6 @@ class Field:
     def neg(self, a):
         raise NotImplementedError
 
-    def is_zero(self, a):
-        return a == self.zero
-
     def format(self, a):
         raise NotImplementedError
 
@@ -184,13 +181,3 @@ def GF(p):
 def check_same_field(f, g):
     if f != g:
         raise FieldMismatch(f"cannot mix {f!r} and {g!r}")
-
-
-def field_ops(field, a, b, op):
-    """Dispatch a single exact field operation by name."""
-    try:
-        fn = {"add": field.add, "sub": field.sub,
-              "mul": field.mul, "div": field.div}[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}")
-    return fn(a, b)

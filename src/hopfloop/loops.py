@@ -153,12 +153,9 @@ def loop_algebra(T, field=QQ):
     delta = Ten3.from_entries(f, n, ((i, i, i, f.one) for i in range(n)))
     unit = Vec.basis(f, n, 0)
     counit = Vec(f, (f.one,) * n)
-    srows = [[f.zero] * n for _ in range(n)]
-    for a in range(n):
-        srows[T.inverse_of(a)][a] = f.one
+    anti = Mat(f, (n, n), ((T.inverse_of(a), a, f.one) for a in range(n)))
     return HopfQuasigroup(AlgebraData(mu, unit),
-                          CoalgebraData(delta, counit),
-                          Mat(f, srows))
+                          CoalgebraData(delta, counit), anti)
 
 
 def search_ip_loops(n, want_nonassociative=False, limit=None):

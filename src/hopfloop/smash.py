@@ -185,7 +185,7 @@ def build_smash_product(inp):
                         (i, pair_index(a1, h1, nH), pair_index(a2, h2, nH),
                          f.mul(ca, ch)))
 
-    srows = [[f.zero] * n for _ in range(n)]
+    s_entries = []
     for a in range(nA):
         sa = A.antipode.column(a)
         for h in range(nH):
@@ -200,15 +200,14 @@ def build_smash_product(inp):
                             sadd(f, acted, x, f.mul(sw, v))
                 for x, u in acted.items():
                     for y, v in anti(h1):
-                        k = pair_index(x, y, nH)
-                        srows[k][j] = f.add(srows[k][j],
-                                            f.mul(c, f.mul(u, v)))
+                        s_entries.append((pair_index(x, y, nH), j,
+                                          f.mul(c, f.mul(u, v))))
 
     return HopfQuasigroup(
         AlgebraData(Ten3.from_entries(f, n, mu_entries), Vec(f, unit)),
         CoalgebraData(Ten3.from_entries(f, n, delta_entries),
                       Vec(f, counit)),
-        Mat(f, srows))
+        Mat(f, (n, n), s_entries))
 
 
 def check_commu(inp):
@@ -304,7 +303,7 @@ def build_smash_coproduct(inp):
                                  pair_index(y, c2, nC),
                                  f.mul(vc, f.mul(w, f.mul(vh, u)))))
 
-    srows = [[f.zero] * n for _ in range(n)]
+    s_entries = []
     for h in range(nH):
         for c in range(nC):
             j = pair_index(h, c, nC)
@@ -316,15 +315,14 @@ def build_smash_coproduct(inp):
                         sadd(f, shc1, x, f.mul(a, s))
                 for x, u in shc1.items():
                     for y, w in C.antipode.column(c0):
-                        k = pair_index(x, y, nC)
-                        srows[k][j] = f.add(srows[k][j],
-                                            f.mul(v, f.mul(u, w)))
+                        s_entries.append((pair_index(x, y, nC), j,
+                                          f.mul(v, f.mul(u, w))))
 
     return HopfCoquasigroup(
         AlgebraData(Ten3.from_entries(f, n, mu_entries), Vec(f, unit)),
         CoalgebraData(Ten3.from_entries(f, n, delta_entries),
                       Vec(f, counit)),
-        Mat(f, srows))
+        Mat(f, (n, n), s_entries))
 
 
 class RoundtripReport:

@@ -446,17 +446,15 @@ def check_hopf_coquasigroup(H):
 def dualize(H):
     """Structure on the dual basis; an involution on the stored tensors.
 
-    new_mu[i][j][k] = delta[k][i][j], new_delta[i][j][k] = mu[j][k][i],
+    new_mu[i, j, k] = delta[k, i, j], new_delta[i, j, k] = mu[j, k, i],
     unit and counit swap roles, the antipode transposes.
     """
     f = H.field
     n = H.dim
-    mu = Ten3(f, tuple(
-        tuple(tuple(H.delta[k][i][j] for k in range(n)) for j in range(n))
-        for i in range(n)))
-    delta = Ten3(f, tuple(
-        tuple(tuple(H.mu[j][k][i] for k in range(n)) for j in range(n))
-        for i in range(n)))
+    mu = Ten3.from_entries(
+        f, n, ((i, j, k, c) for (k, i, j), c in H.delta.nz.items()))
+    delta = Ten3.from_entries(
+        f, n, ((i, j, k, c) for (j, k, i), c in H.mu.nz.items()))
     alg = AlgebraData(mu, Vec(f, H.counit.data))
     coalg = CoalgebraData(delta, Vec(f, H.unit.data))
     anti = H.antipode.transpose()

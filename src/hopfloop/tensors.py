@@ -1,16 +1,27 @@
-"""Dense exact vectors, matrices and order-3 tensors, plus sparse helpers.
+"""Exact sparse tensors, the one storage type of every structure constant.
+
+A SparseTensor holds a field, a dims tuple and a dict of its nonzero
+entries keyed by index tuple.  Zeros are never stored, and an index tuple
+given more than once at construction is summed exactly, so builders pass
+one entry per term and never accumulate themselves.  Memory is O(nnz).
+
+The law checkers read fibres: the nonzeros grouped by one or two index
+legs, as (rest of the index, coeff) pairs in sorted order.  Each grouping is
+built once from the nonzeros on first use and held in nested tuples, so a
+lookup is one or two subscripts and never hashes an index tuple.
 
 Index conventions, used identically everywhere:
 
-* as a multiplication, ``e_i * e_j = sum_k T[i][j][k] e_k``;
-* as a comultiplication, ``delta(e_i) = sum_{j,k} T[i][j][k] e_j (x) e_k``;
+* as a multiplication, ``e_i * e_j = sum_k T[i, j, k] e_k``;
+* as a comultiplication, ``delta(e_i) = sum_{j,k} T[i, j, k] e_j (x) e_k``;
+* as a matrix, ``S(e_j) = sum_i S[i, j] e_i``;
 * the tensor product of spaces of dims (m, n) is flattened row-major,
   ``(i, j) -> i * n + j``.
 
-All containers are immutable after construction.  Contractions iterate over
-cached nonzero entries, so grouplike (sparse) structures stay cheap even at
-dimension 49.
+Vec, the values of a unit or counit, stays a dense tuple.
 """
+
+from functools import cached_property
 
 from .errors import DimMismatch
 from .fields import check_same_field
@@ -18,10 +29,6 @@ from .fields import check_same_field
 
 def pair_index(i, j, dim_second):
     return i * dim_second + j
-
-
-def unpair_index(k, dim_second):
-    return divmod(k, dim_second)
 
 
 class Vec:
@@ -63,160 +70,125 @@ class Vec:
         return [(i, c) for i, c in enumerate(self.data) if c != z]
 
 
-class Mat:
-    __slots__ = ("field", "rows", "_cols")
+class SparseTensor:
+    """An immutable tensor of shape `dims` over `field`, nonzeros only."""
 
-    def __init__(self, field, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise DimMismatch("ragged matrix")
+    def __init__(self, field, dims, entries):
+        """entries: (i_1, ..., i_r, coeff) tuples; repeats are summed."""
+        dims = tuple(dims)
+        add, nz = field.add, {}
+        for e in entries:
+            key, c = e[:-1], e[-1]
+            nz[key] = add(nz[key], c) if key in nz else c
+        nz = {key: c for key, c in nz.items() if c != field.zero}
+        if any(len(key) != len(dims) for key in nz) or any(
+                min(leg) < 0 or max(leg) >= d
+                for leg, d in zip(zip(*nz), dims)):
+            raise DimMismatch(f"an entry's index lies outside dims {dims}")
         self.field = field
-        self.rows = rows
-        self._cols = None
+        self.dims = dims
+        self.nz = nz
+
+    def __getitem__(self, key):
+        return self.nz.get(key, self.field.zero)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.field == other.field
+                and self.dims == other.dims and self.nz == other.nz)
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({self.field!r}, dims={self.dims}, "
+                f"nnz={len(self.nz)})")
+
+    @property
+    def data(self):
+        """Every entry, zeros included, as nested tuples.  Built on each
+        access for inspection; the package itself never reads it."""
+        z, dims, nz = self.field.zero, self.dims, self.nz
+
+        def block(prefix):
+            if len(prefix) == len(dims):
+                return nz.get(prefix, z)
+            return tuple(block(prefix + (i,))
+                         for i in range(dims[len(prefix)]))
+
+        return block(())
+
+    rows = data
+
+    # Fibres: the nonzeros grouped by leading legs, each group a tuple of
+    # (rest of the index, coeff) pairs in sorted order.
+
+    @cached_property
+    def _by_first(self):
+        """[i] -> ((j, k, ...), coeff) pairs."""
+        out = [[] for _ in range(self.dims[0])]
+        for key, c in sorted(self.nz.items()):
+            out[key[0]].append((key[1:], c))
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def _by_first_two(self):
+        """[i][j] -> (k, coeff) pairs, for an order-3 tensor."""
+        n0, n1 = self.dims[0], self.dims[1]
+        out = [[] for _ in range(n0 * n1)]
+        for (i, j, k), c in sorted(self.nz.items()):
+            out[i * n1 + j].append((k, c))
+        return tuple(tuple(map(tuple, out[i * n1:(i + 1) * n1]))
+                     for i in range(n0))
+
+    @cached_property
+    def _by_second(self):
+        """[j] -> (i, coeff) pairs, for a matrix."""
+        out = [[] for _ in range(self.dims[1])]
+        for (i, j), c in sorted(self.nz.items()):
+            out[j].append((i, c))
+        return tuple(map(tuple, out))
+
+
+class Mat(SparseTensor):
+    """A matrix; column j lists the image of e_j."""
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return self.dims[0]
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat) and self.field == other.field
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.field, self.rows))
-
-    def __repr__(self):
-        return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
-
-    @classmethod
-    def zeros(cls, field, n, m):
-        return cls(field, ((field.zero,) * m,) * n)
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, tuple(
-            tuple(field.one if i == j else field.zero for j in range(n))
-            for i in range(n)))
+        return self.dims[1]
 
     def column(self, j):
         """Nonzero entries of column j as (row, coeff) pairs."""
-        if self._cols is None:
-            z = self.field.zero
-            cols = [[] for _ in range(self.ncols)]
-            for i, row in enumerate(self.rows):
-                for k, c in enumerate(row):
-                    if c != z:
-                        cols[k].append((i, c))
-            self._cols = cols
-        return self._cols[j]
-
-    def apply(self, v):
-        if v.dim != self.ncols:
-            raise DimMismatch(f"matrix {self.nrows}x{self.ncols} on dim-{v.dim} vector")
-        check_same_field(self.field, v.field)
-        f = self.field
-        out = [f.zero] * self.nrows
-        for j, c in v.nonzero():
-            for i, a in self.column(j):
-                out[i] = f.add(out[i], f.mul(a, c))
-        return Vec(f, out)
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise DimMismatch("matmul dims")
-        check_same_field(self.field, other.field)
-        f = self.field
-        out = [[f.zero] * other.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            for k, a in enumerate(row):
-                if a == f.zero:
-                    continue
-                orow = other.rows[k]
-                for j, b in enumerate(orow):
-                    if b != f.zero:
-                        out[i][j] = f.add(out[i][j], f.mul(a, b))
-        return Mat(f, out)
+        return self._by_second[j]
 
     def transpose(self):
-        return Mat(self.field, tuple(zip(*self.rows)) if self.rows else ())
+        return Mat(self.field, self.dims[::-1],
+                   ((j, i, c) for (i, j), c in self.nz.items()))
 
 
-class Ten3:
-    __slots__ = ("field", "data", "_mul_view", "_split_view")
-
-    def __init__(self, field, data):
-        data = tuple(tuple(tuple(r) for r in plane) for plane in data)
-        n = len(data)
-        for plane in data:
-            if len(plane) != n or any(len(r) != n for r in plane):
-                raise DimMismatch("Ten3 must be cubical")
-        self.field = field
-        self.data = data
-        self._mul_view = None
-        self._split_view = None
-
-    @property
-    def dim(self):
-        return len(self.data)
-
-    def __getitem__(self, i):
-        return self.data[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, Ten3) and self.field == other.field
-                and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.field, self.data))
-
-    def __repr__(self):
-        return f"Ten3({self.field!r}, dim={self.dim})"
+class Ten3(SparseTensor):
+    """A cubical order-3 tensor: a product or a coproduct."""
 
     @classmethod
     def from_entries(cls, field, n, entries):
         """Build from an iterable of (i, j, k, coeff), zeros elsewhere."""
-        data = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-        for i, j, k, c in entries:
-            data[i][j][k] = c
-        return cls(field, data)
+        return cls(field, (n, n, n), entries)
+
+    @property
+    def dim(self):
+        return self.dims[0]
 
     def mul_pairs(self, i, j):
         """Product view: nonzeros of e_i * e_j as (k, coeff) pairs."""
-        if self._mul_view is None:
-            z = self.field.zero
-            self._mul_view = tuple(
-                tuple(tuple((k, c) for k, c in enumerate(row) if c != z)
-                      for row in plane)
-                for plane in self.data)
-        return self._mul_view[i][j]
+        return self._by_first_two[i][j]
 
     def split_pairs(self, i):
         """Coproduct view: nonzeros of delta(e_i) as ((j, k), coeff) pairs."""
-        if self._split_view is None:
-            z = self.field.zero
-            view = []
-            for plane in self.data:
-                nz = []
-                for j, row in enumerate(plane):
-                    for k, c in enumerate(row):
-                        if c != z:
-                            nz.append(((j, k), c))
-                view.append(tuple(nz))
-            self._split_view = tuple(view)
-        return self._split_view[i]
+        return self._by_first[i]
 
 
 def contract_mul(T, u, v):
-    """Evaluate the bilinear product housed in T: w[k] = sum u[i]v[j]T[i][j][k]."""
+    """Evaluate the bilinear product housed in T: w[k] = sum u[i]v[j]T[i, j, k]."""
     if u.dim != T.dim or v.dim != T.dim:
         raise DimMismatch("contract_mul dims")
     check_same_field(T.field, u.field)
@@ -229,23 +201,6 @@ def contract_mul(T, u, v):
             for k, c in T.mul_pairs(i, j):
                 out[k] = f.add(out[k], f.mul(ab, c))
     return Vec(f, out)
-
-
-def kron(A, B):
-    """Kronecker product with row-major pair flattening (i,j) -> i*dim(B)+j."""
-    check_same_field(A.field, B.field)
-    f = A.field
-    nb, mb = B.nrows, B.ncols
-    out = [[f.zero] * (A.ncols * mb) for _ in range(A.nrows * nb)]
-    for i, arow in enumerate(A.rows):
-        for k, a in enumerate(arow):
-            if a == f.zero:
-                continue
-            for j, brow in enumerate(B.rows):
-                for l, b in enumerate(brow):
-                    if b != f.zero:
-                        out[i * nb + j][k * mb + l] = f.mul(a, b)
-    return Mat(f, out)
 
 
 # --- sparse elements -------------------------------------------------------
@@ -273,14 +228,3 @@ def sscale(field, d, coeff):
     if coeff == field.zero:
         return {}
     return {k: field.mul(c, coeff) for k, c in d.items()}
-
-
-def sparse_to_vec(field, n, d):
-    out = [field.zero] * n
-    for (i,), c in d.items():
-        out[i] = c
-    return Vec(field, out)
-
-
-def vec_to_sparse(v):
-    return {(i,): c for i, c in v.nonzero()}

@@ -235,3 +235,80 @@ def test_modulus_beyond_primality_bound_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "line 2" in err and "too large" in err
+
+
+def _assert_error_line(capsys, *fragments):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    for fragment in fragments:
+        assert fragment in captured.err
+
+
+def test_declared_dim_beyond_budget_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.hq"
+    path.write_text("hopfqg\nfield Q\ndim 3000\nmu:\ndelta:\nunit:\n"
+                    "counit:\nantipode:\n")
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    _assert_error_line(capsys, "line 3:", "3000")
+
+
+def test_loop_order_beyond_budget_exit_2(tmp_path, capsys):
+    # its loop algebra would be a structure file that verify refuses
+    path = tmp_path / "c257.cayley"
+    path.write_text(fileio.serialize_cayley(cyclic(257)))
+    assert main(["loop-algebra", str(path), "-o", str(tmp_path / "o")]) == 2
+    _assert_error_line(capsys, "line 1:", "257")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, header", [
+    ("inv.act", "action 2 3000"), ("inv.act", "action 3000 3"),
+    ("triv.coact", "coaction 3000 2"), ("triv.coact", "coaction 3 -1")])
+def test_action_coaction_dims_beyond_budget_exit_2(tmp_path, capsys, H2, H3,
+                                                   name, header):
+    write_fixture_tree(tmp_path, H2, H3)
+    target = tmp_path / name
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join([header] + lines[1:]) + "\n")
+    bundle = tmp_path / "d.bundle"
+    bundle.write_text("dimodule quasigroup\nh2.hq\ninv.act\ntriv.coact\n")
+    assert main(["verify", str(bundle)]) == 2
+    _assert_error_line(capsys, "line 1:", "outside the supported range")
+
+
+def test_memory_error_exit_2(tmp_path, capsys, H2, monkeypatch):
+    path = tmp_path / "c2.hq"
+    path.write_text(fileio.serialize_structure(H2))
+
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(fileio, "parse_structure", exhausted)
+    assert main(["verify", str(path)]) == 2
+    _assert_error_line(capsys, "error: out of memory")
+
+
+@pytest.mark.parametrize("field_line, bad", [
+    ("field Q", "1/2/3"), ("field Q", "1/0"), ("field F 7", "x"),
+    ("field F 7", "3/7")])
+@pytest.mark.parametrize("kind", ["structure", "action", "coaction"])
+def test_bad_scalar_names_its_line(tmp_path, capsys, kind, field_line, bad):
+    h2 = fileio.serialize_structure(loop_algebra(cyclic(2))).replace(
+        "field Q", field_line)
+    files = {"h2.hq": h2, "a.act": "action 2 1\n0 0 0 1\n1 0 0 1\n",
+             "c.coact": "coaction 1 2\n0 0 0 1\n"}
+    name, line = {"structure": ("h2.hq", h2.splitlines().index("delta:") + 2),
+                  "action": ("a.act", 3), "coaction": ("c.coact", 2)}[kind]
+    lines = files[name].splitlines()
+    lines[line - 1] = " ".join(lines[line - 1].split()[:-1] + [bad])
+    files[name] = "\n".join(lines) + "\n"
+    for n, text in files.items():
+        (tmp_path / n).write_text(text)
+    bundle = tmp_path / "d.bundle"
+    bundle.write_text("dimodule quasigroup\nh2.hq\na.act\nc.coact\n")
+    assert main(["verify", str(bundle)]) == 2
+    _assert_error_line(capsys, f"line {line}:", repr(bad))

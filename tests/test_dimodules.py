@@ -102,9 +102,8 @@ def test_d_equation_failure_witness(H2):
     from hopfloop.dimodules import RMap
     f = H2.field
     # hand-built non-solution: swap that is not a Yang-Baxter-type map
-    cols = {0: ((1, f.one),), 1: ((0, f.one),),
-            2: ((2, f.one),), 3: ((3, f.one),)}
-    R = RMap(f, 2, cols)
+    R = RMap(f, 2, [(1, 0, f.one), (0, 1, f.one), (2, 2, f.one),
+                    (3, 3, f.one)])
     rep = check_d_equation(R)
     assert not rep.ok
     witness = rep.law("eq.d").witness

@@ -71,7 +71,7 @@ def test_loop_algebra_grouplike_tensors():
 def test_loop_algebra_gf5():
     H = loop_algebra(cyclic(3), field=GF(5))
     assert H.field == GF(5)
-    assert H.mu[1][1][2] == 1
+    assert H.mu[1, 1, 2] == 1
 
 
 def test_search_counts_small_orders():

@@ -1,14 +1,18 @@
+from itertools import product
+
 import pytest
 
 from conftest import cyclic, inversion_action, klein, loop7, perm_action, s3_table
 
-from hopfloop import (ActionData, CoactionData, CosmashInput, QQ, SmashInput,
+from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
+                      CosmashInput, Mat, QQ, SmashInput, Ten3, Vec,
                       build_smash_coproduct, build_smash_product,
                       check_cocommu, check_commu, check_comodcoass,
                       check_hopf_coquasigroup, check_hopf_quasigroup,
                       check_modass, dualize, loop_algebra,
                       theorem_cosmash_roundtrip, theorem_smash_roundtrip)
 from hopfloop.errors import HypothesisNotMet, InvalidInput
+from hopfloop.structures import tensor_mul
 
 
 def smash_c2_c3(H2, H3):
@@ -162,3 +166,51 @@ def test_roundtrip_report_serialization(H2, H3):
     assert d["equivalent"] is True
     assert set(d) == {"equivalent", "candidate_ok", "condition_ok",
                       "candidate", "condition", "hypotheses"}
+
+
+def rebase(H, P, Q):
+    """H in the basis b_j = sum_i P[i][j] e_i, Q the inverse of P."""
+    f, R = H.field, range(H.dim)
+    mu = [(a, b, c, P[i][a] * P[j][b] * v * Q[c][k])
+          for (i, j, k), v in H.mu.nz.items() for a in R for b in R for c in R]
+    delta = [(a, b, c, P[i][a] * v * Q[b][j] * Q[c][k])
+             for (i, j, k), v in H.delta.nz.items()
+             for a in R for b in R for c in R]
+    anti = [(c, a, Q[c][k] * v * P[i][a])
+            for (k, i), v in H.antipode.nz.items() for a in R for c in R]
+    return type(H)(
+        AlgebraData(Ten3.from_entries(f, H.dim, mu),
+                    Vec(f, [sum(Q[c][i] * H.unit[i] for i in R) for c in R])),
+        CoalgebraData(Ten3.from_entries(f, H.dim, delta),
+                      Vec(f, [sum(P[i][a] * H.counit[i] for i in R)
+                              for a in R])),
+        Mat(f, H.antipode.dims, anti))
+
+
+def test_smash_product_sums_terms_sharing_a_leg(H2):
+    # k[C2] in the basis {e0, e0 + e1} acting trivially on k[C2]: the smash
+    # product is the tensor-product algebra, and the coproduct of e0 + e1
+    # has terms that share their second leg
+    Ht = rebase(H2, ((1, 1), (0, 1)), ((1, -1), (0, 1)))
+    inp = SmashInput(Ht, H2, ActionData.trivial(Ht, 2))
+    cand = build_smash_product(inp)
+    for a, h, b, g in product(range(2), repeat=4):
+        want = tensor_mul(QQ, H2.mu, Ht.mu, [((a, h), 1)], [((b, g), 1)])
+        assert dict(cand.mu.mul_pairs(2 * a + h, 2 * b + g)) == {
+            2 * x + y: c for (x, y), c in want.items()}
+    assert theorem_smash_roundtrip(inp).equivalent
+
+
+def test_smash_coproduct_sums_terms_sharing_legs(H2, H3):
+    # the C2-on-C3 inversion fixture with C in the basis {e0, e0 + e1, e2}:
+    # coproduct terms of the candidate coincide after the coaction
+    P, Q = ((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, -1, 0), (0, 1, 0),
+                                               (0, 0, 1))
+    co = CoactionData.dual_of_action(inversion_action())
+    R = range(3)
+    co = CoactionData.from_entries(
+        QQ, 3, 2, [(a, b, h, P[m][a] * v * Q[b][m2])
+                   for (m, m2, h), v in co.nz.items() for a in R for b in R])
+    rt = theorem_cosmash_roundtrip(
+        CosmashInput(dualize(H2), rebase(dualize(H3), P, Q), co))
+    assert rt.condition_ok and rt.candidate_ok

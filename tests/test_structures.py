@@ -43,7 +43,7 @@ def test_antipode_basic_laws():
 
 def test_zero_antipode_fails_convolution():
     H = loop_algebra(cyclic(2))
-    broken = HopfQuasigroup(H.alg, H.coalg, Mat.zeros(QQ, 2, 2))
+    broken = HopfQuasigroup(H.alg, H.coalg, Mat(QQ, (2, 2), ()))
     rep = check_antipode_basic(broken)
     conv = rep.law("antipode.conv_left")
     assert not conv.passed
@@ -80,14 +80,13 @@ def test_quasi_checker_reports_witness_on_corruption():
     H = loop_algebra(cyclic(2))
     # swap the antipode: S(e_1) = e_1 is wrong only for... C2 is self-inverse,
     # so corrupt mu instead: make e_1 * e_1 = e_1
-    bad_mu = [[[c for c in row] for row in plane] for plane in
-              (H.mu[i] for i in range(2))]
-    bad_mu[1][1][0] = QQ.zero
-    bad_mu[1][1][1] = QQ.one
+    bad_mu = [key + (c,) for key, c in H.mu.nz.items() if key != (1, 1, 0)]
+    bad_mu.append((1, 1, 1, QQ.one))
     from hopfloop import AlgebraData
     from hopfloop.tensors import Ten3
     broken = HopfQuasigroup(
-        AlgebraData(Ten3(QQ, bad_mu), H.unit), H.coalg, H.antipode)
+        AlgebraData(Ten3.from_entries(QQ, 2, bad_mu), H.unit), H.coalg,
+        H.antipode)
     rep = check_quasi_identities(broken)
     assert not rep.ok
     bad = rep.failing()[0]

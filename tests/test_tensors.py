@@ -1,16 +1,18 @@
 import random
 
+import pytest
+
 from conftest import s3_table
 
-from hopfloop import GF, QQ, Mat, Ten3, Vec, contract_mul, kron, loop_algebra
-from hopfloop.tensors import (pair_index, sadd, sparse_to_vec, sscale,
-                              unpair_index, vec_to_sparse)
+from hopfloop import GF, QQ, Mat, Ten3, Vec, contract_mul, loop_algebra
+from hopfloop.errors import DimMismatch
+from hopfloop.tensors import SparseTensor, pair_index, sadd, sscale
 
 
 def test_pair_index_roundtrip():
     for i in range(5):
         for j in range(7):
-            assert unpair_index(pair_index(i, j, 7), 7) == (i, j)
+            assert divmod(pair_index(i, j, 7), 7) == (i, j)
 
 
 def test_vec_basics():
@@ -20,19 +22,13 @@ def test_vec_basics():
     assert Vec.zeros(QQ, 3).nonzero() == []
 
 
-def test_mat_apply_and_matmul():
-    a = Mat(QQ, [[QQ.parse("1"), QQ.parse("2")],
-                 [QQ.parse("3"), QQ.parse("4")]])
-    b = Mat(QQ, [[QQ.parse("0"), QQ.parse("1")],
-                 [QQ.parse("1"), QQ.parse("0")]])
-    ab = a.matmul(b)
-    assert ab.rows == ((QQ.parse("2"), QQ.parse("1")),
-                       (QQ.parse("4"), QQ.parse("3")))
-    v = Vec(QQ, [QQ.parse("1"), QQ.parse("-1")])
-    assert a.apply(v).data == (QQ.parse("-1"), QQ.parse("-1"))
-    assert a.transpose().rows[0] == (QQ.parse("1"), QQ.parse("3"))
-    eye = Mat.identity(QQ, 2)
-    assert a.matmul(eye) == a and eye.matmul(a) == a
+def test_mat_transpose_and_columns():
+    a = Mat(QQ, (2, 3), [(0, 0, 1), (0, 2, 2), (1, 2, 3)])
+    assert a.rows == ((1, 0, 2), (0, 0, 3))
+    assert a.transpose().rows == ((1, 0), (0, 0), (2, 3))
+    assert a.transpose().transpose() == a
+    assert a.column(2) == ((0, 2), (1, 3))
+    assert a.column(1) == ()
 
 
 def test_contract_mul_group_oracle():
@@ -44,21 +40,6 @@ def test_contract_mul_group_oracle():
         for j in range(6):
             out = contract_mul(H.mu, Vec.basis(QQ, 6, i), Vec.basis(QQ, 6, j))
             assert out.nonzero() == [(table.mul(i, j), QQ.one)]
-
-
-def test_kron_oracle():
-    one, two = QQ.parse("1"), QQ.parse("2")
-    z = QQ.zero
-    a = Mat(QQ, [[one, two], [z, one]])
-    b = Mat(QQ, [[z, one], [one, z]])
-    k = kron(a, b)
-    assert k.nrows == 4 and k.ncols == 4
-    # block (0,1) is 2*b
-    assert k.rows[0][2] == z and k.rows[0][3] == two
-    assert k.rows[1][2] == two and k.rows[1][3] == z
-    # identity property
-    assert kron(Mat.identity(QQ, 2), Mat.identity(QQ, 3)) == \
-        Mat.identity(QQ, 6)
 
 
 def test_ten3_sparse_views():
@@ -98,6 +79,24 @@ def test_sparse_helpers_drop_zeros():
     assert acc == {}
     d = {(1,): QQ.parse("2")}
     assert sscale(QQ, d, QQ.zero) == {}
-    v = sparse_to_vec(QQ, 3, {(2,): QQ.one})
-    assert v == Vec.basis(QQ, 3, 2)
-    assert vec_to_sparse(v) == {(2,): QQ.one}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_sparse_tensor_sums_repeated_keys(field):
+    half = field.parse("1/2")
+    t = Ten3.from_entries(field, 2, [
+        (0, 1, 1, half), (0, 1, 1, half), (1, 0, 0, field.one),
+        (1, 0, 0, field.neg(field.one)), (1, 1, 0, field.zero)])
+    assert t.nz == {(0, 1, 1): field.one}
+    assert t[0, 1, 1] == field.one and t[1, 0, 0] == field.zero
+    assert t == Ten3.from_entries(field, 2, [(0, 1, 1, field.one)])
+    assert t.mul_pairs(0, 1) == ((1, field.one),)
+    assert t.split_pairs(1) == ()
+
+
+def test_sparse_tensor_dense_view_and_bounds():
+    t = SparseTensor(QQ, (1, 2, 3), [(0, 1, 2, 7)])
+    assert t.data == (((0, 0, 0), (0, 0, 7)),)
+    for bad in [(0, 2, 0, 1), (0, 0, -1, 1), (0, 0, 1)]:
+        with pytest.raises(DimMismatch):
+            SparseTensor(QQ, (1, 2, 3), [bad])
