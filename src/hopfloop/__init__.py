@@ -34,7 +34,7 @@ from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
                          check_hopf_coquasigroup, check_hopf_quasigroup,
                          check_quasi_identities, check_unital_counital,
                          dualize)
-from .tensors import Mat, Ten3, Vec, contract_mul
+from .tensors import Mat, Ten3, Vec
 
 __all__ = [
     "ActionData", "AlgebraData", "CoactionData", "CoalgebraData", "GF",
@@ -53,7 +53,7 @@ __all__ = [
     "check_commu", "check_comodcoass", "check_modass",
     "theorem_cosmash_roundtrip", "theorem_smash_roundtrip",
     "check_quasi_identities", "check_quasicomodule", "check_quasimodule",
-    "check_unital_counital", "contract_mul", "d_map", "diagonal_action",
+    "check_unital_counital", "d_map", "diagonal_action",
     "dualize", "is_associative", "loop_algebra",
     "search_ip_loops", "tensor_coaction", "tensor_dimodule",
     "trivial_action_dimodule", "trivial_coaction_dimodule", "unit_dimodule",

@@ -301,37 +301,63 @@ def d_map(D):
 
 
 def check_d_equation(R):
-    """R12 R23 = R23 R12 on M (x) M (x) M, exactly, streamed basis triple
-    by basis triple; a witness is keyed by (l, m, n) triples."""
+    """R12 R23 = R23 R12 on M (x) M (x) M, exactly.
+
+    Both sides are read off R's nonzeros as two sparse contractions,
+
+        (R12 R23)[xyz, lmn] = sum_m' R[(x, y), (l, m')] R[(m', z), (m, n)]
+        (R23 R12)[xyz, lmn] = sum_y' R[(y, z), (y', n)] R[(x, y'), (l, m)],
+
+    one slab of fixed l at a time: a slab maps the flat int of
+    ((m, n), (x, y, z)) to its nonzero entry, so memory is one slab and
+    never the whole nd^3 x nd^3 product.  Every slab is evaluated; the
+    witness is the least (l, m, n) whose images differ, with both images
+    keyed by (x, y, z) triples.
+    """
     f = R.field
+    add, mul, zero = f.add, f.mul, f.zero
     nd = R.m_dim
+    nd2, nd3 = nd * nd, nd * nd * nd
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "eq.d")
 
-    def apply12(vec):
-        out = {}
-        for (l, m, n_), c in vec.items():
-            for k, v in R.column(pair_index(l, m, nd)):
-                l2, m2 = divmod(k, nd)
-                sadd(f, out, (l2, m2, n_), f.mul(c, v))
-        return out
+    # A slab key is mn * nd^3 + xyz, both flattened row-major.  Group
+    # R[(a, z), (m, n)] by a and R[(y, z), (b, n)] by b, each term carrying
+    # its part of the key.
+    by_out_first = [[] for _ in range(nd)]
+    by_in_first = [[] for _ in range(nd)]
+    for (i, j), v in R.nz.items():
+        by_out_first[i // nd].append((j * nd3 + i % nd, v))
+        by_in_first[j // nd].append((j % nd * nd3 + i, v))
 
-    def apply23(vec):
+    def slab(terms):
         out = {}
-        for (l, m, n_), c in vec.items():
-            for k, v in R.column(pair_index(m, n_, nd)):
-                m2, n2 = divmod(k, nd)
-                sadd(f, out, (l, m2, n2), f.mul(c, v))
+        for base, c, group in terms:
+            for t, v in group:
+                k = base + t
+                p = mul(c, v)
+                out[k] = add(out[k], p) if k in out else p
+        return {k: c for k, c in out.items() if c != zero}
+
+    def fibre(side, mn):
+        """The image of e_l (x) e_m (x) e_n in a slab, keyed by (x, y, z)."""
+        out = {}
+        for k, c in side.items():
+            q, r = divmod(k, nd3)
+            if q == mn:
+                out[r // nd2, r // nd % nd, r % nd] = c
         return out
 
     for l in range(nd):
-        for m in range(nd):
-            for n_ in range(nd):
-                r23, r12 = {}, {}
-                for k, v in R.column(pair_index(m, n_, nd)):
-                    sadd(f, r23, (l,) + divmod(k, nd), v)
-                for k, v in R.column(pair_index(l, m, nd)):
-                    sadd(f, r12, divmod(k, nd) + (n_,), v)
-                acc.check((l, m, n_), apply12(r23), apply23(r12))
+        lhs = slab((xy * nd, c, by_out_first[m2])
+                   for m2 in range(nd)
+                   for xy, c in R.column(pair_index(l, m2, nd)))
+        rhs = slab((m * nd * nd3 + xy // nd * nd2, c, by_in_first[xy % nd])
+                   for m in range(nd)
+                   for xy, c in R.column(pair_index(l, m, nd)))
+        if lhs != rhs and not acc.failed:
+            mn = min(k // nd3 for k in lhs.keys() | rhs.keys()
+                     if lhs.get(k) != rhs.get(k))
+            acc.check((l,) + divmod(mn, nd), fibre(lhs, mn), fibre(rhs, mn))
     acc.finish()
     return rep

@@ -24,7 +24,6 @@ Vec, the values of a unit or counit, stays a dense tuple.
 from functools import cached_property
 
 from .errors import DimMismatch
-from .fields import check_same_field
 
 
 def pair_index(i, j, dim_second):
@@ -54,10 +53,6 @@ class Vec:
 
     def __repr__(self):
         return f"Vec({self.field!r}, {list(self.data)})"
-
-    @classmethod
-    def zeros(cls, field, n):
-        return cls(field, (field.zero,) * n)
 
     @classmethod
     def basis(cls, field, n, i):
@@ -185,22 +180,6 @@ class Ten3(SparseTensor):
     def split_pairs(self, i):
         """Coproduct view: nonzeros of delta(e_i) as ((j, k), coeff) pairs."""
         return self._by_first[i]
-
-
-def contract_mul(T, u, v):
-    """Evaluate the bilinear product housed in T: w[k] = sum u[i]v[j]T[i, j, k]."""
-    if u.dim != T.dim or v.dim != T.dim:
-        raise DimMismatch("contract_mul dims")
-    check_same_field(T.field, u.field)
-    check_same_field(T.field, v.field)
-    f = T.field
-    out = [f.zero] * T.dim
-    for i, a in u.nonzero():
-        for j, b in v.nonzero():
-            ab = f.mul(a, b)
-            for k, c in T.mul_pairs(i, j):
-                out[k] = f.add(out[k], f.mul(ab, c))
-    return Vec(f, out)
 
 
 # --- sparse elements -------------------------------------------------------

@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import inversion_action, loop7
+from conftest import cyclic, inversion_action, loop7
+from d_equation_reference import check_d_equation_per_triple
+from test_acceptance import _dimodule_fixture_set
 
-from hopfloop import (ActionData, CoactionData, LongDimodule,
-                      OVER_COQUASIGROUP, OVER_QUASIGROUP,
+from hopfloop import (GF, QQ, ActionData, CoactionData, LongDimodule,
+                      OVER_COQUASIGROUP, OVER_QUASIGROUP, RMap,
                       build_from_comodule, build_from_quasimodule,
                       check_adjunction, check_d_equation,
                       check_lemma_identities,
@@ -88,7 +93,7 @@ def test_d_equation_small_carrier(H2):
     assert check_d_equation(d_map(free_dimodule(H2))).ok
 
 
-def test_d_equation_streaming_path():
+def test_d_equation_dim49_free_dimodule():
     H7 = loop_algebra(loop7())
     D = build_from_quasimodule(H7, ActionData.from_mu(H7))
     assert D.dim == 49
@@ -97,21 +102,87 @@ def test_d_equation_streaming_path():
 
 
 def test_d_equation_failure_witness(H2):
-    # an incompatible pairing can break the D-equation; if it happens the
-    # checker must carry a basis-triple witness
-    from hopfloop.dimodules import RMap
+    # hand-built non-solution: the swap of e_0 (x) e_0 and e_0 (x) e_1
     f = H2.field
-    # hand-built non-solution: swap that is not a Yang-Baxter-type map
     R = RMap(f, 2, [(1, 0, f.one), (0, 1, f.one), (2, 2, f.one),
                     (3, 3, f.one)])
     rep = check_d_equation(R)
     assert not rep.ok
     witness = rep.law("eq.d").witness
-    assert witness is not None
-    assert len(witness.indices) == 3
-    # the same (l, m, n) key shape as on large carriers
-    assert witness.lhs and witness.rhs
-    assert all(len(key) == 3 for key, _ in witness.lhs + witness.rhs)
+    # R12 R23 e_000 = e_011 but R23 R12 e_000 = e_010
+    assert witness.indices == (0, 0, 0)
+    assert witness.lhs == (((0, 1, 1), "1"),)
+    assert witness.rhs == (((0, 1, 0), "1"),)
+
+
+def test_d_equation_failure_witness_gf5():
+    # identity plus R(e_1 (x) e_0) += e_2 (x) e_2 and R(e_2 (x) e_2) +=
+    # 3 e_2 (x) e_1: every triple with l = 0 commutes, (1, 0, 2) is the
+    # first that does not
+    f = GF(5)
+    R = RMap(f, 3, [(j, j, 1) for j in range(9)] + [(8, 3, 1), (7, 8, 3)])
+    rep = check_d_equation(R)
+    assert not rep.ok
+    witness = rep.law("eq.d").witness
+    assert witness.indices == (1, 0, 2)
+    assert witness.lhs == (((1, 0, 2), "1"), ((2, 2, 2), "1"))
+    assert witness.rhs == (((1, 0, 2), "1"), ((2, 2, 1), "3"),
+                           ((2, 2, 2), "1"))
+
+
+# --- differential tests against the per-triple reference ------------------
+
+SCALARS = {
+    QQ: (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
+         Fraction(-3, 2)),
+    GF(5): (0, 1, 2, 3, 4),
+}
+
+
+@st.composite
+def rmaps(draw):
+    """Random sparse RMaps on carriers of dim 1-4, some near a multiple of
+    the identity."""
+    f = draw(st.sampled_from(list(SCALARS)))
+    nd = draw(st.integers(1, 4))
+    d = nd * nd
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
+                  st.sampled_from(SCALARS[f])),
+        max_size=2 * d))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([c for c in SCALARS[f] if c != 0]))
+        entries += [(j, j, c) for j in range(d)]
+    return RMap(f, nd, entries)
+
+
+def assert_same_as_reference(R):
+    assert (check_d_equation(R).to_dict()
+            == check_d_equation_per_triple(R).to_dict())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rmaps())
+@example(RMap(GF(5), 3, [(j, j, 1) for j in range(9)]))  # the identity
+# failing, and two products in one entry of R23 R12 cancel to zero
+@example(RMap(QQ, 2, [(0, 0, 1), (1, 0, -1), (1, 1, -1), (1, 2, -1),
+                      (3, 3, 1)]))
+def test_d_equation_matches_reference_random(R):
+    assert_same_as_reference(R)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_d_equation_matches_reference_on_d_maps(field):
+    H2 = loop_algebra(cyclic(2), field=field)
+    # a grading the action does not preserve: not a dimodule
+    bad = LongDimodule(H2, inversion_action(field),
+                       CoactionData.graded(H2, [0, 1, 0]))
+    verdicts = []
+    for D in _dimodule_fixture_set(field) + [bad]:
+        R = d_map(D)
+        assert_same_as_reference(R)
+        verdicts.append(check_d_equation(R).ok)
+    assert verdicts == [True] * (len(verdicts) - 1) + [False]
 
 
 def test_compatibility_failure(H2):
