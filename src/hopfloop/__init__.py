@@ -5,7 +5,6 @@ All computations are over Q or GF(p) with exact equality; every law checker
 returns a VerificationReport with a basis-index witness on failure.
 """
 
-from ._backend import BACKEND as SEARCH_BACKEND
 from .actions import (ActionData, CoactionData, check_antipode_colinear,
                       check_antipode_linear, check_comodule,
                       check_coqm_algebra, check_coqm_coalgebra, check_module,
@@ -39,8 +38,8 @@ from .tensors import Mat, Ten3, Vec
 __all__ = [
     "ActionData", "AlgebraData", "CoactionData", "CoalgebraData", "GF",
     "HopfCoquasigroup", "HopfQuasigroup", "LongDimodule", "LoopTable", "Mat",
-    "OVER_COQUASIGROUP", "OVER_QUASIGROUP", "QQ", "RMap", "SEARCH_BACKEND",
-    "Ten3", "Vec", "VerificationReport", "build_from_comodule",
+    "OVER_COQUASIGROUP", "OVER_QUASIGROUP", "QQ", "RMap", "Ten3",
+    "Vec", "VerificationReport", "build_from_comodule",
     "build_from_quasimodule", "check_adjunction", "check_antipode_basic",
     "check_antipode_colinear", "check_antipode_linear",
     "check_bialgebra_compat", "check_comodule", "check_compatibility",

@@ -136,6 +136,10 @@ def cmd_dequation(args):
 
 
 def cmd_search_loops(args):
+    if args.n < 1:
+        raise ParseError(f"order must be positive, got {args.n}")
+    if args.limit is not None and args.limit < 0:
+        raise ParseError(f"--limit must not be negative, got {args.limit}")
     tables = search_ip_loops(args.n, want_nonassociative=args.nonassoc,
                              limit=args.limit)
     written = []

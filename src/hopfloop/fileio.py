@@ -292,6 +292,9 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def write_text(path, text):
@@ -319,6 +322,8 @@ def _bundle_paths(lines, base_dir, count):
     paths = []
     for _ in range(count):
         no, line = lines.next("bundle path line")
+        if "\0" in line:
+            raise ParseError("bundle path contains a NUL byte", no)
         paths.append(os.path.normpath(os.path.join(base_dir, line)))
     extra = lines.peek()
     if extra is not None:

@@ -2,11 +2,13 @@
 
 Element 0 is always the identity; tables are reduced (row 0 and column 0
 are the identity permutation).  `loop_algebra` produces the grouplike Hopf
-quasigroup spanned by the loop elements.
+quasigroup spanned by the loop elements.  `search_ip_loops` lists the IP
+loops of an order up to isomorphism.
 """
 
+from itertools import permutations
+
 from .errors import BudgetExceeded, MalformedTable, NotIPLoop
-from ._backend import canonical_form, enumerate_ip_tables
 from .fields import QQ
 from .report import LawAccumulator, VerificationReport
 from .structures import AlgebraData, CoalgebraData, HopfQuasigroup
@@ -158,17 +160,126 @@ def loop_algebra(T, field=QQ):
                           CoalgebraData(delta, counit), anti)
 
 
-def search_ip_loops(n, want_nonassociative=False, limit=None):
-    """Canonical reduced IP-loop tables of order n, exhaustively enumerated.
+def inversion_maps(n):
+    """One inversion map per conjugacy class of involutions, for order n.
 
-    With want_nonassociative=True only nonassociative tables are returned.
-    Output is deduplicated up to relabeling of non-identity elements and
-    sorted lexicographically, so repeated runs are identical.
+    The inversion J of an IP loop is an involution fixing the identity 0,
+    and a relabelling fixing 0 conjugates it.  Involutions of {1..n-1} with
+    the same number k of fixed points are conjugate, so every IP loop of
+    order n is isomorphic to one whose inversion is J_k: 1..k self-inverse,
+    then (k+1 k+2)(k+3 k+4)... paired, for each k with n-1-k even.
     """
+    maps = []
+    for k in range((n - 1) % 2, n, 2):
+        J = list(range(k + 1))
+        for a in range(k + 1, n, 2):
+            J += [a + 1, a]
+        maps.append(tuple(J))
+    return maps
+
+
+def ip_tables(J):
+    """Every reduced IP-loop table whose inversion is J, as row tuples.
+
+    Rows are filled top to bottom, columns left to right.  Row r has its
+    one 0 at column J[r]; a row with J[r] < r is forced as the inverse
+    permutation of row J[r] (a^-1(ab) = b), and a self-inverse row is an
+    involution.  Each placed value is checked against (ba)J(a) = b on both
+    the pairs it completes: r c = v with v < r needs v J(c) = r, and r c = v
+    with v > r is refused if some earlier row b already has b J(c) = r.
+    """
+    n = len(J)
+    if n == 1:
+        return [((0,),)]
+    table = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
+    col_used = [1 << c for c in range(n)]  # bitmask of values in column c
+    results = []
+
+    def fill(r, c, row_used):
+        if c == n:
+            if r == n - 1:
+                results.append(tuple(tuple(row) for row in table))
+            else:
+                fill(r + 1, 1, 1 << (r + 1))
+            return
+        row = table[r]
+        jr = J[r]
+        if c == jr:
+            choices = (0,)
+        elif jr < r:
+            choices = (table[jr].index(c),)
+        elif jr == r:
+            choices = ((row.index(c),) if row_used >> c & 1
+                       else range(c + 1, n))
+        else:
+            choices = range(1, n)
+        jc = J[c]
+        used = row_used | col_used[c]
+        for v in choices:
+            if used >> v & 1:
+                continue
+            if v < r:
+                if table[v][jc] != r:
+                    continue
+            elif col_used[jc] >> r & 1:
+                continue
+            row[c] = v
+            col_used[c] |= 1 << v
+            fill(r, c + 1, row_used | 1 << v)
+            col_used[c] ^= 1 << v
+        row[c] = -1
+
+    fill(1, 1, 1 << 1)
+    return results
+
+
+def canonical_form(table):
+    """Lexicographically least relabeling fixing the identity element."""
+    n = len(table)
+    rows = [tuple(row) for row in table]
+    best = None
+    for perm in permutations(range(1, n)):
+        sigma = (0,) + perm
+        inv = [0] * n
+        for old, new in enumerate(sigma):
+            inv[new] = old
+        cand = []
+        verdict = 0  # -1 better than best, 0 tied so far
+        for i in range(n):
+            src = rows[inv[i]]
+            row = tuple(sigma[src[inv[j]]] for j in range(n))
+            if best is not None and verdict == 0:
+                if row > best[i]:
+                    verdict = 1
+                    break
+                if row < best[i]:
+                    verdict = -1
+            cand.append(row)
+        if verdict == 1:
+            continue
+        if best is None or verdict == -1:
+            best = tuple(cand)
+    return best
+
+
+def search_ip_loops(n, want_nonassociative=False, limit=None):
+    """Canonical reduced IP-loop tables of order n, one per isomorphism class.
+
+    With want_nonassociative=True only nonassociative tables are returned,
+    and with a limit only the first `limit` of them.  The search visits only
+    the tables whose inversion is one of `inversion_maps(n)`, and
+    deduplicates them by `canonical_form`; output is sorted
+    lexicographically, so repeated runs are identical.
+    """
+    if n < 1:
+        raise ValueError("order must be positive")
+    if limit is not None and limit < 0:
+        raise ValueError("limit must not be negative")
     if n > SEARCH_MAX_ORDER:
         raise BudgetExceeded(
             f"exhaustive search is budgeted for order <= {SEARCH_MAX_ORDER}")
-    canon = {canonical_form(t) for t in enumerate_ip_tables(n)}
+    canon = {canonical_form(t)
+             for J in inversion_maps(n) for t in ip_tables(J)}
     tables = []
     for rows in sorted(canon):
         T = LoopTable(rows)

@@ -1,7 +1,9 @@
-"""Pure-Python kernel for exhaustive inverse-property loop enumeration.
+"""Reference IP-loop enumerator: every labelled reduced table of an order.
 
-Drop-in twin of the compiled `_ipsearch` extension; selected at import by
-`_backend` when the extension is unavailable (or HOPFLOOP_PURE is set).
+This is the exhaustive backtracker that `search_ip_loops` used before it
+fixed the inversion map to one involution per conjugacy class.  It visits
+every labelled reduced IP-loop table (7,800 at order 8), so it is kept here
+only as the slow path of a differential test, not in the package.
 
 Tables are reduced: element 0 is the identity, row 0 and column 0 are the
 identity permutation.  The backtracker fills rows top to bottom and prunes
@@ -14,8 +16,6 @@ with the inverse-property structure:
 * inverses are two-sided, so a zero may only appear at or after the
   diagonal in a fresh row.
 """
-
-from itertools import permutations
 
 
 def enumerate_ip_tables(n):
@@ -110,31 +110,3 @@ def enumerate_ip_tables(n):
     fill_row(1)
     return results
 
-
-def canonical_form(table):
-    """Lexicographically least relabeling fixing the identity element."""
-    n = len(table)
-    rows = [tuple(row) for row in table]
-    best = None
-    for perm in permutations(range(1, n)):
-        sigma = (0,) + perm
-        inv = [0] * n
-        for old, new in enumerate(sigma):
-            inv[new] = old
-        cand = []
-        verdict = 0  # -1 better than best, 0 tied so far
-        for i in range(n):
-            src = rows[inv[i]]
-            row = tuple(sigma[src[inv[j]]] for j in range(n))
-            if best is not None and verdict == 0:
-                if row > best[i]:
-                    verdict = 1
-                    break
-                if row < best[i]:
-                    verdict = -1
-            cand.append(row)
-        if verdict == 1:
-            continue
-        if best is None or verdict == -1:
-            best = tuple(cand)
-    return best

@@ -312,3 +312,47 @@ def test_bad_scalar_names_its_line(tmp_path, capsys, kind, field_line, bad):
     bundle.write_text("dimodule quasigroup\nh2.hq\na.act\nc.coact\n")
     assert main(["verify", str(bundle)]) == 2
     _assert_error_line(capsys, f"line {line}:", repr(bad))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search-loops", "0"], "order must be positive, got 0"),
+    (["search-loops", "-3"], "order must be positive, got -3"),
+    (["search-loops", "3", "--limit", "-1"],
+     "--limit must not be negative, got -1")])
+def test_search_loops_bad_arguments_exit_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--prefix", str(tmp_path) + "/"]) == 2
+    _assert_error_line(capsys, f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_loops_limit_zero_writes_nothing(tmp_path, capsys):
+    assert main(["search-loops", "4", "--limit", "0",
+                 "--prefix", str(tmp_path) + "/"]) == 0
+    assert capsys.readouterr().out == "found 0 IP loops of order 4\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, name", [
+    ("verify", "h2.hq"), ("dual", "h2.hq"), ("loop-algebra", "c2.cayley"),
+    ("dequation", "inv.act"), ("dequation", "triv.coact"),
+    ("dequation", "d.bundle"), ("smash", "s.bundle")])
+def test_non_utf8_input_exit_2(tmp_path, capsys, H2, H3, command, name):
+    write_fixture_tree(tmp_path, H2, H3)
+    (tmp_path / "d.bundle").write_text(
+        "dimodule quasigroup\nh2.hq\ninv.act\ntriv.coact\n")
+    (tmp_path / "s.bundle").write_text("smash\nh2.hq\nh3.hq\ninv.act\n")
+    target = tmp_path / name
+    head, rest = target.read_bytes().split(b"\n", 1)
+    target.write_bytes(head + b"\n\xff" + rest)
+    arg = {"verify": "h2.hq", "dual": "h2.hq", "loop-algebra": "c2.cayley",
+           "dequation": "d.bundle", "smash": "s.bundle"}[command]
+    assert main([command, str(tmp_path / arg)]) == 2
+    _assert_error_line(capsys, name, "not UTF-8 text")
+
+
+def test_nul_byte_in_bundle_path_exit_2(tmp_path, capsys, H2, H3):
+    write_fixture_tree(tmp_path, H2, H3)
+    bundle = tmp_path / "s.bundle"
+    bundle.write_text("smash\nh2.hq\nh\0.hq\ninv.act\n")
+    assert main(["verify", str(bundle)]) == 2
+    _assert_error_line(capsys, "line 3:", "NUL byte")

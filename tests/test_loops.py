@@ -1,13 +1,16 @@
-import os
+import functools
 
 import pytest
 
-from conftest import NON_IP_ROWS, cyclic, klein, loop7, s3_table
+from conftest import LOOP7_ROWS, NON_IP_ROWS, cyclic, klein, loop7, s3_table
+from ip_search_reference import enumerate_ip_tables
 
 from hopfloop import (GF, LoopTable, QQ, check_ip_loop, is_associative,
                       loop_algebra, search_ip_loops)
-from hopfloop import _ipsearch_py
 from hopfloop.errors import BudgetExceeded, MalformedTable, NotIPLoop
+from hopfloop.loops import canonical_form, inversion_maps, ip_tables
+
+reference_tables = functools.cache(enumerate_ip_tables)
 
 
 def test_table_validation():
@@ -104,23 +107,71 @@ def test_search_budget():
         search_ip_loops(9)
 
 
-def test_backends_agree():
-    # the pure kernel must reproduce whatever the active backend produced
-    from hopfloop import _backend
-    for n in range(1, 7):
-        active = list(_backend.enumerate_ip_tables(n))
-        pure = list(_ipsearch_py.enumerate_ip_tables(n))
-        assert active == pure
-        for t in pure:
-            assert _backend.canonical_form(t) == _ipsearch_py.canonical_form(t)
+def test_search_bad_arguments():
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            search_ip_loops(n)
+    with pytest.raises(ValueError):
+        search_ip_loops(3, limit=-1)
+    assert search_ip_loops(4, limit=0) == []
 
 
-def test_pure_backend_env_override():
-    env = dict(os.environ, HOPFLOOP_PURE="1")
-    import subprocess
-    import sys
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from hopfloop._backend import BACKEND; print(BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "python"
+def test_inversion_maps_one_per_involution_class():
+    assert inversion_maps(1) == [(0,)]
+    assert inversion_maps(2) == [(0, 1)]
+    assert inversion_maps(7) == [(0, 2, 1, 4, 3, 6, 5),
+                                 (0, 1, 2, 4, 3, 6, 5),
+                                 (0, 1, 2, 3, 4, 6, 5),
+                                 (0, 1, 2, 3, 4, 5, 6)]
+    for n in range(1, 9):
+        fixed = [sum(J[a] == a for a in range(1, n))
+                 for J in inversion_maps(n)]
+        assert fixed == list(range((n - 1) % 2, n, 2))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_search_matches_full_enumeration(n):
+    # the reference visits every labelled reduced table, whatever its
+    # inversion; the search must give the same sorted canonical classes
+    classes = sorted({canonical_form(t) for t in reference_tables(n)})
+    assert [T.rows for T in search_ip_loops(n)] == classes
+    nonassoc = [rows for rows in classes
+                if not is_associative(LoopTable(rows))[0]]
+    assert [T.rows for T in search_ip_loops(
+        n, want_nonassociative=True)] == nonassoc
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ip_tables_are_the_reference_tables_with_that_inversion(n):
+    reference = {}
+    for rows in reference_tables(n):
+        T = LoopTable(rows)
+        J = tuple(T.inverse_of(a) for a in range(n))
+        reference.setdefault(J, set()).add(rows)
+    for J in inversion_maps(n):
+        assert set(ip_tables(J)) == reference.get(J, set())
+
+
+def test_ip_tables_yield_ip_loops_with_their_inversion():
+    for n in range(1, 9):
+        for J in inversion_maps(n):
+            tables = ip_tables(J)
+            assert len(set(tables)) == len(tables)
+            for rows in tables:
+                T = LoopTable(rows)
+                assert check_ip_loop(T).ok
+                assert tuple(T.inverse_of(a) for a in range(n)) == J
+
+
+def test_search_order_7_is_loop7():
+    assert [T.rows for T in search_ip_loops(7, want_nonassociative=True)] \
+        == [tuple(map(tuple, LOOP7_ROWS))]
+
+
+def test_search_order_8():
+    tables = search_ip_loops(8)
+    assert len(tables) == 8
+    nonassoc = [T for T in tables if not is_associative(T)[0]]
+    assert len(nonassoc) == 3
+    for T in tables:
+        assert check_ip_loop(T).ok
