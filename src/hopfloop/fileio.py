@@ -43,6 +43,12 @@ class _Lines:
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else None
 
+    def end(self):
+        """Refuse any line left after the last one a format reads."""
+        extra = self.peek()
+        if extra is not None:
+            raise ParseError(f"trailing content {extra[1]!r}", extra[0])
+
     def next(self, what):
         item = self.peek()
         if item is None:
@@ -215,6 +221,7 @@ def parse_cayley(text):
             if not 0 <= v < n:
                 raise ParseError(f"entry {v} out of range [0, {n})", no)
         rows.append(row)
+    lines.end()
     return LoopTable(rows)
 
 
@@ -325,9 +332,7 @@ def _bundle_paths(lines, base_dir, count):
         if "\0" in line:
             raise ParseError("bundle path contains a NUL byte", no)
         paths.append(os.path.normpath(os.path.join(base_dir, line)))
-    extra = lines.peek()
-    if extra is not None:
-        raise ParseError(f"trailing content {extra[1]!r}", extra[0])
+    lines.end()
     return paths
 
 

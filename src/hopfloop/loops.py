@@ -6,15 +6,13 @@ quasigroup spanned by the loop elements.  `search_ip_loops` lists the IP
 loops of an order up to isomorphism.
 """
 
-from itertools import permutations
-
 from .errors import BudgetExceeded, MalformedTable, NotIPLoop
 from .fields import QQ
 from .report import LawAccumulator, VerificationReport
 from .structures import AlgebraData, CoalgebraData, HopfQuasigroup
 from .tensors import Mat, Ten3, Vec
 
-SEARCH_MAX_ORDER = 8
+SEARCH_MAX_ORDER = 9
 
 
 class LoopTable:
@@ -233,32 +231,96 @@ def ip_tables(J):
     return results
 
 
+def _left_cycles(row):
+    """Cycles of x -> row[x]: the one through 0 first, then the others
+    ordered by length (ties by least element), each from that element."""
+    seen = [False] * len(row)
+    cycles = []
+    for start in range(len(row)):
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = row[x]
+        if cycle:
+            cycles.append(cycle)
+    return cycles[0], sorted(cycles[1:], key=len)
+
+
 def canonical_form(table):
-    """Lexicographically least relabeling fixing the identity element."""
-    n = len(table)
+    """Lexicographically least relabelling fixing the identity element.
+
+    `table` must be a reduced loop table: a Latin square whose row 0 and
+    column 0 are the identity permutation.  The result is the least, in
+    row-major order, of the tables sigma(x)sigma(y) = sigma(xy) over all
+    permutations sigma with sigma(0) = 0, found by branch and bound.
+
+    Row 0 and column 0 of every relabelling are the identity, so the
+    comparison starts at row 1.  Fix a = sigma^-1(1) and walk row 1 left to
+    right: cell (1, j) is sigma(a sigma^-1(j)), and an element with no label
+    yet must take the next free label, since any other would make that cell
+    larger.  So the labels follow the cycles of x -> ax: 0, a, a(a), ...
+    first, then one cycle at a time, and a branch happens only where a cycle
+    starts.  A cycle of length l started at label s puts s+1, ..., s+l-1, s
+    in row 1, so the least row 1 takes the cycles in order of length: only
+    the a whose cycle lengths are least, and only the cycles of the least
+    remaining length with each of their elements as start, are tried.  Each
+    such sigma has the least row 1; the rest of its table is compared with
+    the best so far row by row, with early exit.
+    """
     rows = [tuple(row) for row in table]
+    n = len(rows)
+    if n < 3:
+        return tuple(rows)  # the only reduced table of its order
+    shapes = []
+    for a in range(1, n):
+        zero, rest = _left_cycles(rows[a])
+        shapes.append(([len(zero)] + [len(c) for c in rest], zero, rest))
+    least = min(lengths for lengths, _, _ in shapes)
+    sigma = [0] * n
+    inv = [0] * n
     best = None
-    for perm in permutations(range(1, n)):
-        sigma = (0,) + perm
-        inv = [0] * n
-        for old, new in enumerate(sigma):
-            inv[new] = old
-        cand = []
-        verdict = 0  # -1 better than best, 0 tied so far
-        for i in range(n):
-            src = rows[inv[i]]
-            row = tuple(sigma[src[inv[j]]] for j in range(n))
-            if best is not None and verdict == 0:
-                if row > best[i]:
-                    verdict = 1
-                    break
+
+    def relabelled(i):
+        src = rows[inv[i]]
+        return tuple([sigma[src[k]] for k in inv])
+
+    def compare():
+        nonlocal best
+        if best is None:
+            best = tuple(relabelled(i) for i in range(n))
+            return
+        for i in range(2, n):
+            row = relabelled(i)
+            if row != best[i]:
                 if row < best[i]:
-                    verdict = -1
-            cand.append(row)
-        if verdict == 1:
-            continue
-        if best is None or verdict == -1:
-            best = tuple(cand)
+                    best = best[:i] + tuple(
+                        [row] + [relabelled(k) for k in range(i + 1, n)])
+                return
+
+    def place(cycles, label):
+        if not cycles:
+            compare()
+            return
+        length = len(cycles[0])
+        for i, cycle in enumerate(cycles):
+            if len(cycle) != length:
+                break
+            others = cycles[:i] + cycles[i + 1:]
+            for start in range(length):
+                for t in range(length):
+                    x = cycle[(start + t) % length]
+                    sigma[x] = label + t
+                    inv[label + t] = x
+                place(others, label + length)
+
+    for lengths, zero, rest in shapes:
+        if lengths == least:
+            for label, x in enumerate(zero):
+                sigma[x] = label
+                inv[label] = x
+            place(rest, len(zero))
     return best
 
 

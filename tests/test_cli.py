@@ -356,3 +356,18 @@ def test_nul_byte_in_bundle_path_exit_2(tmp_path, capsys, H2, H3):
     bundle.write_text("smash\nh2.hq\nh\0.hq\ninv.act\n")
     assert main(["verify", str(bundle)]) == 2
     _assert_error_line(capsys, "line 3:", "NUL byte")
+
+
+@pytest.mark.parametrize("extra, line", [("1 0", 4), ("foo bar", 4),
+                                         ("# note\n\n1 0", 6)])
+@pytest.mark.parametrize("command", ["verify", "loop-algebra"])
+def test_cayley_trailing_content_exit_2(tmp_path, capsys, command, extra,
+                                        line):
+    path = tmp_path / "c2.cayley"
+    path.write_text(fileio.serialize_cayley(cyclic(2)) + extra + "\n")
+    out = tmp_path / "c2.hq"
+    argv = {"verify": ["verify", str(path)],
+            "loop-algebra": ["loop-algebra", str(path), "-o", str(out)]}
+    assert main(argv[command]) == 2
+    _assert_error_line(capsys, f"line {line}:", "trailing content")
+    assert not out.exists()

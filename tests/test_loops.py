@@ -1,8 +1,10 @@
 import functools
+import random
 
 import pytest
 
 from conftest import LOOP7_ROWS, NON_IP_ROWS, cyclic, klein, loop7, s3_table
+from ip_search_reference import canonical_form as reference_canonical_form
 from ip_search_reference import enumerate_ip_tables
 
 from hopfloop import (GF, LoopTable, QQ, check_ip_loop, is_associative,
@@ -104,7 +106,7 @@ def test_search_determinism_and_limit():
 
 def test_search_budget():
     with pytest.raises(BudgetExceeded):
-        search_ip_loops(9)
+        search_ip_loops(10)
 
 
 def test_search_bad_arguments():
@@ -133,12 +135,74 @@ def test_inversion_maps_one_per_involution_class():
 def test_search_matches_full_enumeration(n):
     # the reference visits every labelled reduced table, whatever its
     # inversion; the search must give the same sorted canonical classes
-    classes = sorted({canonical_form(t) for t in reference_tables(n)})
+    classes = sorted({reference_canonical_form(t)
+                      for t in reference_tables(n)})
     assert [T.rows for T in search_ip_loops(n)] == classes
     nonassoc = [rows for rows in classes
                 if not is_associative(LoopTable(rows))[0]]
     assert [T.rows for T in search_ip_loops(
         n, want_nonassociative=True)] == nonassoc
+
+
+def relabel(rows, sigma):
+    """The table of sigma(x)sigma(y) = sigma(xy)."""
+    inv = [0] * len(sigma)
+    for old, new in enumerate(sigma):
+        inv[new] = old
+    return tuple(tuple(sigma[rows[inv[i]][inv[j]]] for j in range(len(rows)))
+                 for i in range(len(rows)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_canonical_form_matches_brute_force(n):
+    for J in inversion_maps(n):
+        for rows in ip_tables(J):
+            assert canonical_form(rows) == reference_canonical_form(rows)
+
+
+@pytest.mark.parametrize("n, count", [(7, 40), (8, 20)])
+def test_canonical_form_of_relabelled_tables(n, count):
+    rng = random.Random(1998 + n)
+    tables = [rows for J in inversion_maps(n) for rows in ip_tables(J)]
+    for _ in range(count):
+        tail = list(range(1, n))
+        rng.shuffle(tail)
+        rows = relabel(rng.choice(tables), [0] + tail)
+        assert canonical_form(rows) == reference_canonical_form(rows)
+
+
+def random_loop(n, rng):
+    """A reduced Latin square filled cell by cell with shuffled values."""
+    rows = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        r, c = divmod(cell, n)
+        if r == 0 or c == 0:
+            return fill(cell + 1)
+        values = [v for v in range(n) if v not in rows[r][:c]
+                  and all(rows[k][c] != v for k in range(r))]
+        rng.shuffle(values)
+        for v in values:
+            rows[r][c] = v
+            if fill(cell + 1):
+                return True
+        rows[r][c] = -1
+        return False
+
+    fill(0)
+    return rows
+
+
+def test_canonical_form_of_loops_without_inverse_property():
+    # on the IP tables of order <= 8, cycles of x -> ax taken unsorted
+    # happen to give the same forms; these loops need them by length
+    rng = random.Random(2007)
+    loops = [NON_IP_ROWS] + [random_loop(n, rng) for n in (5, 6, 7)
+                             for _ in range(10)]
+    for rows in loops:
+        assert canonical_form(rows) == reference_canonical_form(rows)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -173,5 +237,14 @@ def test_search_order_8():
     assert len(tables) == 8
     nonassoc = [T for T in tables if not is_associative(T)[0]]
     assert len(nonassoc) == 3
+    for T in tables:
+        assert check_ip_loop(T).ok
+
+
+def test_search_order_9():
+    tables = search_ip_loops(9)
+    assert len(tables) == 7
+    nonassoc = [T for T in tables if not is_associative(T)[0]]
+    assert len(nonassoc) == 5
     for T in tables:
         assert check_ip_loop(T).ok
