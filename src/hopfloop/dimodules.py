@@ -309,13 +309,13 @@ def check_d_equation(R):
         (R23 R12)[xyz, lmn] = sum_y' R[(y, z), (y', n)] R[(x, y'), (l, m)],
 
     one slab of fixed l at a time: a slab maps the flat int of
-    ((m, n), (x, y, z)) to its nonzero entry, so memory is one slab and
-    never the whole nd^3 x nd^3 product.  Every slab is evaluated; the
-    witness is the least (l, m, n) whose images differ, with both images
-    keyed by (x, y, z) triples.
+    ((m, n), (x, y, z)) to its entry, so memory is one slab and never the
+    whole nd^3 x nd^3 product.  Every slab is evaluated; the witness is the
+    least (l, m, n) whose images differ, with both images keyed by
+    (x, y, z) triples.
     """
     f = R.field
-    add, mul, zero = f.add, f.mul, f.zero
+    add, mul = f.add, f.mul
     nd = R.m_dim
     nd2, nd3 = nd * nd, nd * nd * nd
     rep = VerificationReport()
@@ -337,15 +337,6 @@ def check_d_equation(R):
                 k = base + t
                 p = mul(c, v)
                 out[k] = add(out[k], p) if k in out else p
-        return {k: c for k, c in out.items() if c != zero}
-
-    def fibre(side, mn):
-        """The image of e_l (x) e_m (x) e_n in a slab, keyed by (x, y, z)."""
-        out = {}
-        for k, c in side.items():
-            q, r = divmod(k, nd3)
-            if q == mn:
-                out[r // nd2, r // nd % nd, r % nd] = c
         return out
 
     for l in range(nd):
@@ -355,9 +346,6 @@ def check_d_equation(R):
         rhs = slab((m * nd * nd3 + xy // nd * nd2, c, by_in_first[xy % nd])
                    for m in range(nd)
                    for xy, c in R.column(pair_index(l, m, nd)))
-        if lhs != rhs and not acc.failed:
-            mn = min(k // nd3 for k in lhs.keys() | rhs.keys()
-                     if lhs.get(k) != rhs.get(k))
-            acc.check((l,) + divmod(mn, nd), fibre(lhs, mn), fibre(rhs, mn))
+        acc.check_slab((l,), lhs, rhs, (nd, nd), (nd, nd, nd))
     acc.finish()
     return rep

@@ -12,6 +12,7 @@ reproduces the discrepancy when re-evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import prod
 from typing import Optional
 
 
@@ -87,6 +88,15 @@ def witness_side(field, sparse):
         (tuple(k), field.format(c)) for k, c in sparse.items()))
 
 
+def _unravel(flat, dims):
+    """The index tuple of a row-major flat index over dims."""
+    out = []
+    for d in reversed(dims):
+        flat, r = divmod(flat, d)
+        out.append(r)
+    return tuple(reversed(out))
+
+
 class LawAccumulator:
     """Collects instance results for one law id and emits a single entry."""
 
@@ -106,6 +116,36 @@ class LawAccumulator:
                     witness_side(self.field, lhs),
                     witness_side(self.field, rhs))
             self.failed = True
+
+    def check_slab(self, prefix, lhs, rhs, inst_dims, out_dims):
+        """Compare the instances sharing the fixed first input `prefix`.
+
+        Both slabs map the flat int inst * prod(out_dims) + out to a
+        scalar, inst and out row-major over inst_dims and out_dims; zero
+        values may be present.  On the first mismatch of this law the
+        witness is prefix + the least differing instance, with both sides
+        of that instance keyed by out tuples.  Once the law has failed,
+        later slabs cannot change its entry and are not compared.
+        """
+        if lhs == rhs or self.failed:
+            return
+        zero = self.field.zero
+        lhs = {k: c for k, c in lhs.items() if c != zero}
+        rhs = {k: c for k, c in rhs.items() if c != zero}
+        if lhs == rhs:
+            return
+        size = prod(out_dims)
+        inst = min(k // size for k in lhs.keys() | rhs.keys()
+                   if lhs.get(k) != rhs.get(k))
+
+        def side(slab):
+            return witness_side(self.field, {
+                _unravel(k % size, out_dims): c
+                for k, c in slab.items() if k // size == inst})
+
+        self.witness = Witness(prefix + _unravel(inst, inst_dims),
+                               side(lhs), side(rhs))
+        self.failed = True
 
     def finish(self):
         self.report.add(self.law_id, not self.failed, self.witness,

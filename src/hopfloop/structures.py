@@ -9,7 +9,7 @@ exactly, recording a witness on the first mismatch per law.
 from .errors import DimMismatch
 from .fields import check_same_field
 from .report import LawAccumulator, VerificationReport
-from .tensors import Ten3, Vec, sadd, sscale
+from .tensors import Ten3, Vec
 
 
 class AlgebraData:
@@ -51,15 +51,6 @@ class CoalgebraData:
     @property
     def field(self):
         return self.delta.field
-
-
-def split_sparse_tensor(f, delta, u):
-    """Coproduct of a 1-leg sparse element as a 2-leg sparse element."""
-    out = {}
-    for (i,), a in u.items():
-        for (j, k), c in delta.split_pairs(i):
-            sadd(f, out, (j, k), f.mul(a, c))
-    return out
 
 
 class HopfStructure:
@@ -110,13 +101,6 @@ class HopfStructure:
     def unit_sparse(self):
         return {(i,): c for i, c in self.unit.nonzero()}
 
-    def counit_scalar(self, u):
-        f = self.field
-        s = f.zero
-        for (i,), a in u.items():
-            s = f.add(s, f.mul(a, self.counit[i]))
-        return s
-
 
 class HopfQuasigroup(HopfStructure):
     """Coassociative coalgebra, possibly nonassociative algebra."""
@@ -126,75 +110,84 @@ class HopfCoquasigroup(HopfStructure):
     """Associative algebra, possibly non-coassociative coalgebra."""
 
 
-def tensor2(field, u, v):
-    """Tensor product of two 1-leg sparse elements as a 2-leg element."""
-    out = {}
-    for (i,), a in u.items():
-        for (j,), b in v.items():
-            sadd(field, out, (i, j), field.mul(a, b))
-    return out
-
-
 # --- checkers ---------------------------------------------------------------
 #
-# Basis inputs never go through the sparse element operations: the checkers
-# read structure constants from the cached views mu.mul_pairs(i, j),
+# Every law is checked one slab at a time.  A slab holds all instances that
+# share a fixed first input (the i of assoc's (i, j, k), the h of quasi's
+# (h, g); a law with one instance per basis vector has one-instance slabs,
+# except the unit and counit laws, which have one slab of every instance),
+# as one dict per side keyed by the flat int inst * prod(out_dims) + out,
+# where inst is the rest of the instance and out the basis tuple of the
+# output, both row-major.  Terms are summed in place with
+# d[k] = add(d[k], t) if k in d else t, zeros are left in, and
+# LawAccumulator.check_slab compares the two sides once per slab.
+# Structure constants are read from the cached views mu.mul_table[i][j],
 # delta.split_pairs(i) and antipode.column(j) (S(e_j) = sum_i c e_i).
 
 
 def check_unital_counital(H):
     """Unit and counit laws over every basis vector."""
     f = H.field
-    mul, split = H.mu.mul_pairs, H.delta.split_pairs
+    add, mul, n = f.add, f.mul, H.dim
+    table, split, counit = H.mu.mul_table, H.delta.split_pairs, H.counit
     rep = VerificationReport()
     one = H.unit.nonzero()
-    ul = LawAccumulator(rep, f, "unit.left")
-    ur = LawAccumulator(rep, f, "unit.right")
-    for i in range(H.dim):
-        left, right = {}, {}
+    e = {i * n + i: f.one for i in range(n)}
+    left, right = {}, {}
+    for i in range(n):
+        base = i * n
         for u, a in one:
-            for k, c in mul(u, i):
-                sadd(f, left, (k,), f.mul(a, c))
-            for k, c in mul(i, u):
-                sadd(f, right, (k,), f.mul(a, c))
-        e = {(i,): f.one}
-        ul.check((i,), left, e)
-        ur.check((i,), right, e)
-    ul.finish()
-    ur.finish()
-    cl = LawAccumulator(rep, f, "counit.left")
-    cr = LawAccumulator(rep, f, "counit.right")
-    for i in range(H.dim):
-        left, right = {}, {}
+            for k, c in table[u][i]:
+                key, t = base + k, mul(a, c)
+                left[key] = add(left[key], t) if key in left else t
+            for k, c in table[i][u]:
+                key, t = base + k, mul(a, c)
+                right[key] = add(right[key], t) if key in right else t
+    for law_id, side in (("unit.left", left), ("unit.right", right)):
+        acc = LawAccumulator(rep, f, law_id)
+        acc.check_slab((), side, e, (n,), (n,))
+        acc.finish()
+    left, right = {}, {}
+    for i in range(n):
+        base = i * n
         for (j, k), c in split(i):
-            sadd(f, left, (k,), f.mul(c, H.counit[j]))
-            sadd(f, right, (j,), f.mul(c, H.counit[k]))
-        e = {(i,): f.one}
-        cl.check((i,), left, e)
-        cr.check((i,), right, e)
-    cl.finish()
-    cr.finish()
+            key, t = base + k, mul(c, counit[j])
+            left[key] = add(left[key], t) if key in left else t
+            key, t = base + j, mul(c, counit[k])
+            right[key] = add(right[key], t) if key in right else t
+    for law_id, side in (("counit.left", left), ("counit.right", right)):
+        acc = LawAccumulator(rep, f, law_id)
+        acc.check_slab((), side, e, (n,), (n,))
+        acc.finish()
     return rep
 
 
 def check_associativity(H, informational=False):
     """(xy)z = x(yz) over all basis triples, with a witness triple."""
     f = H.field
-    mul = H.mu.mul_pairs
+    add, mul, n = f.add, f.mul, H.dim
+    table = H.mu.mul_table
+    # e_x e_k = sum c e_y as (k * n, y, c) terms, per x
+    terms = [[(k * n, y, c) for k in range(n) for y, c in table[x][k]]
+             for x in range(n)]
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "assoc", informational)
-    for i in range(H.dim):
-        for j in range(H.dim):
-            ij = mul(i, j)
-            for k in range(H.dim):
-                left, right = {}, {}
-                for x, a in ij:
-                    for y, b in mul(x, k):
-                        sadd(f, left, (y,), f.mul(a, b))
-                for x, a in mul(j, k):
-                    for y, b in mul(i, x):
-                        sadd(f, right, (y,), f.mul(a, b))
-                acc.check((i, j, k), left, right)
+    for i in range(n):
+        ti = table[i]
+        left, right = {}, {}
+        for j in range(n):
+            base = j * n * n
+            # (e_i e_j) e_k
+            for x, a in ti[j]:
+                for kn, y, b in terms[x]:
+                    key, t = base + kn + y, mul(a, b)
+                    left[key] = add(left[key], t) if key in left else t
+            # e_i (e_j e_k)
+            for kn, x, a in terms[j]:
+                for y, b in ti[x]:
+                    key, t = base + kn + y, mul(a, b)
+                    right[key] = add(right[key], t) if key in right else t
+        acc.check_slab((i,), left, right, (n, n), (n,))
     acc.finish()
     return rep
 
@@ -202,69 +195,86 @@ def check_associativity(H, informational=False):
 def check_coassociativity(H, informational=False):
     """(delta (x) id) delta = (id (x) delta) delta over all basis vectors."""
     f = H.field
+    add, mul, n = f.add, f.mul, H.dim
     split = H.delta.split_pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "coassoc", informational)
-    for i in range(H.dim):
+    for i in range(n):
         left, right = {}, {}
         for (j, k), c in split(i):
             for (a, b), c2 in split(j):
-                sadd(f, left, (a, b, k), f.mul(c, c2))
+                key, t = (a * n + b) * n + k, mul(c, c2)
+                left[key] = add(left[key], t) if key in left else t
             for (a, b), c2 in split(k):
-                sadd(f, right, (j, a, b), f.mul(c, c2))
-        acc.check((i,), left, right)
+                key, t = (j * n + a) * n + b, mul(c, c2)
+                right[key] = add(right[key], t) if key in right else t
+        acc.check_slab((i,), left, right, (), (n, n, n))
     acc.finish()
     return rep
-
-
-def tensor_mul(f, mu1, mu2, u2, v2):
-    """Product on a tensor product of algebras, (a(x)b)(c(x)d) = ac (x) bd
-    with mu1 on the first leg and mu2 on the second, of ((a, b), coeff)
-    pair sequences."""
-    mul1, mul2 = mu1.mul_pairs, mu2.mul_pairs
-    out = {}
-    for (a, b), ca in u2:
-        for (c, d), cb in v2:
-            ac = mul1(a, c)
-            if not ac:
-                continue
-            coeff = f.mul(ca, cb)
-            for x, cx in ac:
-                for y, cy in mul2(b, d):
-                    sadd(f, out, (x, y), f.mul(coeff, f.mul(cx, cy)))
-    return out
 
 
 def check_bialgebra_compat(H):
     """Delta and epsilon are algebra homomorphisms."""
     f = H.field
-    mul, split, counit = H.mu.mul_pairs, H.delta.split_pairs, H.counit
+    add, mul, n = f.add, f.mul, H.dim
+    nn = n * n
+    table, split, counit = H.mu.mul_table, H.delta.split_pairs, H.counit
     rep = VerificationReport()
     dm = LawAccumulator(rep, f, "bialg.delta_mult")
     cm = LawAccumulator(rep, f, "bialg.counit_mult")
-    for i in range(H.dim):
-        di = split(i)
-        for j in range(H.dim):
-            prod = mul(i, j)
-            dprod = {}
-            lhs = f.zero
-            for x, a in prod:
-                for jk, c in split(x):
-                    sadd(f, dprod, jk, f.mul(a, c))
-                lhs = f.add(lhs, f.mul(a, counit[x]))
-            dm.check((i, j), dprod, tensor_mul(f, H.mu, H.mu, di, split(j)))
-            rhs = f.mul(counit[i], counit[j])
-            cm.check((i, j), {(): lhs} if lhs != f.zero else {},
-                     {(): rhs} if rhs != f.zero else {})
+    # Delta(e_i) Delta(e_j) = sum (e_a e_c) (x) (e_b e_d) over the terms
+    # (a, b) of Delta(e_i) and (c, d) of Delta(e_j).  Only the pairs with
+    # e_a e_c != 0 are visited: the c of each a with a nonzero product, and
+    # the terms of every Delta(e_j) grouped by their first leg c.
+    nonzero = [[(c, ac) for c, ac in enumerate(table[a]) if ac]
+               for a in range(n)]
+    by_first_leg = [[] for _ in range(n)]
+    for j in range(n):
+        for (c, d), cb in split(j):
+            by_first_leg[c].append((j, d, cb))
+    for i in range(n):
+        ti, eps_i = table[i], counit[i]
+        dprod, ddelta, eprod, eps = {}, {}, {}, {}
+        for j in range(n):
+            base = j * nn
+            for x, a in ti[j]:
+                for (p, q), c in split(x):
+                    key, t = base + p * n + q, mul(a, c)
+                    dprod[key] = add(dprod[key], t) if key in dprod else t
+                t = mul(a, counit[x])
+                eprod[j] = add(eprod[j], t) if j in eprod else t
+            eps[j] = mul(eps_i, counit[j])
+        for (a, b), ca in split(i):
+            tb = table[b]
+            for c, ac in nonzero[a]:
+                for j, d, cb in by_first_leg[c]:
+                    coeff, bd, base = mul(ca, cb), tb[d], j * nn
+                    for x, cx in ac:
+                        for y, cy in bd:
+                            key = base + x * n + y
+                            t = mul(coeff, mul(cx, cy))
+                            ddelta[key] = (add(ddelta[key], t)
+                                           if key in ddelta else t)
+        dm.check_slab((i,), dprod, ddelta, (n,), (n, n))
+        cm.check_slab((i,), eprod, eps, (n,), ())
     dm.finish()
     cm.finish()
-    one = H.unit_sparse()
+    one = H.unit.nonzero()
     du = LawAccumulator(rep, f, "bialg.delta_unit")
-    du.check((), split_sparse_tensor(f, H.delta, one), tensor2(f, one, one))
+    delta_one = {}
+    for u, a in one:
+        for (p, q), c in split(u):
+            key, t = p * n + q, mul(a, c)
+            delta_one[key] = add(delta_one[key], t) if key in delta_one else t
+    du.check_slab((), delta_one,
+                  {u * n + v: mul(a, b) for u, a in one for v, b in one},
+                  (), (n, n))
     du.finish()
     cu = LawAccumulator(rep, f, "bialg.counit_unit")
-    s = H.counit_scalar(one)
-    cu.check((), {(): s} if s != f.zero else {}, {(): f.one})
+    eps_one = f.zero
+    for u, a in one:
+        eps_one = add(eps_one, mul(a, counit[u]))
+    cu.check_slab((), {0: eps_one}, {0: f.one}, (), ())
     cu.finish()
     return rep
 
@@ -275,48 +285,53 @@ def check_quasi_identities(H):
     Coassociativity is a prerequisite and is reported first.
     """
     f = H.field
-    mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
+    add, mul, n = f.add, f.mul, H.dim
+    table, split = H.mu.mul_table, H.delta.split_pairs
+    anti = [H.antipode.column(j) for j in range(n)]
     rep = VerificationReport()
     rep.extend(check_coassociativity(H))
-    accs = {name: LawAccumulator(rep, f, name) for name in
-            ("quasi1.left", "quasi1.right", "quasi2.left", "quasi2.right")}
-    for h in range(H.dim):
-        dh = split(h)
+    accs = [LawAccumulator(rep, f, name) for name in
+            ("quasi1.left", "quasi1.right", "quasi2.left", "quasi2.right")]
+    for h in range(n):
         eps_h = H.counit[h]
-        for g in range(H.dim):
-            expected = {(g,): eps_h} if eps_h != f.zero else {}
-            q1l, q1r, q2l, q2r = {}, {}, {}, {}
-            for (h1, h2), c in dh:
-                s1, s2 = anti(h1), anti(h2)
+        expected = {g * n + g: eps_h for g in range(n)}
+        slabs = q1l, q1r, q2l, q2r = {}, {}, {}, {}
+        for (h1, h2), c in split(h):
+            s1, s2, t1, t2 = anti[h1], anti[h2], table[h1], table[h2]
+            for g in range(n):
+                base, tg = g * n, table[g]
                 # S(h1)(h2 g)
-                for y, b in mul(h2, g):
+                for y, b in t2[g]:
                     for x, a in s1:
-                        ab = f.mul(c, f.mul(a, b))
-                        for k, v in mul(x, y):
-                            sadd(f, q1l, (k,), f.mul(ab, v))
+                        ab = mul(c, mul(a, b))
+                        for k, v in table[x][y]:
+                            key, t = base + k, mul(ab, v)
+                            q1l[key] = add(q1l[key], t) if key in q1l else t
                 # h1 (S(h2) g)
                 for x, a in s2:
-                    for y, b in mul(x, g):
-                        ab = f.mul(c, f.mul(a, b))
-                        for k, v in mul(h1, y):
-                            sadd(f, q1r, (k,), f.mul(ab, v))
+                    for y, b in table[x][g]:
+                        ab = mul(c, mul(a, b))
+                        for k, v in t1[y]:
+                            key, t = base + k, mul(ab, v)
+                            q1r[key] = add(q1r[key], t) if key in q1r else t
                 # (g h1) S(h2)
-                for x, a in mul(g, h1):
+                for x, a in tg[h1]:
+                    tx = table[x]
                     for y, b in s2:
-                        ab = f.mul(c, f.mul(a, b))
-                        for k, v in mul(x, y):
-                            sadd(f, q2l, (k,), f.mul(ab, v))
+                        ab = mul(c, mul(a, b))
+                        for k, v in tx[y]:
+                            key, t = base + k, mul(ab, v)
+                            q2l[key] = add(q2l[key], t) if key in q2l else t
                 # (g S(h1)) h2
                 for y, b in s1:
-                    for x, a in mul(g, y):
-                        ab = f.mul(c, f.mul(a, b))
-                        for k, v in mul(x, h2):
-                            sadd(f, q2r, (k,), f.mul(ab, v))
-            accs["quasi1.left"].check((h, g), q1l, expected)
-            accs["quasi1.right"].check((h, g), q1r, expected)
-            accs["quasi2.left"].check((h, g), q2l, expected)
-            accs["quasi2.right"].check((h, g), q2r, expected)
-    for acc in accs.values():
+                    for x, a in tg[y]:
+                        ab = mul(c, mul(a, b))
+                        for k, v in table[x][h2]:
+                            key, t = base + k, mul(ab, v)
+                            q2r[key] = add(q2r[key], t) if key in q2r else t
+        for acc, slab in zip(accs, slabs):
+            acc.check_slab((h,), slab, expected, (n,), (n,))
+    for acc in accs:
         acc.finish()
     return rep
 
@@ -327,42 +342,47 @@ def check_coq_identities(H):
     Associativity of the product is a prerequisite and is reported first.
     """
     f = H.field
-    mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
+    add, mul, n = f.add, f.mul, H.dim
+    table, split = H.mu.mul_table, H.delta.split_pairs
+    anti = [H.antipode.column(j) for j in range(n)]
     rep = VerificationReport()
     rep.extend(check_associativity(H))
-    accs = {name: LawAccumulator(rep, f, name) for name in
-            ("coq1.left", "coq1.right", "coq2.left", "coq2.right")}
+    accs = [LawAccumulator(rep, f, name) for name in
+            ("coq1.left", "coq1.right", "coq2.left", "coq2.right")]
     one = H.unit.nonzero()
-    for h in range(H.dim):
-        one_h = {(u, h): a for u, a in one}
-        h_one = {(h, u): a for u, a in one}
-        c1l, c1r, c2l, c2r = {}, {}, {}, {}
+    for h in range(n):
+        one_h = {u * n + h: a for u, a in one}
+        h_one = {h * n + u: a for u, a in one}
+        slabs = c1l, c1r, c2l, c2r = {}, {}, {}, {}
         for (h1, h2), c in split(h):
             # S(h1) h2(1) (x) h2(2)  and  h1 S(h2(1)) (x) h2(2)
-            s1 = anti(h1)
+            s1, t1 = anti[h1], table[h1]
             for (a, b), c2 in split(h2):
-                cc = f.mul(c, c2)
+                cc = mul(c, c2)
                 for x, sx in s1:
-                    for y, v in mul(x, a):
-                        sadd(f, c1l, (y, b), f.mul(cc, f.mul(sx, v)))
-                for x, sx in anti(a):
-                    for y, v in mul(h1, x):
-                        sadd(f, c1r, (y, b), f.mul(cc, f.mul(sx, v)))
+                    for y, v in table[x][a]:
+                        key, t = y * n + b, mul(cc, mul(sx, v))
+                        c1l[key] = add(c1l[key], t) if key in c1l else t
+                for x, sx in anti[a]:
+                    for y, v in t1[x]:
+                        key, t = y * n + b, mul(cc, mul(sx, v))
+                        c1r[key] = add(c1r[key], t) if key in c1r else t
             # h1(1) (x) h1(2) S(h2)  and  h1(1) (x) S(h1(2)) h2
-            s2 = anti(h2)
+            s2 = anti[h2]
             for (a, b), c2 in split(h1):
-                cc = f.mul(c, c2)
+                cc, tb = mul(c, c2), table[b]
                 for x, sx in s2:
-                    for y, v in mul(b, x):
-                        sadd(f, c2l, (a, y), f.mul(cc, f.mul(sx, v)))
-                for x, sx in anti(b):
-                    for y, v in mul(x, h2):
-                        sadd(f, c2r, (a, y), f.mul(cc, f.mul(sx, v)))
-        accs["coq1.left"].check((h,), c1l, one_h)
-        accs["coq1.right"].check((h,), c1r, one_h)
-        accs["coq2.left"].check((h,), c2l, h_one)
-        accs["coq2.right"].check((h,), c2r, h_one)
-    for acc in accs.values():
+                    for y, v in tb[x]:
+                        key, t = a * n + y, mul(cc, mul(sx, v))
+                        c2l[key] = add(c2l[key], t) if key in c2l else t
+                for x, sx in anti[b]:
+                    for y, v in table[x][h2]:
+                        key, t = a * n + y, mul(cc, mul(sx, v))
+                        c2r[key] = add(c2r[key], t) if key in c2r else t
+        for acc, slab, expected in zip(accs, slabs,
+                                       (one_h, one_h, h_one, h_one)):
+            acc.check_slab((h,), slab, expected, (), (n, n))
+    for acc in accs:
         acc.finish()
     return rep
 
@@ -370,52 +390,63 @@ def check_coq_identities(H):
 def check_antipode_basic(H):
     """Convolution identities plus anti(co)multiplicativity of the antipode."""
     f = H.field
-    mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
+    add, mul, n = f.add, f.mul, H.dim
+    table, split = H.mu.mul_table, H.delta.split_pairs
+    anti = [H.antipode.column(j) for j in range(n)]
     rep = VerificationReport()
-    one = H.unit_sparse()
+    one = H.unit.nonzero()
     cv_l = LawAccumulator(rep, f, "antipode.conv_left")
     cv_r = LawAccumulator(rep, f, "antipode.conv_right")
     anti_co = LawAccumulator(rep, f, "antipode.anticomult")
-    for h in range(H.dim):
-        dh = split(h)
-        expected = sscale(f, one, H.counit[h])
-        left, right, lhs = {}, {}, {}
-        for (h1, h2), c in dh:
-            s1, s2 = anti(h1), anti(h2)
+    for h in range(n):
+        eps_h = H.counit[h]
+        expected = ({u: mul(a, eps_h) for u, a in one}
+                    if eps_h != f.zero else {})
+        left, right, lhs, rhs = {}, {}, {}, {}
+        for (h1, h2), c in split(h):
+            s1, s2 = anti[h1], anti[h2]
             for x, a in s1:
-                for k, v in mul(x, h2):
-                    sadd(f, left, (k,), f.mul(c, f.mul(a, v)))
+                for k, v in table[x][h2]:
+                    t = mul(c, mul(a, v))
+                    left[k] = add(left[k], t) if k in left else t
+            t1 = table[h1]
             for x, a in s2:
-                for k, v in mul(h1, x):
-                    sadd(f, right, (k,), f.mul(c, f.mul(a, v)))
+                for k, v in t1[x]:
+                    t = mul(c, mul(a, v))
+                    right[k] = add(right[k], t) if k in right else t
             # (S (x) S)(delta h)
             for a, c1 in s1:
                 for b, c2 in s2:
-                    sadd(f, lhs, (a, b), f.mul(c, f.mul(c1, c2)))
-        cv_l.check((h,), left, expected)
-        cv_r.check((h,), right, expected)
+                    key, t = a * n + b, mul(c, mul(c1, c2))
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
         # flip(delta(S h))
-        rhs = {}
-        for x, a in anti(h):
+        for x, a in anti[h]:
             for (p, q), c in split(x):
-                sadd(f, rhs, (q, p), f.mul(a, c))
-        anti_co.check((h,), lhs, rhs)
+                key, t = q * n + p, mul(a, c)
+                rhs[key] = add(rhs[key], t) if key in rhs else t
+        cv_l.check_slab((h,), left, expected, (), (n,))
+        cv_r.check_slab((h,), right, expected, (), (n,))
+        anti_co.check_slab((h,), lhs, rhs, (), (n, n))
     cv_l.finish()
     cv_r.finish()
     anti_mul = LawAccumulator(rep, f, "antipode.antimult")
-    for i in range(H.dim):
-        si = anti(i)
-        for j in range(H.dim):
-            lhs, rhs = {}, {}
-            for x, a in mul(i, j):
-                for y, c in anti(x):
-                    sadd(f, lhs, (y,), f.mul(a, c))
-            for x, a in anti(j):
+    for i in range(n):
+        si, ti = anti[i], table[i]
+        lhs, rhs = {}, {}
+        for j in range(n):
+            base = j * n
+            for x, a in ti[j]:
+                for y, c in anti[x]:
+                    key, t = base + y, mul(a, c)
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
+            for x, a in anti[j]:
+                tx = table[x]
                 for y, b in si:
-                    ab = f.mul(a, b)
-                    for k, c in mul(x, y):
-                        sadd(f, rhs, (k,), f.mul(ab, c))
-            anti_mul.check((i, j), lhs, rhs)
+                    ab = mul(a, b)
+                    for k, c in tx[y]:
+                        key, t = base + k, mul(ab, c)
+                        rhs[key] = add(rhs[key], t) if key in rhs else t
+        anti_mul.check_slab((i,), lhs, rhs, (n,), (n,))
     anti_mul.finish()
     anti_co.finish()
     return rep

@@ -177,6 +177,11 @@ class Ten3(SparseTensor):
         """Product view: nonzeros of e_i * e_j as (k, coeff) pairs."""
         return self._by_first_two[i][j]
 
+    @property
+    def mul_table(self):
+        """Product view as nested tuples: mul_table[i][j] is mul_pairs(i, j)."""
+        return self._by_first_two
+
     def split_pairs(self, i):
         """Coproduct view: nonzeros of delta(e_i) as ((j, k), coeff) pairs."""
         return self._by_first[i]

@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import sys
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +33,87 @@ def test_accumulator_records_first_witness_only():
     assert entry.witness.rhs == ()
     assert rep.failing() == [entry]
     assert not rep.ok
+
+
+def _slab_entry(*slabs):
+    """The law entry after check_slab on each (prefix, lhs, rhs, inst_dims,
+    out_dims) in turn."""
+    rep = VerificationReport()
+    acc = LawAccumulator(rep, QQ, "law.s")
+    for args in slabs:
+        acc.check_slab(*args)
+    acc.finish()
+    return rep.law("law.s")
+
+
+def test_slab_witness_is_least_differing_instance():
+    # instances (j, k) over (2, 3), outputs over (3,): key (j*3 + k)*3 + y;
+    # instances (1, 2), (0, 2) and (1, 0) differ, (0, 1) agrees
+    lhs = {(1 * 3 + 2) * 3 + 0: 1, (0 * 3 + 2) * 3 + 1: 2,
+           (1 * 3 + 0) * 3 + 2: 5, (0 * 3 + 1) * 3 + 1: 7}
+    rhs = {(0 * 3 + 2) * 3 + 1: 3, (1 * 3 + 0) * 3 + 2: 5,
+           (0 * 3 + 1) * 3 + 1: 7, (1 * 3 + 0) * 3 + 0: 4}
+    entry = _slab_entry(((4,), lhs, rhs, (2, 3), (3,)))
+    assert not entry.passed
+    assert entry.witness.indices == (4, 0, 2)
+    assert entry.witness.lhs == (((1,), "2"),)
+    assert entry.witness.rhs == (((1,), "3"),)
+
+
+def test_slab_zero_sums_pass():
+    # terms that cancelled to 0 stay in a slab; they equal an absent entry
+    lhs = {0: 2, 1: Fraction(1, 2) - Fraction(1, 2), 3: 0}
+    entry = _slab_entry(((), lhs, {0: 2, 2: 0}, (2,), (2,)))
+    assert entry.passed and entry.witness is None
+
+
+def test_slab_zeros_dropped_from_witness():
+    entry = _slab_entry(((0,), {0: 0, 1: 1}, {2: 0}, (2,), (2,)))
+    assert entry.witness.indices == (0, 0)
+    assert entry.witness.lhs == (((1,), "1"),)
+    assert entry.witness.rhs == ()
+
+
+def test_slab_one_side_empty():
+    entry = _slab_entry(((3,), {}, {5: 1, 7: -1}, (3,), (2,)))
+    assert entry.witness.indices == (3, 2)
+    assert entry.witness.lhs == ()
+    assert entry.witness.rhs == (((1,), "1"),)
+
+
+def test_slab_second_failure_keeps_first_witness():
+    entry = _slab_entry(((0,), {1: 1}, {1: 2}, (), (2,)),
+                        ((1,), {0: 1}, {}, (), (2,)))
+    assert not entry.passed
+    assert entry.witness.indices == (0,)
+    assert entry.witness.lhs == (((1,), "1"),)
+
+
+def test_slab_key_shape_single():
+    entry = _slab_entry(((2,), {4: 1}, {}, (), (5,)))
+    assert entry.witness.to_dict() == {
+        "indices": [2], "lhs": [[[4], "1"]], "rhs": []}
+
+
+def test_slab_key_shape_pair():
+    # out (y, b) over (3, 4): key y*4 + b
+    entry = _slab_entry(((1,), {2 * 4 + 3: Fraction(-1, 3)}, {}, (), (3, 4)))
+    assert entry.witness.to_dict() == {
+        "indices": [1], "lhs": [[[2, 3], "-1/3"]], "rhs": []}
+
+
+def test_slab_key_shape_triple():
+    # out (a, b, k) over (2, 3, 4): key (a*3 + b)*4 + k
+    entry = _slab_entry(((0,), {}, {(1 * 3 + 2) * 4 + 1: 1}, (), (2, 3, 4)))
+    assert entry.witness.to_dict() == {
+        "indices": [0], "lhs": [], "rhs": [[[1, 2, 1], "1"]]}
+
+
+def test_slab_key_shape_scalar():
+    # scalar outputs: out_dims () and the key is the instance alone
+    entry = _slab_entry(((0,), {0: 1, 1: 2}, {0: 1, 1: 3}, (2,), ()))
+    assert entry.witness.to_dict() == {
+        "indices": [0, 1], "lhs": [[[], "2"]], "rhs": [[[], "3"]]}
 
 
 def test_informational_entries_do_not_affect_verdict():

@@ -11,8 +11,8 @@ from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
                       check_hopf_coquasigroup, check_hopf_quasigroup,
                       check_modass, dualize, loop_algebra,
                       theorem_cosmash_roundtrip, theorem_smash_roundtrip)
+from hopfloop.actions import tensor_mul
 from hopfloop.errors import HypothesisNotMet, InvalidInput
-from hopfloop.structures import tensor_mul
 
 
 def smash_c2_c3(H2, H3):
