@@ -7,6 +7,7 @@ or I/O error, or memory exhausted.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -154,7 +155,10 @@ def cmd_search_loops(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: parsing never mutates it, and
+    help and usage read the terminal width only when formatted."""
     p = argparse.ArgumentParser(
         prog="hopfloop",
         description="Exact verification of Hopf quasigroup structures, "

@@ -100,6 +100,8 @@ class RationalField(Field):
 
     def parse(self, text, line=None):
         try:
+            if text.isdecimal():  # what Fraction(text) reads as an int
+                return int(text)
             q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational scalar {text!r}: {exc}", line)

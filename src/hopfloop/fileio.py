@@ -25,9 +25,9 @@ _SECTIONS = ("mu", "delta", "unit", "counit", "antipode")
 # Largest declared dimension a file may have; a loop order counts, since it
 # is the dimension of the loop algebra.  The law checkers loop over up to
 # dim^3 basis triples, so a short file declaring dim 3000 would start a
-# ~10^10-step run.  Cyclic group algebras verify in 0.4 s at dim 64, the
-# largest in the fixtures and benchmarks, and in 3.8 s at dim 128 (2-vCPU
-# x86-64 host, Python 3.11).
+# ~10^10-step run.  Cyclic group algebras verify in 0.2 s at dim 64, the
+# largest in the fixtures and benchmarks, and in 1.5 s at dim 128 (`verify`
+# through the CLI, median of 3; 2-vCPU x86-64 host, Python 3.11).
 MAX_DIM = 256
 
 
@@ -35,9 +35,9 @@ class _Lines:
     """Comment/blank-stripping line reader that remembers line numbers."""
 
     def __init__(self, text):
-        self.items = [(no, line.strip())
-                      for no, line in enumerate(text.splitlines(), start=1)
-                      if line.strip() and not line.strip().startswith("#")]
+        self.items = [(no, line) for no, line in
+                      enumerate(map(str.strip, text.splitlines()), start=1)
+                      if line and line[0] != "#"]
         self.pos = 0
 
     def peek(self):
@@ -76,21 +76,57 @@ def _index(token, bound, line):
     return v
 
 
-def _put(entries, key, value, section, line):
-    """Store one parsed entry; an index tuple given twice is an error."""
-    if key in entries:
-        raise ParseError(
-            f"duplicate {section} entry for indices "
-            + " ".join(map(str, key)), line)
-    entries[key] = value
-
-
 def _parse_indices(tokens, count, bound, line):
     if len(tokens) != count + 1:
         raise ParseError(
             f"expected {count} indices and a scalar, got {len(tokens)} "
             "fields", line)
     return [_index(t, bound, line) for t in tokens[:count]]
+
+
+def _whole_section(field, rows, toks, dims):
+    """A section's {index tuple: scalar} read in one pass, or None when a
+    row has the wrong arity, a bad or out-of-range index or a bad scalar,
+    or two rows have the same index tuple."""
+    count = len(dims)
+    if set(map(len, toks)) - {count + 1}:
+        return None
+    try:
+        ints = list(map(int, [i for t in toks for i in t[:count]]))
+        scalars = [field.parse(t[count], no) for (no, _), t in zip(rows, toks)]
+    except (ValueError, ParseError):
+        return None
+    if ints and (min(ints) < 0 or any(
+            max(ints[leg::count]) >= d for leg, d in enumerate(dims))):
+        return None
+    keys = list(zip(*[iter(ints)] * count))
+    out = dict(zip(keys, scalars))
+    return out if len(out) == len(keys) else None
+
+
+def _entries(field, rows, dims, section, slow_key):
+    """{index tuple: scalar} of one section's (line number, line) rows.
+
+    A valid section is read whole.  Otherwise its rows are read one at a
+    time, in order: slow_key(no, line, tokens), the per-token index parse,
+    raises the row's first index error or returns its index tuple; then
+    the scalar is parsed; then a repeated index tuple is refused.  So the
+    error reported is the first one in the section.
+    """
+    toks = [line.split() for _, line in rows]
+    out = _whole_section(field, rows, toks, dims)
+    if out is not None:
+        return out
+    out = {}
+    for (no, line), t in zip(rows, toks):
+        key = slow_key(no, line, t)
+        c = field.parse(t[-1], no)
+        if key in out:
+            raise ParseError(
+                f"duplicate {section} entry for indices "
+                + " ".join(map(str, key)), no)
+        out[key] = c
+    return out
 
 
 def _parse_field_line(lines):
@@ -126,37 +162,36 @@ def parse_structure(text):
         raise ParseError(f"dimension must be positive, got {n}", no)
     _check_dims((n,), no)
 
+    body = lines.items[lines.pos:]
+    heads = [k for k, (_, line) in enumerate(body) if line[-1] == ":"]
+    if body and heads[:1] != [0]:
+        no, line = body[0]
+        raise ParseError(f"entry before any section: {line!r}", no)
     sections = {}
-    current = None
-    while lines.peek() is not None:
-        no, line = lines.next("section or entry")
-        if line.endswith(":"):
-            name = line[:-1]
-            if name not in _SECTIONS:
-                raise ParseError(f"unknown section {name!r}", no)
-            if name in sections:
-                raise ParseError(f"duplicate section {name!r}", no)
-            current = sections[name] = []
-            continue
-        if current is None:
-            raise ParseError(f"entry before any section: {line!r}", no)
-        current.append((no, line.split()))
+    for k, end in zip(heads, heads[1:] + [len(body)]):
+        no, line = body[k]
+        name = line[:-1]
+        if name not in _SECTIONS:
+            raise ParseError(f"unknown section {name!r}", no)
+        if name in sections:
+            raise ParseError(f"duplicate section {name!r}", no)
+        sections[name] = body[k + 1:end]
     missing = [s for s in _SECTIONS if s not in sections]
     if missing:
         raise ParseError(
             "missing sections: " + ", ".join(missing),
             lines.items[-1][0] if lines.items else 0)
 
+    # Sections are parsed in a fixed order (mu, unit, delta, counit,
+    # antipode), not in file order, so a file with several bad entries
+    # reports the same one whatever order its sections come in.
     def entries(name, count):
-        out = {}
-        for no, toks in sections[name]:
-            key = tuple(_parse_indices(toks, count, n, no))
-            _put(out, key, field.parse(toks[count], no), name, no)
-        return out
+        return _entries(
+            field, sections[name], (n,) * count, name,
+            lambda no, line, toks: tuple(_parse_indices(toks, count, n, no)))
 
     def tensor(kind, name, dims):
-        return kind(field, dims, (key + (c,) for key, c in
-                                  entries(name, len(dims)).items()))
+        return kind._from_nz(field, dims, entries(name, len(dims)))
 
     def vector(name):
         data = [field.zero] * n
@@ -176,9 +211,8 @@ def _field_line(field):
 
 def _entry_lines(tensor):
     """One `indices scalar` line per nonzero, in sorted index order."""
-    f = tensor.field
-    return [" ".join(map(str, key)) + " " + f.format(c)
-            for key, c in sorted(tensor.nz.items())]
+    line, form = ("{} " * len(tensor.dims) + "{}").format, tensor.field.format
+    return [line(*key, form(c)) for key, c in sorted(tensor.nz.items())]
 
 
 def serialize_structure(H):
@@ -231,30 +265,42 @@ def serialize_cayley(table):
     return "\n".join(out) + "\n"
 
 
-def parse_action(text, field):
+# kind: (class, header usage, entry usage, dims from the header's two)
+_MAPS = {
+    "action": (ActionData, "<H_dim> <M_dim>", "h m m2",
+               lambda h_dim, m_dim: (h_dim, m_dim, m_dim)),
+    "coaction": (CoactionData, "<M_dim> <H_dim>", "m m2 h",
+                 lambda m_dim, h_dim: (m_dim, m_dim, h_dim)),
+}
+
+
+def _parse_map(text, field, kind):
+    cls, dims_usage, entry_usage, legs = _MAPS[kind]
     lines = _Lines(text)
-    no, header = lines.next("action header")
+    no, header = lines.next(f"{kind} header")
     parts = header.split()
-    if len(parts) != 3 or parts[0] != "action":
+    if len(parts) != 3 or parts[0] != kind:
         raise ParseError(
-            f"expected 'action <H_dim> <M_dim>', got {header!r}", no)
+            f"expected '{kind} {dims_usage}', got {header!r}", no)
     try:
-        h_dim, m_dim = int(parts[1]), int(parts[2])
+        d1, d2 = int(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ParseError(f"bad dimensions in {header!r}", no) from exc
-    _check_dims((h_dim, m_dim), no)
-    entries = {}
-    while lines.peek() is not None:
-        no, line = lines.next("action entry")
-        toks = line.split()
+    _check_dims((d1, d2), no)
+    dims = legs(d1, d2)
+
+    def slow_key(no, line, toks):
         if len(toks) != 4:
             raise ParseError(
-                f"expected 'h m m2 <scalar>', got {line!r}", no)
-        key = (_index(toks[0], h_dim, no), _index(toks[1], m_dim, no),
-               _index(toks[2], m_dim, no))
-        _put(entries, key, field.parse(toks[3], no), "action", no)
-    return ActionData.from_entries(
-        field, h_dim, m_dim, (key + (c,) for key, c in entries.items()))
+                f"expected '{entry_usage} <scalar>', got {line!r}", no)
+        return tuple(_index(t, d, no) for t, d in zip(toks, dims))
+
+    return cls._from_nz(field, dims, _entries(
+        field, lines.items[lines.pos:], dims, kind, slow_key))
+
+
+def parse_action(text, field):
+    return _parse_map(text, field, "action")
 
 
 def serialize_action(act):
@@ -263,29 +309,7 @@ def serialize_action(act):
 
 
 def parse_coaction(text, field):
-    lines = _Lines(text)
-    no, header = lines.next("coaction header")
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "coaction":
-        raise ParseError(
-            f"expected 'coaction <M_dim> <H_dim>', got {header!r}", no)
-    try:
-        m_dim, h_dim = int(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ParseError(f"bad dimensions in {header!r}", no) from exc
-    _check_dims((m_dim, h_dim), no)
-    entries = {}
-    while lines.peek() is not None:
-        no, line = lines.next("coaction entry")
-        toks = line.split()
-        if len(toks) != 4:
-            raise ParseError(
-                f"expected 'm m2 h <scalar>', got {line!r}", no)
-        key = (_index(toks[0], m_dim, no), _index(toks[1], m_dim, no),
-               _index(toks[2], h_dim, no))
-        _put(entries, key, field.parse(toks[3], no), "coaction", no)
-    return CoactionData.from_entries(
-        field, m_dim, h_dim, (key + (c,) for key, c in entries.items()))
+    return _parse_map(text, field, "coaction")
 
 
 def serialize_coaction(coact):

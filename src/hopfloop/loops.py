@@ -75,20 +75,21 @@ class _ElemAccumulator(LawAccumulator):
 
 def check_ip_loop(T):
     """Latin square, identity, two-sided inverses and the four IP laws."""
-    n = T.n
+    n, rows = T.n, T.rows
+    cols = tuple(zip(*rows))
     rep = VerificationReport()
 
     full = list(range(n))
     rows_ok = _ElemAccumulator(rep, "latin.rows")
     cols_ok = _ElemAccumulator(rep, "latin.cols")
     for a in range(n):
-        row = sorted(T.rows[a])
+        row = sorted(rows[a])
         if row != full:
             # witness: the first repeated value in the offending line
             dup = next(v for i, v in enumerate(row[1:], 1) if v == row[i - 1])
             rows_ok.check_elems((a,), dup, -1)
     for c in range(n):
-        col = sorted(T.rows[a][c] for a in range(n))
+        col = sorted(cols[c])
         if col != full:
             dup = next(v for i, v in enumerate(col[1:], 1) if v == col[i - 1])
             cols_ok.check_elems((c,), dup, -1)
@@ -111,19 +112,21 @@ def check_ip_loop(T):
             inv[a] = b
     inv_ok.finish()
 
-    laws = {
-        "ip.left_cancel": lambda a, ai, b: T.mul(a, T.mul(ai, b)),
-        "ip.left_return": lambda a, ai, b: T.mul(ai, T.mul(a, b)),
-        "ip.right_return": lambda a, ai, b: T.mul(T.mul(b, ai), a),
-        "ip.right_cancel": lambda a, ai, b: T.mul(T.mul(b, a), ai),
-    }
-    for law_id, eval_law in laws.items():
+    # For one a, each law composes two rows (or two columns) of the table
+    # and compares the result with the identity b -> b.
+    for law_id, lines, swap in (("ip.left_cancel", rows, False),  # a(a^-1 b)
+                                ("ip.left_return", rows, True),   # a^-1(ab)
+                                ("ip.right_return", cols, False),  # (ba^-1)a
+                                ("ip.right_cancel", cols, True)):  # (ba)a^-1
         acc = _ElemAccumulator(rep, law_id)
         for a, ai in inv.items():
-            for b in range(n):
-                v = eval_law(a, ai, b)
-                if v != b and not acc.failed:
-                    acc.check_elems((a, b), v, b)
+            outer, inner = (ai, a) if swap else (a, ai)
+            line = lines[outer]
+            got = [line[x] for x in lines[inner]]
+            if got != full:
+                b = next(b for b, v in enumerate(got) if v != b)
+                acc.check_elems((a, b), got[b], b)
+                break
         acc.finish()
     return rep
 
@@ -150,12 +153,14 @@ def loop_algebra(T, field=QQ):
                         f"{bad.witness.indices if bad.witness else None}")
     n = T.n
     f = field
-    mu = Ten3.from_entries(
-        f, n, ((i, j, T.mul(i, j), f.one) for i in range(n) for j in range(n)))
-    delta = Ten3.from_entries(f, n, ((i, i, i, f.one) for i in range(n)))
+    rows = T.rows
+    mu = Ten3._from_nz(f, (n, n, n), {(i, j, rows[i][j]): f.one
+                                      for i in range(n) for j in range(n)})
+    delta = Ten3._from_nz(f, (n, n, n), {(i, i, i): f.one for i in range(n)})
     unit = Vec.basis(f, n, 0)
     counit = Vec(f, (f.one,) * n)
-    anti = Mat(f, (n, n), ((T.inverse_of(a), a, f.one) for a in range(n)))
+    anti = Mat._from_nz(f, (n, n), {(T.inverse_of(a), a): f.one
+                                    for a in range(n)})
     return HopfQuasigroup(AlgebraData(mu, unit),
                           CoalgebraData(delta, counit), anti)
 

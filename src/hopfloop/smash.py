@@ -137,13 +137,19 @@ def build_smash_product(inp):
 
     Product (a(x)h)(b(x)g) = a(h_(1).b) (x) h_(2)g, tensor-product
     coproduct and counit, antipode S(a(x)h) = S(h_(2)).S(a) (x) S(h_(1)).
-    No axioms are checked here.
+    Raises InvalidInput unless the input validates; no axioms of the
+    candidate are checked here.
     """
     val = inp.validate()
     if not val.ok:
         raise InvalidInput(
             "not a quasimodule Hopf quasigroup: "
             + ", ".join(l.law_id for l in val.failing()))
+    return _smash_product(inp)
+
+
+def _smash_product(inp):
+    """build_smash_product on an input already validated."""
     H, A, pairs = inp.H, inp.A, inp.act._pairs
     f = H.field
     nA, nH = A.dim, H.dim
@@ -257,13 +263,19 @@ def build_smash_coproduct(inp):
 
     Tensor-product algebra and counit; coproduct
     Delta(h(x)c) = h_(1) (x) c_(1)^(0) (x) h_(2)c_(1)^(1) (x) c_(2) and
-    antipode S(h(x)c) = S(hc^(1)) (x) S(c^(0)).  No axioms checked here.
+    antipode S(h(x)c) = S(hc^(1)) (x) S(c^(0)).  Raises InvalidInput
+    unless the input validates; no axioms of the candidate are checked here.
     """
     val = inp.validate()
     if not val.ok:
         raise InvalidInput(
             "not a quasicomodule Hopf coquasigroup: "
             + ", ".join(l.law_id for l in val.failing()))
+    return _smash_coproduct(inp)
+
+
+def _smash_coproduct(inp):
+    """build_smash_coproduct on an input already validated."""
     H, C, pairs = inp.H, inp.C, inp.coact._pairs
     f = H.field
     nH, nC = H.dim, C.dim
@@ -373,7 +385,7 @@ def theorem_smash_roundtrip(inp):
         raise HypothesisNotMet(
             "standing hypotheses fail: "
             + ", ".join(l.law_id for l in hyp.failing()))
-    candidate = build_smash_product(inp)
+    candidate = _smash_product(inp)  # inp.validate() passed above
     return RoundtripReport(check_hopf_quasigroup(candidate),
                            check_modass(inp), hyp)
 
@@ -387,6 +399,6 @@ def theorem_cosmash_roundtrip(inp):
         raise HypothesisNotMet(
             "standing hypotheses fail: "
             + ", ".join(l.law_id for l in hyp.failing()))
-    candidate = build_smash_coproduct(inp)
+    candidate = _smash_coproduct(inp)  # inp.validate() passed above
     return RoundtripReport(check_hopf_coquasigroup(candidate),
                            check_comodcoass(inp), hyp)

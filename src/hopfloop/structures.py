@@ -297,20 +297,23 @@ def check_quasi_identities(H):
         expected = {g * n + g: eps_h for g in range(n)}
         slabs = q1l, q1r, q2l, q2r = {}, {}, {}, {}
         for (h1, h2), c in split(h):
-            s1, s2, t1, t2 = anti[h1], anti[h2], table[h1], table[h2]
+            # c times each antipode coefficient, once per coproduct term
+            s1 = [(x, mul(c, a)) for x, a in anti[h1]]
+            s2 = [(x, mul(c, a)) for x, a in anti[h2]]
+            t1, t2 = table[h1], table[h2]
             for g in range(n):
                 base, tg = g * n, table[g]
                 # S(h1)(h2 g)
                 for y, b in t2[g]:
                     for x, a in s1:
-                        ab = mul(c, mul(a, b))
+                        ab = mul(a, b)
                         for k, v in table[x][y]:
                             key, t = base + k, mul(ab, v)
                             q1l[key] = add(q1l[key], t) if key in q1l else t
                 # h1 (S(h2) g)
                 for x, a in s2:
                     for y, b in table[x][g]:
-                        ab = mul(c, mul(a, b))
+                        ab = mul(a, b)
                         for k, v in t1[y]:
                             key, t = base + k, mul(ab, v)
                             q1r[key] = add(q1r[key], t) if key in q1r else t
@@ -318,14 +321,14 @@ def check_quasi_identities(H):
                 for x, a in tg[h1]:
                     tx = table[x]
                     for y, b in s2:
-                        ab = mul(c, mul(a, b))
+                        ab = mul(a, b)
                         for k, v in tx[y]:
                             key, t = base + k, mul(ab, v)
                             q2l[key] = add(q2l[key], t) if key in q2l else t
                 # (g S(h1)) h2
                 for y, b in s1:
                     for x, a in tg[y]:
-                        ab = mul(c, mul(a, b))
+                        ab = mul(a, b)
                         for k, v in table[x][h2]:
                             key, t = base + k, mul(ab, v)
                             q2r[key] = add(q2r[key], t) if key in q2r else t
@@ -482,10 +485,10 @@ def dualize(H):
     """
     f = H.field
     n = H.dim
-    mu = Ten3.from_entries(
-        f, n, ((i, j, k, c) for (k, i, j), c in H.delta.nz.items()))
-    delta = Ten3.from_entries(
-        f, n, ((i, j, k, c) for (j, k, i), c in H.mu.nz.items()))
+    mu = Ten3._from_nz(
+        f, (n, n, n), {(i, j, k): c for (k, i, j), c in H.delta.nz.items()})
+    delta = Ten3._from_nz(
+        f, (n, n, n), {(i, j, k): c for (j, k, i), c in H.mu.nz.items()})
     alg = AlgebraData(mu, Vec(f, H.counit.data))
     coalg = CoalgebraData(delta, Vec(f, H.unit.data))
     anti = H.antipode.transpose()

@@ -84,6 +84,20 @@ class SparseTensor:
         self.dims = dims
         self.nz = nz
 
+    @classmethod
+    def _from_nz(cls, field, dims, nz):
+        """Build from a dict of distinct index tuples, each inside dims.
+
+        Zeros are dropped; unlike the constructor, nothing is summed or
+        range-checked, so callers guarantee both.
+        """
+        self = cls.__new__(cls)
+        zero = field.zero
+        self.field = field
+        self.dims = tuple(dims)
+        self.nz = {key: c for key, c in nz.items() if c != zero}
+        return self
+
     def __getitem__(self, key):
         return self.nz.get(key, self.field.zero)
 
@@ -157,8 +171,8 @@ class Mat(SparseTensor):
         return self._by_second[j]
 
     def transpose(self):
-        return Mat(self.field, self.dims[::-1],
-                   ((j, i, c) for (i, j), c in self.nz.items()))
+        return Mat._from_nz(self.field, self.dims[::-1],
+                            {(j, i): c for (i, j), c in self.nz.items()})
 
 
 class Ten3(SparseTensor):

@@ -7,7 +7,7 @@ from conftest import cyclic, inversion_action, loop7
 
 from hopfloop import CoactionData, dualize, loop_algebra
 from hopfloop import fileio
-from hopfloop.cli import main
+from hopfloop.cli import build_parser, main
 
 
 def write_fixture_tree(tmp_path, H2, H3):
@@ -371,3 +371,32 @@ def test_cayley_trailing_content_exit_2(tmp_path, capsys, command, extra,
     assert main(argv[command]) == 2
     _assert_error_line(capsys, f"line {line}:", "trailing content")
     assert not out.exists()
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys, H2):
+    """Several main() calls in one process share one parser; no option of
+    one run leaks into the next, and usage errors print the same bytes."""
+    assert build_parser() is build_parser()
+    path = tmp_path / "c2.hq"
+    path.write_text(fileio.serialize_structure(H2))
+    cayley = tmp_path / "c3.cayley"
+    cayley.write_text(fileio.serialize_cayley(cyclic(3)))
+    rpt = tmp_path / "r.json"
+    assert main(["--report", str(rpt), "--field", "F7", "verify",
+                 str(path)]) == 0
+    assert rpt.exists()
+    rpt.unlink()
+    out = tmp_path / "c3.hq"
+    assert main(["loop-algebra", str(cayley), "-o", str(out)]) == 0
+    assert out.read_text() == fileio.serialize_structure(
+        loop_algebra(cyclic(3)))
+    assert main(["verify", str(path)]) == 0
+    assert not rpt.exists()
+    capsys.readouterr()
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["dual"])
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and "usage: hopfloop dual" in errs[0]

@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfloop import GF, QQ
 from hopfloop.errors import DivisionByZero, FieldMismatch, ParseError
@@ -92,3 +93,28 @@ def test_field_equality_and_mismatch():
     with pytest.raises(FieldMismatch):
         check_same_field(QQ, GF(5))
     check_same_field(GF(7), GF(7))
+
+
+def _parse_via_fraction(text):
+    """QQ.parse without its shortcut for digit strings."""
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return ("error", f"bad rational scalar {text!r}: {exc}")
+    return ("ok", type(q.numerator if q.denominator == 1 else q), q)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.text(alphabet="0123456789-+/._eE ٣²x", max_size=8),
+    st.integers(4290, 4310).map(lambda k: "7" * k)))
+def test_rational_parse_matches_fraction(text):
+    """Digit strings read as int give what Fraction(text) gives, errors
+    included (an int string longer than Python's limit among them)."""
+    try:
+        q = QQ.parse(text)
+    except ParseError as exc:
+        got = ("error", str(exc))
+    else:
+        got = ("ok", type(q), q)
+    assert got == _parse_via_fraction(text)

@@ -1,11 +1,17 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fileio_reference as reference
 from conftest import cyclic, inversion_action, loop7, s3_table
 
-from hopfloop import (CoactionData, CosmashInput, GF, LongDimodule, QQ,
-                      SmashInput, dualize, loop_algebra)
+from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
+                      CosmashInput, GF, HopfCoquasigroup, HopfQuasigroup,
+                      LongDimodule, Mat, QQ, SmashInput, Ten3, Vec, dualize,
+                      loop_algebra)
 from hopfloop import fileio
-from hopfloop.errors import ParseError
+from hopfloop.errors import HopfloopError, ParseError
 
 
 def all_structures():
@@ -136,3 +142,169 @@ def test_bundle_relative_path_resolution(tmp_path, H2):
 def test_missing_file_is_parse_error():
     with pytest.raises(ParseError):
         fileio.load_structure("/nonexistent/x.hq")
+
+
+# --- the one-pass parser against the per-token reference ------------------
+
+SCALARS = {QQ: (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)),
+           GF(7): (0, 1, 2, 3, 6)}
+BAD_TOKENS = ("x", "-1", "", "1.5", "1/0", "0", "1", "2", "3", "4", "5",
+              "7", "99", "+2", "0x1", "1_0")
+
+
+@st.composite
+def structure_texts(draw):
+    """(text,): a serialized structure of dim 1-4 over Q or GF(7)."""
+    f = draw(st.sampled_from(list(SCALARS)))
+    n = draw(st.integers(1, 4))
+    scalar = st.sampled_from(SCALARS[f])
+    idx = st.integers(0, n - 1)
+
+    def entries(order):
+        return draw(st.lists(st.tuples(*[idx] * order, scalar),
+                             max_size=2 * n * n))
+
+    def vec():
+        return Vec(f, draw(st.lists(scalar, min_size=n, max_size=n)))
+
+    cls = draw(st.sampled_from((HopfQuasigroup, HopfCoquasigroup)))
+    H = cls(AlgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
+            CoalgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
+            Mat(f, (n, n), entries(2)))
+    return (reference.serialize_structure(H),)
+
+
+@st.composite
+def map_texts(draw):
+    """(kind, field, text): a serialized action or coaction with dims 0-3
+    over Q or GF(7)."""
+    f = draw(st.sampled_from(list(SCALARS)))
+    h_dim, m_dim = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(("action", "coaction")))
+    if kind == "action":
+        dims, cls = (h_dim, m_dim, m_dim), ActionData
+    else:
+        dims, cls = (m_dim, m_dim, h_dim), CoactionData
+    entries = [] if 0 in dims else draw(st.lists(st.tuples(
+        *[st.integers(0, d - 1) for d in dims],
+        st.sampled_from(SCALARS[f])), max_size=12))
+    write = getattr(reference, "serialize_" + kind)
+    return kind, f, write(cls(f, dims, entries))
+
+
+@st.composite
+def mutated(draw, texts):
+    """A valid text from `texts`, then up to three line-level mutations:
+    bad or out-of-range tokens, an index one larger, wrong arity, zero
+    scalars, duplicated, dropped, swapped or renamed lines."""
+    *extra, text = draw(texts)
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        entry_lines = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+        if entry_lines and draw(st.integers(0, 3)):
+            i = draw(st.sampled_from(entry_lines))
+        else:
+            i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        op = draw(st.sampled_from(("token", "bump", "bump", "arity", "scalar",
+                                   "dup", "drop", "swap", "rename",
+                                   "spaces")))
+        if op == "bump" and len(toks) > 1 and toks[0].isdigit():
+            # one past the largest index in range, when it was the largest
+            k = draw(st.integers(0, len(toks) - 2))
+            toks[k] = str(int(toks[k]) + 1)
+            lines[i] = " ".join(toks)
+        elif op == "token" and toks:
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(
+                st.sampled_from(BAD_TOKENS))
+            lines[i] = " ".join(toks)
+        elif op == "arity" and toks:
+            lines[i] = " ".join(toks[:-1] if draw(st.booleans())
+                                else toks + ["1"])
+        elif op == "scalar" and toks:
+            lines[i] = " ".join(toks[:-1] + [draw(st.sampled_from(
+                ("0", "7", "14", "-0", "0/3", "x", "1/0", "2/7")))])
+        elif op == "dup":
+            # a repeated index tuple, its scalar maybe changed or bad
+            if len(toks) > 1:
+                toks[-1] = draw(st.sampled_from((toks[-1], "5", "x", "1/0")))
+            at = draw(st.sampled_from((i + 1, draw(st.integers(
+                0, len(lines))))))
+            lines.insert(at, " ".join(toks))
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "rename":
+            lines[i] = draw(st.sampled_from(
+                ("foo:", "mu:", "unit:", "antipode:", "# comment", "",
+                 ":")))
+        elif op == "spaces":
+            lines[i] = "  " + " \t ".join(toks) + " "
+    return (*extra, "\n".join(lines) + "\n")
+
+
+def _outcome(parse, *args):
+    """What a parse gives: its error, or the parsed tensors, nonzeros in
+    insertion order."""
+    try:
+        obj = parse(*args)
+    except HopfloopError as exc:
+        return ("error", type(exc).__name__, str(exc),
+                getattr(exc, "line", None))
+    parts = ((obj.mu, obj.delta, obj.antipode, obj.unit, obj.counit)
+             if hasattr(obj, "mu") else (obj,))
+    return ("ok", type(obj), obj.field,
+            [(p, list(p.nz.items()) if hasattr(p, "nz") else None)
+             for p in parts])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated(structure_texts()))
+def test_parse_structure_matches_reference(args):
+    (text,) = args
+    got = _outcome(fileio.parse_structure, text)
+    assert got == _outcome(reference.parse_structure, text)
+    if got[0] == "ok":
+        H = fileio.parse_structure(text)
+        assert (fileio.serialize_structure(H)
+                == reference.serialize_structure(H))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated(map_texts()))
+def test_parse_action_coaction_match_reference(args):
+    kind, f, text = args
+    parse = getattr(fileio, "parse_" + kind)
+    got = _outcome(parse, text, f)
+    assert got == _outcome(getattr(reference, "parse_" + kind), text, f)
+    if got[0] == "ok":
+        obj = parse(text, f)
+        assert (getattr(fileio, "serialize_" + kind)(obj)
+                == getattr(reference, "serialize_" + kind)(obj))
+
+
+def test_index_at_its_bound_matches_reference():
+    """Every index of every entry set to its leg's dimension, one at a
+    time: both parsers refuse it with the same message and line."""
+    H, act = loop_algebra(s3_table()), inversion_action()
+    coact = CoactionData.dual_of_action(act)
+    cases = [(fileio.parse_structure, reference.parse_structure, (),
+              fileio.serialize_structure(H), (H.dim,) * 3),
+             (fileio.parse_action, reference.parse_action, (QQ,),
+              fileio.serialize_action(act), act.dims),
+             (fileio.parse_coaction, reference.parse_coaction, (QQ,),
+              fileio.serialize_coaction(coact), coact.dims)]
+    for parse, ref, extra, text, dims in cases:
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            toks = line.split()
+            if not line[:1].isdigit():
+                continue
+            for k in range(len(toks) - 1):
+                bad = toks[:k] + [str(dims[k])] + toks[k + 1:]
+                bad = "\n".join(lines[:i] + [" ".join(bad)] + lines[i + 1:])
+                got = _outcome(parse, bad, *extra)
+                assert got[0] == "error"
+                assert got == _outcome(ref, bad, *extra)

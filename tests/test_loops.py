@@ -1,9 +1,12 @@
 import functools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import LOOP7_ROWS, NON_IP_ROWS, cyclic, klein, loop7, s3_table
+from ip_check_reference import check_ip_loop as reference_check_ip_loop
 from ip_search_reference import canonical_form as reference_canonical_form
 from ip_search_reference import enumerate_ip_tables
 
@@ -248,3 +251,63 @@ def test_search_order_9():
     assert len(nonassoc) == 5
     for T in tables:
         assert check_ip_loop(T).ok
+
+
+# --- row-reading check_ip_loop against the per-pair reference -------------
+
+ip_loops = functools.cache(search_ip_loops)
+
+
+def _random_loop(rng, n):
+    """A random reduced Latin square of order n: a loop, seldom IP."""
+    t = [[i if j == 0 else j if i == 0 else None for j in range(n)]
+         for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        free = [v for v in range(n)
+                if v not in t[i] and all(row[j] != v for row in t)]
+        rng.shuffle(free)
+        for v in free:
+            t[i][j] = v
+            if fill(k + 1):
+                return True
+        t[i][j] = None
+        return False
+
+    fill(0)
+    return t
+
+
+@st.composite
+def loop_tables(draw):
+    """IP loops relabelled, loops that are seldom IP, IP loops with one
+    cell changed (not Latin, maybe without inverses), and arbitrary
+    tables."""
+    n = draw(st.integers(1, 7))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("ip", "loop", "perturbed", "arbitrary")))
+    if kind == "loop":
+        return LoopTable(_random_loop(rng, n))
+    if kind == "arbitrary":
+        return LoopTable([[rng.randrange(n) for _ in range(n)]
+                          for _ in range(n)])
+    rows = rng.choice(ip_loops(n)).rows
+    sigma = [0] + rng.sample(range(1, n), n - 1)
+    table = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[sigma[a]][sigma[b]] = sigma[rows[a][b]]
+    if kind == "perturbed":
+        table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return LoopTable(table)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(loop_tables())
+def test_check_ip_loop_matches_reference(T):
+    assert (json.dumps(check_ip_loop(T).to_dict())
+            == json.dumps(reference_check_ip_loop(T).to_dict()))

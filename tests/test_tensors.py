@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfloop import GF, QQ, Mat, Ten3, Vec
 from hopfloop.errors import DimMismatch
@@ -62,3 +63,23 @@ def test_sparse_tensor_dense_view_and_bounds():
     for bad in [(0, 2, 0, 1), (0, 0, -1, 1), (0, 0, 1)]:
         with pytest.raises(DimMismatch):
             SparseTensor(QQ, (1, 2, 3), [bad])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_from_nz_matches_constructor(data):
+    """_from_nz on distinct in-range keys equals the summing, range-checking
+    constructor on the same entries, zeros dropped, in the same order."""
+    field = data.draw(st.sampled_from([QQ, GF(7)]))
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1,
+                                    max_size=3)))
+    cls = {1: SparseTensor, 2: Mat, 3: Ten3}[len(dims)]
+    nz = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, d - 1) for d in dims]),
+        st.sampled_from(["0", "1", "2", "6", "7", "-3", "1/2"]).map(
+            field.parse), max_size=20))
+    fast = cls._from_nz(field, dims, nz)
+    slow = cls(field, dims, [key + (c,) for key, c in nz.items()])
+    assert type(fast) is cls and fast == slow
+    assert list(fast.nz.items()) == list(slow.nz.items())
+    assert fast._by_first == slow._by_first
