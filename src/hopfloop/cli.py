@@ -8,8 +8,8 @@ or I/O error, or memory exhausted.
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import fileio
 from .dimodules import check_d_equation, check_long_dimodule, d_map
@@ -38,11 +38,36 @@ def _field_from_flag(flag):
     raise ParseError(f"bad --field value {flag!r} (use Q or F<p>)")
 
 
+def _json_text(obj, nl="\n"):
+    """json.dumps(obj, indent=2), byte for byte, for str-keyed dicts, lists,
+    strs, ints and bools.  json has only a pure-Python encoder for indented
+    output; this writer escapes strings with the C one and is about twice
+    as fast.  nl is the newline plus the indent of obj's own line."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if t is not dict and t is not list:
+        raise TypeError(f"no JSON form for {t.__name__}")
+    if not obj:
+        return "{}" if t is dict else "[]"
+    inner = nl + "  "
+    if t is dict:
+        body = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    body = [_json_text(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(body) + nl + "]"
+
+
 def _report_json(report, extra=None):
     doc = report.to_dict()
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def _emit_report(args, report, extra=None):

@@ -248,7 +248,7 @@ def parse_cayley(text):
         if len(toks) != n:
             raise ParseError(f"expected {n} entries, got {len(toks)}", no)
         try:
-            row = [int(t) for t in toks]
+            row = tuple(map(int, toks))
         except ValueError as exc:
             raise ParseError(f"bad table entry in {line!r}", no) from exc
         for v in row:
@@ -256,7 +256,9 @@ def parse_cayley(text):
                 raise ParseError(f"entry {v} out of range [0, {n})", no)
         rows.append(row)
     lines.end()
-    return LoopTable(rows)
+    # Every cell is checked above; only an empty table, refused by
+    # LoopTable's own check, goes through it.
+    return LoopTable._trusted(tuple(rows)) if rows else LoopTable(rows)
 
 
 def serialize_cayley(table):

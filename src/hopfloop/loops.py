@@ -10,7 +10,7 @@ from .errors import BudgetExceeded, MalformedTable, NotIPLoop
 from .fields import QQ
 from .report import LawAccumulator, VerificationReport
 from .structures import AlgebraData, CoalgebraData, HopfQuasigroup
-from .tensors import Mat, Ten3, Vec
+from .tensors import Mat, Ten3, Vec, assoc_mismatches, mismatches, quasi_rows
 
 SEARCH_MAX_ORDER = 9
 
@@ -31,6 +31,15 @@ class LoopTable:
                     raise MalformedTable(f"entry {v!r} out of range [0,{n})")
         self.n = n
         self.rows = rows
+
+    @classmethod
+    def _trusted(cls, rows):
+        """A table from a nonempty tuple of n row tuples, each of n ints in
+        [0, n), that the caller has already checked."""
+        self = cls.__new__(cls)
+        self.n = len(rows)
+        self.rows = rows
+        return self
 
     def __getitem__(self, i):
         return self.rows[i]
@@ -113,35 +122,31 @@ def check_ip_loop(T):
     inv_ok.finish()
 
     # For one a, each law composes two rows (or two columns) of the table
-    # and compares the result with the identity b -> b.
-    for law_id, lines, swap in (("ip.left_cancel", rows, False),  # a(a^-1 b)
-                                ("ip.left_return", rows, True),   # a^-1(ab)
-                                ("ip.right_return", cols, False),  # (ba^-1)a
-                                ("ip.right_cancel", cols, True)):  # (ba)a^-1
+    # and compares the result with the identity b -> b: the Hopf quasigroup
+    # identities of the loop algebra, with S(a) = a^-1.
+    elems = list(inv.items())
+    expected = [tuple(full)] * len(elems)
+    q1l, q1r, q2l, q2r = quasi_rows(rows, elems)
+    for law_id, law in (("ip.left_cancel", q1r),    # a(a^-1 b)
+                        ("ip.left_return", q1l),    # a^-1(ab)
+                        ("ip.right_return", q2r),   # (ba^-1)a
+                        ("ip.right_cancel", q2l)):  # (ba)a^-1
         acc = _ElemAccumulator(rep, law_id)
-        for a, ai in inv.items():
-            outer, inner = (ai, a) if swap else (a, ai)
-            line = lines[outer]
-            got = [line[x] for x in lines[inner]]
-            if got != full:
-                b = next(b for b, v in enumerate(got) if v != b)
-                acc.check_elems((a, b), got[b], b)
-                break
+        bad = next(mismatches(law, expected), None)
+        if bad is not None:
+            m, b, got, _ = bad
+            acc.check_elems((elems[m][0], b), got, b)
         acc.finish()
     return rep
 
 
 def is_associative(T):
-    """(ab)c = a(bc) for all triples; returns (flag, witness_triple)."""
-    n = T.n
-    for a in range(n):
-        for b in range(n):
-            ab = T.mul(a, b)
-            arow = T.rows[a]
-            for c in range(n):
-                if T.mul(ab, c) != arow[T.mul(b, c)]:
-                    return False, (a, b, c)
-    return True, None
+    """(ab)c = a(bc) for all triples; returns (flag, witness_triple), the
+    witness the first failing triple in row-major order."""
+    bad = next(assoc_mismatches(T.rows), None)
+    if bad is None:
+        return True, None
+    return False, bad[:3]
 
 
 def loop_algebra(T, field=QQ):
@@ -351,7 +356,7 @@ def search_ip_loops(n, want_nonassociative=False, limit=None):
              for J in inversion_maps(n) for t in ip_tables(J)}
     tables = []
     for rows in sorted(canon):
-        T = LoopTable(rows)
+        T = LoopTable._trusted(rows)
         if want_nonassociative and is_associative(T)[0]:
             continue
         tables.append(T)

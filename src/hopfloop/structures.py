@@ -4,12 +4,28 @@ A structure bundles the product tensor mu, coproduct tensor delta, unit and
 counit vectors and the antipode matrix over one exact field.  All law
 checkers below quantify over every basis tuple and compare both sides
 exactly, recording a witness on the first mismatch per law.
+
+Four law families are decided on integer tables when the tensors they read
+are basis maps, each input going to one basis vector with coefficient one,
+as on loop algebras, their duals and the smash (co)products built from
+them:
+
+* assoc, when mu is a basis map (a magma algebra);
+* quasi*, when mu and S are basis maps, delta is grouplike
+  (delta(e_i) = e_i (x) e_i) and the counit is 1 on every basis vector;
+* coassoc, when the transpose of delta is a basis map (the dual is a
+  magma algebra);
+* coq*, when the dual meets the quasi* condition: delta and S transpose to
+  basis maps, e_i e_j = [i = j] e_i and the unit is the sum of the basis.
+
+The input selects the path; every other structure takes the slab loops.
+Both paths give the same report, witnesses included.
 """
 
 from .errors import DimMismatch
 from .fields import check_same_field
 from .report import LawAccumulator, VerificationReport
-from .tensors import Ten3, Vec
+from .tensors import Ten3, Vec, assoc_mismatches, mismatches, quasi_rows
 
 
 class AlgebraData:
@@ -123,6 +139,23 @@ class HopfCoquasigroup(HopfStructure):
 # LawAccumulator.check_slab compares the two sides once per slab.
 # Structure constants are read from the cached views mu.mul_table[i][j],
 # delta.split_pairs(i) and antipode.column(j) (S(e_j) = sum_i c e_i).
+#
+# The table paths (see the module docstring for when they apply) read the
+# basis-map views mu.mul_rows, delta.comul_rows, antipode.column_map and
+# antipode.row_map instead.  Both sides of every instance are then single
+# basis vectors, so a law is decided by composing and comparing integer
+# rows (tensors.assoc_mismatches, tensors.quasi_rows), every row of it.
+#
+# * assoc and quasi*: the first mismatching instance is the witness, and
+#   its two sides are its two basis vectors.
+# * coassoc and coq*: each is the transpose of a law of the dual (assoc,
+#   and quasi_k.side for coq_k.side), and two maps are equal exactly when
+#   their transposes are, so the law holds exactly when the dual law holds
+#   on the transposed tables.  A mismatch l != r of the dual law at some
+#   input makes slabs l and r of the law differ, so the first failing slab
+#   is the least min(l, r).  Only that slab is built, by the helper the
+#   slab loop uses (_coassoc_slab, _coq_slabs), and compared as usual, so
+#   the witness is the slab loop's.
 
 
 def check_unital_counital(H):
@@ -164,14 +197,22 @@ def check_unital_counital(H):
 
 def check_associativity(H, informational=False):
     """(xy)z = x(yz) over all basis triples, with a witness triple."""
-    f = H.field
-    add, mul, n = f.add, f.mul, H.dim
-    table = H.mu.mul_table
+    f, n = H.field, H.dim
+    rep = VerificationReport()
+    acc = LawAccumulator(rep, f, "assoc", informational)
+    rows = H.mu.mul_rows
+    if rows is not None:
+        # the first failing triple, and both its sides, single basis vectors
+        bad = list(assoc_mismatches(rows))
+        if bad:
+            i, j, k, lhs, rhs = bad[0]
+            acc.check_slab((i, j, k), {lhs: f.one}, {rhs: f.one}, (), (n,))
+        acc.finish()
+        return rep
+    add, mul, table = f.add, f.mul, H.mu.mul_table
     # e_x e_k = sum c e_y as (k * n, y, c) terms, per x
     terms = [[(k * n, y, c) for k in range(n) for y, c in table[x][k]]
              for x in range(n)]
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, f, "assoc", informational)
     for i in range(n):
         ti = table[i]
         left, right = {}, {}
@@ -192,23 +233,35 @@ def check_associativity(H, informational=False):
     return rep
 
 
+def _coassoc_slab(H, i):
+    """Both sides of coassoc on e_i, keyed by the flat (a, b, k)."""
+    f, n = H.field, H.dim
+    add, mul, split = f.add, f.mul, H.delta.split_pairs
+    left, right = {}, {}
+    for (j, k), c in split(i):
+        for (a, b), c2 in split(j):
+            key, t = (a * n + b) * n + k, mul(c, c2)
+            left[key] = add(left[key], t) if key in left else t
+        for (a, b), c2 in split(k):
+            key, t = (j * n + a) * n + b, mul(c, c2)
+            right[key] = add(right[key], t) if key in right else t
+    return left, right
+
+
 def check_coassociativity(H, informational=False):
     """(delta (x) id) delta = (id (x) delta) delta over all basis vectors."""
-    f = H.field
-    add, mul, n = f.add, f.mul, H.dim
-    split = H.delta.split_pairs
+    n = H.dim
     rep = VerificationReport()
-    acc = LawAccumulator(rep, f, "coassoc", informational)
-    for i in range(n):
-        left, right = {}, {}
-        for (j, k), c in split(i):
-            for (a, b), c2 in split(j):
-                key, t = (a * n + b) * n + k, mul(c, c2)
-                left[key] = add(left[key], t) if key in left else t
-            for (a, b), c2 in split(k):
-                key, t = (j * n + a) * n + b, mul(c, c2)
-                right[key] = add(right[key], t) if key in right else t
-        acc.check_slab((i,), left, right, (), (n, n, n))
+    acc = LawAccumulator(rep, H.field, "coassoc", informational)
+    rows, slabs = H.delta.comul_rows, range(n)
+    if rows is not None:
+        # delta is coassociative exactly when its transpose, the product
+        # of the dual, is associative, and a mismatch l != r there makes
+        # slabs l and r differ: only the least such slab is built.
+        bad = [min(lhs, rhs) for *_, lhs, rhs in assoc_mismatches(rows)]
+        slabs = [min(bad)] if bad else []
+    for i in slabs:
+        acc.check_slab((i,), *_coassoc_slab(H, i), (), (n, n, n))
     acc.finish()
     return rep
 
@@ -279,19 +332,58 @@ def check_bialgebra_compat(H):
     return rep
 
 
+def _quasi_maps(H):
+    """(mu rows, antipode map) when the quasi identities of H compose basis
+    maps: mu and S basis maps, delta grouplike and the counit 1 on every
+    basis vector; else None."""
+    rows, s, one = H.mu.mul_rows, H.antipode.column_map, H.field.one
+    if (rows is None or s is None or not H.delta.is_diagonal()
+            or any(c != one for c in H.counit.data)):
+        return None
+    return rows, s
+
+
+def _coq_maps(H):
+    """_quasi_maps of dualize(H), read from H's own tensors.  The coq
+    identities of H are the transposes of the quasi identities of its dual,
+    so each holds exactly when its dual holds."""
+    rows, s, one = H.delta.comul_rows, H.antipode.row_map, H.field.one
+    if (rows is None or s is None or not H.mu.is_diagonal()
+            or any(c != one for c in H.unit.data)):
+        return None
+    return rows, s
+
+
+def _quasi_mismatches(maps):
+    """Per quasi law (1.left, 1.right, 2.left, 2.right), every (h, g, l, r)
+    where the law's basis image l at (h, g) is not r = g."""
+    rows, s = maps
+    expected = [tuple(range(len(rows)))] * len(rows)
+    return [list(mismatches(law, expected))
+            for law in quasi_rows(rows, list(enumerate(s)))]
+
+
 def check_quasi_identities(H):
     """The four composite cancellation identities of a Hopf quasigroup.
 
     Coassociativity is a prerequisite and is reported first.
     """
-    f = H.field
-    add, mul, n = f.add, f.mul, H.dim
-    table, split = H.mu.mul_table, H.delta.split_pairs
-    anti = [H.antipode.column(j) for j in range(n)]
+    f, n = H.field, H.dim
     rep = VerificationReport()
     rep.extend(check_coassociativity(H))
     accs = [LawAccumulator(rep, f, name) for name in
             ("quasi1.left", "quasi1.right", "quasi2.left", "quasi2.right")]
+    maps = _quasi_maps(H)
+    if maps is not None:
+        for acc, bad in zip(accs, _quasi_mismatches(maps)):
+            if bad:
+                h, g, lhs, rhs = bad[0]
+                acc.check_slab((h, g), {lhs: f.one}, {rhs: f.one}, (), (n,))
+            acc.finish()
+        return rep
+    add, mul = f.add, f.mul
+    table, split = H.mu.mul_table, H.delta.split_pairs
+    anti = [H.antipode.column(j) for j in range(n)]
     for h in range(n):
         eps_h = H.counit[h]
         expected = {g * n + g: eps_h for g in range(n)}
@@ -339,52 +431,66 @@ def check_quasi_identities(H):
     return rep
 
 
+def _coq_slabs(H, anti, h):
+    """Per coq law, both sides of its slab h, keyed by the flat output."""
+    f, n = H.field, H.dim
+    add, mul = f.add, f.mul
+    table, split = H.mu.mul_table, H.delta.split_pairs
+    one = H.unit.nonzero()
+    one_h = {u * n + h: a for u, a in one}
+    h_one = {h * n + u: a for u, a in one}
+    c1l, c1r, c2l, c2r = {}, {}, {}, {}
+    for (h1, h2), c in split(h):
+        # S(h1) h2(1) (x) h2(2)  and  h1 S(h2(1)) (x) h2(2)
+        s1, t1 = anti[h1], table[h1]
+        for (a, b), c2 in split(h2):
+            cc = mul(c, c2)
+            for x, sx in s1:
+                for y, v in table[x][a]:
+                    key, t = y * n + b, mul(cc, mul(sx, v))
+                    c1l[key] = add(c1l[key], t) if key in c1l else t
+            for x, sx in anti[a]:
+                for y, v in t1[x]:
+                    key, t = y * n + b, mul(cc, mul(sx, v))
+                    c1r[key] = add(c1r[key], t) if key in c1r else t
+        # h1(1) (x) h1(2) S(h2)  and  h1(1) (x) S(h1(2)) h2
+        s2 = anti[h2]
+        for (a, b), c2 in split(h1):
+            cc, tb = mul(c, c2), table[b]
+            for x, sx in s2:
+                for y, v in tb[x]:
+                    key, t = a * n + y, mul(cc, mul(sx, v))
+                    c2l[key] = add(c2l[key], t) if key in c2l else t
+            for x, sx in anti[b]:
+                for y, v in table[x][h2]:
+                    key, t = a * n + y, mul(cc, mul(sx, v))
+                    c2r[key] = add(c2r[key], t) if key in c2r else t
+    return ((c1l, one_h), (c1r, one_h), (c2l, h_one), (c2r, h_one))
+
+
 def check_coq_identities(H):
     """The four composite identities of a Hopf coquasigroup.
 
     Associativity of the product is a prerequisite and is reported first.
     """
-    f = H.field
-    add, mul, n = f.add, f.mul, H.dim
-    table, split = H.mu.mul_table, H.delta.split_pairs
+    f, n = H.field, H.dim
     anti = [H.antipode.column(j) for j in range(n)]
     rep = VerificationReport()
     rep.extend(check_associativity(H))
     accs = [LawAccumulator(rep, f, name) for name in
             ("coq1.left", "coq1.right", "coq2.left", "coq2.right")]
-    one = H.unit.nonzero()
-    for h in range(n):
-        one_h = {u * n + h: a for u, a in one}
-        h_one = {h * n + u: a for u, a in one}
-        slabs = c1l, c1r, c2l, c2r = {}, {}, {}, {}
-        for (h1, h2), c in split(h):
-            # S(h1) h2(1) (x) h2(2)  and  h1 S(h2(1)) (x) h2(2)
-            s1, t1 = anti[h1], table[h1]
-            for (a, b), c2 in split(h2):
-                cc = mul(c, c2)
-                for x, sx in s1:
-                    for y, v in table[x][a]:
-                        key, t = y * n + b, mul(cc, mul(sx, v))
-                        c1l[key] = add(c1l[key], t) if key in c1l else t
-                for x, sx in anti[a]:
-                    for y, v in t1[x]:
-                        key, t = y * n + b, mul(cc, mul(sx, v))
-                        c1r[key] = add(c1r[key], t) if key in c1r else t
-            # h1(1) (x) h1(2) S(h2)  and  h1(1) (x) S(h1(2)) h2
-            s2 = anti[h2]
-            for (a, b), c2 in split(h1):
-                cc, tb = mul(c, c2), table[b]
-                for x, sx in s2:
-                    for y, v in tb[x]:
-                        key, t = a * n + y, mul(cc, mul(sx, v))
-                        c2l[key] = add(c2l[key], t) if key in c2l else t
-                for x, sx in anti[b]:
-                    for y, v in table[x][h2]:
-                        key, t = a * n + y, mul(cc, mul(sx, v))
-                        c2r[key] = add(c2r[key], t) if key in c2r else t
-        for acc, slab, expected in zip(accs, slabs,
-                                       (one_h, one_h, h_one, h_one)):
-            acc.check_slab((h,), slab, expected, (), (n, n))
+    maps = _coq_maps(H)
+    if maps is not None:
+        # Only the least slab of each failing law is built, as in coassoc.
+        for law, (acc, bad) in enumerate(zip(accs, _quasi_mismatches(maps))):
+            if bad:
+                h = min(min(lhs, rhs) for *_, lhs, rhs in bad)
+                slab, expected = _coq_slabs(H, anti, h)[law]
+                acc.check_slab((h,), slab, expected, (), (n, n))
+    else:
+        for h in range(n):
+            for acc, (slab, expected) in zip(accs, _coq_slabs(H, anti, h)):
+                acc.check_slab((h,), slab, expected, (), (n, n))
     for acc in accs:
         acc.finish()
     return rep

@@ -18,10 +18,19 @@ Index conventions, used identically everywhere:
 * the tensor product of spaces of dims (m, n) is flattened row-major,
   ``(i, j) -> i * n + j``.
 
+A tensor that sends every input to one basis vector with coefficient one
+also has a basis-map view, the output index of each input as a plain int,
+and None for any other tensor: the product of a magma algebra, the
+coproduct of its dual read through the transpose, an antipode that sends
+basis vectors to basis vectors.  Laws over such maps are decided by
+composing and comparing integer rows (`assoc_mismatches`, `quasi_rows`).
+
 Vec, the values of a unit or counit, stays a dense tuple.
 """
 
 from functools import cached_property
+from math import prod
+from operator import itemgetter
 
 from .errors import DimMismatch
 
@@ -154,6 +163,26 @@ class SparseTensor:
             out[j].append((i, c))
         return tuple(map(tuple, out))
 
+    def _basis_map(self, out):
+        """This tensor as a map from its other legs to leg `out`: a tuple
+        over the other legs' row-major flat index x, holding the k with
+        x -> e_k.  None unless every input goes to exactly one basis vector
+        with coefficient one."""
+        dims, one = self.dims, self.field.one
+        rest = dims[:out] + dims[out + 1:]
+        size = prod(rest)
+        if len(self.nz) != size:
+            return None
+        flat = [None] * size
+        for key, c in self.nz.items():
+            x = 0
+            for i, d in zip(key[:out] + key[out + 1:], rest):
+                x = x * d + i
+            if c != one or flat[x] is not None:
+                return None
+            flat[x] = key[out]
+        return tuple(flat)
+
 
 class Mat(SparseTensor):
     """A matrix; column j lists the image of e_j."""
@@ -169,6 +198,17 @@ class Mat(SparseTensor):
     def column(self, j):
         """Nonzero entries of column j as (row, coeff) pairs."""
         return self._by_second[j]
+
+    @cached_property
+    def column_map(self):
+        """s[j] = i when S(e_j) = e_i for every j, else None."""
+        return self._basis_map(0)
+
+    @cached_property
+    def row_map(self):
+        """s[i] = j when row i holds one entry, a one in column j, for
+        every i (the column map of the transpose), else None."""
+        return self._basis_map(1)
 
     def transpose(self):
         return Mat._from_nz(self.field, self.dims[::-1],
@@ -199,6 +239,84 @@ class Ten3(SparseTensor):
     def split_pairs(self, i):
         """Coproduct view: nonzeros of delta(e_i) as ((j, k), coeff) pairs."""
         return self._by_first[i]
+
+    @cached_property
+    def mul_rows(self):
+        """Product view as integer rows: mul_rows[i][j] = k when
+        e_i e_j = e_k for every pair, else None."""
+        return self._rows(2)
+
+    @cached_property
+    def comul_rows(self):
+        """Coproduct view through the transpose: comul_rows[a][b] = i when
+        e_a (x) e_b occurs in exactly one delta(e_i), with coefficient one,
+        for every pair; else None.  It is the mul_rows of the dual."""
+        return self._rows(0)
+
+    def _rows(self, out):
+        flat, n = self._basis_map(out), self.dims[0]
+        if flat is None:
+            return None
+        return tuple(flat[i * n:(i + 1) * n] for i in range(n))
+
+    def is_diagonal(self):
+        """T[i, i, i] = 1 for every i and no other nonzero: a grouplike
+        coproduct, or the product of a function algebra."""
+        one, nz = self.field.one, self.nz
+        return len(nz) == self.dims[0] and all(
+            nz.get((i, i, i)) == one for i in range(self.dims[0]))
+
+
+# --- basis maps as integer tables -------------------------------------------
+#
+# A table row is a tuple of basis indices; t[i][j] is the image of (i, j).
+# A law over basis maps compares two lists of rows, and the common case,
+# where they agree, is one list comparison.
+
+
+def _composer(inner):
+    """The map outer -> (outer[inner[0]], outer[inner[1]], ...), outer a
+    tuple: the row of outer after inner, built in one C call."""
+    if len(inner) == 1:
+        return itemgetter(slice(inner[0], inner[0] + 1))
+    return itemgetter(*inner)
+
+
+def mismatches(left, right):
+    """(m, x, left[m][x], right[m][x]) for every x at which row m of `left`
+    and of `right` differ; by m, then x.  Lazy, so a caller may stop at
+    the first."""
+    if left != right:
+        for m, (lrow, rrow) in enumerate(zip(left, right)):
+            if lrow != rrow:
+                for x, (a, b) in enumerate(zip(lrow, rrow)):
+                    if a != b:
+                        yield m, x, a, b
+
+
+def assoc_mismatches(t):
+    """(i, j, k, (ij)k, i(jk)) for every triple where the two differ in the
+    product table t, in row-major order; lazy, one i at a time."""
+    after = [_composer(row) for row in t]
+    for i, ti in enumerate(t):
+        left = [t[x] for x in ti]
+        right = [after_j(ti) for after_j in after]
+        for j, k, a, b in mismatches(left, right):
+            yield i, j, k, a, b
+
+
+def quasi_rows(t, inverse):
+    """The rows g -> S(h)(hg), h(S(h)g), (gh)S(h), (gS(h))h for a product
+    table t and each (h, S(h)) pair of the list `inverse`, as four lists of
+    rows: the Hopf quasigroup identities when the coproduct is grouplike,
+    and the IP laws of a loop."""
+    cols = tuple(zip(*t))
+    after_row = [_composer(row) for row in t]
+    after_col = [_composer(col) for col in cols]
+    return ([after_row[h](t[sh]) for h, sh in inverse],
+            [after_row[sh](t[h]) for h, sh in inverse],
+            [after_col[h](cols[sh]) for h, sh in inverse],
+            [after_col[sh](cols[h]) for h, sh in inverse])
 
 
 # --- sparse elements -------------------------------------------------------

@@ -2,12 +2,13 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cyclic, inversion_action, loop7
 
 from hopfloop import CoactionData, dualize, loop_algebra
 from hopfloop import fileio
-from hopfloop.cli import build_parser, main
+from hopfloop.cli import _json_text, build_parser, main
 
 
 def write_fixture_tree(tmp_path, H2, H3):
@@ -400,3 +401,17 @@ def test_parser_built_once_and_reused(tmp_path, capsys, H2):
         assert exc.value.code == 2
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] and "usage: hopfloop dual" in errs[0]
+
+
+json_docs = st.recursive(
+    st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(json_docs)
+def test_json_writer_matches_json_dumps(doc):
+    """Empty containers, non-ASCII text and escapes included."""
+    assert _json_text(doc) == json.dumps(doc, indent=2)

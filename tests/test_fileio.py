@@ -8,10 +8,10 @@ from conftest import cyclic, inversion_action, loop7, s3_table
 
 from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
                       CosmashInput, GF, HopfCoquasigroup, HopfQuasigroup,
-                      LongDimodule, Mat, QQ, SmashInput, Ten3, Vec, dualize,
-                      loop_algebra)
+                      LongDimodule, LoopTable, Mat, QQ, SmashInput, Ten3, Vec,
+                      dualize, loop_algebra)
 from hopfloop import fileio
-from hopfloop.errors import HopfloopError, ParseError
+from hopfloop.errors import HopfloopError, MalformedTable, ParseError
 
 
 def all_structures():
@@ -37,6 +37,27 @@ def test_cayley_roundtrip():
     for table in (cyclic(2), s3_table(), loop7()):
         text = fileio.serialize_cayley(table)
         assert fileio.serialize_cayley(fileio.parse_cayley(text)) == text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-1, n), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_parse_cayley_agrees_with_loop_table(rows):
+    """The parser range-checks each cell once and builds the table
+    unchecked; the result equals the checked LoopTable of the same rows."""
+    n = len(rows)
+    text = f"loop {n}\n" + "".join(" ".join(map(str, r)) + "\n"
+                                    for r in rows)
+    if all(0 <= v < n for r in rows for v in r):
+        T = fileio.parse_cayley(text)
+        assert T == LoopTable(rows) and T.n == n
+        assert hash(T) == hash(LoopTable(rows))
+    else:
+        with pytest.raises(ParseError, match="out of range"):
+            fileio.parse_cayley(text)
+    with pytest.raises(MalformedTable, match="empty table"):
+        fileio.parse_cayley("loop 0\n")
 
 
 def test_action_coaction_roundtrip():

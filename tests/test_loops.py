@@ -311,3 +311,21 @@ def loop_tables(draw):
 def test_check_ip_loop_matches_reference(T):
     assert (json.dumps(check_ip_loop(T).to_dict())
             == json.dumps(reference_check_ip_loop(T).to_dict()))
+
+
+def first_nonassociative_triple(T):
+    """The per-triple check is_associative had before it composed rows."""
+    n = T.n
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if T.mul(T.mul(a, b), c) != T.mul(a, T.mul(b, c)):
+                    return a, b, c
+    return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(loop_tables())
+def test_is_associative_matches_triple_loop(T):
+    witness = first_nonassociative_triple(T)
+    assert is_associative(T) == (witness is None, witness)

@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import structures_reference as ref
-from conftest import cyclic, inversion_action, klein, loop7, s3_table
+from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
+                      s3_table)
 
 from hopfloop import (GF, AlgebraData, CoactionData, CoalgebraData,
                       CosmashInput, Mat, QQ, SmashInput, Ten3, Vec,
@@ -13,7 +14,8 @@ from hopfloop import (GF, AlgebraData, CoactionData, CoalgebraData,
                       check_coq_identities, check_hopf_coquasigroup,
                       check_hopf_quasigroup, check_quasi_identities,
                       check_unital_counital, dualize, loop_algebra)
-from hopfloop.structures import HopfQuasigroup
+from hopfloop.smash import _smash_coproduct, _smash_product
+from hopfloop.structures import HopfQuasigroup, _coq_maps, _quasi_maps
 
 
 def test_group_algebras_full_suite():
@@ -190,3 +192,115 @@ def test_checkers_match_reference_on_fixtures():
     assert_same_as_reference(build_smash_coproduct(CosmashInput(
         dualize(inp.H), dualize(inp.A),
         CoactionData.dual_of_action(inp.act))))
+
+
+# --- the integer-table paths ------------------------------------------------
+#
+# assoc, coassoc, quasi* and coq* compose integer rows when the tensors they
+# read are basis maps.  The strategies below give such inputs, and every
+# report must match the per-instance reference byte for byte.
+
+GROUPS = (cyclic(2), cyclic(3), klein(), cyclic(5))
+
+
+def magma_algebra(f, t, s):
+    """Span of the magma t: e_i e_j = e_t[i][j], delta(e_i) = e_i (x) e_i,
+    counit 1, unit e_0 and S(e_h) = e_s[h]."""
+    n = len(t)
+    return HopfQuasigroup(
+        AlgebraData(Ten3(f, (n,) * 3, [(i, j, t[i][j], f.one)
+                                       for i in range(n) for j in range(n)]),
+                    Vec.basis(f, n, 0)),
+        CoalgebraData(Ten3(f, (n,) * 3, [(i, i, i, f.one) for i in range(n)]),
+                      Vec(f, [f.one] * n)),
+        Mat(f, (n, n), [(s[h], h, f.one) for h in range(n)]))
+
+
+@st.composite
+def magma_algebras(draw):
+    """A random table of order <= 5 or a group table with one cell
+    changed, over Q, GF(2) or GF(5); the antipode is the inversion
+    a -> the b with ab = 0 (if any), a permutation, or any map."""
+    f = draw(st.sampled_from((QQ, GF(2), GF(5))))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        t = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                                   max_size=n), min_size=n, max_size=n))
+    else:
+        t = [list(row) for row in draw(st.sampled_from(GROUPS)).rows]
+        n = len(t)
+        t[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.integers(0, n - 1))
+    inversion = [row.index(0) if 0 in row else 0 for row in t]
+    s = draw(st.one_of(st.just(inversion), st.permutations(range(n)),
+                       st.lists(st.integers(0, n - 1), min_size=n,
+                                max_size=n)))
+    return magma_algebra(f, t, s)
+
+
+@st.composite
+def smash_candidates(draw):
+    """The smash product of Q[H] and Q[A] (dim <= 8) under any permutation
+    action, or the smash coproduct of their duals; built without the
+    validation, so the actions need not be by automorphisms."""
+    H, A = draw(st.sampled_from(((cyclic(2), cyclic(2)),
+                                 (cyclic(2), cyclic(3)),
+                                 (cyclic(2), klein()),
+                                 (cyclic(3), cyclic(2)))))
+    perms = [tuple(range(A.n))] + [
+        draw(st.permutations(range(A.n))) for _ in range(1, H.n)]
+    inp = SmashInput(loop_algebra(H), loop_algebra(A),
+                     perm_action(QQ, H.n, perms))
+    if draw(st.booleans()):
+        return _smash_product(inp)
+    return _smash_coproduct(CosmashInput(
+        dualize(inp.H), dualize(inp.A),
+        CoactionData.dual_of_action(inp.act)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(magma_algebras())
+def test_table_paths_match_reference_on_magma_algebras(H):
+    assert H.mu.mul_rows is not None and _quasi_maps(H) is not None
+    D = dualize(H)
+    assert D.delta.comul_rows is not None and _coq_maps(D) is not None
+    assert_same_as_reference(H)
+    assert_same_as_reference(D)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(smash_candidates())
+def test_table_paths_match_reference_on_smash_candidates(X):
+    if isinstance(X, HopfQuasigroup):
+        assert X.mu.mul_rows is not None and _quasi_maps(X) is not None
+    else:
+        assert X.delta.comul_rows is not None and _coq_maps(X) is not None
+    assert_same_as_reference(X)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(s3_perturbations())
+def test_bumped_tensors_leave_the_table_paths(H):
+    """Q[S3] takes the assoc and quasi table paths and its dual the coassoc
+    and coq ones; a bump to any tensor such a path reads sends it to the
+    slab path."""
+    quasi = isinstance(H, HopfQuasigroup)
+    base = S3 if quasi else dualize(S3)
+    maps = _quasi_maps if quasi else _coq_maps
+    rows = H.mu.mul_rows if quasi else H.delta.comul_rows
+    bumped = {part for part in ("mu", "delta", "unit", "counit", "antipode")
+              if getattr(H, part) != getattr(base, part)}
+    assert maps(base) is not None
+    assert (rows is None) == (("mu" if quasi else "delta") in bumped)
+    assert (maps(H) is None) == bool(bumped - {"unit" if quasi else "counit"})
+
+
+def test_dim_zero_structure_matches_reference():
+    """The empty structure: every view is empty, every law holds."""
+    f = QQ
+    H = HopfQuasigroup(AlgebraData(Ten3(f, (0, 0, 0), ()), Vec(f, ())),
+                       CoalgebraData(Ten3(f, (0, 0, 0), ()), Vec(f, ())),
+                       Mat(f, (0, 0), ()))
+    assert H.mu.mul_rows == H.delta.comul_rows == ()
+    assert_same_as_reference(H)
+    assert_same_as_reference(dualize(H))
