@@ -22,6 +22,8 @@ The input selects the path; every other structure takes the slab loops.
 Both paths give the same report, witnesses included.
 """
 
+from collections import deque
+
 from .errors import DimMismatch
 from .fields import check_same_field
 from .report import LawAccumulator, VerificationReport
@@ -146,6 +148,9 @@ class HopfCoquasigroup(HopfStructure):
 # basis vectors, so a law is decided by composing and comparing integer
 # rows (tensors.assoc_mismatches, tensors.quasi_rows), every row of it.
 #
+# Mismatches are produced lazily and never stored: every row is still
+# compared, but a law keeps only its first mismatch or least slab index.
+#
 # * assoc and quasi*: the first mismatching instance is the witness, and
 #   its two sides are its two basis vectors.
 # * coassoc and coq*: each is the transpose of a law of the dual (assoc,
@@ -156,6 +161,20 @@ class HopfCoquasigroup(HopfStructure):
 #   is the least min(l, r).  Only that slab is built, by the helper the
 #   slab loop uses (_coassoc_slab, _coq_slabs), and compared as usual, so
 #   the witness is the slab loop's.
+
+
+def _first(items):
+    """The first of the iterator `items`, or None; the rest are produced
+    (every row compared) but not kept."""
+    first = next(items, None)
+    deque(items, maxlen=0)
+    return first
+
+
+def _least_slab(items):
+    """The least min(l, r) over the (..., l, r) mismatches `items`, or
+    None: the first slab of the transposed law that fails."""
+    return min((min(lhs, rhs) for *_, lhs, rhs in items), default=None)
 
 
 def check_unital_counital(H):
@@ -203,9 +222,9 @@ def check_associativity(H, informational=False):
     rows = H.mu.mul_rows
     if rows is not None:
         # the first failing triple, and both its sides, single basis vectors
-        bad = list(assoc_mismatches(rows))
-        if bad:
-            i, j, k, lhs, rhs = bad[0]
+        bad = _first(assoc_mismatches(rows))
+        if bad is not None:
+            i, j, k, lhs, rhs = bad
             acc.check_slab((i, j, k), {lhs: f.one}, {rhs: f.one}, (), (n,))
         acc.finish()
         return rep
@@ -258,8 +277,8 @@ def check_coassociativity(H, informational=False):
         # delta is coassociative exactly when its transpose, the product
         # of the dual, is associative, and a mismatch l != r there makes
         # slabs l and r differ: only the least such slab is built.
-        bad = [min(lhs, rhs) for *_, lhs, rhs in assoc_mismatches(rows)]
-        slabs = [min(bad)] if bad else []
+        least = _least_slab(assoc_mismatches(rows))
+        slabs = () if least is None else (least,)
     for i in slabs:
         acc.check_slab((i,), *_coassoc_slab(H, i), (), (n, n, n))
     acc.finish()
@@ -332,34 +351,36 @@ def check_bialgebra_compat(H):
     return rep
 
 
-def _quasi_maps(H):
-    """(mu rows, antipode map) when the quasi identities of H compose basis
-    maps: mu and S basis maps, delta grouplike and the counit 1 on every
-    basis vector; else None."""
-    rows, s, one = H.mu.mul_rows, H.antipode.column_map, H.field.one
-    if (rows is None or s is None or not H.delta.is_diagonal()
-            or any(c != one for c in H.counit.data)):
+def _table_maps(rows, s, diag, ones):
+    """(rows, s) when the quasi identities read from them compose basis
+    maps: rows and s basis-map views, the tensor `diag` diagonal and the
+    vector `ones` 1 on every basis vector; else None.  For quasi* these are
+    mu.mul_rows, S.column_map, delta and the counit; for coq*, the same
+    views of dualize(H) read from H: delta.comul_rows, S.row_map, mu and
+    the unit, since the coq identities of H are the transposes of the quasi
+    identities of its dual and each holds exactly when its dual holds."""
+    if (rows is None or s is None or not diag.is_diagonal()
+            or any(c != ones.field.one for c in ones.data)):
         return None
     return rows, s
+
+
+def _quasi_maps(H):
+    return _table_maps(H.mu.mul_rows, H.antipode.column_map, H.delta,
+                       H.counit)
 
 
 def _coq_maps(H):
-    """_quasi_maps of dualize(H), read from H's own tensors.  The coq
-    identities of H are the transposes of the quasi identities of its dual,
-    so each holds exactly when its dual holds."""
-    rows, s, one = H.delta.comul_rows, H.antipode.row_map, H.field.one
-    if (rows is None or s is None or not H.mu.is_diagonal()
-            or any(c != one for c in H.unit.data)):
-        return None
-    return rows, s
+    return _table_maps(H.delta.comul_rows, H.antipode.row_map, H.mu, H.unit)
 
 
 def _quasi_mismatches(maps):
-    """Per quasi law (1.left, 1.right, 2.left, 2.right), every (h, g, l, r)
-    where the law's basis image l at (h, g) is not r = g."""
+    """Per quasi law (1.left, 1.right, 2.left, 2.right), a lazy iterator of
+    every (h, g, l, r) where the law's basis image l at (h, g) is not
+    r = g."""
     rows, s = maps
     expected = [tuple(range(len(rows)))] * len(rows)
-    return [list(mismatches(law, expected))
+    return [mismatches(law, expected)
             for law in quasi_rows(rows, list(enumerate(s)))]
 
 
@@ -375,9 +396,9 @@ def check_quasi_identities(H):
             ("quasi1.left", "quasi1.right", "quasi2.left", "quasi2.right")]
     maps = _quasi_maps(H)
     if maps is not None:
-        for acc, bad in zip(accs, _quasi_mismatches(maps)):
-            if bad:
-                h, g, lhs, rhs = bad[0]
+        for acc, bad in zip(accs, map(_first, _quasi_mismatches(maps))):
+            if bad is not None:
+                h, g, lhs, rhs = bad
                 acc.check_slab((h, g), {lhs: f.one}, {rhs: f.one}, (), (n,))
             acc.finish()
         return rep
@@ -483,8 +504,8 @@ def check_coq_identities(H):
     if maps is not None:
         # Only the least slab of each failing law is built, as in coassoc.
         for law, (acc, bad) in enumerate(zip(accs, _quasi_mismatches(maps))):
-            if bad:
-                h = min(min(lhs, rhs) for *_, lhs, rhs in bad)
+            h = _least_slab(bad)
+            if h is not None:
                 slab, expected = _coq_slabs(H, anti, h)[law]
                 acc.check_slab((h,), slab, expected, (), (n, n))
     else:

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,9 @@ from hopfloop import (GF, AlgebraData, CoactionData, CoalgebraData,
                       check_hopf_quasigroup, check_quasi_identities,
                       check_unital_counital, dualize, loop_algebra)
 from hopfloop.smash import _smash_coproduct, _smash_product
-from hopfloop.structures import HopfQuasigroup, _coq_maps, _quasi_maps
+from hopfloop.structures import (HopfQuasigroup, _coq_maps, _quasi_maps,
+                                 check_associativity,
+                                 check_coassociativity)
 
 
 def test_group_algebras_full_suite():
@@ -293,6 +297,30 @@ def test_bumped_tensors_leave_the_table_paths(H):
     assert maps(base) is not None
     assert (rows is None) == (("mu" if quasi else "delta") in bumped)
     assert (maps(H) is None) == bool(bumped - {"unit" if quasi else "counit"})
+
+
+def test_table_paths_keep_no_mismatch_list():
+    """On a dim-48 magma algebra where most triples fail, the table paths
+    keep only the first mismatch or the least failing slab: a list of every
+    mismatch would take megabytes.  Each checker is traced on its second
+    call, once the cached views exist; the failing slabs, hence the
+    witnesses, are small (1 is the product of one pair only)."""
+    n = 48
+    rng = random.Random(48)
+    t = [[rng.randrange(2, n) for _ in range(n)] for _ in range(n)]
+    t[0][0], t[2][3] = 0, 1
+    H = magma_algebra(QQ, t, range(n))
+    D = dualize(H)
+    for check, X in ((check_associativity, H), (check_quasi_identities, H),
+                     (check_coassociativity, D), (check_coq_identities, D)):
+        check(X)
+        tracemalloc.start()
+        try:
+            rep = check(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rep.ok and peak < 2 ** 19, (check, peak)
 
 
 def test_dim_zero_structure_matches_reference():
