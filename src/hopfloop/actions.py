@@ -4,12 +4,20 @@ An ActionData stores h . e_m = sum_{m'} rho[h, m, m'] e_{m'}; a CoactionData
 stores rho(e_m) = sum_{m',h} rho[m, m', h] e_{m'} (x) e_h.  Both are sparse
 tensors that reference dimensions only, so the same tensor can be checked
 against different candidate Hopf structures.
+
+The law checkers work one slab at a time, as in `hopfloop.structures`: a
+slab holds the instances of a law that share a fixed first index, as one
+dict per side keyed by the flat int inst * prod(out_dims) + out, terms
+summed in place with d[k] = add(d[k], t) if k in d else t, and
+LawAccumulator.check_slab compares the two sides once per slab.  A law
+with one instance per basis vector of M whose other side is the identity
+(the unit and counit laws) is one slab of every instance.
 """
 
 from .errors import DimMismatch
 from .fields import check_same_field
 from .report import LawAccumulator, VerificationReport
-from .tensors import SparseTensor, sadd, sscale
+from .tensors import SparseTensor
 
 
 class ActionData(SparseTensor):
@@ -101,14 +109,7 @@ class CoactionData(SparseTensor):
         """Nonzeros of rho(e_m) as ((m', h), coeff) pairs."""
         return self._by_first[m]
 
-    def coact(self, mu):
-        """Apply to a sparse element of M; result keyed (m', h)."""
-        f = self.field
-        out = {}
-        for (m,), a in mu.items():
-            for (mh, c) in self._pairs(m):
-                sadd(f, out, mh, f.mul(a, c))
-        return out
+
 
 
 def _require_action_dims(H, act):
@@ -123,23 +124,47 @@ def _require_coaction_dims(H, coact):
         raise DimMismatch(f"coaction H_dim {coact.h_dim} != structure dim {H.dim}")
 
 
+def _require_target(T, data, message):
+    """T, the (co)algebra or structure acted on, shares the field of the
+    (co)action `data` and has its carrier dim."""
+    check_same_field(data.field, T.field)
+    if T.dim != data.m_dim:
+        raise DimMismatch(message)
+
+
+def _identity_law(rep, f, law_id, n, terms):
+    """A law saying a map sends every e_m of an n-dim space to e_m, from
+    the (m, k, coeff) terms of the image of each e_m; one slab."""
+    add, out = f.add, {}
+    for m, k, t in terms:
+        key = m * n + k
+        out[key] = add(out[key], t) if key in out else t
+    acc = LawAccumulator(rep, f, law_id)
+    acc.check_slab((), out, {m * n + m: f.one for m in range(n)}, (n,), (n,))
+    acc.finish()
+
+
 def _unital(rep, f, law_id, H, act):
     """1 . m = m over every basis vector of M."""
-    acc = LawAccumulator(rep, f, law_id)
-    one = H.unit.nonzero()
-    for m in range(act.m_dim):
-        out = {}
-        for u, a in one:
-            for k, c in act._pairs(u, m):
-                sadd(f, out, (k,), f.mul(a, c))
-        acc.check((m,), out, {(m,): f.one})
-    acc.finish()
+    mul, pairs = f.mul, act._pairs
+    _identity_law(rep, f, law_id, act.m_dim, (
+        (m, k, mul(a, c)) for m in range(act.m_dim)
+        for u, a in H.unit.nonzero() for k, c in pairs(u, m)))
+
+
+def _counital(rep, f, law_id, H, coact):
+    """(id (x) counit) rho(m) = m over every basis vector of M."""
+    mul = f.mul
+    _identity_law(rep, f, law_id, coact.m_dim, (
+        (m, m1, mul(c, H.counit[h])) for m in range(coact.m_dim)
+        for (m1, h), c in coact._pairs(m)))
 
 
 def check_quasimodule(H, act):
     """Unitality plus the two antipode-cancellation laws of the action."""
     _require_action_dims(H, act)
     f = H.field
+    add, mul, n = f.add, f.mul, act.m_dim
     split, anti, pairs = H.delta.split_pairs, H.antipode.column, act._pairs
     rep = VerificationReport()
     _unital(rep, f, "qm.unital", H, act)
@@ -148,24 +173,27 @@ def check_quasimodule(H, act):
     for h in range(H.dim):
         dh = split(h)
         eps = H.counit[h]
-        for m in range(act.m_dim):
-            expected = {(m,): eps} if eps != f.zero else {}
-            lhs, rhs = {}, {}
+        expected = {m * n + m: eps for m in range(n)}
+        lhs, rhs = {}, {}
+        for m in range(n):
+            base = m * n
             for (h1, h2), c in dh:
                 # h1 . (S(h2) . m)
                 for x, a in anti(h2):
                     for k, b in pairs(x, m):
-                        ab = f.mul(c, f.mul(a, b))
+                        ab = mul(c, mul(a, b))
                         for k2, v in pairs(h1, k):
-                            sadd(f, lhs, (k2,), f.mul(ab, v))
+                            key, t = base + k2, mul(ab, v)
+                            lhs[key] = add(lhs[key], t) if key in lhs else t
                 # S(h1) . (h2 . m)
                 for x, a in anti(h1):
                     for k, b in pairs(h2, m):
-                        ab = f.mul(c, f.mul(a, b))
+                        ab = mul(c, mul(a, b))
                         for k2, v in pairs(x, k):
-                            sadd(f, rhs, (k2,), f.mul(ab, v))
-            left.check((h, m), lhs, expected)
-            right.check((h, m), rhs, expected)
+                            key, t = base + k2, mul(ab, v)
+                            rhs[key] = add(rhs[key], t) if key in rhs else t
+        left.check_slab((h,), lhs, expected, (n,), (n,))
+        right.check_slab((h,), rhs, expected, (n,), (n,))
     left.finish()
     right.finish()
     return rep
@@ -175,52 +203,48 @@ def check_module(H, act):
     """Strict unital associative module laws (the coquasigroup-side input)."""
     _require_action_dims(H, act)
     f = H.field
+    add, mul, n = f.add, f.mul, act.m_dim
     pairs = act._pairs
     rep = VerificationReport()
     _unital(rep, f, "mod.unital", H, act)
     assoc = LawAccumulator(rep, f, "mod.assoc")
     for h in range(H.dim):
+        lhs, rhs = {}, {}
         for g in range(H.dim):
             hg = H.mu.mul_pairs(h, g)
-            for m in range(act.m_dim):
-                lhs, rhs = {}, {}
+            for m in range(n):
+                base = (g * n + m) * n
                 for k, b in pairs(g, m):
                     for k2, v in pairs(h, k):
-                        sadd(f, lhs, (k2,), f.mul(b, v))
+                        key, t = base + k2, mul(b, v)
+                        lhs[key] = add(lhs[key], t) if key in lhs else t
                 for x, a in hg:
                     for k, v in pairs(x, m):
-                        sadd(f, rhs, (k,), f.mul(a, v))
-                assoc.check((h, g, m), lhs, rhs)
+                        key, t = base + k, mul(a, v)
+                        rhs[key] = add(rhs[key], t) if key in rhs else t
+        assoc.check_slab((h,), lhs, rhs, (H.dim, n), (n,))
     assoc.finish()
     return rep
-
-
-def _counital(f, H, rm):
-    """(id (x) counit) of a coaction value given as ((m, h), coeff) pairs."""
-    out = {}
-    for (m1, h), c in rm:
-        sadd(f, out, (m1,), f.mul(c, H.counit[h]))
-    return out
 
 
 def check_comodule(H, coact):
     """Counital and coassociative right comodule laws."""
     _require_coaction_dims(H, coact)
     f = H.field
+    add, mul, n, nh = f.add, f.mul, coact.m_dim, H.dim
     rep = VerificationReport()
-    counital = LawAccumulator(rep, f, "comod.counital")
+    _counital(rep, f, "comod.counital", H, coact)
     coassoc = LawAccumulator(rep, f, "comod.coassoc")
-    for m in range(coact.m_dim):
-        rm = coact._pairs(m)
-        counital.check((m,), _counital(f, H, rm), {(m,): f.one})
+    for m in range(n):
         lhs, rhs = {}, {}
-        for (m1, h), c in rm:
+        for (m1, h), c in coact._pairs(m):
             for (m2, h2), c2 in coact._pairs(m1):
-                sadd(f, lhs, (m2, h2, h), f.mul(c, c2))
+                key, t = (m2 * nh + h2) * nh + h, mul(c, c2)
+                lhs[key] = add(lhs[key], t) if key in lhs else t
             for (a, b), c2 in H.delta.split_pairs(h):
-                sadd(f, rhs, (m1, a, b), f.mul(c, c2))
-        coassoc.check((m,), lhs, rhs)
-    counital.finish()
+                key, t = (m1 * nh + a) * nh + b, mul(c, c2)
+                rhs[key] = add(rhs[key], t) if key in rhs else t
+        coassoc.check_slab((m,), lhs, rhs, (), (n, nh, nh))
     coassoc.finish()
     return rep
 
@@ -229,32 +253,32 @@ def check_quasicomodule(H, coact):
     """Counitality plus the two antipode-cancellation laws of the coaction."""
     _require_coaction_dims(H, coact)
     f = H.field
-    mul, anti = H.mu.mul_pairs, H.antipode.column
+    add, mul, n, nh = f.add, f.mul, coact.m_dim, H.dim
+    hmul, anti = H.mu.mul_pairs, H.antipode.column
     rep = VerificationReport()
-    counital = LawAccumulator(rep, f, "cqm.counital")
+    _counital(rep, f, "cqm.counital", H, coact)
     left = LawAccumulator(rep, f, "cqm2.left")
     right = LawAccumulator(rep, f, "cqm2.right")
     one = H.unit.nonzero()
-    for m in range(coact.m_dim):
-        rm = coact._pairs(m)
-        counital.check((m,), _counital(f, H, rm), {(m,): f.one})
-        expected = {(m, u): b for u, b in one}
+    for m in range(n):
+        expected = {m * nh + u: b for u, b in one}
         lhs, rhs = {}, {}
-        for (m0, h), c in rm:
+        for (m0, h), c in coact._pairs(m):
             sh = anti(h)
             for (m00, h0), c2 in coact._pairs(m0):
-                cc = f.mul(c, c2)
+                cc, base = mul(c, c2), m00 * nh
                 # h0 S(h)
                 for x, a in sh:
-                    for y, v in mul(h0, x):
-                        sadd(f, lhs, (m00, y), f.mul(cc, f.mul(a, v)))
+                    for y, v in hmul(h0, x):
+                        key, t = base + y, mul(cc, mul(a, v))
+                        lhs[key] = add(lhs[key], t) if key in lhs else t
                 # S(h0) h
                 for x, a in anti(h0):
-                    for y, v in mul(x, h):
-                        sadd(f, rhs, (m00, y), f.mul(cc, f.mul(a, v)))
-        left.check((m,), lhs, expected)
-        right.check((m,), rhs, expected)
-    counital.finish()
+                    for y, v in hmul(x, h):
+                        key, t = base + y, mul(cc, mul(a, v))
+                        rhs[key] = add(rhs[key], t) if key in rhs else t
+        left.check_slab((m,), lhs, expected, (), (n, nh))
+        right.check_slab((m,), rhs, expected, (), (n, nh))
     left.finish()
     right.finish()
     return rep
@@ -296,39 +320,43 @@ def tensor_coaction(H, co1, co2):
 def check_qm_algebra(H, alg, act):
     """Action respects the product and unit of the target algebra."""
     _require_action_dims(H, act)
-    if alg.dim != act.m_dim:
-        raise DimMismatch("algebra dim != action M_dim")
+    _require_target(alg, act, "algebra dim != action M_dim")
     f = H.field
+    add, mul, n = f.add, f.mul, alg.dim
     amul, pairs = alg.mu.mul_pairs, act._pairs
     rep = VerificationReport()
     mult = LawAccumulator(rep, f, "qmalg.mult")
     for h in range(H.dim):
         dh = H.delta.split_pairs(h)
-        for a in range(alg.dim):
-            for b in range(alg.dim):
-                lhs, rhs = {}, {}
-                # (h1 . a)(h2 . b)
-                for (h1, h2), c in dh:
-                    for x, u in pairs(h1, a):
-                        for y, v in pairs(h2, b):
-                            uv = f.mul(c, f.mul(u, v))
-                            for k, w in amul(x, y):
-                                sadd(f, lhs, (k,), f.mul(uv, w))
-                # h . (ab)
-                for x, u in amul(a, b):
-                    for k, w in pairs(h, x):
-                        sadd(f, rhs, (k,), f.mul(u, w))
-                mult.check((h, a, b), lhs, rhs)
+        lhs, rhs = {}, {}
+        for ab in range(n * n):
+            (a, b), base = divmod(ab, n), ab * n
+            # (h1 . a)(h2 . b)
+            for (h1, h2), c in dh:
+                for x, u in pairs(h1, a):
+                    for y, v in pairs(h2, b):
+                        uv = mul(c, mul(u, v))
+                        for k, w in amul(x, y):
+                            key, t = base + k, mul(uv, w)
+                            lhs[key] = add(lhs[key], t) if key in lhs else t
+            # h . (ab)
+            for x, u in amul(a, b):
+                for k, w in pairs(h, x):
+                    key, t = base + k, mul(u, w)
+                    rhs[key] = add(rhs[key], t) if key in rhs else t
+        mult.check_slab((h,), lhs, rhs, (n, n), (n,))
     mult.finish()
     unit = LawAccumulator(rep, f, "qmalg.unit")
     one_a = alg.unit.nonzero()
-    one_sparse = {(i,): c for i, c in one_a}
+    lhs = {}
     for h in range(H.dim):
-        lhs = {}
         for x, u in one_a:
             for k, w in pairs(h, x):
-                sadd(f, lhs, (k,), f.mul(u, w))
-        unit.check((h,), lhs, sscale(f, one_sparse, H.counit[h]))
+                key, t = h * n + k, mul(u, w)
+                lhs[key] = add(lhs[key], t) if key in lhs else t
+    unit.check_slab((), lhs, {h * n + i: mul(c, H.counit[h])
+                              for h in range(H.dim) for i, c in one_a},
+                    (H.dim,), (n,))
     unit.finish()
     return rep
 
@@ -336,35 +364,35 @@ def check_qm_algebra(H, alg, act):
 def check_qm_coalgebra(H, coalg, act):
     """Action respects the coproduct and counit of the target coalgebra."""
     _require_action_dims(H, act)
-    if coalg.dim != act.m_dim:
-        raise DimMismatch("coalgebra dim != action M_dim")
+    _require_target(coalg, act, "coalgebra dim != action M_dim")
     f = H.field
-    csplit, pairs = coalg.delta.split_pairs, act._pairs
+    add, mul, n = f.add, f.mul, coalg.dim
+    csplit, pairs, ceps = coalg.delta.split_pairs, act._pairs, coalg.counit
     rep = VerificationReport()
     comult = LawAccumulator(rep, f, "qmcoalg.comult")
     counit = LawAccumulator(rep, f, "qmcoalg.counit")
     for h in range(H.dim):
         dh = H.delta.split_pairs(h)
-        for cidx in range(coalg.dim):
-            hc = pairs(h, cidx)
-            lhs = {}
-            lhs_eps = f.zero
-            for x, v in hc:
-                for jk, w in csplit(x):
-                    sadd(f, lhs, jk, f.mul(v, w))
-                lhs_eps = f.add(lhs_eps, f.mul(v, coalg.counit[x]))
-            rhs = {}
+        lhs, rhs, lhs_eps, rhs_eps = {}, {}, {}, {}
+        for cidx in range(n):
+            base = cidx * n * n
+            eps = f.zero
+            for x, v in pairs(h, cidx):
+                for (j, k), w in csplit(x):
+                    key, t = base + j * n + k, mul(v, w)
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
+                eps = add(eps, mul(v, ceps[x]))
+            lhs_eps[cidx] = eps
             for (h1, h2), c in dh:
                 for (c1, c2), c2v in csplit(cidx):
-                    cc = f.mul(c, c2v)
+                    cc = mul(c, c2v)
                     for x, v1 in pairs(h1, c1):
                         for y, v2 in pairs(h2, c2):
-                            sadd(f, rhs, (x, y), f.mul(cc, f.mul(v1, v2)))
-            comult.check((h, cidx), lhs, rhs)
-            rhs_eps = f.mul(H.counit[h], coalg.counit[cidx])
-            counit.check((h, cidx),
-                         {(): lhs_eps} if lhs_eps != f.zero else {},
-                         {(): rhs_eps} if rhs_eps != f.zero else {})
+                            key, t = base + x * n + y, mul(cc, mul(v1, v2))
+                            rhs[key] = add(rhs[key], t) if key in rhs else t
+            rhs_eps[cidx] = mul(H.counit[h], ceps[cidx])
+        comult.check_slab((h,), lhs, rhs, (n,), (n, n))
+        counit.check_slab((h,), lhs_eps, rhs_eps, (n,), ())
     comult.finish()
     counit.finish()
     return rep
@@ -373,74 +401,70 @@ def check_qm_coalgebra(H, coalg, act):
 def check_antipode_linear(H, A, act):
     """S of the acted-on Hopf structure commutes with the action."""
     _require_action_dims(H, act)
-    if A.dim != act.m_dim:
-        raise DimMismatch("structure dim != action M_dim")
+    _require_target(A, act, "structure dim != action M_dim")
     f = H.field
+    add, mul, n = f.add, f.mul, A.dim
     anti, pairs = A.antipode.column, act._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "antipode.linear")
     for h in range(H.dim):
-        for a in range(A.dim):
-            lhs, rhs = {}, {}
+        lhs, rhs = {}, {}
+        for a in range(n):
+            base = a * n
             for x, v in pairs(h, a):
                 for y, s in anti(x):
-                    sadd(f, lhs, (y,), f.mul(v, s))
+                    key, t = base + y, mul(v, s)
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
             for x, s in anti(a):
                 for k, w in pairs(h, x):
-                    sadd(f, rhs, (k,), f.mul(s, w))
-            acc.check((h, a), lhs, rhs)
+                    key, t = base + k, mul(s, w)
+                    rhs[key] = add(rhs[key], t) if key in rhs else t
+        acc.check_slab((h,), lhs, rhs, (n,), (n,))
     acc.finish()
     return rep
-
-
-def tensor_mul(f, mu1, mu2, u2, v2):
-    """Product on a tensor product of algebras, (a(x)b)(c(x)d) = ac (x) bd
-    with mu1 on the first leg and mu2 on the second, of ((a, b), coeff)
-    pair sequences."""
-    mul1, mul2 = mu1.mul_pairs, mu2.mul_pairs
-    out = {}
-    for (a, b), ca in u2:
-        for (c, d), cb in v2:
-            ac = mul1(a, c)
-            if not ac:
-                continue
-            coeff = f.mul(ca, cb)
-            for x, cx in ac:
-                for y, cy in mul2(b, d):
-                    sadd(f, out, (x, y), f.mul(coeff, f.mul(cx, cy)))
-    return out
-
-
-def tensor2(field, u, v):
-    """Tensor product of two 1-leg sparse elements as a 2-leg element."""
-    out = {}
-    for (i,), a in u.items():
-        for (j,), b in v.items():
-            sadd(field, out, (i, j), field.mul(a, b))
-    return out
 
 
 def check_coqm_algebra(H, alg, coact):
     """Coaction is an algebra map into A (x) H."""
     _require_coaction_dims(H, coact)
-    if alg.dim != coact.m_dim:
-        raise DimMismatch("algebra dim != coaction M_dim")
+    _require_target(alg, coact, "algebra dim != coaction M_dim")
     f = H.field
+    add, mul, n, nh = f.add, f.mul, alg.dim, H.dim
+    amul, hmul, pairs = alg.mu.mul_pairs, H.mu.mul_pairs, coact._pairs
     rep = VerificationReport()
     mult = LawAccumulator(rep, f, "coqmalg.mult")
-    for a in range(alg.dim):
-        ra = coact._pairs(a)
-        for b in range(alg.dim):
-            lhs = {}
-            for x, u in alg.mu.mul_pairs(a, b):
-                for mh, c in coact._pairs(x):
-                    sadd(f, lhs, mh, f.mul(u, c))
-            rhs = tensor_mul(f, alg.mu, H.mu, ra, coact._pairs(b))
-            mult.check((a, b), lhs, rhs)
+    for a in range(n):
+        ra = pairs(a)
+        lhs, rhs = {}, {}
+        for b in range(n):
+            base = b * n * nh
+            # rho(ab)
+            for x, u in amul(a, b):
+                for (y, k), c in pairs(x):
+                    key, t = base + y * nh + k, mul(u, c)
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
+            # rho(a) rho(b), multiplied leg by leg in A and in H
+            for (a1, h1), ca in ra:
+                for (b1, g1), cb in pairs(b):
+                    ab = amul(a1, b1)
+                    if not ab:
+                        continue
+                    coeff = mul(ca, cb)
+                    for x, cx in ab:
+                        for y, cy in hmul(h1, g1):
+                            key, t = base + x * nh + y, mul(coeff, mul(cx, cy))
+                            rhs[key] = add(rhs[key], t) if key in rhs else t
+        mult.check_slab((a,), lhs, rhs, (n,), (n, nh))
     mult.finish()
     unit = LawAccumulator(rep, f, "coqmalg.unit")
-    one_a = {(i,): c for i, c in alg.unit.nonzero()}
-    unit.check((), coact.coact(one_a), tensor2(f, one_a, H.unit_sparse()))
+    one_a, one_h = alg.unit.nonzero(), H.unit.nonzero()
+    lhs = {}
+    for i, a in one_a:
+        for (y, k), c in pairs(i):
+            key, t = y * nh + k, mul(a, c)
+            lhs[key] = add(lhs[key], t) if key in lhs else t
+    unit.check_slab((), lhs, {i * nh + j: mul(a, b) for i, a in one_a
+                              for j, b in one_h}, (), (n, nh))
     unit.finish()
     return rep
 
@@ -448,30 +472,34 @@ def check_coqm_algebra(H, alg, coact):
 def check_coqm_coalgebra(H, coalg, coact):
     """Coaction and coproduct of C commute in the comodule-coalgebra sense."""
     _require_coaction_dims(H, coact)
-    if coalg.dim != coact.m_dim:
-        raise DimMismatch("coalgebra dim != coaction M_dim")
+    _require_target(coalg, coact, "coalgebra dim != coaction M_dim")
     f = H.field
+    add, mul, n, nh = f.add, f.mul, coalg.dim, H.dim
     csplit, pairs = coalg.delta.split_pairs, coact._pairs
     rep = VerificationReport()
     comult = LawAccumulator(rep, f, "coqmcoalg.comult")
     counit = LawAccumulator(rep, f, "coqmcoalg.counit")
-    one = H.unit_sparse()
-    for cidx in range(coalg.dim):
+    one = H.unit.nonzero()
+    for cidx in range(n):
         lhs, lhs_eps = {}, {}
         for (c0, h), c in pairs(cidx):
             for (c1, c2), c2v in csplit(c0):
-                sadd(f, lhs, (c1, c2, h), f.mul(c, c2v))
-            sadd(f, lhs_eps, (h,), f.mul(c, coalg.counit[c0]))
+                key, t = (c1 * n + c2) * nh + h, mul(c, c2v)
+                lhs[key] = add(lhs[key], t) if key in lhs else t
+            t = mul(c, coalg.counit[c0])
+            lhs_eps[h] = add(lhs_eps[h], t) if h in lhs_eps else t
         rhs = {}
         for (c1, c2), cv in csplit(cidx):
             for (c10, h1), v1 in pairs(c1):
                 for (c20, h2), v2 in pairs(c2):
-                    cc = f.mul(cv, f.mul(v1, v2))
+                    cc, base = mul(cv, mul(v1, v2)), (c10 * n + c20) * nh
                     for k, c in H.mu.mul_pairs(h1, h2):
-                        sadd(f, rhs, (c10, c20, k), f.mul(cc, c))
-        comult.check((cidx,), lhs, rhs)
-        counit.check((cidx,), lhs_eps,
-                     sscale(f, one, coalg.counit[cidx]))
+                        key, t = base + k, mul(cc, c)
+                        rhs[key] = add(rhs[key], t) if key in rhs else t
+        comult.check_slab((cidx,), lhs, rhs, (), (n, n, nh))
+        eps = coalg.counit[cidx]
+        counit.check_slab((cidx,), lhs_eps, {u: mul(b, eps) for u, b in one},
+                          (), (nh,))
     comult.finish()
     counit.finish()
     return rep
@@ -480,20 +508,22 @@ def check_coqm_coalgebra(H, coalg, coact):
 def check_antipode_colinear(H, C, coact):
     """S of the coacted-on Hopf structure is a comodule map."""
     _require_coaction_dims(H, coact)
-    if C.dim != coact.m_dim:
-        raise DimMismatch("structure dim != coaction M_dim")
+    _require_target(C, coact, "structure dim != coaction M_dim")
     f = H.field
+    add, mul, n, nh = f.add, f.mul, C.dim, H.dim
     anti, pairs = C.antipode.column, coact._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "antipode.colinear")
-    for cidx in range(C.dim):
+    for cidx in range(n):
         lhs, rhs = {}, {}
         for x, s in anti(cidx):
-            for mh, c in pairs(x):
-                sadd(f, lhs, mh, f.mul(s, c))
+            for (y, k), c in pairs(x):
+                key, t = y * nh + k, mul(s, c)
+                lhs[key] = add(lhs[key], t) if key in lhs else t
         for (c0, h), c in pairs(cidx):
             for x, v in anti(c0):
-                sadd(f, rhs, (x, h), f.mul(c, v))
-        acc.check((cidx,), lhs, rhs)
+                key, t = x * nh + h, mul(c, v)
+                rhs[key] = add(rhs[key], t) if key in rhs else t
+        acc.check_slab((cidx,), lhs, rhs, (), (n, nh))
     acc.finish()
     return rep

@@ -6,13 +6,14 @@ preconditions differ (quasimodule + comodule over a Hopf quasigroup,
 module + quasicomodule over a Hopf coquasigroup).
 """
 
-from .actions import (ActionData, CoactionData, check_comodule, check_module,
-                      check_quasicomodule, check_quasimodule, diagonal_action,
-                      tensor_coaction)
+from .actions import (ActionData, CoactionData, _identity_law, check_comodule,
+                      check_module, check_quasicomodule, check_quasimodule,
+                      diagonal_action, tensor_coaction)
 from .errors import DimMismatch, HMismatch
+from .fields import check_same_field
 from .report import LawAccumulator, VerificationReport
 from .structures import HopfQuasigroup
-from .tensors import Mat, pair_index, sadd
+from .tensors import Mat, pair_index
 
 OVER_QUASIGROUP = "quasigroup"
 OVER_COQUASIGROUP = "coquasigroup"
@@ -31,6 +32,8 @@ class LongDimodule:
             raise DimMismatch("action and coaction carrier dims differ")
         if act.h_dim != H.dim or coact.h_dim != H.dim:
             raise DimMismatch("action/coaction dims do not match H")
+        check_same_field(H.field, act.field)
+        check_same_field(H.field, coact.field)
         self.H = H
         self.act = act
         self.coact = coact
@@ -51,19 +54,23 @@ class LongDimodule:
 def check_compatibility(D):
     """rho(h.m) = h.m^(0) (x) m^(1) over all basis pairs (law ldm1)."""
     f = D.field
+    add, mul, n, nh = f.add, f.mul, D.dim, D.H.dim
     act, coact = D.act._pairs, D.coact._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "ldm1")
-    for h in range(D.H.dim):
-        for m in range(D.dim):
-            lhs, rhs = {}, {}
+    for h in range(nh):
+        lhs, rhs = {}, {}
+        for m in range(n):
+            base = m * n * nh
             for x, v in act(h, m):
-                for mh, c in coact(x):
-                    sadd(f, lhs, mh, f.mul(v, c))
+                for (y, k), c in coact(x):
+                    key, t = base + y * nh + k, mul(v, c)
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
             for (m0, h1), c in coact(m):
                 for x, v in act(h, m0):
-                    sadd(f, rhs, (x, h1), f.mul(c, v))
-            acc.check((h, m), lhs, rhs)
+                    key, t = base + x * nh + h1, mul(c, v)
+                    rhs[key] = add(rhs[key], t) if key in rhs else t
+        acc.check_slab((h,), lhs, rhs, (n,), (n, nh))
     acc.finish()
     return rep
 
@@ -172,40 +179,55 @@ def check_lemma_identities(D):
     """
     f = D.field
     H = D.H
+    add, mul, n, nh = f.add, f.mul, D.dim, H.dim
     rep = VerificationReport()
     suffix = "p" if D.variant == OVER_QUASIGROUP else "cp"
     acc1 = LawAccumulator(rep, f, f"ldm{suffix}1")
     acc2 = LawAccumulator(rep, f, f"ldm{suffix}2")
+    act, coact, anti = D.act._pairs, D.coact._pairs, H.antipode.column
 
-    act, anti = D.act._pairs, H.antipode.column
+    def coacted(u, base):
+        """rho(u) for u = {k: coeff} in M, keyed base + m' * nh + h."""
+        out = {}
+        for k, a in u.items():
+            for (y, h), c in coact(k):
+                key, t = base + y * nh + h, mul(a, c)
+                out[key] = add(out[key], t) if key in out else t
+        return out
 
-    def inner(m):
-        """S(m^(1)) . m^(0) and its split form S(m^(1)_(2)) . m^(0) (x) m^(1)_(1)."""
+    for m in range(n):
+        # S(m^(1)) . m^(0) by k, and S(m^(1)_(2)) . m^(0) (x) m^(1)_(1)
+        # by k * nh + h1
         plain, split = {}, {}
-        for (m0, h), c in D.coact._pairs(m):
+        for (m0, h), c in coact(m):
             for x, s in anti(h):
                 for k, v in act(x, m0):
-                    sadd(f, plain, (k,), f.mul(c, f.mul(s, v)))
+                    t = mul(c, mul(s, v))
+                    plain[k] = add(plain[k], t) if k in plain else t
             for (h1, h2), c2 in H.delta.split_pairs(h):
-                cc = f.mul(c, c2)
+                cc = mul(c, c2)
                 for x, s in anti(h2):
                     for k, v in act(x, m0):
-                        sadd(f, split, (k, h1), f.mul(cc, f.mul(s, v)))
-        return plain, split
-
-    for m in range(D.dim):
-        plain, split = inner(m)
-        acc1.check((m,), D.coact.coact(plain), split)
-        for h in range(H.dim):
-            hplain, rhs = {}, {}
-            for (x,), c in plain.items():
+                        key, t = k * nh + h1, mul(cc, mul(s, v))
+                        split[key] = add(split[key], t) if key in split else t
+        acc1.check_slab((m,), coacted(plain, 0), split, (), (n, nh))
+        # The instances (h, m) of ldm2 are walked m outside h: the slab of
+        # this m holds them all and leaves the other m's instances empty.
+        lhs, rhs = {}, {}
+        for h in range(nh):
+            base = (h * n + m) * n * nh
+            hplain = {}
+            for x, c in plain.items():
                 for y, v in act(h, x):
-                    sadd(f, hplain, (y,), f.mul(c, v))
-            for (x, h1), c in split.items():
+                    t = mul(c, v)
+                    hplain[y] = add(hplain[y], t) if y in hplain else t
+            lhs.update(coacted(hplain, base))
+            for xh, c in split.items():
+                x, h1 = divmod(xh, nh)
                 for y, v in act(h, x):
-                    sadd(f, rhs, (y, h1), f.mul(c, v))
-            lhs = D.coact.coact(hplain)
-            acc2.check((h, m), lhs, rhs)
+                    key, t = base + y * nh + h1, mul(c, v)
+                    rhs[key] = add(rhs[key], t) if key in rhs else t
+        acc2.check_slab((), lhs, rhs, (nh, n), (n, nh))
     acc1.finish()
     acc2.finish()
     return rep
@@ -220,56 +242,50 @@ def check_adjunction(H, D):
     quasimodule sides.
     """
     f = H.field
+    add, mul, n, nd = f.add, f.mul, H.dim, D.dim
     rep = VerificationReport()
-    n = H.dim
     free = build_from_quasimodule(H, D.act)
+    nf = free.dim
     coact = D.coact._pairs
-
-    def eta(u):  # (m, coeff) pairs of M -> sparse element of M (x) H
-        out = {}
-        for m, a in u:
-            for (m0, h1), c in coact(m):
-                sadd(f, out, (pair_index(m0, h1, n),), f.mul(a, c))
-        return out
-
     linear = LawAccumulator(rep, f, "adj.unit_linear")
     colinear = LawAccumulator(rep, f, "adj.unit_colinear")
-    for m in range(D.dim):
-        im = {(pair_index(m0, h1, n),): c for (m0, h1), c in coact(m)}
+    for m in range(nd):
+        im = [(pair_index(m0, h1, n), c) for (m0, h1), c in coact(m)]
+        # unit_linear walks m outside h, as ldm2 does
+        lhs, rhs = {}, {}
         for h in range(n):
-            him = {}
-            for (j,), b in im.items():
+            base = (h * nd + m) * nf
+            # eta(h . m)
+            for m1, a in D.act._pairs(h, m):
+                for (m0, h1), c in coact(m1):
+                    key, t = base + pair_index(m0, h1, n), mul(a, c)
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
+            # h . eta(m)
+            for j, b in im:
                 for k, c in free.act._pairs(h, j):
-                    sadd(f, him, (k,), f.mul(b, c))
-            linear.check((h, m), eta(D.act._pairs(h, m)), him)
-        lhs = free.coact.coact(im)
-        rhs = {}
+                    key, t = base + k, mul(b, c)
+                    rhs[key] = add(rhs[key], t) if key in rhs else t
+        linear.check_slab((), lhs, rhs, (n, nd), (nf,))
+        lhs, rhs = {}, {}
+        for j, a in im:
+            for (j2, h2), c in free.coact._pairs(j):
+                key, t = j2 * n + h2, mul(a, c)
+                lhs[key] = add(lhs[key], t) if key in lhs else t
         for (m0, h1), c in coact(m):
             for (m00, h2), v in coact(m0):
-                sadd(f, rhs, (pair_index(m00, h2, n), h1), f.mul(c, v))
-        colinear.check((m,), lhs, rhs)
+                key, t = pair_index(m00, h2, n) * n + h1, mul(c, v)
+                rhs[key] = add(rhs[key], t) if key in rhs else t
+        colinear.check_slab((m,), lhs, rhs, (), (nf, n))
     linear.finish()
     colinear.finish()
-
-    tri1 = LawAccumulator(rep, f, "adj.triangle1")
-    for m in range(D.dim):
-        out = {}
-        for (m0, h1), c in coact(m):
-            sadd(f, out, (m0,), f.mul(c, H.counit[h1]))
-        tri1.check((m,), out, {(m,): f.one})
-    tri1.finish()
-
-    # second triangle on the free dimodule over the underlying quasimodule
-    tri2 = LawAccumulator(rep, f, "adj.triangle2")
-    for i in range(free.dim):
-        # (sigma (x) id) o (id (x) delta) with sigma = id (x) counit
-        collapsed = {}
-        for (j, h1), c in free.coact._pairs(i):
-            m0, k1 = divmod(j, n)
-            sadd(f, collapsed, (pair_index(m0, h1, n),),
-                 f.mul(c, H.counit[k1]))
-        tri2.check((i,), collapsed, {(i,): f.one})
-    tri2.finish()
+    _identity_law(rep, f, "adj.triangle1", nd, (
+        (m, m0, mul(c, H.counit[h1]))
+        for m in range(nd) for (m0, h1), c in coact(m)))
+    # second triangle on the free dimodule over the underlying quasimodule:
+    # (sigma (x) id) o (id (x) delta) with sigma = id (x) counit
+    _identity_law(rep, f, "adj.triangle2", nf, (
+        (i, pair_index(j // n, h1, n), mul(c, H.counit[j % n]))
+        for i in range(nf) for (j, h1), c in free.coact._pairs(i)))
     return rep
 
 

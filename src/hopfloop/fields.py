@@ -43,32 +43,7 @@ def _is_prime(p):
     return True
 
 
-class Field:
-    """Common interface of the two concrete fields."""
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def format(self, a):
-        raise NotImplementedError
-
-    def parse(self, text, line=None):
-        raise NotImplementedError
-
-
-class RationalField(Field):
+class RationalField:
     """The field of rational numbers: ints when integral, else Fractions."""
 
     zero = 0
@@ -117,7 +92,7 @@ class RationalField(Field):
         return "QQ"
 
 
-class PrimeField(Field):
+class PrimeField:
     """GF(p) with residues stored as ints in [0, p)."""
 
     def __init__(self, p):

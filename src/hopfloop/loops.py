@@ -8,7 +8,7 @@ loops of an order up to isomorphism.
 
 from .errors import BudgetExceeded, MalformedTable, NotIPLoop
 from .fields import QQ
-from .report import LawAccumulator, VerificationReport
+from .report import VerificationReport, Witness
 from .structures import AlgebraData, CoalgebraData, HopfQuasigroup
 from .tensors import Mat, Ten3, Vec, assoc_mismatches, mismatches, quasi_rows
 
@@ -68,75 +68,56 @@ class LoopTable:
         return b
 
 
-def _elem(v):
-    return {(v,): "1"}
+def _elem_law(rep, law_id, bad):
+    """Add law_id to rep, failing at bad = (indices, got, want) unless bad
+    is None; each side is one loop element with coefficient 1."""
+    if bad is None:
+        rep.add(law_id, True)
+    else:
+        indices, got, want = bad
+        rep.add(law_id, False, Witness(indices, (((got,), "1"),),
+                                       (((want,), "1"),)))
 
 
-class _ElemAccumulator(LawAccumulator):
-    """LawAccumulator over loop elements rather than field scalars."""
-
-    def __init__(self, report, law_id):
-        super().__init__(report, QQ, law_id)
-
-    def check_elems(self, indices, lhs, rhs):
-        self.check(indices, _elem(lhs), _elem(rhs))
+def _first_repeat(lines):
+    """((i,), v, -1) for the first line i that is not a permutation, v its
+    least repeated value; None when every line is one."""
+    full = list(range(len(lines)))
+    for i, line in enumerate(lines):
+        line = sorted(line)
+        if line != full:
+            return (i,), next(v for v, w in zip(line[1:], line) if v == w), -1
+    return None
 
 
 def check_ip_loop(T):
     """Latin square, identity, two-sided inverses and the four IP laws."""
     n, rows = T.n, T.rows
-    cols = tuple(zip(*rows))
     rep = VerificationReport()
-
-    full = list(range(n))
-    rows_ok = _ElemAccumulator(rep, "latin.rows")
-    cols_ok = _ElemAccumulator(rep, "latin.cols")
-    for a in range(n):
-        row = sorted(rows[a])
-        if row != full:
-            # witness: the first repeated value in the offending line
-            dup = next(v for i, v in enumerate(row[1:], 1) if v == row[i - 1])
-            rows_ok.check_elems((a,), dup, -1)
-    for c in range(n):
-        col = sorted(cols[c])
-        if col != full:
-            dup = next(v for i, v in enumerate(col[1:], 1) if v == col[i - 1])
-            cols_ok.check_elems((c,), dup, -1)
-    rows_ok.finish()
-    cols_ok.finish()
-
-    ident = _ElemAccumulator(rep, "identity")
-    for a in range(n):
-        ident.check_elems((0, a), T.mul(0, a), a)
-        ident.check_elems((a, 0), T.mul(a, 0), a)
-    ident.finish()
-
-    inv_ok = _ElemAccumulator(rep, "inverse.exists")
-    inv = {}
-    for a in range(n):
-        b = T.inverse_of(a)
-        if b is None:
-            inv_ok.check_elems((a,), -1, 0)
-        else:
-            inv[a] = b
-    inv_ok.finish()
+    _elem_law(rep, "latin.rows", _first_repeat(rows))
+    _elem_law(rep, "latin.cols", _first_repeat(tuple(zip(*rows))))
+    _elem_law(rep, "identity", next(
+        (((i, j), rows[i][j], a) for a in range(n)
+         for i, j in ((0, a), (a, 0)) if rows[i][j] != a), None))
+    inv = {a: T.inverse_of(a) for a in range(n)}
+    _elem_law(rep, "inverse.exists", next(
+        (((a,), -1, 0) for a, b in inv.items() if b is None), None))
 
     # For one a, each law composes two rows (or two columns) of the table
     # and compares the result with the identity b -> b: the Hopf quasigroup
     # identities of the loop algebra, with S(a) = a^-1.
-    elems = list(inv.items())
-    expected = [tuple(full)] * len(elems)
+    elems = [(a, b) for a, b in inv.items() if b is not None]
+    expected = [tuple(range(n))] * len(elems)
     q1l, q1r, q2l, q2r = quasi_rows(rows, elems)
     for law_id, law in (("ip.left_cancel", q1r),    # a(a^-1 b)
                         ("ip.left_return", q1l),    # a^-1(ab)
                         ("ip.right_return", q2r),   # (ba^-1)a
                         ("ip.right_cancel", q2l)):  # (ba)a^-1
-        acc = _ElemAccumulator(rep, law_id)
         bad = next(mismatches(law, expected), None)
         if bad is not None:
             m, b, got, _ = bad
-            acc.check_elems((elems[m][0], b), got, b)
-        acc.finish()
+            bad = (elems[m][0], b), got, b
+        _elem_law(rep, law_id, bad)
     return rep
 
 

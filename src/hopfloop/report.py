@@ -108,15 +108,6 @@ class LawAccumulator:
         self.failed = False
         self.witness = None
 
-    def check(self, indices, lhs, rhs):
-        if lhs != rhs:
-            if not self.failed:
-                self.witness = Witness(
-                    indices,
-                    witness_side(self.field, lhs),
-                    witness_side(self.field, rhs))
-            self.failed = True
-
     def check_slab(self, prefix, lhs, rhs, inst_dims, out_dims):
         """Compare the instances sharing the fixed first input `prefix`.
 

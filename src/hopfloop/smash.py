@@ -15,7 +15,7 @@ from .report import LawAccumulator, VerificationReport
 from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
                          HopfQuasigroup, check_hopf_coquasigroup,
                          check_hopf_quasigroup)
-from .tensors import Mat, Ten3, Vec, pair_index, sadd
+from .tensors import Mat, Ten3, Vec, pair_index
 
 
 class SmashInput:
@@ -66,19 +66,23 @@ class CosmashInput:
 def check_cocommu(inp):
     """h_(1) (x) h_(2).a = h_(2) (x) h_(1).a for all basis h, a."""
     f = inp.H.field
+    add, mul, nh, na = f.add, f.mul, inp.H.dim, inp.A.dim
     pairs = inp.act._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "cocommu")
-    for h in range(inp.H.dim):
+    for h in range(nh):
         split = inp.H.delta.split_pairs(h)
-        for a in range(inp.A.dim):
-            lhs, rhs = {}, {}
+        lhs, rhs = {}, {}
+        for a in range(na):
+            base = a * nh
             for (h1, h2), c in split:
                 for x, v in pairs(h2, a):
-                    sadd(f, lhs, (h1, x), f.mul(c, v))
+                    key, t = (base + h1) * na + x, mul(c, v)
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
                 for x, v in pairs(h1, a):
-                    sadd(f, rhs, (h2, x), f.mul(c, v))
-            acc.check((h, a), lhs, rhs)
+                    key, t = (base + h2) * na + x, mul(c, v)
+                    rhs[key] = add(rhs[key], t) if key in rhs else t
+        acc.check_slab((h,), lhs, rhs, (na,), (nh, na))
     acc.finish()
     return rep
 
@@ -92,41 +96,41 @@ def check_modass(inp):
     """
     H = inp.H
     f = H.field
-    mul, pairs = H.mu.mul_pairs, inp.act._pairs
+    add, mul, nh, na = f.add, f.mul, H.dim, inp.A.dim
+    hmul, pairs = H.mu.mul_pairs, inp.act._pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "modass")
     strict = LawAccumulator(rep, f, "modass.strict", informational=True)
-
-    def act_g(g, t):
-        """e_g . t for t given as (basis index of A, coeff) pairs."""
-        out = {}
-        for k, b in t:
-            for k2, v in pairs(g, k):
-                sadd(f, out, (k2,), f.mul(b, v))
-        return out
-
-    def act_on(u, a):
-        """u . e_a for u given as (basis index of H, coeff) pairs."""
-        out = {}
-        for x, s in u:
-            for k, v in pairs(x, a):
-                sadd(f, out, (k,), f.mul(s, v))
-        return out
-
-    for g in range(H.dim):
-        for h in range(H.dim):
+    for g in range(nh):
+        # Each side at (h, a) is the sum of s (e_x . e_k) over its terms
+        # (x, s, k), listed below with the inner product or action done.
+        slabs = ({}, {}, {}, {})
+        for h in range(nh):
             sh = H.antipode.column(h)
             gsh = {}
             for x, s in sh:
-                for k, c in mul(g, x):
-                    sadd(f, gsh, k, f.mul(s, c))
-            gsh = list(gsh.items())
-            gh = mul(g, h)
-            for a in range(inp.A.dim):
-                sha = [(k, f.mul(s, b)) for x, s in sh for k, b in pairs(x, a)]
-                acc.check((g, h, a), act_g(g, sha), act_on(gsh, a))
-                strict.check((g, h, a), act_g(g, pairs(h, a)),
-                             act_on(gh, a))
+                for k, c in hmul(g, x):
+                    t = mul(s, c)
+                    gsh[k] = add(gsh[k], t) if k in gsh else t
+            for a in range(na):
+                base = (h * na + a) * na
+                terms = (
+                    # g.(S(h).a)
+                    [(g, mul(s, b), k) for x, s in sh for k, b in pairs(x, a)],
+                    # (gS(h)).a
+                    [(x, s, a) for x, s in gsh.items()],
+                    # g.(h.a)
+                    [(g, b, k) for k, b in pairs(h, a)],
+                    # (gh).a
+                    [(x, s, a) for x, s in hmul(g, h)])
+                for slab, side in zip(slabs, terms):
+                    for x, s, k in side:
+                        for k2, v in pairs(x, k):
+                            key, t = base + k2, mul(s, v)
+                            slab[key] = add(slab[key], t) if key in slab else t
+        lhs, rhs, slhs, srhs = slabs
+        acc.check_slab((g,), lhs, rhs, (nh, na), (na,))
+        strict.check_slab((g,), slhs, srhs, (nh, na), (na,))
     acc.finish()
     strict.finish()
     return rep
@@ -164,16 +168,15 @@ def _smash_product(inp):
                 for g in range(nH):
                     j = pair_index(b, g, nH)
                     for (h1, h2), c in split(h):
-                        left = {}
-                        for y, v in pairs(h1, b):
-                            for x, w in A.mu.mul_pairs(a, y):
-                                sadd(f, left, x, f.mul(v, w))
                         right = H.mu.mul_pairs(h2, g)
-                        for x, u in left.items():
-                            for y, v in right:
-                                mu_entries.append(
-                                    (i, j, pair_index(x, y, nH),
-                                     f.mul(c, f.mul(u, v))))
+                        # a (h1 . b) (x) h2 g, one entry per term
+                        for z, v in pairs(h1, b):
+                            for x, w in A.mu.mul_pairs(a, z):
+                                u = f.mul(v, w)
+                                for y, v2 in right:
+                                    mu_entries.append(
+                                        (i, j, pair_index(x, y, nH),
+                                         f.mul(c, f.mul(u, v2))))
     unit = [f.zero] * n
     for a, ca in A.unit.nonzero():
         for h, ch in H.unit.nonzero():
@@ -197,17 +200,15 @@ def _smash_product(inp):
         for h in range(nH):
             j = pair_index(a, h, nH)
             for (h1, h2), c in split(h):
-                # S(h2) . S(a)
-                acted = {}
+                # S(h2) . S(a) (x) S(h1), one entry per term
                 for z, s in anti(h2):
                     for t, w in sa:
                         sw = f.mul(s, w)
                         for x, v in pairs(z, t):
-                            sadd(f, acted, x, f.mul(sw, v))
-                for x, u in acted.items():
-                    for y, v in anti(h1):
-                        s_entries.append((pair_index(x, y, nH), j,
-                                          f.mul(c, f.mul(u, v))))
+                            u = f.mul(sw, v)
+                            for y, v1 in anti(h1):
+                                s_entries.append((pair_index(x, y, nH), j,
+                                                  f.mul(c, f.mul(u, v1))))
 
     return HopfQuasigroup(
         AlgebraData(Ten3.from_entries(f, n, mu_entries), Vec(f, unit)),
@@ -220,19 +221,23 @@ def check_commu(inp):
     """c^(0) (x) c^(1)h = c^(0) (x) hc^(1) for all basis c, h."""
     H = inp.H
     f = H.field
-    mul = H.mu.mul_pairs
+    add, mul, nh, nc = f.add, f.mul, H.dim, inp.C.dim
+    hmul = H.mu.mul_pairs
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "commu")
-    for c in range(inp.C.dim):
+    for c in range(nc):
         co = inp.coact._pairs(c)
-        for h in range(H.dim):
-            lhs, rhs = {}, {}
+        lhs, rhs = {}, {}
+        for h in range(nh):
             for (c0, c1), v in co:
-                for x, u in mul(c1, h):
-                    sadd(f, lhs, (c0, x), f.mul(v, u))
-                for x, u in mul(h, c1):
-                    sadd(f, rhs, (c0, x), f.mul(v, u))
-            acc.check((c, h), lhs, rhs)
+                base = (h * nc + c0) * nh
+                for x, u in hmul(c1, h):
+                    key, t = base + x, mul(v, u)
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
+                for x, u in hmul(h, c1):
+                    key, t = base + x, mul(v, u)
+                    rhs[key] = add(rhs[key], t) if key in rhs else t
+        acc.check_slab((c,), lhs, rhs, (nh,), (nc, nh))
     acc.finish()
     return rep
 
@@ -241,19 +246,22 @@ def check_comodcoass(inp):
     """c^(0)(0) (x) S(c^(0)(1)) (x) c^(1) = c^(0) (x) S(c^(1)_(1)) (x) c^(1)_(2)."""
     H = inp.H
     f = H.field
+    add, mul, nh, nc = f.add, f.mul, H.dim, inp.C.dim
     pairs, anti = inp.coact._pairs, H.antipode.column
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "comodcoass")
-    for c in range(inp.C.dim):
+    for c in range(nc):
         lhs, rhs = {}, {}
         for (c0, c1), v in pairs(c):
             for (c00, c01), w in pairs(c0):
                 for x, u in anti(c01):
-                    sadd(f, lhs, (c00, x, c1), f.mul(v, f.mul(w, u)))
+                    key, t = (c00 * nh + x) * nh + c1, mul(v, mul(w, u))
+                    lhs[key] = add(lhs[key], t) if key in lhs else t
             for (h1, h2), w in H.delta.split_pairs(c1):
                 for x, u in anti(h1):
-                    sadd(f, rhs, (c0, x, h2), f.mul(v, f.mul(w, u)))
-        acc.check((c,), lhs, rhs)
+                    key, t = (c0 * nh + x) * nh + h2, mul(v, mul(w, u))
+                    rhs[key] = add(rhs[key], t) if key in rhs else t
+        acc.check_slab((c,), lhs, rhs, (), (nc, nh, nh))
     acc.finish()
     return rep
 
@@ -320,15 +328,13 @@ def _smash_coproduct(inp):
         for c in range(nC):
             j = pair_index(h, c, nC)
             for (c0, c1), v in pairs(c):
-                # S(h c1)
-                shc1 = {}
+                # S(h c1) (x) S(c0), one entry per term
                 for z, a in mul(h, c1):
                     for x, s in H.antipode.column(z):
-                        sadd(f, shc1, x, f.mul(a, s))
-                for x, u in shc1.items():
-                    for y, w in C.antipode.column(c0):
-                        s_entries.append((pair_index(x, y, nC), j,
-                                          f.mul(v, f.mul(u, w))))
+                        u = f.mul(a, s)
+                        for y, w in C.antipode.column(c0):
+                            s_entries.append((pair_index(x, y, nC), j,
+                                              f.mul(v, f.mul(u, w))))
 
     return HopfCoquasigroup(
         AlgebraData(Ten3.from_entries(f, n, mu_entries), Vec(f, unit)),

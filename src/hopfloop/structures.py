@@ -114,11 +114,6 @@ class HopfStructure:
                 and self.unit == other.unit and self.counit == other.counit
                 and self.antipode == other.antipode)
 
-    # -- sparse element operations (dict keyed by 1-tuples of basis index) --
-
-    def unit_sparse(self):
-        return {(i,): c for i, c in self.unit.nonzero()}
-
 
 class HopfQuasigroup(HopfStructure):
     """Coassociative coalgebra, possibly nonassociative algebra."""

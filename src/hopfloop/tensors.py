@@ -318,29 +318,3 @@ def quasi_rows(t, inverse):
             [after_col[h](cols[sh]) for h, sh in inverse],
             [after_col[sh](cols[h]) for h, sh in inverse])
 
-
-# --- sparse elements -------------------------------------------------------
-#
-# Intermediate values in law checks are sparse linear combinations of basis
-# tensors, represented as dicts mapping an index tuple to a nonzero scalar.
-
-
-def sadd(field, acc, key, coeff):
-    """Accumulate coeff at key, dropping exact zeros."""
-    if coeff == field.zero:
-        return
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = coeff
-    else:
-        s = field.add(cur, coeff)
-        if s == field.zero:
-            del acc[key]
-        else:
-            acc[key] = s
-
-
-def sscale(field, d, coeff):
-    if coeff == field.zero:
-        return {}
-    return {k: field.mul(c, coeff) for k, c in d.items()}

@@ -7,8 +7,10 @@ fresh dicts per triple) and is kept only so that `check_d_equation` can be
 tested against it.
 """
 
-from hopfloop.report import LawAccumulator, VerificationReport
-from hopfloop.tensors import pair_index, sadd
+from instance_reference import LawAccumulator, sadd
+
+from hopfloop.report import VerificationReport
+from hopfloop.tensors import pair_index
 
 
 def check_d_equation_per_triple(R):

@@ -5,7 +5,8 @@ Kept only as the reference of a differential test: reports must be
 byte-identical in JSON.
 """
 
-from hopfloop.loops import _ElemAccumulator
+from instance_reference import _ElemAccumulator
+
 from hopfloop.report import VerificationReport
 
 

@@ -6,8 +6,10 @@ one slab at a time: every basis tuple builds fresh sparse dicts with
 the slab checkers can be tested against them, report for report.
 """
 
-from hopfloop.report import LawAccumulator, VerificationReport
-from hopfloop.tensors import sadd, sscale
+from instance_reference import (LawAccumulator, sadd, sscale, tensor2,
+                                tensor_mul, unit_sparse)
+
+from hopfloop.report import VerificationReport
 
 
 def counit_scalar(H, u):
@@ -24,15 +26,6 @@ def split_sparse_tensor(f, delta, u):
     for (i,), a in u.items():
         for (j, k), c in delta.split_pairs(i):
             sadd(f, out, (j, k), f.mul(a, c))
-    return out
-
-
-def tensor2(field, u, v):
-    """Tensor product of two 1-leg sparse elements as a 2-leg element."""
-    out = {}
-    for (i,), a in u.items():
-        for (j,), b in v.items():
-            sadd(field, out, (i, j), field.mul(a, b))
     return out
 
 
@@ -111,24 +104,6 @@ def check_coassociativity(H, informational=False):
     return rep
 
 
-def tensor_mul(f, mu1, mu2, u2, v2):
-    """Product on a tensor product of algebras, (a(x)b)(c(x)d) = ac (x) bd
-    with mu1 on the first leg and mu2 on the second, of ((a, b), coeff)
-    pair sequences."""
-    mul1, mul2 = mu1.mul_pairs, mu2.mul_pairs
-    out = {}
-    for (a, b), ca in u2:
-        for (c, d), cb in v2:
-            ac = mul1(a, c)
-            if not ac:
-                continue
-            coeff = f.mul(ca, cb)
-            for x, cx in ac:
-                for y, cy in mul2(b, d):
-                    sadd(f, out, (x, y), f.mul(coeff, f.mul(cx, cy)))
-    return out
-
-
 def check_bialgebra_compat(H):
     """Delta and epsilon are algebra homomorphisms."""
     f = H.field
@@ -152,7 +127,7 @@ def check_bialgebra_compat(H):
                      {(): rhs} if rhs != f.zero else {})
     dm.finish()
     cm.finish()
-    one = H.unit_sparse()
+    one = unit_sparse(H)
     du = LawAccumulator(rep, f, "bialg.delta_unit")
     du.check((), split_sparse_tensor(f, H.delta, one), tensor2(f, one, one))
     du.finish()
@@ -266,7 +241,7 @@ def check_antipode_basic(H):
     f = H.field
     mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
     rep = VerificationReport()
-    one = H.unit_sparse()
+    one = unit_sparse(H)
     cv_l = LawAccumulator(rep, f, "antipode.conv_left")
     cv_r = LawAccumulator(rep, f, "antipode.conv_right")
     anti_co = LawAccumulator(rep, f, "antipode.anticomult")

@@ -1,14 +1,16 @@
 import pytest
 
-from conftest import inversion_action, klein, loop7, perm_action, s3_table
+from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
+                      s3_table)
 
-from hopfloop import (ActionData, CoactionData, QQ, check_antipode_colinear,
+from hopfloop import (GF, ActionData, CoactionData, QQ,
+                      check_antipode_colinear,
                       check_antipode_linear, check_comodule,
                       check_coqm_algebra, check_coqm_coalgebra, check_module,
                       check_qm_algebra, check_qm_coalgebra,
                       check_quasicomodule, check_quasimodule,
                       diagonal_action, dualize, loop_algebra, tensor_coaction)
-from hopfloop.errors import DimMismatch
+from hopfloop.errors import DimMismatch, FieldMismatch
 
 
 def _bad_action(field=QQ):
@@ -113,3 +115,30 @@ def test_dim_mismatch_guard(H2):
     other = loop_algebra(klein())
     with pytest.raises(DimMismatch):
         check_quasimodule(other, inversion_action())
+
+
+
+TARGET_CHECKS = ((check_qm_algebra, "algebra"),
+                 (check_qm_coalgebra, "coalgebra"),
+                 (check_antipode_linear, "structure"))
+COTARGET_CHECKS = ((check_coqm_algebra, "algebra"),
+                   (check_coqm_coalgebra, "coalgebra"),
+                   (check_antipode_colinear, "structure"))
+
+
+def test_target_guards(H2):
+    act = inversion_action()
+    H2d, co = dualize(H2), CoactionData.dual_of_action(act)
+    gf5, klein4 = loop_algebra(cyclic(3), field=GF(5)), loop_algebra(klein())
+    for check, target in TARGET_CHECKS:
+        with pytest.raises(FieldMismatch):
+            check(H2, gf5, act)
+        with pytest.raises(DimMismatch,
+                           match=f"^{target} dim != action M_dim$"):
+            check(H2, klein4, act)
+    for check, target in COTARGET_CHECKS:
+        with pytest.raises(FieldMismatch):
+            check(H2d, dualize(gf5), co)
+        with pytest.raises(DimMismatch,
+                           match=f"^{target} dim != coaction M_dim$"):
+            check(H2d, dualize(klein4), co)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import cyclic, inversion_action, loop7
+from conftest import cyclic, inversion_action, loop7, perm_action
 from d_equation_reference import check_d_equation_per_triple
 from test_acceptance import _dimodule_fixture_set
 
@@ -15,7 +15,7 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, LongDimodule,
                       check_long_dimodule, d_map, dualize, loop_algebra,
                       tensor_dimodule, trivial_action_dimodule,
                       trivial_coaction_dimodule, unit_dimodule)
-from hopfloop.errors import DimMismatch, HMismatch
+from hopfloop.errors import DimMismatch, FieldMismatch, HMismatch
 
 
 def free_dimodule(H2):
@@ -231,3 +231,33 @@ def test_dim_guards(H2, H3):
         LongDimodule(H2, inversion_action(), CoactionData.trivial(H2, 4))
     with pytest.raises(DimMismatch):
         LongDimodule(H3, inversion_action(), CoactionData.trivial(H3, 3))
+
+
+def test_mixed_fields_refused(H2):
+    H5 = loop_algebra(cyclic(2), field=GF(5))
+    with pytest.raises(FieldMismatch):
+        LongDimodule(H2, ActionData.trivial(H5, 2),
+                     CoactionData.trivial(H2, 2))
+    with pytest.raises(FieldMismatch):
+        LongDimodule(H2, ActionData.trivial(H2, 2),
+                     CoactionData.trivial(H5, 2))
+
+
+def test_m_major_witnesses(H2):
+    """ldmp2 and adj.unit_linear walk m outside h and report (h, m): the
+    witness is their first failing instance in m-major order, not the
+    least (h, m)."""
+    one = QQ.one
+    # g swaps e0 and e1, rho(e0) = e0 (x) 1 and rho(e1) = e0 (x) g:
+    # ldmp2 fails at (1, 0), (0, 1) and (1, 1)
+    D = LongDimodule(H2, perm_action(QQ, 2, [(0, 1), (1, 0)]),
+                     CoactionData.from_entries(
+                         QQ, 2, 2, [(0, 0, 0, one), (1, 0, 1, one)]))
+    assert check_lemma_identities(D).law("ldmp2").witness.indices == (1, 0)
+    # 1 . e1 = e0, g . e0 = e1 and rho(e1) = e1 (x) g: adj.unit_linear
+    # fails at (1, 0) and (0, 1)
+    D = LongDimodule(H2, ActionData.from_entries(
+                         QQ, 2, 2, [(1, 0, 1, one), (0, 1, 0, one)]),
+                     CoactionData.from_entries(QQ, 2, 2, [(1, 1, 1, one)]))
+    linear = check_adjunction(H2, D).law("adj.unit_linear")
+    assert linear.witness.indices == (1, 0)

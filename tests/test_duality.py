@@ -4,15 +4,23 @@ law's verdict on dualize(X).
 The dual of a law is the law between the transposed maps, and two maps are
 equal exactly when their transposes are, so the pairs below hold on every
 structure, failing ones included, whatever the checker's evaluation path.
-Both the checkers and the per-instance reference are held to it.
+Both the checkers and the per-instance references are held to it.
+
+For an action of H on A, the dual input is the coaction
+`CoactionData.dual_of_action` of dualize(H) on the same A: A itself is not
+dualized.
 """
 
 from hypothesis import given, settings, strategies as st
 
+import instance_reference
 import structures_reference as ref
+from test_module_laws import action_inputs
 from test_structures import magma_algebras, random_structures
 
-from hopfloop import check_hopf_coquasigroup, check_hopf_quasigroup, dualize
+import hopfloop
+from hopfloop import (CoactionData, CosmashInput, SmashInput,
+                      check_hopf_coquasigroup, check_hopf_quasigroup, dualize)
 
 DUAL_LAWS = (
     ("assoc", "coassoc"),
@@ -44,3 +52,43 @@ def assert_dual_verdicts(X):
 @given(st.one_of(random_structures(), magma_algebras()))
 def test_dual_laws_agree_on_dual_structures(X):
     assert_dual_verdicts(X)
+
+
+ACTION_DUAL_LAWS = (
+    ("qm.unital", "cqm.counital"),
+    ("qm2.left", "cqm2.left"), ("qm2.right", "cqm2.right"),
+    ("mod.unital", "comod.counital"), ("mod.assoc", "comod.coassoc"),
+    ("qmalg.mult", "coqmalg.mult"), ("qmalg.unit", "coqmalg.unit"),
+    ("qmcoalg.comult", "coqmcoalg.comult"),
+    ("qmcoalg.counit", "coqmcoalg.counit"),
+    ("antipode.linear", "antipode.colinear"),
+    ("cocommu", "commu"),
+)
+
+
+def action_verdicts(checkers, H, A, act):
+    """law id -> passed, over the action laws of (H, A, act) and the
+    coaction laws of its dual, as decided by the module `checkers`."""
+    D, co = dualize(H), CoactionData.dual_of_action(act)
+    reports = (checkers.check_quasimodule(H, act),
+               checkers.check_module(H, act),
+               checkers.check_qm_algebra(H, A, act),
+               checkers.check_qm_coalgebra(H, A, act),
+               checkers.check_antipode_linear(H, A, act),
+               checkers.check_cocommu(SmashInput(H, A, act)),
+               checkers.check_quasicomodule(D, co),
+               checkers.check_comodule(D, co),
+               checkers.check_coqm_algebra(D, A, co),
+               checkers.check_coqm_coalgebra(D, A, co),
+               checkers.check_antipode_colinear(D, A, co),
+               checkers.check_commu(CosmashInput(D, A, co)))
+    return {e.law_id: e.passed for rep in reports for e in rep.entries}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(action_inputs())
+def test_dual_action_laws_agree(inp):
+    for checkers in (hopfloop, instance_reference):
+        verdicts = action_verdicts(checkers, *inp)
+        for law, dual in ACTION_DUAL_LAWS:
+            assert verdicts[law] == verdicts[dual], (law, dual)

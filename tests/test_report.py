@@ -13,26 +13,11 @@ from hopfloop.report import LawAccumulator, Witness, witness_side
 def test_accumulator_passes_when_all_equal():
     rep = VerificationReport()
     acc = LawAccumulator(rep, QQ, "law.x")
-    acc.check((0,), {(0,): QQ.one}, {(0,): QQ.one})
+    acc.check_slab((0,), {0: QQ.one}, {0: QQ.one}, (), (1,))
     assert acc.finish()
     assert rep.ok
     entry = rep.law("law.x")
     assert entry.passed and entry.witness is None
-
-
-def test_accumulator_records_first_witness_only():
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, QQ, "law.y")
-    acc.check((0, 1), {(0,): QQ.one}, {})
-    acc.check((2, 3), {}, {(1,): QQ.one})
-    acc.finish()
-    entry = rep.law("law.y")
-    assert not entry.passed
-    assert entry.witness.indices == (0, 1)
-    assert entry.witness.lhs == (((0,), "1"),)
-    assert entry.witness.rhs == ()
-    assert rep.failing() == [entry]
-    assert not rep.ok
 
 
 def _slab_entry(*slabs):
@@ -119,7 +104,7 @@ def test_slab_key_shape_scalar():
 def test_informational_entries_do_not_affect_verdict():
     rep = VerificationReport()
     acc = LawAccumulator(rep, QQ, "law.info", informational=True)
-    acc.check((0,), {(0,): QQ.one}, {})
+    acc.check_slab((0,), {0: QQ.one}, {}, (), (1,))
     acc.finish()
     assert rep.ok
     assert not rep.law("law.info").passed

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from conftest import cyclic, inversion_action, klein, loop7, perm_action, s3_table
+from instance_reference import tensor_mul
 
 from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
                       CosmashInput, Mat, QQ, SmashInput, Ten3, Vec,
@@ -11,7 +12,6 @@ from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
                       check_hopf_coquasigroup, check_hopf_quasigroup,
                       check_modass, dualize, loop_algebra,
                       theorem_cosmash_roundtrip, theorem_smash_roundtrip)
-from hopfloop.actions import tensor_mul
 from hopfloop.errors import HypothesisNotMet, InvalidInput
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfloop import GF, QQ, Mat, Ten3, Vec
 from hopfloop.errors import DimMismatch
-from hopfloop.tensors import SparseTensor, pair_index, sadd, sscale
+from hopfloop.tensors import SparseTensor, pair_index
 
 
 def test_pair_index_roundtrip():
@@ -33,15 +33,6 @@ def test_ten3_sparse_views():
     assert list(t.mul_pairs(0, 0)) == [(1, QQ.parse("2"))]
     assert list(t.mul_pairs(0, 1)) == []
     assert dict(t.split_pairs(1)) == {(0, 0): QQ.one}
-
-
-def test_sparse_helpers_drop_zeros():
-    acc = {}
-    sadd(QQ, acc, (0,), QQ.one)
-    sadd(QQ, acc, (0,), QQ.neg(QQ.one))
-    assert acc == {}
-    d = {(1,): QQ.parse("2")}
-    assert sscale(QQ, d, QQ.zero) == {}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
