@@ -6,9 +6,9 @@ preconditions differ (quasimodule + comodule over a Hopf quasigroup,
 module + quasicomodule over a Hopf coquasigroup).
 """
 
-from .actions import (ActionData, CoactionData, _identity_law, check_comodule,
-                      check_module, check_quasicomodule, check_quasimodule,
-                      diagonal_action, tensor_coaction)
+from .actions import (ActionData, CoactionData, check_comodule, check_module,
+                      check_quasicomodule, check_quasimodule, diagonal_action,
+                      tensor_coaction)
 from .errors import DimMismatch, HMismatch
 from .fields import check_same_field
 from .report import LawAccumulator, VerificationReport
@@ -157,10 +157,13 @@ def unit_dimodule(H):
     return LongDimodule(H, act, coact)
 
 
+def _same_structure(H, K):
+    return H is K or (H.same_tensors(K) and H.field == K.field)
+
+
 def tensor_dimodule(D1, D2):
     """Diagonal action and multiplied coaction on the flattened product."""
-    if D1.H is not D2.H and not (
-            D1.H.same_tensors(D2.H) and D1.H.field == D2.H.field):
+    if not _same_structure(D1.H, D2.H):
         raise HMismatch("dimodules live over different Hopf structures")
     if D1.variant != D2.variant:
         raise HMismatch("dimodule variants differ")
@@ -233,14 +236,28 @@ def check_lemma_identities(D):
     return rep
 
 
+def _identity_law(rep, f, law_id, n, terms):
+    """A law saying a map sends every e_m of an n-dim space to e_m, from
+    the (m, k, coeff) terms of the image of each e_m; one slab."""
+    add, out = f.add, {}
+    for m, k, t in terms:
+        key = m * n + k
+        out[key] = add(out[key], t) if key in out else t
+    acc = LawAccumulator(rep, f, law_id)
+    acc.check_slab((), out, {m * n + m: f.one for m in range(n)}, (n,), (n,))
+    acc.finish()
+
+
 def check_adjunction(H, D):
     """Unit/counit data of the free-dimodule construction, element-wise.
 
     The unit is the coaction of D viewed as a map into the dimodule built on
     M (x) H; checked to be a morphism of dimodules.  The triangular
     identities reduce to counitality on both the dimodule and the
-    quasimodule sides.
+    quasimodule sides.  D must live over H (HMismatch otherwise).
     """
+    if not _same_structure(H, D.H):
+        raise HMismatch("the dimodule lives over a different Hopf structure")
     f = H.field
     add, mul, n, nd = f.add, f.mul, H.dim, D.dim
     rep = VerificationReport()

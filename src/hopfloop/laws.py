@@ -1,0 +1,225 @@
+"""Laws as declarations, and the one evaluator of the module-layer laws.
+
+Every action, coaction and smash-condition law is an equation between two
+composites of structure maps.  A law is declared by its id, its domain and
+output legs, and its two sides as chains of steps; `evaluate` checks it over
+every basis tuple of the domain.
+
+A leg is "H", a copy of the Hopf structure, or "A", a copy of the space
+acted or coacted on (the module, or the algebra, coalgebra or Hopf structure
+A whose own maps a law may use).  A chain is a space-separated string of
+steps `name@p`, applied left to right; each applies one map to the legs
+p, p+1, ... of the current tensor and puts its output legs in their place:
+
+    mu    HH -> H     delta    H -> HH    S    H -> H
+    mu_A  AA -> A     delta_A  A -> AA    S_A  A -> A
+    eta      -> H     eps      H ->       act  HA -> A
+    eta_A    -> A     eps_A    A ->       coact A -> AH
+    swap  XY -> YX
+
+so that the quasimodule law h_(1).(S(h_(2)).m) = eps(h) m is
+
+    law("qm2.left", "HA", "A", "delta@0 S@1 act@1 act@0", "eps@0").
+
+The empty chain is the identity.  A declaration is checked against the map
+signatures when it is made, so a step placed on the wrong legs fails at
+import, whatever the dims.
+
+`evaluate` walks the domain one slab of fixed first index at a time, as the
+structure laws are walked (`hopfloop.structures`); a law of rank-0 domain is
+one slab.  Each side of a slab is one dict keyed by the flat int
+inst * prod(out_dims) + out, inst the rest of the instance and out the
+output basis tuple, both row-major, and `LawAccumulator.check_slab`
+compares the two: the witness is the least failing instance.  Once a law
+has failed, its later slabs are not evaluated.
+
+Each side is computed by a loop nest compiled from its chain, once per
+chain, as `dataclasses` compiles `__init__`: the loops a checker would be
+written with by hand.  A step is one loop over the image of its input legs,
+read from the cached fibres of its map (the product table, the coproduct
+and coaction grouped by their first leg, the antipode by column), and a
+swap only renames legs.  A step sits outside the loops over the instance
+legs it does not read, so that the (S (x) id)Delta(h) of qm2.left is formed
+once per h, not once per (h, m).  The coefficients are multiplied where a
+term is stored, or before an instance loop for the steps outside it, so a
+term that an empty fibre cuts off costs no multiplication.  For qm2.left:
+
+    for (y0_0, y0_1), v0 in t[0][x0]:           # delta@0, x0 the slab's h
+        for y1_0, v1 in t[1][y0_1]:             # S@1
+            c3 = mul(v0, v1)
+            for x1 in range(nA):                # the instance m
+                for y2_0, v2 in t[2][y1_0][x1]:     # act@1
+                    for y3_0, v3 in t[3][y0_0][y2_0]:   # act@0
+                        key = (x1) * nA + y3_0
+                        ...  # add mul(mul(c3, v2), v3) to slab[key]
+"""
+
+from dataclasses import dataclass
+from functools import cached_property
+
+from .report import LawAccumulator, VerificationReport
+
+# name -> (input legs, output legs)
+SIGNATURES = {
+    "mu": ("HH", "H"), "delta": ("H", "HH"), "S": ("H", "H"),
+    "eta": ("", "H"), "eps": ("H", ""),
+    "mu_A": ("AA", "A"), "delta_A": ("A", "AA"), "S_A": ("A", "A"),
+    "eta_A": ("", "A"), "eps_A": ("A", ""),
+    "act": ("HA", "A"), "coact": ("A", "AH"),
+}
+
+
+def _counit_fibres(X):
+    zero = X.counit.field.zero
+    return tuple(((((), c),) if c != zero else ()) for c in X.counit.data)
+
+
+# The fibres of each map of a Hopf structure, algebra or coalgebra X,
+# subscripted by its input legs: (output legs, coeff) pairs, the output an
+# int for one leg and a tuple otherwise.
+_FIBRES = {
+    "mu": lambda X: X.mu.mul_table,
+    "delta": lambda X: X.delta._by_first,
+    "S": lambda X: X.antipode._by_second,
+    "eta": lambda X: tuple(X.unit.nonzero()),
+    "eps": _counit_fibres,
+}
+
+
+@dataclass(frozen=True)
+class Law:
+    """A declared law; `law` builds one from the text of its chains."""
+    law_id: str
+    domain: str
+    out: str
+    lhs: tuple  # ((name, p), ...)
+    rhs: tuple
+    informational: bool = False
+
+    @cached_property
+    def sides(self):
+        """The loop nests of both sides, compiled on first use."""
+        return (_compile(self.lhs, self.domain, self.out),
+                _compile(self.rhs, self.domain, self.out))
+
+
+def _legs_after(legs, step):
+    """The legs after `step`; ValueError if its input legs are not there."""
+    name, p = step
+    if name == "swap":
+        ins = legs[p:p + 2]
+        outs = ins[::-1]
+        if len(ins) != 2:
+            ins = "two legs"
+    else:
+        ins, outs = SIGNATURES[name]
+    if not 0 <= p <= len(legs) or legs[p:p + len(ins)] != ins:
+        raise ValueError(f"{name}@{p} needs {ins!r} at leg {p} of {legs!r}")
+    return legs[:p] + outs + legs[p + len(ins):]
+
+
+def law(law_id, domain, out, lhs, rhs, informational=False):
+    """Declare a law: both chains must take `domain` to `out`."""
+    chains = []
+    for text in (lhs, rhs):
+        chain = tuple((name, int(p)) for name, p in
+                      (step.split("@") for step in text.split()))
+        legs = domain
+        for step in chain:
+            legs = _legs_after(legs, step)
+        if legs != out:
+            raise ValueError(f"{law_id}: {text!r} ends in {legs!r}, "
+                             f"not {out!r}")
+        chains.append(chain)
+    return Law(law_id, domain, out, *chains, informational)
+
+
+def _flat(names, spaces):
+    """The row-major flat index of the legs `names` as an expression."""
+    expr = ""
+    for name, space in zip(names, spaces):
+        expr = f"({expr}) * n{space} + {name}" if expr else name
+    return expr or "0"
+
+
+def _compile(chain, domain, out):
+    """The loop nest of one side of a law declared by `law`: a function of
+    the slab's first index x0, the fibres t of each step's map, the dims nH
+    and nA, and the field's one, mul and add, that returns the side's
+    slab."""
+    legs = [f"x{i}" for i in range(len(domain))]  # the current legs' names
+    inst = legs[1:]
+    defined, waiting = set(legs[:1]), list(zip(inst, domain[1:]))
+    lines, depth, coef = [], 1, "one"
+
+    def emit(line):
+        nonlocal depth
+        lines.append("    " * depth + line)
+        depth += line.endswith(":")
+
+    def loop(var, space):
+        nonlocal coef
+        if coef.startswith("mul("):
+            emit(f"c{depth} = {coef}")
+            coef = f"c{depth}"
+        emit(f"for {var} in range(n{space}):")
+        defined.add(var)
+
+    for k, (name, p) in enumerate(chain):
+        if name == "swap":
+            legs[p:p + 2] = legs[p + 1], legs[p]
+            continue
+        n_in, n_out = map(len, SIGNATURES[name])
+        ins, new = legs[p:p + n_in], [f"y{k}_{i}" for i in range(n_out)]
+        while not defined.issuperset(ins):
+            loop(*waiting.pop(0))
+        target = new[0] if n_out == 1 else f"({', '.join(new)})"
+        emit(f"for {target}, v{k} in t[{k}]{''.join(f'[{a}]' for a in ins)}:")
+        defined.update(new)
+        coef = f"v{k}" if coef == "one" else f"mul({coef}, v{k})"
+        legs[p:p + n_in] = new
+    for var, space in waiting:
+        loop(var, space)
+    emit(f"key = {_flat(inst + legs, domain[1:] + out)}")
+    emit(f"slab[key] = add(slab[key], {coef}) if key in slab else {coef}")
+    namespace = {}
+    exec("\n".join(["def side(x0, t, nH, nA, one, mul, add):",
+                    "    slab = {}", *lines, "    return slab"]), namespace)
+    return namespace["side"]
+
+
+def evaluate(laws, H, A=None, act=None, coact=None):
+    """The report of `laws`, in order, over the Hopf structure H, the
+    action `act` or coaction `coact`, whose carrier is the leg A, and the
+    maps of the target A where a law uses them."""
+    f = H.field
+    one, mul, add = f.one, f.mul, f.add
+    nH, nA = H.dim, (act if act is not None else coact).m_dim
+    dims = {"H": nH, "A": nA}
+    fibres = {"swap": None}
+    for name in {name for lw in laws for name, _ in lw.lhs + lw.rhs}:
+        if name == "act":
+            fibres[name] = act._by_first_two
+        elif name == "coact":
+            fibres[name] = coact._by_first
+        elif name != "swap":
+            fibres[name] = _FIBRES[name.removesuffix("_A")](
+                A if name.endswith("_A") else H)
+    rep = VerificationReport()
+    for lw in laws:
+        acc = LawAccumulator(rep, f, lw.law_id, lw.informational)
+        lhs, rhs = lw.sides
+        lhs_maps = [fibres[name] for name, _ in lw.lhs]
+        rhs_maps = [fibres[name] for name, _ in lw.rhs]
+        dom = [dims[leg] for leg in lw.domain]
+        inst_dims = tuple(dom[1:])
+        out_dims = tuple(dims[leg] for leg in lw.out)
+        for first in range(dom[0]) if dom else (None,):
+            if acc.failed:
+                break
+            acc.check_slab(() if first is None else (first,),
+                           lhs(first, lhs_maps, nH, nA, one, mul, add),
+                           rhs(first, rhs_maps, nH, nA, one, mul, add),
+                           inst_dims, out_dims)
+        acc.finish()
+    return rep

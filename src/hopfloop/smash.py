@@ -5,17 +5,35 @@ candidate is itself a valid structure.
 Builders never validate their output; feed the candidate to the structure
 checkers.  The roundtrip functions package both directions: the candidate's
 full suite verdict against the single condition that governs it.
+
+The conditions (cocommu, modass, commu, comodcoass) are declarations of
+`hopfloop.laws`, evaluated by `laws.evaluate`; on their legs "A" is the
+algebra A acted on or the coalgebra C coacted on.
 """
 
 from .actions import (check_coqm_algebra, check_coqm_coalgebra,
                       check_qm_algebra, check_qm_coalgebra,
                       check_quasicomodule, check_quasimodule)
 from .errors import DimMismatch, HypothesisNotMet, InvalidInput
-from .report import LawAccumulator, VerificationReport
+from .fields import check_same_field
+from .laws import evaluate, law
+from .report import VerificationReport
 from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
                          HopfQuasigroup, check_hopf_coquasigroup,
                          check_hopf_quasigroup)
 from .tensors import Mat, Ten3, Vec, pair_index
+
+
+COCOMMU = (
+    law("cocommu", "HA", "HA", "delta@0 act@1", "delta@0 swap@0 act@1"),)
+MODASS = (
+    law("modass", "HHA", "A", "S@1 act@1 act@0", "S@1 mu@0 act@0"),
+    law("modass.strict", "HHA", "A", "act@1 act@0", "mu@0 act@0",
+        informational=True))
+COMMU = (law("commu", "AH", "AH", "coact@0 mu@1", "coact@0 swap@1 mu@1"),)
+COMODCOASS = (
+    law("comodcoass", "A", "AHH", "coact@0 coact@0 S@1",
+        "coact@0 delta@1 S@1"),)
 
 
 class SmashInput:
@@ -26,8 +44,8 @@ class SmashInput:
     def __init__(self, H, A, act):
         if act.h_dim != H.dim or act.m_dim != A.dim:
             raise DimMismatch("action dims do not match H and A")
-        if H.field != A.field or act.field != H.field:
-            raise DimMismatch("field mismatch between H, A and action")
+        check_same_field(H.field, A.field)
+        check_same_field(H.field, act.field)
         self.H = H
         self.A = A
         self.act = act
@@ -49,8 +67,8 @@ class CosmashInput:
     def __init__(self, H, C, coact):
         if coact.h_dim != H.dim or coact.m_dim != C.dim:
             raise DimMismatch("coaction dims do not match H and C")
-        if H.field != C.field or coact.field != H.field:
-            raise DimMismatch("field mismatch between H, C and coaction")
+        check_same_field(H.field, C.field)
+        check_same_field(H.field, coact.field)
         self.H = H
         self.C = C
         self.coact = coact
@@ -65,26 +83,7 @@ class CosmashInput:
 
 def check_cocommu(inp):
     """h_(1) (x) h_(2).a = h_(2) (x) h_(1).a for all basis h, a."""
-    f = inp.H.field
-    add, mul, nh, na = f.add, f.mul, inp.H.dim, inp.A.dim
-    pairs = inp.act._pairs
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, f, "cocommu")
-    for h in range(nh):
-        split = inp.H.delta.split_pairs(h)
-        lhs, rhs = {}, {}
-        for a in range(na):
-            base = a * nh
-            for (h1, h2), c in split:
-                for x, v in pairs(h2, a):
-                    key, t = (base + h1) * na + x, mul(c, v)
-                    lhs[key] = add(lhs[key], t) if key in lhs else t
-                for x, v in pairs(h1, a):
-                    key, t = (base + h2) * na + x, mul(c, v)
-                    rhs[key] = add(rhs[key], t) if key in rhs else t
-        acc.check_slab((h,), lhs, rhs, (na,), (nh, na))
-    acc.finish()
-    return rep
+    return evaluate(COCOMMU, inp.H, act=inp.act)
 
 
 def check_modass(inp):
@@ -94,46 +93,7 @@ def check_modass(inp):
     g.(h.a) = (gh).a holds (law id modass.strict): the main law is the
     associativity of the action only up to the antipodal twist.
     """
-    H = inp.H
-    f = H.field
-    add, mul, nh, na = f.add, f.mul, H.dim, inp.A.dim
-    hmul, pairs = H.mu.mul_pairs, inp.act._pairs
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, f, "modass")
-    strict = LawAccumulator(rep, f, "modass.strict", informational=True)
-    for g in range(nh):
-        # Each side at (h, a) is the sum of s (e_x . e_k) over its terms
-        # (x, s, k), listed below with the inner product or action done.
-        slabs = ({}, {}, {}, {})
-        for h in range(nh):
-            sh = H.antipode.column(h)
-            gsh = {}
-            for x, s in sh:
-                for k, c in hmul(g, x):
-                    t = mul(s, c)
-                    gsh[k] = add(gsh[k], t) if k in gsh else t
-            for a in range(na):
-                base = (h * na + a) * na
-                terms = (
-                    # g.(S(h).a)
-                    [(g, mul(s, b), k) for x, s in sh for k, b in pairs(x, a)],
-                    # (gS(h)).a
-                    [(x, s, a) for x, s in gsh.items()],
-                    # g.(h.a)
-                    [(g, b, k) for k, b in pairs(h, a)],
-                    # (gh).a
-                    [(x, s, a) for x, s in hmul(g, h)])
-                for slab, side in zip(slabs, terms):
-                    for x, s, k in side:
-                        for k2, v in pairs(x, k):
-                            key, t = base + k2, mul(s, v)
-                            slab[key] = add(slab[key], t) if key in slab else t
-        lhs, rhs, slhs, srhs = slabs
-        acc.check_slab((g,), lhs, rhs, (nh, na), (na,))
-        strict.check_slab((g,), slhs, srhs, (nh, na), (na,))
-    acc.finish()
-    strict.finish()
-    return rep
+    return evaluate(MODASS, inp.H, act=inp.act)
 
 
 def build_smash_product(inp):
@@ -219,51 +179,12 @@ def _smash_product(inp):
 
 def check_commu(inp):
     """c^(0) (x) c^(1)h = c^(0) (x) hc^(1) for all basis c, h."""
-    H = inp.H
-    f = H.field
-    add, mul, nh, nc = f.add, f.mul, H.dim, inp.C.dim
-    hmul = H.mu.mul_pairs
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, f, "commu")
-    for c in range(nc):
-        co = inp.coact._pairs(c)
-        lhs, rhs = {}, {}
-        for h in range(nh):
-            for (c0, c1), v in co:
-                base = (h * nc + c0) * nh
-                for x, u in hmul(c1, h):
-                    key, t = base + x, mul(v, u)
-                    lhs[key] = add(lhs[key], t) if key in lhs else t
-                for x, u in hmul(h, c1):
-                    key, t = base + x, mul(v, u)
-                    rhs[key] = add(rhs[key], t) if key in rhs else t
-        acc.check_slab((c,), lhs, rhs, (nh,), (nc, nh))
-    acc.finish()
-    return rep
+    return evaluate(COMMU, inp.H, coact=inp.coact)
 
 
 def check_comodcoass(inp):
     """c^(0)(0) (x) S(c^(0)(1)) (x) c^(1) = c^(0) (x) S(c^(1)_(1)) (x) c^(1)_(2)."""
-    H = inp.H
-    f = H.field
-    add, mul, nh, nc = f.add, f.mul, H.dim, inp.C.dim
-    pairs, anti = inp.coact._pairs, H.antipode.column
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, f, "comodcoass")
-    for c in range(nc):
-        lhs, rhs = {}, {}
-        for (c0, c1), v in pairs(c):
-            for (c00, c01), w in pairs(c0):
-                for x, u in anti(c01):
-                    key, t = (c00 * nh + x) * nh + c1, mul(v, mul(w, u))
-                    lhs[key] = add(lhs[key], t) if key in lhs else t
-            for (h1, h2), w in H.delta.split_pairs(c1):
-                for x, u in anti(h1):
-                    key, t = (c0 * nh + x) * nh + h2, mul(v, mul(w, u))
-                    rhs[key] = add(rhs[key], t) if key in rhs else t
-        acc.check_slab((c,), lhs, rhs, (), (nc, nh, nh))
-    acc.finish()
-    return rep
+    return evaluate(COMODCOASS, inp.H, coact=inp.coact)
 
 
 def build_smash_coproduct(inp):

@@ -3,8 +3,8 @@ import pytest
 from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
                       s3_table)
 
-from hopfloop import (GF, ActionData, CoactionData, QQ,
-                      check_antipode_colinear,
+from hopfloop import (GF, ActionData, CoactionData, CosmashInput, QQ,
+                      SmashInput, check_antipode_colinear,
                       check_antipode_linear, check_comodule,
                       check_coqm_algebra, check_coqm_coalgebra, check_module,
                       check_qm_algebra, check_qm_coalgebra,
@@ -142,3 +142,21 @@ def test_target_guards(H2):
         with pytest.raises(DimMismatch,
                            match=f"^{target} dim != coaction M_dim$"):
             check(H2d, dualize(klein4), co)
+
+
+def test_smash_inputs_refuse_mixed_fields(H2, H3):
+    act, gf5 = inversion_action(), GF(5)
+    H3_gf5 = loop_algebra(cyclic(3), field=gf5)
+    with pytest.raises(FieldMismatch):
+        SmashInput(H2, H3_gf5, act)
+    with pytest.raises(FieldMismatch):
+        SmashInput(H2, H3, inversion_action(gf5))
+    H2d = dualize(H2)
+    with pytest.raises(FieldMismatch):
+        CosmashInput(H2d, dualize(H3_gf5), CoactionData.dual_of_action(act))
+    with pytest.raises(DimMismatch,
+                       match="^action dims do not match H and A$"):
+        SmashInput(H2, H2, act)
+    with pytest.raises(DimMismatch,
+                       match="^coaction dims do not match H and C$"):
+        CosmashInput(H2d, H2d, CoactionData.dual_of_action(act))

@@ -89,6 +89,19 @@ def test_tensor_dimodule_h_mismatch(H2, H3):
         tensor_dimodule(D1, D2)
 
 
+def test_adjunction_refuses_other_dims(H2, H3):
+    # the free dimodule over Q[C2] checked against Q[C3]
+    with pytest.raises(HMismatch):
+        check_adjunction(H3, free_dimodule(H2))
+
+
+def test_adjunction_refuses_other_field(H2):
+    # the free dimodule over Q[C2] checked against GF(5)[C2]
+    with pytest.raises(HMismatch):
+        check_adjunction(loop_algebra(cyclic(2), field=GF(5)),
+                         free_dimodule(H2))
+
+
 def test_d_equation_small_carrier(H2):
     assert check_d_equation(d_map(free_dimodule(H2))).ok
 

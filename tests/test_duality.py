@@ -9,7 +9,12 @@ Both the checkers and the per-instance references are held to it.
 For an action of H on A, the dual input is the coaction
 `CoactionData.dual_of_action` of dualize(H) on the same A: A itself is not
 dualized.
+
+The inputs are random structures and actions over Q and GF(5), and every
+structure and smash bundle of the golden corpus (tests/golden/in).
 """
+
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +24,10 @@ from test_module_laws import action_inputs
 from test_structures import magma_algebras, random_structures
 
 import hopfloop
-from hopfloop import (CoactionData, CosmashInput, SmashInput,
-                      check_hopf_coquasigroup, check_hopf_quasigroup, dualize)
+from hopfloop import (ActionData, CoactionData, CosmashInput, SmashInput,
+                      check_hopf_coquasigroup, check_hopf_quasigroup, dualize,
+                      fileio)
+from hopfloop.errors import ParseError
 
 DUAL_LAWS = (
     ("assoc", "coassoc"),
@@ -92,3 +99,47 @@ def test_dual_action_laws_agree(inp):
         verdicts = action_verdicts(checkers, *inp)
         for law, dual in ACTION_DUAL_LAWS:
             assert verdicts[law] == verdicts[dual], (law, dual)
+
+
+# --- the golden inputs -------------------------------------------------------
+
+GOLDEN_IN = Path(__file__).parent / "golden" / "in"
+
+
+def golden_inputs(pattern, load):
+    """Every golden input file matching `pattern`, read by `load`, the
+    unparsable ones (junk.hq, dup.hq) left out."""
+    inputs = []
+    for path in sorted(GOLDEN_IN.glob(pattern)):
+        try:
+            inputs.append(load(str(path)))
+        except ParseError:
+            pass
+    return inputs
+
+
+def test_dual_laws_agree_on_golden_structures():
+    structures = golden_inputs("*.hq", fileio.load_structure)
+    assert len(structures) == 14
+    for X in structures:
+        assert_dual_verdicts(X)
+
+
+def test_dual_action_laws_agree_on_golden_bundles():
+    """Each smash bundle as (H, A, act); the cosmash bundle (H, C, coact)
+    as the action of dualize(H) on C whose dual coaction is coact."""
+    bundles = golden_inputs("*smash*.bundle", fileio.load_smash_bundle)
+    assert len(bundles) == 4
+    for inp in bundles:
+        if isinstance(inp, SmashInput):
+            H, A, act = inp.H, inp.A, inp.act
+        else:
+            H, A = dualize(inp.H), inp.C
+            act = ActionData.from_entries(
+                H.field, H.dim, A.dim,
+                ((h, m, k, c) for (m, k, h), c in inp.coact.nz.items()))
+            assert CoactionData.dual_of_action(act) == inp.coact
+        for checkers in (hopfloop, instance_reference):
+            verdicts = action_verdicts(checkers, H, A, act)
+            for law, dual in ACTION_DUAL_LAWS:
+                assert verdicts[law] == verdicts[dual], (law, dual)

@@ -1,0 +1,248 @@
+"""The law evaluator of `hopfloop.laws` on its own, and a metamorphic test
+of the 25 action, coaction and smash-condition laws under relabelling.
+
+The unit tests declare small laws of their own, so that each kind of step
+(swap, eta and eps on rank-0 legs, the empty chain) and each slab shape
+(rank-0 domain or output, a first failure past the first slab) is checked
+against witnesses worked out by hand or read off the tensors directly.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import instance_reference as ref
+from conftest import cyclic, inversion_action, perm_action, s3_table
+from test_module_laws import action_inputs
+
+from hopfloop import (QQ, ActionData, AlgebraData, CoactionData,
+                      CoalgebraData, CosmashInput, Mat, SmashInput, Ten3, Vec,
+                      check_antipode_colinear, check_antipode_linear,
+                      check_cocommu, check_commu, check_comodcoass,
+                      check_comodule, check_coqm_algebra,
+                      check_coqm_coalgebra, check_modass, check_module,
+                      check_qm_algebra, check_qm_coalgebra,
+                      check_quasicomodule, check_quasimodule, dualize,
+                      loop_algebra)
+from hopfloop.actions import COQM_ALGEBRA, QM_COALGEBRA
+from hopfloop.laws import evaluate, law
+
+
+def entry(rep, law_id):
+    return rep.law(law_id).to_dict()
+
+
+# --- declarations ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("domain, out, chain", [
+    ("HA", "A", "act@1"),            # act needs HA at leg 1
+    ("HA", "A", "mu@0 act@0"),       # mu needs HH
+    ("HA", "HA", "swap@1"),          # swap needs two legs
+    ("HA", "A", "eps@3 act@0"),      # no leg 3
+    ("HA", "HA", "act@0"),           # ends in A, not HA
+])
+def test_declaration_on_wrong_legs_fails(domain, out, chain):
+    with pytest.raises(ValueError):
+        law("bad", domain, out, chain, "")
+
+
+# --- steps -------------------------------------------------------------------
+
+
+def test_swap_step():
+    """Cocommutativity of Delta, delta = swap o delta, with a swap; and a
+    double swap is the identity."""
+    twice = law("swap.twice", "HA", "HA", "swap@0 swap@0", "")
+    cocomm = law("cocomm", "H", "HH", "delta@0", "delta@0 swap@0")
+    H = loop_algebra(s3_table())
+    D = dualize(H)
+    act = ActionData.trivial(H, 3)
+    assert evaluate((twice, cocomm), H, act=act).ok
+    rep = evaluate((twice, cocomm), D, act=ActionData.trivial(D, 3))
+    assert rep.law("swap.twice").passed
+    # the least k whose coproduct is not symmetric, read off the tensor
+    split = [{} for _ in range(D.dim)]
+    for (k, i, j), c in D.delta.nz.items():
+        split[k][i, j] = c
+    k = next(k for k, d in enumerate(split)
+             if d != {(j, i): c for (i, j), c in d.items()})
+    w = rep.law("cocomm").witness
+    assert w.indices == (k,)
+    assert dict(w.lhs) == {key: str(c) for key, c in split[k].items()}
+    assert dict(w.rhs) == {(j, i): str(c) for (i, j), c in split[k].items()}
+
+
+def test_unit_and_counit_on_rank0_legs():
+    """eps(1) = 1 as a law of rank-0 domain and output, and as
+    eta = eta eps eta with a rank-1 output."""
+    scalar = law("eps.eta", "", "", "eta@0 eps@0", "")
+    vector = law("eta.eps.eta", "", "H", "eta@0", "eta@0 eps@0 eta@0")
+    H = loop_algebra(cyclic(2))
+    act = ActionData.trivial(H, 3)
+    assert evaluate((scalar, vector), H, act=act).ok
+    bad = type(H)(H.alg, CoalgebraData(H.delta, Vec(QQ, [2, 0])),
+                  H.antipode)
+    rep = evaluate((scalar, vector), bad, act=act)
+    assert entry(rep, "eps.eta") == {
+        "law": "eps.eta", "pass": False, "witness": {
+            "indices": [], "lhs": [[[], "2"]], "rhs": [[[], "1"]]}}
+    assert entry(rep, "eta.eps.eta")["witness"] == {
+        "indices": [], "lhs": [[[0], "1"]], "rhs": [[[0], "2"]]}
+
+
+def test_empty_chain_is_the_identity():
+    H = loop_algebra(cyclic(2))
+    act = inversion_action()
+    both = law("id", "HA", "HA", "", "")
+    unital = law("unital", "A", "A", "eta@0 act@0", "")
+    assert evaluate((both, unital), H, act=act).ok
+    # the unit acting as the cycle (0 1 2): 1.e_0 = e_1
+    cyc = perm_action(QQ, 2, [(1, 2, 0), (0, 2, 1)])
+    assert entry(evaluate((unital,), H, act=cyc), "unital")["witness"] == {
+        "indices": [0], "lhs": [[[1], "1"]], "rhs": [[[0], "1"]]}
+
+
+# --- slab shapes -------------------------------------------------------------
+
+
+def test_rank0_domain():
+    """coqmalg.unit, rho(1) = 1 (x) 1, has the one instance ()."""
+    H, A = loop_algebra(cyclic(2)), loop_algebra(cyclic(3))
+    good = CoactionData.graded(H, [0, 0, 0])
+    bad = CoactionData.graded(H, [1, 0, 0])
+    assert evaluate(COQM_ALGEBRA, H, A, coact=good).ok
+    assert entry(evaluate(COQM_ALGEBRA, H, A, coact=bad), "coqmalg.unit") \
+        == {"law": "coqmalg.unit", "pass": False, "witness": {
+            "indices": [], "lhs": [[[0, 1], "1"]], "rhs": [[[0, 0], "1"]]}}
+
+
+def test_rank0_output_and_failure_in_second_slab():
+    """qmcoalg.counit, eps(h.c) = eps(h) eps(c), maps to scalars; the bump
+    1.e_2 = e_1 + e_0 breaks it only in the slab h = 1."""
+    H, A = loop_algebra(cyclic(2)), loop_algebra(cyclic(3))
+    good = inversion_action()
+    bad = ActionData.from_entries(
+        QQ, 2, 3, [k + (c,) for k, c in good.nz.items()] + [(1, 2, 0, 1)])
+    assert evaluate(QM_COALGEBRA, H, A, act=good).ok
+    assert entry(evaluate(QM_COALGEBRA, H, A, act=bad), "qmcoalg.counit") \
+        == {"law": "qmcoalg.counit", "pass": False, "witness": {
+            "indices": [1, 2], "lhs": [[[], "2"]], "rhs": [[[], "1"]]}}
+
+
+# --- dims 2, 3 and 5 ---------------------------------------------------------
+
+
+def test_pairwise_different_dims_match_reference():
+    """H of dim 2 acting on a module M of dim 3 and on an algebra A of dim
+    5, passing and bumped, against the per-instance reference: a leg read
+    with the wrong dim would key or index the wrong entries."""
+    H, A = loop_algebra(cyclic(2)), loop_algebra(cyclic(5))
+    D = dualize(H)
+    on_m = perm_action(QQ, 2, [(0, 1, 2), (0, 2, 1)])
+    on_a = perm_action(QQ, 2, [(0, 1, 2, 3, 4), (0, 4, 3, 2, 1)])
+    for act, bump in ((on_m, (1, 2, 0, 3)), (on_a, (1, 4, 2, 3))):
+        bumped = ActionData.from_entries(
+            QQ, 2, act.m_dim, [k + (c,) for k, c in act.nz.items()] + [bump])
+        for a in (act, bumped):
+            co = CoactionData.dual_of_action(a)
+            cases = [(check_quasimodule, ref.check_quasimodule, (H, a)),
+                     (check_module, ref.check_module, (H, a)),
+                     (check_comodule, ref.check_comodule, (D, co)),
+                     (check_quasicomodule, ref.check_quasicomodule, (D, co))]
+            if a.m_dim == A.dim:
+                cases += [
+                    (check_qm_algebra, ref.check_qm_algebra, (H, A, a)),
+                    (check_qm_coalgebra, ref.check_qm_coalgebra, (H, A, a)),
+                    (check_antipode_linear, ref.check_antipode_linear,
+                     (H, A, a)),
+                    (check_coqm_algebra, ref.check_coqm_algebra, (D, A, co)),
+                    (check_coqm_coalgebra, ref.check_coqm_coalgebra,
+                     (D, A, co)),
+                    (check_antipode_colinear, ref.check_antipode_colinear,
+                     (D, A, co)),
+                    (check_cocommu, ref.check_cocommu, (SmashInput(H, A, a),)),
+                    (check_modass, ref.check_modass, (SmashInput(H, A, a),)),
+                    (check_commu, ref.check_commu,
+                     (CosmashInput(D, A, co),)),
+                    (check_comodcoass, ref.check_comodcoass,
+                     (CosmashInput(D, A, co),))]
+            for new, old, args in cases:
+                assert (json.dumps(new(*args).to_dict())
+                        == json.dumps(old(*args).to_dict())), new.__name__
+
+
+# --- relabelling -------------------------------------------------------------
+
+
+def relabel(X, p):
+    """The structure X with basis vector i renamed p[i]."""
+    f, n = X.field, X.dim
+
+    def ten3(t):
+        return Ten3(f, (n,) * 3, ((p[i], p[j], p[k], c)
+                                  for (i, j, k), c in t.nz.items()))
+
+    def vec(v):
+        out = [f.zero] * n
+        for i, c in enumerate(v.data):
+            out[p[i]] = c
+        return Vec(f, out)
+
+    return type(X)(
+        AlgebraData(ten3(X.mu), vec(X.unit)),
+        CoalgebraData(ten3(X.delta), vec(X.counit)),
+        Mat(f, (n, n), ((p[i], p[j], c)
+                        for (i, j), c in X.antipode.nz.items())))
+
+
+def law_verdicts(H, A, act):
+    """law id -> passed over the 25 laws: the action laws of (H, A, act),
+    the coaction laws of its dual (A kept) and the four smash
+    conditions."""
+    D, co = dualize(H), CoactionData.dual_of_action(act)
+    smash, cosmash = SmashInput(H, A, act), CosmashInput(D, A, co)
+    reports = (check_quasimodule(H, act), check_module(H, act),
+               check_qm_algebra(H, A, act), check_qm_coalgebra(H, A, act),
+               check_antipode_linear(H, A, act), check_cocommu(smash),
+               check_modass(smash), check_comodule(D, co),
+               check_quasicomodule(D, co), check_coqm_algebra(D, A, co),
+               check_coqm_coalgebra(D, A, co),
+               check_antipode_colinear(D, A, co), check_commu(cosmash),
+               check_comodcoass(cosmash))
+    verdicts = {e.law_id: e.passed for rep in reports for e in rep.entries}
+    assert len(verdicts) == 25
+    return verdicts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(action_inputs(), st.randoms(use_true_random=False))
+def test_relabelling_keeps_every_verdict(inp, rng):
+    H, A, act = inp
+    p = rng.sample(range(H.dim), H.dim)
+    q = rng.sample(range(A.dim), A.dim)
+    moved = ActionData.from_entries(
+        act.field, H.dim, A.dim,
+        ((p[h], q[m], q[k], c) for (h, m, k), c in act.nz.items()))
+    assert (law_verdicts(relabel(H, p), relabel(A, q), moved)
+            == law_verdicts(H, A, act))
+
+
+def test_relabelling_covers_failing_verdicts():
+    """A bumped inversion action fails some of the 25 laws; relabelled by
+    every permutation pair drawn below, its verdicts stay."""
+    rng = random.Random(5)
+    H, A = loop_algebra(cyclic(2)), loop_algebra(cyclic(3))
+    act = ActionData.from_entries(
+        QQ, 2, 3, [k + (c,) for k, c in inversion_action().nz.items()]
+        + [(1, 2, 0, 1)])
+    base = law_verdicts(H, A, act)
+    assert not all(base.values())
+    for _ in range(5):
+        p, q = rng.sample(range(2), 2), rng.sample(range(3), 3)
+        moved = ActionData.from_entries(
+            QQ, 2, 3, ((p[h], q[m], q[k], c)
+                       for (h, m, k), c in act.nz.items()))
+        assert law_verdicts(relabel(H, p), relabel(A, q), moved) == base
