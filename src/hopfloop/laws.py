@@ -1,9 +1,10 @@
-"""Laws as declarations, and the one evaluator of the module-layer laws.
+"""Laws as declarations, and the one evaluator of the structure, action,
+coaction and smash-condition laws.
 
-Every action, coaction and smash-condition law is an equation between two
-composites of structure maps.  A law is declared by its id, its domain and
-output legs, and its two sides as chains of steps; `evaluate` checks it over
-every basis tuple of the domain.
+Every such law is an equation between two composites of structure maps.
+A law is declared by its id, its domain and output legs, and its two sides
+as chains of steps; `evaluate` checks it over every basis tuple of the
+domain.
 
 A leg is "H", a copy of the Hopf structure, or "A", a copy of the space
 acted or coacted on (the module, or the algebra, coalgebra or Hopf structure
@@ -19,15 +20,17 @@ p, p+1, ... of the current tensor and puts its output legs in their place:
 
 so that the quasimodule law h_(1).(S(h_(2)).m) = eps(h) m is
 
-    law("qm2.left", "HA", "A", "delta@0 S@1 act@1 act@0", "eps@0").
+    law("qm2.left", "HA", "A", "delta@0 S@1 act@1 act@0", "eps@0"),
 
-The empty chain is the identity.  A declaration is checked against the map
-signatures when it is made, so a step placed on the wrong legs fails at
-import, whatever the dims.
+and the associativity of H is law("assoc", "HHH", "H", "mu@0 mu@0",
+"mu@1 mu@0").  The empty chain is the identity.  A declaration is checked
+against the map signatures when it is made, so a malformed step or a step
+placed on the wrong legs fails at import, whatever the dims.
 
-`evaluate` walks the domain one slab of fixed first index at a time, as the
-structure laws are walked (`hopfloop.structures`); a law of rank-0 domain is
-one slab.  Each side of a slab is one dict keyed by the flat int
+`evaluate` walks the domain one slab of fixed first index at a time; a law
+of rank-0 domain is one slab.  A caller that knows which slabs can fail (the
+integer-table paths of `hopfloop.structures`) names them, and only those
+are evaluated.  Each side of a slab is one dict keyed by the flat int
 inst * prod(out_dims) + out, inst the rest of the instance and out the
 output basis tuple, both row-major, and `LawAccumulator.check_slab`
 compares the two: the witness is the least failing instance.  Once a law
@@ -103,7 +106,7 @@ class Law:
                 _compile(self.rhs, self.domain, self.out))
 
 
-def _legs_after(legs, step):
+def _legs_after(law_id, legs, step):
     """The legs after `step`; ValueError if its input legs are not there."""
     name, p = step
     if name == "swap":
@@ -114,19 +117,30 @@ def _legs_after(legs, step):
     else:
         ins, outs = SIGNATURES[name]
     if not 0 <= p <= len(legs) or legs[p:p + len(ins)] != ins:
-        raise ValueError(f"{name}@{p} needs {ins!r} at leg {p} of {legs!r}")
+        raise ValueError(f"{law_id}: {name}@{p} needs {ins!r} at leg {p} "
+                         f"of {legs!r}")
     return legs[:p] + outs + legs[p + len(ins):]
+
+
+def _chain(law_id, text):
+    """The steps of the chain `text`; ValueError naming a malformed step."""
+    chain = []
+    for step in text.split():
+        name, at, p = step.partition("@")
+        if not (at and p.isdecimal()
+                and (name in SIGNATURES or name == "swap")):
+            raise ValueError(f"{law_id}: bad step {step!r}")
+        chain.append((name, int(p)))
+    return tuple(chain)
 
 
 def law(law_id, domain, out, lhs, rhs, informational=False):
     """Declare a law: both chains must take `domain` to `out`."""
     chains = []
     for text in (lhs, rhs):
-        chain = tuple((name, int(p)) for name, p in
-                      (step.split("@") for step in text.split()))
-        legs = domain
+        chain, legs = _chain(law_id, text), domain
         for step in chain:
-            legs = _legs_after(legs, step)
+            legs = _legs_after(law_id, legs, step)
         if legs != out:
             raise ValueError(f"{law_id}: {text!r} ends in {legs!r}, "
                              f"not {out!r}")
@@ -188,13 +202,16 @@ def _compile(chain, domain, out):
     return namespace["side"]
 
 
-def evaluate(laws, H, A=None, act=None, coact=None):
+def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
     """The report of `laws`, in order, over the Hopf structure H, the
     action `act` or coaction `coact`, whose carrier is the leg A, and the
-    maps of the target A where a law uses them."""
+    maps of the target A where a law uses them; a law of H alone needs
+    none of them.  `firsts`, if given, holds per law the first indices of
+    the only slabs to evaluate, the others taken to hold."""
     f = H.field
     one, mul, add = f.one, f.mul, f.add
-    nH, nA = H.dim, (act if act is not None else coact).m_dim
+    carrier = act if act is not None else coact
+    nH, nA = H.dim, carrier.m_dim if carrier is not None else 0
     dims = {"H": nH, "A": nA}
     fibres = {"swap": None}
     for name in {name for lw in laws for name, _ in lw.lhs + lw.rhs}:
@@ -206,7 +223,7 @@ def evaluate(laws, H, A=None, act=None, coact=None):
             fibres[name] = _FIBRES[name.removesuffix("_A")](
                 A if name.endswith("_A") else H)
     rep = VerificationReport()
-    for lw in laws:
+    for k, lw in enumerate(laws):
         acc = LawAccumulator(rep, f, lw.law_id, lw.informational)
         lhs, rhs = lw.sides
         lhs_maps = [fibres[name] for name, _ in lw.lhs]
@@ -214,7 +231,11 @@ def evaluate(laws, H, A=None, act=None, coact=None):
         dom = [dims[leg] for leg in lw.domain]
         inst_dims = tuple(dom[1:])
         out_dims = tuple(dims[leg] for leg in lw.out)
-        for first in range(dom[0]) if dom else (None,):
+        if firsts is not None:
+            slabs = firsts[k]
+        else:
+            slabs = range(dom[0]) if dom else (None,)
+        for first in slabs:
             if acc.failed:
                 break
             acc.check_slab(() if first is None else (first,),

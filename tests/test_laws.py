@@ -1,5 +1,6 @@
 """The law evaluator of `hopfloop.laws` on its own, and a metamorphic test
-of the 25 action, coaction and smash-condition laws under relabelling.
+of the 25 action, coaction and smash-condition laws and of the 22 Hopf
+(co)quasigroup laws under relabelling.
 
 The unit tests declare small laws of their own, so that each kind of step
 (swap, eta and eps on rank-0 legs, the empty chain) and each slab shape
@@ -14,20 +15,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import instance_reference as ref
-from conftest import cyclic, inversion_action, perm_action, s3_table
+from conftest import (cyclic, inversion_action, loop7, perm_action,
+                      s3_table)
 from test_module_laws import action_inputs
+from test_structures import random_structures, s3_perturbations
 
 from hopfloop import (QQ, ActionData, AlgebraData, CoactionData,
                       CoalgebraData, CosmashInput, Mat, SmashInput, Ten3, Vec,
                       check_antipode_colinear, check_antipode_linear,
                       check_cocommu, check_commu, check_comodcoass,
                       check_comodule, check_coqm_algebra,
-                      check_coqm_coalgebra, check_modass, check_module,
+                      check_coqm_coalgebra, check_hopf_coquasigroup,
+                      check_hopf_quasigroup, check_modass, check_module,
                       check_qm_algebra, check_qm_coalgebra,
                       check_quasicomodule, check_quasimodule, dualize,
                       loop_algebra)
 from hopfloop.actions import COQM_ALGEBRA, QM_COALGEBRA
 from hopfloop.laws import evaluate, law
+from hopfloop.structures import check_associativity
 
 
 def entry(rep, law_id):
@@ -43,10 +48,14 @@ def entry(rep, law_id):
     ("HA", "HA", "swap@1"),          # swap needs two legs
     ("HA", "A", "eps@3 act@0"),      # no leg 3
     ("HA", "HA", "act@0"),           # ends in A, not HA
+    ("HA", "A", "mul@0"),            # no map mul
+    ("HA", "A", "act0"),             # no @
 ])
 def test_declaration_on_wrong_legs_fails(domain, out, chain):
-    with pytest.raises(ValueError):
+    """The error names the law and the step at fault."""
+    with pytest.raises(ValueError, match="^bad: ") as exc:
         law("bad", domain, out, chain, "")
+    assert any(step in str(exc.value) for step in chain.split())
 
 
 # --- steps -------------------------------------------------------------------
@@ -103,6 +112,34 @@ def test_empty_chain_is_the_identity():
     cyc = perm_action(QQ, 2, [(1, 2, 0), (0, 2, 1)])
     assert entry(evaluate((unital,), H, act=cyc), "unital")["witness"] == {
         "indices": [0], "lhs": [[[1], "1"]], "rhs": [[[0], "1"]]}
+
+
+def test_structure_law_without_action():
+    """A law of H alone needs no action, coaction or target: assoc on the
+    order-7 loop, whose least nonassociative triple is the witness."""
+    assoc = law("assoc", "HHH", "H", "mu@0 mu@0", "mu@1 mu@0")
+    assert evaluate((assoc,), loop_algebra(s3_table())).ok
+    t, H = loop7().rows, loop_algebra(loop7())
+    n = len(t)
+    i, j, k = next((i, j, k) for i in range(n) for j in range(n)
+                   for k in range(n) if t[t[i][j]][k] != t[i][t[j][k]])
+    rep = evaluate((assoc,), H)
+    assert entry(rep, "assoc") == {
+        "law": "assoc", "pass": False, "witness": {
+            "indices": [i, j, k], "lhs": [[[t[t[i][j]][k]], "1"]],
+            "rhs": [[[t[i][t[j][k]]], "1"]]}}
+    assert rep.to_dict() == check_associativity(H).to_dict()
+
+
+def test_chosen_first_indices():
+    """`firsts` evaluates only the slabs named, per law: slab 0 of the
+    order-7 loop's assoc holds, since e_0 is its unit."""
+    assoc = law("assoc", "HHH", "H", "mu@0 mu@0", "mu@1 mu@0")
+    H = loop_algebra(loop7())
+    assert evaluate((assoc,), H, firsts=[(0,)]).ok
+    assert evaluate((assoc,), H, firsts=[()]).ok
+    w = evaluate((assoc,), H, firsts=[(5, 3)]).law("assoc").witness
+    assert w.indices[0] == 5
 
 
 # --- slab shapes -------------------------------------------------------------
@@ -246,3 +283,34 @@ def test_relabelling_covers_failing_verdicts():
             QQ, 2, 3, ((p[h], q[m], q[k], c)
                        for (h, m, k), c in act.nz.items()))
         assert law_verdicts(relabel(H, p), relabel(A, q), moved) == base
+
+
+def structure_verdicts(H):
+    """(suite, law id) -> passed over both full structure suites."""
+    return {(suite.__name__, e.law_id): e.passed
+            for suite in (check_hopf_quasigroup, check_hopf_coquasigroup)
+            for e in suite(H).entries}
+
+
+@pytest.mark.parametrize("inputs, fields", [
+    (random_structures(), {"QQ", "GF(5)"}), (s3_perturbations(), {"QQ"})],
+    ids=["random", "s3"])
+def test_relabelling_keeps_structure_verdicts(inputs, fields):
+    """Relabelling a structure by a random permutation keeps every verdict
+    of both suites; each of the 22 laws fails on some drawn input over
+    each field drawn."""
+    failed = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(inputs, st.randoms(use_true_random=False))
+    def relabelled(H, rng):
+        verdicts = structure_verdicts(H)
+        p = rng.sample(range(H.dim), H.dim)
+        assert structure_verdicts(relabel(H, p)) == verdicts
+        failed.update((repr(H.field), law_id)
+                      for (_, law_id), ok in verdicts.items() if not ok)
+
+    relabelled()
+    ids = {law_id for _, law_id in structure_verdicts(loop_algebra(cyclic(2)))}
+    assert len(ids) == 22
+    assert failed == {(f, law_id) for f in fields for law_id in ids}

@@ -17,7 +17,8 @@ from hopfloop import (GF, AlgebraData, CoactionData, CoalgebraData,
                       check_hopf_quasigroup, check_quasi_identities,
                       check_unital_counital, dualize, loop_algebra)
 from hopfloop.smash import _smash_coproduct, _smash_product
-from hopfloop.structures import (HopfQuasigroup, _coq_maps, _quasi_maps,
+from hopfloop.structures import (HopfQuasigroup, _coq_maps,
+                                 _delta_mult_holds, _quasi_maps,
                                  check_associativity,
                                  check_coassociativity)
 
@@ -287,7 +288,8 @@ def test_table_paths_match_reference_on_smash_candidates(X):
 def test_bumped_tensors_leave_the_table_paths(H):
     """Q[S3] takes the assoc and quasi table paths and its dual the coassoc
     and coq ones; a bump to any tensor such a path reads sends it to the
-    slab path."""
+    declared law.  Both decide bialg.delta_mult by shape, and a bump to mu
+    or delta sends it to its declaration."""
     quasi = isinstance(H, HopfQuasigroup)
     base = S3 if quasi else dualize(S3)
     maps = _quasi_maps if quasi else _coq_maps
@@ -297,6 +299,9 @@ def test_bumped_tensors_leave_the_table_paths(H):
     assert maps(base) is not None
     assert (rows is None) == (("mu" if quasi else "delta") in bumped)
     assert (maps(H) is None) == bool(bumped - {"unit" if quasi else "counit"})
+    assert _delta_mult_holds(base)
+    assert _delta_mult_holds(H) == (not bumped & {"mu", "delta"})
+    assert_same_as_reference(H)
 
 
 def test_table_paths_keep_no_mismatch_list():
