@@ -4,6 +4,14 @@ Both variants share one type with a tag: the action/coaction compatibility
 law is the same tensor equation in both cases, only the constituent
 preconditions differ (quasimodule + comodule over a Hopf quasigroup,
 module + quasicomodule over a Hopf coquasigroup).
+
+The compatibility, lemma and adjunction laws are declarations of
+`hopfloop.laws` on legs H and A, A the dimodule's carrier M, checked by
+`laws.evaluate`.  ldmp2, ldmcp2 and adj.unit_linear walk m outside h
+(slab=1) and report (h, m); the adjunction laws read the free dimodule's
+M (x) H as the legs (AH), whose witness index is one flat int.  eq.d is
+contracted by hand in `check_d_equation`: R is input data, not a chain of
+structure maps.
 """
 
 from .actions import (ActionData, CoactionData, check_comodule, check_module,
@@ -11,6 +19,7 @@ from .actions import (ActionData, CoactionData, check_comodule, check_module,
                       tensor_coaction)
 from .errors import DimMismatch, HMismatch
 from .fields import check_same_field
+from .laws import evaluate, law
 from .report import LawAccumulator, VerificationReport
 from .structures import HopfQuasigroup
 from .tensors import Mat, pair_index
@@ -51,28 +60,39 @@ class LongDimodule:
         return f"LongDimodule(dim={self.dim}, variant={self.variant})"
 
 
+COMPATIBILITY = (
+    law("ldm1", "HA", "AH", "act@0 coact@0", "coact@1 act@0"),)
+
+
+def _lemma(suffix):
+    # rho(S(m^(1)).m^(0)) = S(m^(1)_(2)).m^(0) (x) m^(1)_(1), and the same
+    # with h acting on both sides
+    return (
+        law(f"ldm{suffix}1", "A", "AH", "coact@0 S@1 swap@0 act@0 coact@0",
+            "coact@0 delta@1 S@2 swap@1 swap@0 act@0"),
+        law(f"ldm{suffix}2", "HA", "AH",
+            "coact@1 S@2 swap@1 act@1 act@0 coact@0",
+            "coact@1 delta@2 S@3 swap@2 swap@1 act@1 act@0", slab=1))
+
+
+LEMMA = {OVER_QUASIGROUP: _lemma("p"), OVER_COQUASIGROUP: _lemma("cp")}
+
+ADJUNCTION = (
+    # eta(h.m) = h.eta(m), eta = rho: M -> M (x) H
+    law("adj.unit_linear", "HA", "(AH)", "act@0 coact@0", "coact@1 act@0",
+        slab=1),
+    # (eta (x) id) rho = (id (x) delta) eta
+    law("adj.unit_colinear", "A", "(AH)H", "coact@0 delta@1",
+        "coact@0 coact@0"),
+    law("adj.triangle1", "A", "A", "coact@0 eps@1", ""),
+    # (id (x) eps (x) id)(id (x) delta) = id on M (x) H
+    law("adj.triangle2", "(AH)", "(AH)", "delta@1 eps@1", ""),
+)
+
+
 def check_compatibility(D):
     """rho(h.m) = h.m^(0) (x) m^(1) over all basis pairs (law ldm1)."""
-    f = D.field
-    add, mul, n, nh = f.add, f.mul, D.dim, D.H.dim
-    act, coact = D.act._pairs, D.coact._pairs
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, f, "ldm1")
-    for h in range(nh):
-        lhs, rhs = {}, {}
-        for m in range(n):
-            base = m * n * nh
-            for x, v in act(h, m):
-                for (y, k), c in coact(x):
-                    key, t = base + y * nh + k, mul(v, c)
-                    lhs[key] = add(lhs[key], t) if key in lhs else t
-            for (m0, h1), c in coact(m):
-                for x, v in act(h, m0):
-                    key, t = base + x * nh + h1, mul(c, v)
-                    rhs[key] = add(rhs[key], t) if key in rhs else t
-        acc.check_slab((h,), lhs, rhs, (n,), (n, nh))
-    acc.finish()
-    return rep
+    return evaluate(COMPATIBILITY, D.H, act=D.act, coact=D.coact)
 
 
 def check_long_dimodule(D):
@@ -90,51 +110,28 @@ def check_long_dimodule(D):
 
 def build_from_quasimodule(H, act):
     """The dimodule on M (x) H: action on the M leg, coproduct on the H leg."""
-    f = H.field
-    n = H.dim
-    m_dim = act.m_dim
-    act_entries = []
-    for h in range(n):
-        for m in range(m_dim):
-            for m2, c in act._pairs(h, m):
-                for k in range(n):
-                    act_entries.append(
-                        (h, pair_index(m, k, n), pair_index(m2, k, n), c))
-    co_entries = []
-    for m in range(m_dim):
-        for k in range(n):
-            for (k1, k2), c in H.delta.split_pairs(k):
-                co_entries.append((pair_index(m, k, n),
-                                   pair_index(m, k1, n), k2, c))
+    f, n, m_dim = H.field, H.dim, act.m_dim
     return LongDimodule(
         H,
-        ActionData.from_entries(f, n, m_dim * n, act_entries),
-        CoactionData.from_entries(f, m_dim * n, n, co_entries))
+        ActionData.from_entries(f, n, m_dim * n, (
+            (h, pair_index(m, k, n), pair_index(m2, k, n), c)
+            for (h, m, m2), c in act.nz.items() for k in range(n))),
+        CoactionData.from_entries(f, m_dim * n, n, (
+            (pair_index(m, k, n), pair_index(m, k1, n), k2, c)
+            for m in range(m_dim) for (k, k1, k2), c in H.delta.nz.items())))
 
 
 def build_from_comodule(H, coact):
     """The dimodule on H (x) M: product on the H leg, coaction on the M leg."""
-    f = H.field
-    n = H.dim
-    m_dim = coact.m_dim
-    act_entries = []
-    for h in range(n):
-        for k in range(n):
-            for k2, c in H.mu.mul_pairs(h, k):
-                for m in range(m_dim):
-                    act_entries.append(
-                        (h, pair_index(k, m, m_dim),
-                         pair_index(k2, m, m_dim), c))
-    co_entries = []
-    for k in range(n):
-        for m in range(m_dim):
-            for (m2, h1), c in coact._pairs(m):
-                co_entries.append((pair_index(k, m, m_dim),
-                                   pair_index(k, m2, m_dim), h1, c))
+    f, n, m_dim = H.field, H.dim, coact.m_dim
     return LongDimodule(
         H,
-        ActionData.from_entries(f, n, n * m_dim, act_entries),
-        CoactionData.from_entries(f, n * m_dim, n, co_entries))
+        ActionData.from_entries(f, n, n * m_dim, (
+            (h, pair_index(k, m, m_dim), pair_index(k2, m, m_dim), c)
+            for (h, k, k2), c in H.mu.nz.items() for m in range(m_dim))),
+        CoactionData.from_entries(f, n * m_dim, n, (
+            (pair_index(k, m, m_dim), pair_index(k, m2, m_dim), h1, c)
+            for k in range(n) for (m, m2, h1), c in coact.nz.items())))
 
 
 def trivial_coaction_dimodule(H, act):
@@ -175,135 +172,34 @@ def tensor_dimodule(D1, D2):
 
 
 def check_lemma_identities(D):
-    """The two derived identities every valid dimodule satisfies.
+    """The two derived identities of the lemma, on every basis tuple.
 
     Law ids carry the variant: ldmp1/ldmp2 over a Hopf quasigroup,
-    ldmcp1/ldmcp2 over a Hopf coquasigroup.
+    ldmcp1/ldmcp2 over a Hopf coquasigroup.  The two pairs are the same
+    equations.  Every valid dimodule over a Hopf quasigroup satisfies
+    ldmp1 and ldmp2: their derivation uses the coassociativity of the
+    coaction.  A quasicomodule lacks it, and a valid dimodule over a Hopf
+    coquasigroup may fail ldmcp1 and ldmcp2 (the free H (x) M dimodule
+    over the dual of a nonassociative loop algebra does).
     """
-    f = D.field
-    H = D.H
-    add, mul, n, nh = f.add, f.mul, D.dim, H.dim
-    rep = VerificationReport()
-    suffix = "p" if D.variant == OVER_QUASIGROUP else "cp"
-    acc1 = LawAccumulator(rep, f, f"ldm{suffix}1")
-    acc2 = LawAccumulator(rep, f, f"ldm{suffix}2")
-    act, coact, anti = D.act._pairs, D.coact._pairs, H.antipode.column
-
-    def coacted(u, base):
-        """rho(u) for u = {k: coeff} in M, keyed base + m' * nh + h."""
-        out = {}
-        for k, a in u.items():
-            for (y, h), c in coact(k):
-                key, t = base + y * nh + h, mul(a, c)
-                out[key] = add(out[key], t) if key in out else t
-        return out
-
-    for m in range(n):
-        # S(m^(1)) . m^(0) by k, and S(m^(1)_(2)) . m^(0) (x) m^(1)_(1)
-        # by k * nh + h1
-        plain, split = {}, {}
-        for (m0, h), c in coact(m):
-            for x, s in anti(h):
-                for k, v in act(x, m0):
-                    t = mul(c, mul(s, v))
-                    plain[k] = add(plain[k], t) if k in plain else t
-            for (h1, h2), c2 in H.delta.split_pairs(h):
-                cc = mul(c, c2)
-                for x, s in anti(h2):
-                    for k, v in act(x, m0):
-                        key, t = k * nh + h1, mul(cc, mul(s, v))
-                        split[key] = add(split[key], t) if key in split else t
-        acc1.check_slab((m,), coacted(plain, 0), split, (), (n, nh))
-        # The instances (h, m) of ldm2 are walked m outside h: the slab of
-        # this m holds them all and leaves the other m's instances empty.
-        lhs, rhs = {}, {}
-        for h in range(nh):
-            base = (h * n + m) * n * nh
-            hplain = {}
-            for x, c in plain.items():
-                for y, v in act(h, x):
-                    t = mul(c, v)
-                    hplain[y] = add(hplain[y], t) if y in hplain else t
-            lhs.update(coacted(hplain, base))
-            for xh, c in split.items():
-                x, h1 = divmod(xh, nh)
-                for y, v in act(h, x):
-                    key, t = base + y * nh + h1, mul(c, v)
-                    rhs[key] = add(rhs[key], t) if key in rhs else t
-        acc2.check_slab((), lhs, rhs, (nh, n), (n, nh))
-    acc1.finish()
-    acc2.finish()
-    return rep
-
-
-def _identity_law(rep, f, law_id, n, terms):
-    """A law saying a map sends every e_m of an n-dim space to e_m, from
-    the (m, k, coeff) terms of the image of each e_m; one slab."""
-    add, out = f.add, {}
-    for m, k, t in terms:
-        key = m * n + k
-        out[key] = add(out[key], t) if key in out else t
-    acc = LawAccumulator(rep, f, law_id)
-    acc.check_slab((), out, {m * n + m: f.one for m in range(n)}, (n,), (n,))
-    acc.finish()
+    return evaluate(LEMMA[D.variant], D.H, act=D.act, coact=D.coact)
 
 
 def check_adjunction(H, D):
     """Unit/counit data of the free-dimodule construction, element-wise.
 
-    The unit is the coaction of D viewed as a map into the dimodule built on
-    M (x) H; checked to be a morphism of dimodules.  The triangular
-    identities reduce to counitality on both the dimodule and the
-    quasimodule sides.  D must live over H (HMismatch otherwise).
+    The unit is the coaction of D viewed as a map into the free dimodule
+    on M (x) H, action on the M leg and coproduct on the H leg; each law
+    is read on M and H directly, and the free dimodule is not built.
+    adj.unit_linear says the unit is linear: it is ldm1 walked m outside
+    h.  adj.unit_colinear says it is colinear: it is comod.coassoc with
+    its sides swapped.  The triangular identities are counitality on the
+    dimodule side, adj.triangle1 (comod.counital), and on the free side,
+    adj.triangle2.  D must live over H (HMismatch otherwise).
     """
     if not _same_structure(H, D.H):
         raise HMismatch("the dimodule lives over a different Hopf structure")
-    f = H.field
-    add, mul, n, nd = f.add, f.mul, H.dim, D.dim
-    rep = VerificationReport()
-    free = build_from_quasimodule(H, D.act)
-    nf = free.dim
-    coact = D.coact._pairs
-    linear = LawAccumulator(rep, f, "adj.unit_linear")
-    colinear = LawAccumulator(rep, f, "adj.unit_colinear")
-    for m in range(nd):
-        im = [(pair_index(m0, h1, n), c) for (m0, h1), c in coact(m)]
-        # unit_linear walks m outside h, as ldm2 does
-        lhs, rhs = {}, {}
-        for h in range(n):
-            base = (h * nd + m) * nf
-            # eta(h . m)
-            for m1, a in D.act._pairs(h, m):
-                for (m0, h1), c in coact(m1):
-                    key, t = base + pair_index(m0, h1, n), mul(a, c)
-                    lhs[key] = add(lhs[key], t) if key in lhs else t
-            # h . eta(m)
-            for j, b in im:
-                for k, c in free.act._pairs(h, j):
-                    key, t = base + k, mul(b, c)
-                    rhs[key] = add(rhs[key], t) if key in rhs else t
-        linear.check_slab((), lhs, rhs, (n, nd), (nf,))
-        lhs, rhs = {}, {}
-        for j, a in im:
-            for (j2, h2), c in free.coact._pairs(j):
-                key, t = j2 * n + h2, mul(a, c)
-                lhs[key] = add(lhs[key], t) if key in lhs else t
-        for (m0, h1), c in coact(m):
-            for (m00, h2), v in coact(m0):
-                key, t = pair_index(m00, h2, n) * n + h1, mul(c, v)
-                rhs[key] = add(rhs[key], t) if key in rhs else t
-        colinear.check_slab((m,), lhs, rhs, (), (nf, n))
-    linear.finish()
-    colinear.finish()
-    _identity_law(rep, f, "adj.triangle1", nd, (
-        (m, m0, mul(c, H.counit[h1]))
-        for m in range(nd) for (m0, h1), c in coact(m)))
-    # second triangle on the free dimodule over the underlying quasimodule:
-    # (sigma (x) id) o (id (x) delta) with sigma = id (x) counit
-    _identity_law(rep, f, "adj.triangle2", nf, (
-        (i, pair_index(j // n, h1, n), mul(c, H.counit[j % n]))
-        for i in range(nf) for (j, h1), c in free.coact._pairs(i)))
-    return rep
+    return evaluate(ADJUNCTION, H, act=D.act, coact=D.coact)
 
 
 class RMap(Mat):

@@ -1,11 +1,9 @@
 """Laws as declarations, and the one evaluator of the structure, action,
-coaction and smash-condition laws.
+coaction, smash-condition and dimodule laws.
 
-Every such law is an equation between two composites of structure maps.
-A law is declared by its id, its domain and output legs, and its two sides
-as chains of steps; `evaluate` checks it over every basis tuple of the
-domain.
-
+Every such law is an equation between two composites of structure maps,
+declared by its id, its domain and output legs, and its two sides as
+chains of steps; `evaluate` checks it over every basis tuple of the domain.
 A leg is "H", a copy of the Hopf structure, or "A", a copy of the space
 acted or coacted on (the module, or the algebra, coalgebra or Hopf structure
 A whose own maps a law may use).  A chain is a space-separated string of
@@ -20,32 +18,32 @@ p, p+1, ... of the current tensor and puts its output legs in their place:
 
 so that the quasimodule law h_(1).(S(h_(2)).m) = eps(h) m is
 
-    law("qm2.left", "HA", "A", "delta@0 S@1 act@1 act@0", "eps@0"),
+    law("qm2.left", "HA", "A", "delta@0 S@1 act@1 act@0", "eps@0").
 
-and the associativity of H is law("assoc", "HHH", "H", "mu@0 mu@0",
-"mu@1 mu@0").  The empty chain is the identity.  A declaration is checked
-against the map signatures when it is made, so a malformed step or a step
-placed on the wrong legs fails at import, whatever the dims.
+The empty chain is the identity.  A parenthesised group of legs, as in
+"(AH)", is its legs to the chains and one row-major flat index in a
+witness, as the free dimodule on M (x) H indexes its carrier.  A
+declaration is checked when it is made, so a bad leg string, a malformed
+step or a step on the wrong legs fails at import, whatever the dims.
 
-`evaluate` walks the domain one slab of fixed first index at a time; a law
-of rank-0 domain is one slab.  A caller that knows which slabs can fail (the
-integer-table paths of `hopfloop.structures`) names them, and only those
-are evaluated.  Each side of a slab is one dict keyed by the flat int
-inst * prod(out_dims) + out, inst the rest of the instance and out the
-output basis tuple, both row-major, and `LawAccumulator.check_slab`
-compares the two: the witness is the least failing instance.  Once a law
-has failed, its later slabs are not evaluated.
+`evaluate` walks the domain one slab at a time: a slab fixes the index of
+the leg `slab`, 0 unless declared (ldmp2 walks the m of (h, m) outermost),
+and a law of rank-0 domain is one slab.  A caller that knows which slabs
+can fail (the integer-table paths of `hopfloop.structures`) names them,
+and only those are evaluated.  Each side of a slab is one dict keyed by the
+flat int inst * prod(out_dims) + out, inst the instance's other legs and
+out the output basis tuple, both row-major, and `LawAccumulator.check_slab`
+compares the two: the witness is the first failing instance in walk order,
+its indices in domain order.  Once a law has failed, its later slabs are
+not evaluated.
 
-Each side is computed by a loop nest compiled from its chain, once per
-chain, as `dataclasses` compiles `__init__`: the loops a checker would be
-written with by hand.  A step is one loop over the image of its input legs,
-read from the cached fibres of its map (the product table, the coproduct
-and coaction grouped by their first leg, the antipode by column), and a
-swap only renames legs.  A step sits outside the loops over the instance
-legs it does not read, so that the (S (x) id)Delta(h) of qm2.left is formed
-once per h, not once per (h, m).  The coefficients are multiplied where a
-term is stored, or before an instance loop for the steps outside it, so a
-term that an empty fibre cuts off costs no multiplication.  For qm2.left:
+Each side is a loop nest compiled once from its chain, as `dataclasses`
+compiles `__init__`.  A step is one loop over the image of its input legs,
+read from the cached fibres of its map, and a swap only renames legs.  A
+step sits outside the loops over the instance legs it does not read, so
+that the (S (x) id)Delta(h) of qm2.left is formed once per h, not once per
+(h, m), and the coefficients are multiplied where a term is stored, or
+before an instance loop for the steps outside it:
 
     for (y0_0, y0_1), v0 in t[0][x0]:           # delta@0, x0 the slab's h
         for y1_0, v1 in t[1][y0_1]:             # S@1
@@ -57,8 +55,11 @@ term that an empty fibre cuts off costs no multiplication.  For qm2.left:
                         ...  # add mul(mul(c3, v2), v3) to slab[key]
 """
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
+from math import prod
 
 from .report import LawAccumulator, VerificationReport
 
@@ -71,21 +72,14 @@ SIGNATURES = {
     "act": ("HA", "A"), "coact": ("A", "AH"),
 }
 
-
-def _counit_fibres(X):
-    zero = X.counit.field.zero
-    return tuple(((((), c),) if c != zero else ()) for c in X.counit.data)
-
-
-# The fibres of each map of a Hopf structure, algebra or coalgebra X,
-# subscripted by its input legs: (output legs, coeff) pairs, the output an
-# int for one leg and a tuple otherwise.
+# The fibres of each map of a Hopf structure, algebra or coalgebra X by its
+# input legs: (output legs, coeff) pairs, one leg an int, more a tuple.
 _FIBRES = {
     "mu": lambda X: X.mu.mul_table,
     "delta": lambda X: X.delta._by_first,
     "S": lambda X: X.antipode._by_second,
-    "eta": lambda X: tuple(X.unit.nonzero()),
-    "eps": _counit_fibres,
+    "eta": lambda X: X.unit.unit_fibre,
+    "eps": lambda X: X.counit.counit_fibres,
 }
 
 
@@ -93,17 +87,23 @@ _FIBRES = {
 class Law:
     """A declared law; `law` builds one from the text of its chains."""
     law_id: str
-    domain: str
+    domain: str  # the legs, groups dissolved
     out: str
     lhs: tuple  # ((name, p), ...)
     rhs: tuple
     informational: bool = False
+    slab: int = 0  # the domain leg walked outermost
+    dom_sizes: tuple = None  # legs per witness index, if grouped
+    out_sizes: tuple = None
 
     @cached_property
     def sides(self):
         """The loop nests of both sides, compiled on first use."""
-        return (_compile(self.lhs, self.domain, self.out),
-                _compile(self.rhs, self.domain, self.out))
+        return (_compile(self.lhs, self.domain, self.out, self.slab),
+                _compile(self.rhs, self.domain, self.out, self.slab))
+
+
+_LEG = re.compile(r"[HA]|\([HA]+\)")  # one index of a witness
 
 
 def _legs_after(law_id, legs, step):
@@ -111,9 +111,7 @@ def _legs_after(law_id, legs, step):
     name, p = step
     if name == "swap":
         ins = legs[p:p + 2]
-        outs = ins[::-1]
-        if len(ins) != 2:
-            ins = "two legs"
+        ins, outs = (ins, ins[::-1]) if len(ins) == 2 else ("two legs", "")
     else:
         ins, outs = SIGNATURES[name]
     if not 0 <= p <= len(legs) or legs[p:p + len(ins)] != ins:
@@ -134,8 +132,22 @@ def _chain(law_id, text):
     return tuple(chain)
 
 
-def law(law_id, domain, out, lhs, rhs, informational=False):
+def _legs(law_id, text):
+    """The legs of the leg string `text`, and if it has a group, the number
+    of legs in each index of a witness: one, or a group's."""
+    indices = _LEG.findall(text)
+    if "".join(indices) != text:
+        raise ValueError(f"{law_id}: bad leg string {text!r}")
+    groups = [index.strip("()") for index in indices]
+    return "".join(groups), tuple(map(len, groups)) if "(" in text else None
+
+
+def law(law_id, domain, out, lhs, rhs, informational=False, slab=0):
     """Declare a law: both chains must take `domain` to `out`."""
+    (domain, dom_sizes), (out, out_sizes) = (
+        _legs(law_id, domain), _legs(law_id, out))
+    if not 0 <= slab < max(len(domain), 1):
+        raise ValueError(f"{law_id}: no leg {slab} in {domain!r} to walk")
     chains = []
     for text in (lhs, rhs):
         chain, legs = _chain(law_id, text), domain
@@ -145,7 +157,8 @@ def law(law_id, domain, out, lhs, rhs, informational=False):
             raise ValueError(f"{law_id}: {text!r} ends in {legs!r}, "
                              f"not {out!r}")
         chains.append(chain)
-    return Law(law_id, domain, out, *chains, informational)
+    return Law(law_id, domain, out, *chains, informational, slab,
+               dom_sizes, out_sizes)
 
 
 def _flat(names, spaces):
@@ -156,14 +169,25 @@ def _flat(names, spaces):
     return expr or "0"
 
 
-def _compile(chain, domain, out):
+def _runs(seq, sizes):
+    """`seq` cut into consecutive runs of `sizes` entries."""
+    return [seq[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
+
+
+def _ravel(index, dims):
+    """The row-major flat index of the index tuple `index` over `dims`."""
+    return sum(i * prod(dims[k + 1:]) for k, i in enumerate(index))
+
+
+def _compile(chain, domain, out, walked):
     """The loop nest of one side of a law declared by `law`: a function of
-    the slab's first index x0, the fibres t of each step's map, the dims nH
-    and nA, and the field's one, mul and add, that returns the side's
-    slab."""
+    the index of the slab's leg `walked`, the fibres t of each step's map,
+    the dims nH and nA, and the field's one, mul and add, that returns the
+    side's slab."""
     legs = [f"x{i}" for i in range(len(domain))]  # the current legs' names
-    inst = legs[1:]
-    defined, waiting = set(legs[:1]), list(zip(inst, domain[1:]))
+    inst, inst_domain = (x[:walked] + x[walked + 1:] for x in (legs, domain))
+    defined = set(legs[walked:walked + 1])
+    waiting = list(zip(inst, inst_domain))
     lines, depth, coef = [], 1, "one"
 
     def emit(line):
@@ -194,10 +218,10 @@ def _compile(chain, domain, out):
         legs[p:p + n_in] = new
     for var, space in waiting:
         loop(var, space)
-    emit(f"key = {_flat(inst + legs, domain[1:] + out)}")
+    emit(f"key = {_flat(inst + legs, inst_domain + out)}")
     emit(f"slab[key] = add(slab[key], {coef}) if key in slab else {coef}")
     namespace = {}
-    exec("\n".join(["def side(x0, t, nH, nA, one, mul, add):",
+    exec("\n".join([f"def side(x{walked}, t, nH, nA, one, mul, add):",
                     "    slab = {}", *lines, "    return slab"]), namespace)
     return namespace["side"]
 
@@ -228,13 +252,14 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
         lhs, rhs = lw.sides
         lhs_maps = [fibres[name] for name, _ in lw.lhs]
         rhs_maps = [fibres[name] for name, _ in lw.rhs]
+        s = lw.slab
         dom = [dims[leg] for leg in lw.domain]
-        inst_dims = tuple(dom[1:])
+        inst_dims = tuple(dom[:s] + dom[s + 1:])
         out_dims = tuple(dims[leg] for leg in lw.out)
-        if firsts is not None:
-            slabs = firsts[k]
-        else:
-            slabs = range(dom[0]) if dom else (None,)
+        if lw.out_sizes:
+            out_dims = tuple(map(prod, _runs(out_dims, lw.out_sizes)))
+        slabs = (firsts[k] if firsts is not None
+                 else range(dom[s]) if dom else (None,))
         for first in slabs:
             if acc.failed:
                 break
@@ -242,5 +267,13 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
                            lhs(first, lhs_maps, nH, nA, one, mul, add),
                            rhs(first, rhs_maps, nH, nA, one, mul, add),
                            inst_dims, out_dims)
+        if acc.failed and (s or lw.dom_sizes):
+            # the walked leg's index, first in the witness, to its place
+            index = acc.witness.indices
+            index = index[1:s + 1] + index[:1] + index[s + 1:]
+            if lw.dom_sizes:
+                index = tuple(map(_ravel, _runs(index, lw.dom_sizes),
+                                  _runs(dom, lw.dom_sizes)))
+            acc.witness = replace(acc.witness, indices=index)
         acc.finish()
     return rep

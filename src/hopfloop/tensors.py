@@ -25,7 +25,8 @@ coproduct of its dual read through the transpose, an antipode that sends
 basis vectors to basis vectors.  Laws over such maps are decided by
 composing and comparing integer rows (`assoc_mismatches`, `quasi_rows`).
 
-Vec, the values of a unit or counit, stays a dense tuple.
+Vec, the values of a unit or counit, stays a dense tuple, with its fibres
+as a unit and as a counit built once on first use.
 """
 
 from functools import cached_property
@@ -40,11 +41,12 @@ def pair_index(i, j, dim_second):
 
 
 class Vec:
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "data", "_nonzero", "_by_index")
 
     def __init__(self, field, data):
         self.field = field
         self.data = tuple(data)
+        self._nonzero = self._by_index = None
 
     @property
     def dim(self):
@@ -72,6 +74,25 @@ class Vec:
     def nonzero(self):
         z = self.field.zero
         return [(i, c) for i, c in enumerate(self.data) if c != z]
+
+    # Fibres, built once: of the map 1 -> this vector (a unit), and of the
+    # map e_i -> self[i] to the ground field (a counit).
+
+    @property
+    def unit_fibre(self):
+        """The nonzeros as (i, coeff) pairs."""
+        if self._nonzero is None:
+            self._nonzero = tuple(self.nonzero())
+        return self._nonzero
+
+    @property
+    def counit_fibres(self):
+        """[i] -> the pair ((), self[i]), or none where it is zero."""
+        if self._by_index is None:
+            z = self.field.zero
+            self._by_index = tuple((((), c),) if c != z else ()
+                                   for c in self.data)
+        return self._by_index
 
 
 class SparseTensor:

@@ -13,6 +13,7 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, LongDimodule,
                       check_adjunction, check_d_equation,
                       check_lemma_identities,
                       check_long_dimodule, d_map, dualize, loop_algebra,
+                      search_ip_loops,
                       tensor_dimodule, trivial_action_dimodule,
                       trivial_coaction_dimodule, unit_dimodule)
 from hopfloop.errors import DimMismatch, FieldMismatch, HMismatch
@@ -112,6 +113,45 @@ def test_d_equation_dim49_free_dimodule():
     assert D.dim == 49
     assert check_long_dimodule(D).ok
     assert check_d_equation(d_map(D)).ok
+
+
+def test_ldmcp_fails_on_a_valid_dimodule():
+    """ldmcp1 and ldmcp2 are not identities of every valid dimodule over a
+    Hopf coquasigroup: the derivation of ldmp1 uses the coassociativity of
+    the coaction, which a quasicomodule lacks.  The free H (x) M dimodule
+    over the dual of Q[L7] passes ldm and eq.d and fails both."""
+    H7 = loop_algebra(loop7())
+    D = build_from_comodule(dualize(H7), CoactionData.dual_of_action(
+        ActionData.from_mu(H7)))
+    assert (D.dim, D.variant) == (49, OVER_COQUASIGROUP)
+    assert check_long_dimodule(D).ok
+    assert check_d_equation(d_map(D)).ok
+    assert [(e.law_id, e.passed, e.witness.indices)
+            for e in check_lemma_identities(D).entries] == [
+        ("ldmcp1", False, (9,)), ("ldmcp2", False, (1, 9))]
+
+
+def test_free_dimodules_over_nonassociative_order8_loops():
+    """Over the three nonassociative IP loops L of order 8, the free
+    M (x) H dimodule Q[L] (x) Q[L] passes every dimodule law and solves
+    the D-equation; its H (x) M dual passes ldm and eq.d and fails
+    ldmcp1 and ldmcp2, as over L7."""
+    loops = search_ip_loops(8, want_nonassociative=True)
+    assert len(loops) == 3
+    for T in loops:
+        H = loop_algebra(T)
+        D = build_from_quasimodule(H, ActionData.from_mu(H))
+        assert D.dim == 64
+        assert check_long_dimodule(D).ok
+        assert check_lemma_identities(D).ok
+        assert check_adjunction(H, D).ok
+        assert check_d_equation(d_map(D)).ok
+        dual = build_from_comodule(dualize(H), CoactionData.dual_of_action(
+            ActionData.from_mu(H)))
+        assert check_long_dimodule(dual).ok
+        assert check_d_equation(d_map(dual)).ok
+        assert {e.law_id for e in check_lemma_identities(dual).failing()} \
+            == {"ldmcp1", "ldmcp2"}
 
 
 def test_d_equation_failure_witness(H2):

@@ -1,11 +1,12 @@
 """The law evaluator of `hopfloop.laws` on its own, and a metamorphic test
-of the 25 action, coaction and smash-condition laws and of the 22 Hopf
-(co)quasigroup laws under relabelling.
+of the 25 action, coaction and smash-condition laws, the 22 Hopf
+(co)quasigroup laws and the dimodule laws under relabelling.
 
 The unit tests declare small laws of their own, so that each kind of step
 (swap, eta and eps on rank-0 legs, the empty chain) and each slab shape
-(rank-0 domain or output, a first failure past the first slab) is checked
-against witnesses worked out by hand or read off the tensors directly.
+(rank-0 domain or output, a first failure past the first slab, a walked
+leg other than the first, leg groups) is checked against witnesses worked
+out by hand or read off the tensors directly.
 """
 
 import json
@@ -17,16 +18,18 @@ from hypothesis import given, settings, strategies as st
 import instance_reference as ref
 from conftest import (cyclic, inversion_action, loop7, perm_action,
                       s3_table)
-from test_module_laws import action_inputs
+from test_module_laws import action_inputs, dimodules
 from test_structures import random_structures, s3_perturbations
 
 from hopfloop import (QQ, ActionData, AlgebraData, CoactionData,
-                      CoalgebraData, CosmashInput, Mat, SmashInput, Ten3, Vec,
+                      CoalgebraData, CosmashInput, LongDimodule, Mat,
+                      SmashInput, Ten3, Vec, check_adjunction,
                       check_antipode_colinear, check_antipode_linear,
                       check_cocommu, check_commu, check_comodcoass,
                       check_comodule, check_coqm_algebra,
                       check_coqm_coalgebra, check_hopf_coquasigroup,
-                      check_hopf_quasigroup, check_modass, check_module,
+                      check_hopf_quasigroup, check_lemma_identities,
+                      check_long_dimodule, check_modass, check_module,
                       check_qm_algebra, check_qm_coalgebra,
                       check_quasicomodule, check_quasimodule, dualize,
                       loop_algebra)
@@ -42,20 +45,35 @@ def entry(rep, law_id):
 # --- declarations ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("domain, out, chain", [
-    ("HA", "A", "act@1"),            # act needs HA at leg 1
-    ("HA", "A", "mu@0 act@0"),       # mu needs HH
-    ("HA", "HA", "swap@1"),          # swap needs two legs
-    ("HA", "A", "eps@3 act@0"),      # no leg 3
-    ("HA", "HA", "act@0"),           # ends in A, not HA
-    ("HA", "A", "mul@0"),            # no map mul
-    ("HA", "A", "act0"),             # no @
-])
-def test_declaration_on_wrong_legs_fails(domain, out, chain):
-    """The error names the law and the step at fault."""
+WRONG_DECLARATIONS = [
+    # domain, out, lhs, slab, the part of the declaration at fault
+    ("HA", "A", "act@1", 0, "act@1"),              # act needs HA at leg 1
+    ("HA", "A", "mu@0 act@0", 0, "mu@0"),          # mu needs HH
+    ("HA", "HA", "swap@1", 0, "swap@1"),           # swap needs two legs
+    ("HA", "A", "eps@3 act@0", 0, "eps@3"),        # no leg 3
+    ("HA", "HA", "act@0", 0, "'act@0'"),           # ends in A, not HA
+    ("HA", "A", "mul@0", 0, "mul@0"),              # no map mul
+    ("HA", "A", "act0", 0, "act0"),                # no @
+    ("HB", "HB", "", 0, "'HB'"),                   # no leg B
+    ("H(A", "A", "act@0", 0, "'H(A'"),             # unbalanced group
+    ("HA", "A)", "act@0", 0, "'A)'"),              # unbalanced group
+    ("((AH))", "(AH)", "", 0, "'((AH))'"),         # nested group
+    ("H()A", "A", "act@0", 0, "'H()A'"),           # empty group
+    ("HA", "A", "act@0", 2, "leg 2"),              # no leg 2 to walk
+    ("HA", "A", "act@0", -1, "leg -1"),            # no leg -1 to walk
+]
+
+
+@pytest.mark.parametrize(
+    "domain, out, chain, slab, fault", WRONG_DECLARATIONS,
+    ids=["-".join(case[:3]) + (f"-slab{case[3]}" if case[3] else "")
+         for case in WRONG_DECLARATIONS])
+def test_declaration_on_wrong_legs_fails(domain, out, chain, slab, fault):
+    """The error names the law and the step, leg string or walked leg at
+    fault."""
     with pytest.raises(ValueError, match="^bad: ") as exc:
-        law("bad", domain, out, chain, "")
-    assert any(step in str(exc.value) for step in chain.split())
+        law("bad", domain, out, chain, "", slab=slab)
+    assert fault in str(exc.value)
 
 
 # --- steps -------------------------------------------------------------------
@@ -142,6 +160,24 @@ def test_chosen_first_indices():
     assert w.indices[0] == 5
 
 
+def test_walk_leg_and_leg_groups():
+    """h.m = eps(h) m walked m outside h, on the domain (HA): over C2 on
+    C3, 1 acts as the swap of e1 and e2 and g as the swap of e0 and e1,
+    failing at (0, 1), (0, 2), (1, 0) and (1, 1); m-major, (1, 0) comes
+    first, reported as its flat index 1 * 3 + 0.  An output group keys
+    the sides by flat indices too: rho(e_1) = e_1 (x) g against e_1 (x)
+    1."""
+    H = loop_algebra(cyclic(2))
+    act = perm_action(QQ, 2, [(0, 2, 1), (1, 0, 2)])
+    walked = law("walked", "(HA)", "A", "act@0", "eps@0", slab=1)
+    assert entry(evaluate((walked,), H, act=act), "walked")["witness"] == {
+        "indices": [3], "lhs": [[[1], "1"]], "rhs": [[[0], "1"]]}
+    grouped = law("grouped", "A", "(AH)", "coact@0", "eta@1")
+    rep = evaluate((grouped,), H, coact=CoactionData.graded(H, [0, 1, 0]))
+    assert entry(rep, "grouped")["witness"] == {
+        "indices": [1], "lhs": [[[3], "1"]], "rhs": [[[2], "1"]]}
+
+
 # --- slab shapes -------------------------------------------------------------
 
 
@@ -214,9 +250,17 @@ def test_pairwise_different_dims_match_reference():
 # --- relabelling -------------------------------------------------------------
 
 
-def relabel(X, p):
-    """The structure X with basis vector i renamed p[i]."""
-    f, n = X.field, X.dim
+def relabel(X, p, q=None):
+    """X with basis vector i of H renamed p[i]: a structure, or an action
+    or coaction whose carrier has basis vector m renamed q[m]."""
+    f = X.field
+    if isinstance(X, ActionData):
+        return ActionData(f, X.dims, ((p[h], q[m], q[k], c)
+                                      for (h, m, k), c in X.nz.items()))
+    if isinstance(X, CoactionData):
+        return CoactionData(f, X.dims, ((q[m], q[k], p[h], c)
+                                        for (m, k, h), c in X.nz.items()))
+    n = X.dim
 
     def ten3(t):
         return Ten3(f, (n,) * 3, ((p[i], p[j], p[k], c)
@@ -260,10 +304,7 @@ def test_relabelling_keeps_every_verdict(inp, rng):
     H, A, act = inp
     p = rng.sample(range(H.dim), H.dim)
     q = rng.sample(range(A.dim), A.dim)
-    moved = ActionData.from_entries(
-        act.field, H.dim, A.dim,
-        ((p[h], q[m], q[k], c) for (h, m, k), c in act.nz.items()))
-    assert (law_verdicts(relabel(H, p), relabel(A, q), moved)
+    assert (law_verdicts(relabel(H, p), relabel(A, q), relabel(act, p, q))
             == law_verdicts(H, A, act))
 
 
@@ -279,10 +320,8 @@ def test_relabelling_covers_failing_verdicts():
     assert not all(base.values())
     for _ in range(5):
         p, q = rng.sample(range(2), 2), rng.sample(range(3), 3)
-        moved = ActionData.from_entries(
-            QQ, 2, 3, ((p[h], q[m], q[k], c)
-                       for (h, m, k), c in act.nz.items()))
-        assert law_verdicts(relabel(H, p), relabel(A, q), moved) == base
+        assert law_verdicts(relabel(H, p), relabel(A, q),
+                            relabel(act, p, q)) == base
 
 
 def structure_verdicts(H):
@@ -314,3 +353,37 @@ def test_relabelling_keeps_structure_verdicts(inputs, fields):
     ids = {law_id for _, law_id in structure_verdicts(loop_algebra(cyclic(2)))}
     assert len(ids) == 22
     assert failed == {(f, law_id) for f in fields for law_id in ids}
+
+
+def dimodule_verdicts(D):
+    """law id -> passed over the constituent, compatibility, lemma and
+    adjunction laws of D."""
+    return {e.law_id: e.passed
+            for rep in (check_long_dimodule(D), check_lemma_identities(D),
+                        check_adjunction(D.H, D))
+            for e in rep.entries}
+
+
+def test_relabelling_keeps_dimodule_verdicts():
+    """Relabelling H by a random permutation and the carrier by another
+    keeps every verdict of the dimodule checkers; ldm1 and each lemma and
+    adjunction law of the quasigroup side fail on some drawn input over
+    each field."""
+    failed = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dimodules(), st.randoms(use_true_random=False))
+    def relabelled(D, rng):
+        verdicts = dimodule_verdicts(D)
+        p = rng.sample(range(D.H.dim), D.H.dim)
+        q = rng.sample(range(D.dim), D.dim)
+        moved = LongDimodule(relabel(D.H, p), relabel(D.act, p, q),
+                             relabel(D.coact, p, q), D.variant)
+        assert dimodule_verdicts(moved) == verdicts
+        failed.update((repr(D.field), law_id)
+                      for law_id, ok in verdicts.items() if not ok)
+
+    relabelled()
+    ids = ("ldm1", "ldmp1", "ldmp2", "adj.unit_linear", "adj.unit_colinear",
+           "adj.triangle1", "adj.triangle2")
+    assert failed >= {(f, law_id) for f in ("QQ", "GF(5)") for law_id in ids}
