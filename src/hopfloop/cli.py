@@ -149,15 +149,14 @@ def cmd_dequation(args):
     D = fileio.load_dimodule_bundle(args.path)
     R = d_map(D)
     report = check_d_equation(R)
-    shape = ("R = identity" if R.is_identity()
-             else f"R: {R.dim}x{R.dim}")
+    identity = R.is_identity()
+    shape = "R = identity" if identity else f"R: {R.dim}x{R.dim}"
     verdict = "pass" if report.ok else "fail"
     sys.stdout.write(f"{shape}; D-equation: {verdict}\n")
     if args.report:
         fileio.write_text(args.report,
                           _report_json(report, {"r_dim": R.dim,
-                                                "r_identity":
-                                                R.is_identity()}))
+                                                "r_identity": identity}))
     return EXIT_OK if report.ok else EXIT_LAW_FAIL
 
 

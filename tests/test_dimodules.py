@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -236,6 +238,114 @@ def test_d_equation_matches_reference_on_d_maps(field):
         assert_same_as_reference(R)
         verdicts.append(check_d_equation(R).ok)
     assert verdicts == [True] * (len(verdicts) - 1) + [False]
+
+
+# --- basis-map R: decided on integer tables -------------------------------
+
+def basis_rmap(f, nd, r):
+    """The RMap with R(e_j) = e_r[j]."""
+    return RMap(f, nd, [(i, j, f.one) for j, i in enumerate(r)])
+
+
+@st.composite
+def basis_rmaps(draw):
+    """RMaps sending every e_j to one e_r[j] with coefficient one, on
+    carriers of dim 1-4: a permutation of the pairs, an arbitrary map of
+    them, or the identity with two images swapped, which may fail only on
+    a late slab."""
+    f = draw(st.sampled_from(list(SCALARS)))
+    nd = draw(st.integers(1, 4))
+    d = nd * nd
+    kind = draw(st.sampled_from(["permutation", "map", "swap"]))
+    if kind == "permutation":
+        r = draw(st.permutations(range(d)))
+    elif kind == "map":
+        r = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    else:
+        r = list(range(d))
+        a, b = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        r[a], r[b] = r[b], r[a]
+    return basis_rmap(f, nd, r)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(basis_rmaps())
+@example(basis_rmap(QQ, 1, [0]))
+@example(basis_rmap(GF(5), 3, [0, 1, 2, 3, 4, 5, 6, 8, 7]))
+def test_d_equation_on_basis_maps_matches_reference(R):
+    assert R.column_map is not None
+    assert_same_as_reference(R)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(basis_rmaps(), st.data())
+def test_d_equation_off_basis_maps_matches_reference(R, data):
+    """One entry changed: a coefficient 2, a second entry in one column, or
+    one column zeroed.  Each leaves basis mode."""
+    f, d = R.field, R.dim
+    j = data.draw(st.integers(0, d - 1))
+    i = R.column_map[j]
+    nz = dict(R.nz)
+    kinds = ["coefficient", "zero"] + (["second"] if d > 1 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "coefficient":
+        nz[i, j] = f.from_int(2)
+    elif kind == "zero":
+        del nz[i, j]
+    else:
+        nz[(i + data.draw(st.integers(1, d - 1))) % d, j] = f.one
+    R = RMap(f, R.m_dim, [key + (c,) for key, c in nz.items()])
+    assert R.column_map is None
+    assert_same_as_reference(R)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_d_equation_on_permutation_dimodules_matches_reference(field):
+    """The d_maps of permutation dimodules over C2 and of their tensor
+    products, carrier dim at most 12, gradings preserved or not: all
+    basis maps, some solutions and some not."""
+    H2 = loop_algebra(cyclic(2), field=field)
+    inv = inversion_action(field)
+    factors = [LongDimodule(H2, inv, CoactionData.graded(H2, g))
+               for g in product(range(2), repeat=3)]
+    graded = [trivial_action_dimodule(H2, CoactionData.graded(H2, g))
+              for g in ([0], [1], [0, 1], [1, 1, 0], [0, 1, 1, 0])]
+    verdicts = set()
+    for D in factors + [tensor_dimodule(A, B)
+                        for A in factors for B in graded]:
+        assert D.dim <= 12
+        R = d_map(D)
+        assert R.column_map is not None
+        assert_same_as_reference(R)
+        verdicts.add(check_d_equation(R).ok)
+    assert verdicts == {True, False}
+
+
+def test_d_equation_basis_map_memory_and_witness_dim49():
+    """The d_map of the free M (x) H dimodule over Q[L7], dim 49, solves
+    the D-equation; with the images of columns 2399 and 2400 swapped it
+    fails on the last slab only.  Either way the integer tables keep one
+    slab of each side: each check is traced on its second call, once the
+    cached views exist, and stays under 2 MiB, where the nd^3 tables of
+    both sides would take several."""
+    H7 = loop_algebra(loop7())
+    R = d_map(build_from_quasimodule(H7, ActionData.from_mu(H7)))
+    r = list(R.column_map)
+    r[2399], r[2400] = r[2400], r[2399]
+    swapped = basis_rmap(R.field, R.m_dim, r)
+    for X, ok in ((R, True), (swapped, False)):
+        check_d_equation(X)
+        tracemalloc.start()
+        try:
+            rep = check_d_equation(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok == ok and peak < 2 * 2 ** 20, (ok, peak)
+    witness = rep.law("eq.d").witness
+    assert witness.indices == (48, 5, 6)
+    assert witness.lhs == (((34, 48, 6), "1"),)
+    assert witness.rhs == (((13, 47, 6), "1"),)
 
 
 def test_compatibility_failure(H2):
