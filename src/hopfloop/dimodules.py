@@ -9,22 +9,25 @@ The compatibility, lemma and adjunction laws are declarations of
 `hopfloop.laws` on legs H and A, A the dimodule's carrier M, checked by
 `laws.evaluate`.  ldmp2, ldmcp2 and adj.unit_linear walk m outside h
 (slab=1) and report (h, m); the adjunction laws read the free dimodule's
-M (x) H as the legs (AH), whose witness index is one flat int.  eq.d is
-contracted by hand in `check_d_equation`: R is input data, not a chain of
-structure maps.  When R sends basis vectors to basis vectors, as the d_map
-of a dimodule with permutation action and grading coaction does, the
-D-equation is first decided on integer tables, and only the least failing
-slab is contracted for its witness.
+M (x) H as the legs (AH), whose witness index is one flat int.  The
+D-equation candidate `d_map` is a construction of `hopfloop.laws`, the
+chain m (x) n -> n^(1) . m (x) n^(0) on the legs (AA), materialized by
+`laws.build`.  eq.d is contracted by hand in `check_d_equation`: R is
+input data, not a chain of structure maps.  When R sends basis vectors to
+basis vectors, as the d_map of a dimodule with permutation action and
+grading coaction does, the D-equation is first decided on integer tables,
+and only the least failing slab is contracted for its witness.
 """
 
 import operator
+from math import isqrt
 
 from .actions import (ActionData, CoactionData, check_comodule, check_module,
                       check_quasicomodule, check_quasimodule, diagonal_action,
                       tensor_coaction)
 from .errors import DimMismatch, HMismatch
 from .fields import check_same_field
-from .laws import evaluate, law
+from .laws import build, construction, evaluate, law
 from .report import LawAccumulator, VerificationReport
 from .structures import HopfQuasigroup
 from .tensors import Mat, _composer, pair_index
@@ -213,25 +216,27 @@ class RMap(Mat):
 
     def __init__(self, field, m_dim, entries):
         super().__init__(field, (m_dim * m_dim,) * 2, entries)
-        self.m_dim = m_dim
+
+    @property
+    def m_dim(self):
+        return isqrt(self.dims[0])
 
     @property
     def dim(self):
-        return self.m_dim * self.m_dim
+        return self.dims[0]
 
     def is_identity(self):
         one = self.field.one
         return self.nz == {(j, j): one for j in range(self.dim)}
 
 
+D_MAP = construction("d_map", "(AA)", "(AA)",
+                     "coact@1 swap@1 swap@0 act@0")
+
+
 def d_map(D):
     """The candidate D-equation solution m (x) n -> n^(1) . m (x) n^(0)."""
-    f = D.field
-    nd = D.dim
-    return RMap(f, nd, (
-        (pair_index(m2, n0, nd), pair_index(m, n, nd), f.mul(c, v))
-        for n in range(nd) for (n0, h), c in D.coact._pairs(n)
-        for m in range(nd) for m2, v in D.act._pairs(h, m)))
+    return build(D_MAP, D.H, act=D.act, coact=D.coact, cls=RMap).transpose()
 
 
 def _first_failing_slab(r, nd):
@@ -270,7 +275,8 @@ def check_d_equation(R):
     with coefficient one, so the slabs are first compared as lists of
     ints, and only the least failing slab, or none, is contracted: it is
     the first slab that fails in the contraction, which alone gives the
-    verdict and the witness.  Any other R contracts every slab.
+    verdict and the witness.  Any other R contracts the slabs in order
+    up to the first that fails.
     """
     f = R.field
     add, mul = f.add, f.mul
@@ -303,6 +309,8 @@ def check_d_equation(R):
         return out
 
     for l in slabs:
+        if acc.failed:
+            break
         lhs = slab((xy * nd, c, by_out_first[m2])
                    for m2 in range(nd)
                    for xy, c in R.column(pair_index(l, m2, nd)))

@@ -1,5 +1,6 @@
-"""Laws as declarations, and the one evaluator of the structure, action,
-coaction, smash-condition and dimodule laws.
+"""Laws and maps as declarations: `evaluate` checks the structure,
+action, coaction, smash-condition and dimodule laws, and `build` makes the
+smash (co)product maps and the D-equation candidate.
 
 Every such law is an equation between two composites of structure maps,
 declared by its id, its domain and output legs, and its two sides as
@@ -53,15 +54,21 @@ before an instance loop for the steps outside it:
                     for y3_0, v3 in t[3][y0_0][y2_0]:   # act@0
                         key = (x1) * nA + y3_0
                         ...  # add mul(mul(c3, v2), v3) to slab[key]
+
+A construction declares one chain as a map, `construction(id, domain, out,
+chain)`, checked as a law's chains are; `build` runs its loop nest over
+each index of the first leg and returns a sparse tensor indexed by the
+leg groups, domain first, so that "(AH)(AH)" -> "(AH)" is a product.
 """
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import prod
 
 from .report import LawAccumulator, VerificationReport
+from .tensors import SparseTensor
 
 # name -> (input legs, output legs)
 SIGNATURES = {
@@ -142,23 +149,49 @@ def _legs(law_id, text):
     return "".join(groups), tuple(map(len, groups)) if "(" in text else None
 
 
+def _checked(law_id, text, domain, out):
+    """The steps of the chain `text`, which must take `domain` to `out`."""
+    chain, legs = _chain(law_id, text), domain
+    for step in chain:
+        legs = _legs_after(law_id, legs, step)
+    if legs != out:
+        raise ValueError(f"{law_id}: {text!r} ends in {legs!r}, not {out!r}")
+    return chain
+
+
 def law(law_id, domain, out, lhs, rhs, informational=False, slab=0):
     """Declare a law: both chains must take `domain` to `out`."""
     (domain, dom_sizes), (out, out_sizes) = (
         _legs(law_id, domain), _legs(law_id, out))
     if not 0 <= slab < max(len(domain), 1):
         raise ValueError(f"{law_id}: no leg {slab} in {domain!r} to walk")
-    chains = []
-    for text in (lhs, rhs):
-        chain, legs = _chain(law_id, text), domain
-        for step in chain:
-            legs = _legs_after(law_id, legs, step)
-        if legs != out:
-            raise ValueError(f"{law_id}: {text!r} ends in {legs!r}, "
-                             f"not {out!r}")
-        chains.append(chain)
-    return Law(law_id, domain, out, *chains, informational, slab,
+    return Law(law_id, domain, out, _checked(law_id, lhs, domain, out),
+               _checked(law_id, rhs, domain, out), informational, slab,
                dom_sizes, out_sizes)
+
+
+@dataclass(frozen=True, eq=False)
+class Construction:
+    """A declared map; `construction` builds one from its chain's text."""
+    map_id: str
+    domain: str  # the legs, groups dissolved
+    out: str
+    chain: tuple  # ((name, p), ...)
+    names: frozenset  # the maps the chain reads
+    groups: tuple  # the legs of each index of a built tensor, domain first
+
+    @cached_property
+    def side(self):
+        return _compile(self.chain, self.domain, self.out, 0)
+
+
+def construction(map_id, domain, out, chain):
+    """Declare a map: `chain` must take `domain` to `out`."""
+    (legs, _), (out_legs, _) = _legs(map_id, domain), _legs(map_id, out)
+    steps = _checked(map_id, chain, legs, out_legs)
+    groups = tuple(g.strip("()") for g in _LEG.findall(domain + out))
+    return Construction(map_id, legs, out_legs, steps,
+                        frozenset(name for name, _ in steps), groups)
 
 
 def _flat(names, spaces):
@@ -226,6 +259,23 @@ def _compile(chain, domain, out, walked):
     return namespace["side"]
 
 
+def _inputs(names, H, A, act, coact):
+    """The dims of the legs H and A, and the fibres of the maps `names`."""
+    carrier = act if act is not None else coact
+    nA = (carrier.m_dim if carrier is not None
+          else A.dim if A is not None else 0)
+    fibres = {"swap": None}
+    for name in names:
+        if name == "act":
+            fibres[name] = act._by_first_two
+        elif name == "coact":
+            fibres[name] = coact._by_first
+        elif name != "swap":
+            fibres[name] = _FIBRES[name.removesuffix("_A")](
+                A if name.endswith("_A") else H)
+    return {"H": H.dim, "A": nA}, fibres
+
+
 def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
     """The report of `laws`, in order, over the Hopf structure H, the
     action `act` or coaction `coact`, whose carrier is the leg A, and the
@@ -234,18 +284,9 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
     the only slabs to evaluate, the others taken to hold."""
     f = H.field
     one, mul, add = f.one, f.mul, f.add
-    carrier = act if act is not None else coact
-    nH, nA = H.dim, carrier.m_dim if carrier is not None else 0
-    dims = {"H": nH, "A": nA}
-    fibres = {"swap": None}
-    for name in {name for lw in laws for name, _ in lw.lhs + lw.rhs}:
-        if name == "act":
-            fibres[name] = act._by_first_two
-        elif name == "coact":
-            fibres[name] = coact._by_first
-        elif name != "swap":
-            fibres[name] = _FIBRES[name.removesuffix("_A")](
-                A if name.endswith("_A") else H)
+    names = {name for lw in laws for name, _ in lw.lhs + lw.rhs}
+    dims, fibres = _inputs(names, H, A, act, coact)
+    nH, nA = dims["H"], dims["A"]
     rep = VerificationReport()
     for k, lw in enumerate(laws):
         acc = LawAccumulator(rep, f, lw.law_id, lw.informational)
@@ -277,3 +318,35 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
             acc.witness = replace(acc.witness, indices=index)
         acc.finish()
     return rep
+
+
+@lru_cache(maxsize=1024)
+def _shape(con, nH, nA):
+    """The indices of the first leg of `con` at the dims nH and nA, the
+    number of index tuples of its other legs, and its groups' sizes and
+    row-major strides."""
+    dims = {"H": nH, "A": nA}
+    legs = [dims[leg] for leg in con.domain + con.out]
+    sizes = tuple(prod(dims[leg] for leg in group) for group in con.groups)
+    return (range(legs[0]) if con.domain else (0,), prod(legs[1:]), sizes,
+            tuple(prod(sizes[k + 1:]) for k in range(len(sizes))))
+
+
+def build(con, H, A=None, act=None, coact=None, cls=SparseTensor):
+    """The map `con` over the inputs of `evaluate`, as a `cls` whose legs
+    are its leg groups: its chain run once per index of its first leg, and
+    each term's flat int over all legs cut into the groups' indices."""
+    f = H.field
+    dims, fibres = _inputs(con.names, H, A, act, coact)
+    maps = [fibres[name] for name, _ in con.chain]
+    nH, nA = dims["H"], dims["A"]
+    firsts, rest, sizes, strides = _shape(con, nH, nA)
+    flats, coeffs = [], []
+    for first in firsts:
+        slab = con.side(first, maps, nH, nA, f.one, f.mul, f.add)
+        flats += [first * rest + key for key in slab]
+        coeffs += slab.values()
+    keys = list(zip(*[[x // stride % size for x in flats]
+                      for stride, size in zip(strides, sizes)]))
+    # a map of no legs has one key, ()
+    return cls._from_nz(f, sizes, dict(zip(keys or [()], coeffs)))

@@ -8,7 +8,9 @@ full suite verdict against the single condition that governs it.
 
 The conditions (cocommu, modass, commu, comodcoass) are declarations of
 `hopfloop.laws`, evaluated by `laws.evaluate`; on their legs "A" is the
-algebra A acted on or the coalgebra C coacted on.
+algebra A acted on or the coalgebra C coacted on.  The maps of the
+candidates are constructions, chains on the legs (AH) of A (x) H and (HA)
+of H (x) C built by `laws.build`.
 """
 
 from .actions import (check_coqm_algebra, check_coqm_coalgebra,
@@ -16,12 +18,12 @@ from .actions import (check_coqm_algebra, check_coqm_coalgebra,
                       check_quasicomodule, check_quasimodule)
 from .errors import DimMismatch, HypothesisNotMet, InvalidInput
 from .fields import check_same_field
-from .laws import evaluate, law
+from .laws import build, construction, evaluate, law
 from .report import VerificationReport
 from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
                          HopfQuasigroup, check_hopf_coquasigroup,
                          check_hopf_quasigroup)
-from .tensors import Mat, Ten3, Vec, pair_index
+from .tensors import Mat, SparseTensor, Ten3, Vec
 
 
 COCOMMU = (
@@ -34,6 +36,38 @@ COMMU = (law("commu", "AH", "AH", "coact@0 mu@1", "coact@0 swap@1 mu@1"),)
 COMODCOASS = (
     law("comodcoass", "A", "AHH", "coact@0 coact@0 S@1",
         "coact@0 delta@1 S@1"),)
+
+# mu, eta, delta, eps and S of the candidates, on the legs (AH) of A (x) H
+# and (HA) of H (x) C
+SMASH_PRODUCT = (
+    construction("smash.mu", "(AH)(AH)", "(AH)",
+                 "delta@1 swap@2 act@1 mu_A@0 mu@1"),
+    construction("smash.eta", "", "(AH)", "eta_A@0 eta@1"),
+    construction("smash.delta", "(AH)", "(AH)(AH)",
+                 "delta_A@0 delta@2 swap@1"),
+    construction("smash.eps", "(AH)", "", "eps_A@0 eps@0"),
+    construction("smash.S", "(AH)", "(AH)",
+                 "delta@1 S@1 S@2 S_A@0 swap@1 swap@0 act@0"))
+SMASH_COPRODUCT = (
+    construction("cosmash.mu", "(HA)(HA)", "(HA)", "swap@1 mu@0 mu_A@1"),
+    construction("cosmash.eta", "", "(HA)", "eta@0 eta_A@1"),
+    construction("cosmash.delta", "(HA)", "(HA)(HA)",
+                 "delta@0 delta_A@2 coact@2 swap@1 mu@2"),
+    construction("cosmash.eps", "(HA)", "", "eps@0 eps_A@0"),
+    construction("cosmash.S", "(HA)", "(HA)",
+                 "coact@1 swap@1 mu@0 S@0 S_A@1"))
+
+
+def _structure(kind, maps, H, A, act=None, coact=None):
+    """The structure `kind` whose mu, eta, delta, eps and S are the
+    constructions `maps` over H, A and the (co)action."""
+    mu, eta, delta, eps, anti = (
+        build(con, H, A, act, coact, cls) for con, cls in zip(maps, (
+            Ten3, SparseTensor, Ten3, SparseTensor, Mat)))
+    f, n = H.field, mu.dim
+    return kind(AlgebraData(mu, Vec(f, [eta[i,] for i in range(n)])),
+                CoalgebraData(delta, Vec(f, [eps[i,] for i in range(n)])),
+                anti.transpose())
 
 
 class SmashInput:
@@ -109,72 +143,8 @@ def build_smash_product(inp):
         raise InvalidInput(
             "not a quasimodule Hopf quasigroup: "
             + ", ".join(l.law_id for l in val.failing()))
-    return _smash_product(inp)
-
-
-def _smash_product(inp):
-    """build_smash_product on an input already validated."""
-    H, A, pairs = inp.H, inp.A, inp.act._pairs
-    f = H.field
-    nA, nH = A.dim, H.dim
-    n = nA * nH
-    split, anti = H.delta.split_pairs, H.antipode.column
-
-    mu_entries = []
-    for a in range(nA):
-        for h in range(nH):
-            i = pair_index(a, h, nH)
-            for b in range(nA):
-                for g in range(nH):
-                    j = pair_index(b, g, nH)
-                    for (h1, h2), c in split(h):
-                        right = H.mu.mul_pairs(h2, g)
-                        # a (h1 . b) (x) h2 g, one entry per term
-                        for z, v in pairs(h1, b):
-                            for x, w in A.mu.mul_pairs(a, z):
-                                u = f.mul(v, w)
-                                for y, v2 in right:
-                                    mu_entries.append(
-                                        (i, j, pair_index(x, y, nH),
-                                         f.mul(c, f.mul(u, v2))))
-    unit = [f.zero] * n
-    for a, ca in A.unit.nonzero():
-        for h, ch in H.unit.nonzero():
-            unit[pair_index(a, h, nH)] = f.mul(ca, ch)
-
-    delta_entries = []
-    counit = [f.zero] * n
-    for a in range(nA):
-        for h in range(nH):
-            i = pair_index(a, h, nH)
-            counit[i] = f.mul(A.counit[a], H.counit[h])
-            for (a1, a2), ca in A.delta.split_pairs(a):
-                for (h1, h2), ch in split(h):
-                    delta_entries.append(
-                        (i, pair_index(a1, h1, nH), pair_index(a2, h2, nH),
-                         f.mul(ca, ch)))
-
-    s_entries = []
-    for a in range(nA):
-        sa = A.antipode.column(a)
-        for h in range(nH):
-            j = pair_index(a, h, nH)
-            for (h1, h2), c in split(h):
-                # S(h2) . S(a) (x) S(h1), one entry per term
-                for z, s in anti(h2):
-                    for t, w in sa:
-                        sw = f.mul(s, w)
-                        for x, v in pairs(z, t):
-                            u = f.mul(sw, v)
-                            for y, v1 in anti(h1):
-                                s_entries.append((pair_index(x, y, nH), j,
-                                                  f.mul(c, f.mul(u, v1))))
-
-    return HopfQuasigroup(
-        AlgebraData(Ten3.from_entries(f, n, mu_entries), Vec(f, unit)),
-        CoalgebraData(Ten3.from_entries(f, n, delta_entries),
-                      Vec(f, counit)),
-        Mat(f, (n, n), s_entries))
+    return _structure(HopfQuasigroup, SMASH_PRODUCT, inp.H, inp.A,
+                      act=inp.act)
 
 
 def check_commu(inp):
@@ -200,68 +170,8 @@ def build_smash_coproduct(inp):
         raise InvalidInput(
             "not a quasicomodule Hopf coquasigroup: "
             + ", ".join(l.law_id for l in val.failing()))
-    return _smash_coproduct(inp)
-
-
-def _smash_coproduct(inp):
-    """build_smash_coproduct on an input already validated."""
-    H, C, pairs = inp.H, inp.C, inp.coact._pairs
-    f = H.field
-    nH, nC = H.dim, C.dim
-    n = nH * nC
-    mul = H.mu.mul_pairs
-
-    mu_entries = []
-    for h in range(nH):
-        for g in range(nH):
-            hg = mul(h, g)
-            for c in range(nC):
-                for d in range(nC):
-                    cd = C.mu.mul_pairs(c, d)
-                    for x, u in hg:
-                        for y, v in cd:
-                            mu_entries.append(
-                                (pair_index(h, c, nC), pair_index(g, d, nC),
-                                 pair_index(x, y, nC), f.mul(u, v)))
-    unit = [f.zero] * n
-    for h, ch in H.unit.nonzero():
-        for c, cc in C.unit.nonzero():
-            unit[pair_index(h, c, nC)] = f.mul(ch, cc)
-
-    delta_entries = []
-    counit = [f.zero] * n
-    for h in range(nH):
-        h_split = H.delta.split_pairs(h)
-        for c in range(nC):
-            i = pair_index(h, c, nC)
-            counit[i] = f.mul(H.counit[h], C.counit[c])
-            for (c1, c2), vc in C.delta.split_pairs(c):
-                for (c10, c11), w in pairs(c1):
-                    for (h1, h2), vh in h_split:
-                        for y, u in mul(h2, c11):
-                            delta_entries.append(
-                                (i, pair_index(h1, c10, nC),
-                                 pair_index(y, c2, nC),
-                                 f.mul(vc, f.mul(w, f.mul(vh, u)))))
-
-    s_entries = []
-    for h in range(nH):
-        for c in range(nC):
-            j = pair_index(h, c, nC)
-            for (c0, c1), v in pairs(c):
-                # S(h c1) (x) S(c0), one entry per term
-                for z, a in mul(h, c1):
-                    for x, s in H.antipode.column(z):
-                        u = f.mul(a, s)
-                        for y, w in C.antipode.column(c0):
-                            s_entries.append((pair_index(x, y, nC), j,
-                                              f.mul(v, f.mul(u, w))))
-
-    return HopfCoquasigroup(
-        AlgebraData(Ten3.from_entries(f, n, mu_entries), Vec(f, unit)),
-        CoalgebraData(Ten3.from_entries(f, n, delta_entries),
-                      Vec(f, counit)),
-        Mat(f, (n, n), s_entries))
+    return _structure(HopfCoquasigroup, SMASH_COPRODUCT, inp.H, inp.C,
+                      coact=inp.coact)
 
 
 class RoundtripReport:
@@ -312,7 +222,9 @@ def theorem_smash_roundtrip(inp):
         raise HypothesisNotMet(
             "standing hypotheses fail: "
             + ", ".join(l.law_id for l in hyp.failing()))
-    candidate = _smash_product(inp)  # inp.validate() passed above
+    # inp.validate() passed above
+    candidate = _structure(HopfQuasigroup, SMASH_PRODUCT, inp.H, inp.A,
+                           act=inp.act)
     return RoundtripReport(check_hopf_quasigroup(candidate),
                            check_modass(inp), hyp)
 
@@ -326,6 +238,8 @@ def theorem_cosmash_roundtrip(inp):
         raise HypothesisNotMet(
             "standing hypotheses fail: "
             + ", ".join(l.law_id for l in hyp.failing()))
-    candidate = _smash_coproduct(inp)  # inp.validate() passed above
+    # inp.validate() passed above
+    candidate = _structure(HopfCoquasigroup, SMASH_COPRODUCT, inp.H, inp.C,
+                           coact=inp.coact)
     return RoundtripReport(check_hopf_coquasigroup(candidate),
                            check_comodcoass(inp), hyp)

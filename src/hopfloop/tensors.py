@@ -232,7 +232,7 @@ class Mat(SparseTensor):
         return self._basis_map(1)
 
     def transpose(self):
-        return Mat._from_nz(self.field, self.dims[::-1],
+        return type(self)._from_nz(self.field, self.dims[::-1],
                             {(j, i): c for (i, j), c in self.nz.items()})
 
 

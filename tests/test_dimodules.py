@@ -19,6 +19,7 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, LongDimodule,
                       tensor_dimodule, trivial_action_dimodule,
                       trivial_coaction_dimodule, unit_dimodule)
 from hopfloop.errors import DimMismatch, FieldMismatch, HMismatch
+from hopfloop.report import LawAccumulator
 
 
 def free_dimodule(H2):
@@ -424,3 +425,30 @@ def test_m_major_witnesses(H2):
                      CoactionData.from_entries(QQ, 2, 2, [(1, 1, 1, one)]))
     linear = check_adjunction(H2, D).law("adj.unit_linear")
     assert linear.witness.indices == (1, 0)
+
+
+def test_d_equation_stops_after_the_first_failing_slab(monkeypatch):
+    """The dim-49 d_map of the free M (x) H dimodule over Q[L7] with the
+    coefficient of its column 0 set to 2 is not a basis map, so every slab
+    is contracted until one fails: slab 0 fails, and no later slab is
+    contracted."""
+    H7 = loop_algebra(loop7())
+    R = d_map(build_from_quasimodule(H7, ActionData.from_mu(H7)))
+    nz = dict(R.nz)
+    nz[R.column_map[0], 0] = R.field.from_int(2)
+    R = RMap(R.field, R.m_dim, [key + (c,) for key, c in nz.items()])
+    assert R.column_map is None
+    slabs = []
+    check_slab = LawAccumulator.check_slab
+
+    def counted(self, first, *args):
+        slabs.append(first)
+        return check_slab(self, first, *args)
+
+    monkeypatch.setattr(LawAccumulator, "check_slab", counted)
+    rep = check_d_equation(R)
+    assert slabs == [(0,)]
+    witness = rep.law("eq.d").witness
+    assert witness.indices == (0, 0, 1)
+    assert witness.lhs == (((0, 7, 1), "1"),)
+    assert witness.rhs == (((0, 7, 1), "2"),)

@@ -1,4 +1,5 @@
-"""The law evaluator of `hopfloop.laws` on its own, and a metamorphic test
+"""The law evaluator of `hopfloop.laws` on its own, `laws.build` against
+the hand-built references of the maps it makes, and a metamorphic test
 of the 25 action, coaction and smash-condition laws, the 22 Hopf
 (co)quasigroup laws and the dimodule laws under relabelling.
 
@@ -13,15 +14,16 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import instance_reference as ref
+import smash_reference as sref
 from conftest import (cyclic, inversion_action, loop7, perm_action,
                       s3_table)
-from test_module_laws import action_inputs, dimodules
+from test_module_laws import action_inputs, actions, dimodules, structures
 from test_structures import random_structures, s3_perturbations
 
-from hopfloop import (QQ, ActionData, AlgebraData, CoactionData,
+from hopfloop import (GF, QQ, ActionData, AlgebraData, CoactionData,
                       CoalgebraData, CosmashInput, LongDimodule, Mat,
                       SmashInput, Ten3, Vec, check_adjunction,
                       check_antipode_colinear, check_antipode_linear,
@@ -31,11 +33,13 @@ from hopfloop import (QQ, ActionData, AlgebraData, CoactionData,
                       check_hopf_quasigroup, check_lemma_identities,
                       check_long_dimodule, check_modass, check_module,
                       check_qm_algebra, check_qm_coalgebra,
-                      check_quasicomodule, check_quasimodule, dualize,
-                      loop_algebra)
+                      check_quasicomodule, check_quasimodule, d_map,
+                      dualize, loop_algebra)
 from hopfloop.actions import COQM_ALGEBRA, QM_COALGEBRA
-from hopfloop.laws import evaluate, law
-from hopfloop.structures import check_associativity
+from hopfloop.laws import build, construction, evaluate, law
+from hopfloop.smash import SMASH_COPRODUCT, SMASH_PRODUCT, _structure
+from hopfloop.structures import (HopfCoquasigroup, HopfQuasigroup,
+                                 check_associativity)
 
 
 def entry(rep, law_id):
@@ -64,15 +68,29 @@ WRONG_DECLARATIONS = [
 ]
 
 
+WRONG_CONSTRUCTIONS = [
+    # domain, out, chain, None (a construction walks leg 0), the fault
+    ("(AH)", "(AH)", "delta@1 S@1 antipode@0", None, "antipode@0"),
+    ("(AH)", "(AH)", "delta@1 act@1", None, "act@1"),   # act needs HA
+    ("(AA)", "(AA)", "coact@1 swap@1 swap@0", None,      # ends in HAA
+     "'coact@1 swap@1 swap@0'"),
+]
+
+
 @pytest.mark.parametrize(
-    "domain, out, chain, slab, fault", WRONG_DECLARATIONS,
+    "domain, out, chain, slab, fault",
+    WRONG_DECLARATIONS + WRONG_CONSTRUCTIONS,
     ids=["-".join(case[:3]) + (f"-slab{case[3]}" if case[3] else "")
-         for case in WRONG_DECLARATIONS])
+         for case in WRONG_DECLARATIONS]
+    + ["construction-" + "-".join(case[:3]) for case in WRONG_CONSTRUCTIONS])
 def test_declaration_on_wrong_legs_fails(domain, out, chain, slab, fault):
-    """The error names the law and the step, leg string or walked leg at
-    fault."""
+    """The error names the law or construction and the step, leg string or
+    walked leg at fault."""
     with pytest.raises(ValueError, match="^bad: ") as exc:
-        law("bad", domain, out, chain, "", slab=slab)
+        if slab is None:
+            construction("bad", domain, out, chain)
+        else:
+            law("bad", domain, out, chain, "", slab=slab)
     assert fault in str(exc.value)
 
 
@@ -203,6 +221,85 @@ def test_rank0_output_and_failure_in_second_slab():
     assert entry(evaluate(QM_COALGEBRA, H, A, act=bad), "qmcoalg.counit") \
         == {"law": "qmcoalg.counit", "pass": False, "witness": {
             "indices": [1, 2], "lhs": [[[], "2"]], "rhs": [[[], "1"]]}}
+
+
+# --- constructions -----------------------------------------------------------
+
+
+@st.composite
+def construction_inputs(draw):
+    """(H, A, act, coact) over Q or GF(5), H and A of dim 1 to 3: random
+    tensors or group algebras or their duals, and an action and a coaction
+    that are random, with coefficients that may cancel, or permutations,
+    possibly bumped."""
+    f = draw(st.sampled_from((QQ, GF(5))))
+    nh, na = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return (draw(structures(f, nh)), draw(structures(f, na)),
+            draw(actions(f, nh, na)),
+            CoactionData.dual_of_action(draw(actions(f, nh, na))))
+
+
+def cancelling_input():
+    """H of dim 2 with h e_0 = h, h e_1 = -h and delta(e_1) = e_0 (x) e_1
+    + e_1 (x) e_1, on A of dim 1, where e_1 acts as -1 and the coaction is
+    e_0 -> e_0 (x) (e_0 + e_1): the terms of the smash mu at h = e_1, and
+    of the whole cosmash delta and S and d_map, sum to zero."""
+    f = QQ
+    H = HopfQuasigroup(
+        AlgebraData(Ten3(f, (2,) * 3, [(0, 0, 0, 1), (0, 1, 0, -1),
+                                       (1, 0, 1, 1), (1, 1, 1, -1)]),
+                    Vec(f, [1, 0])),
+        CoalgebraData(Ten3(f, (2,) * 3, [(0, 0, 0, 1), (1, 0, 1, 1),
+                                         (1, 1, 1, 1)]), Vec(f, [1, 1])),
+        Mat(f, (2, 2), [(0, 0, 1), (1, 1, 1)]))
+    A = loop_algebra(cyclic(1))
+    return (H, A, ActionData(f, (2, 1, 1), [(0, 0, 0, 1), (1, 0, 0, -1)]),
+            CoactionData(f, (1, 1, 2), [(0, 0, 0, 1), (0, 0, 1, 1)]))
+
+
+def built(H, A, act, coact):
+    """The smash product, smash coproduct and d_map of the inputs."""
+    return (_structure(HopfQuasigroup, SMASH_PRODUCT, H, A, act=act),
+            _structure(HopfCoquasigroup, SMASH_COPRODUCT, H, A, coact=coact),
+            d_map(LongDimodule(H, act, coact)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(construction_inputs())
+@example(cancelling_input())
+def test_build_matches_hand_built_references(inp):
+    """The ten smash and cosmash maps and d_map, built from their chains,
+    equal the hand-built references, type included; no nonzero-keyed
+    entry of a sparse one is zero."""
+    H, A, act, coact = inp
+    smash, cosmash, R = built(H, A, act, coact)
+    refs = (sref.smash_product(SmashInput(H, A, act)),
+            sref.smash_coproduct(CosmashInput(H, A, coact)))
+    for new, old in zip((smash, cosmash), refs):
+        for name in ("mu", "unit", "delta", "counit", "antipode"):
+            assert getattr(new, name) == getattr(old, name), name
+        for t in (new.mu, new.delta, new.antipode):
+            assert H.field.zero not in t.nz.values()
+    assert R == sref.d_map(LongDimodule(H, act, coact))
+    assert R.m_dim == A.dim and H.field.zero not in R.nz.values()
+
+
+def test_build_on_rank0_legs():
+    """A map of no legs is a scalar keyed (); eps(1) = 2 where the counit
+    is bumped, and 0, which is not stored, where it vanishes at 1."""
+    scalar = construction("eps.eta", "", "", "eta@0 eps@0")
+    H = loop_algebra(cyclic(2))
+    assert build(scalar, H).nz == {(): 1}
+    for counit, nz in (([2, 0], {(): 2}), ([0, 1], {})):
+        bumped = type(H)(H.alg, CoalgebraData(H.delta, Vec(QQ, counit)),
+                         H.antipode)
+        assert build(scalar, bumped).nz == nz
+
+
+def test_build_drops_terms_that_cancel():
+    smash, cosmash, R = built(*cancelling_input())
+    assert {(i, j) for i, j, _ in smash.mu.nz} == {(0, 0), (0, 1)}
+    assert not cosmash.delta.nz and not cosmash.antipode.nz and not R.nz
 
 
 # --- dims 2, 3 and 5 ---------------------------------------------------------

@@ -16,9 +16,9 @@ from hopfloop import (GF, AlgebraData, CoactionData, CoalgebraData,
                       check_coq_identities, check_hopf_coquasigroup,
                       check_hopf_quasigroup, check_quasi_identities,
                       check_unital_counital, dualize, loop_algebra)
-from hopfloop.smash import _smash_coproduct, _smash_product
-from hopfloop.structures import (HopfQuasigroup, _coq_maps,
-                                 _delta_mult_holds, _quasi_maps,
+from hopfloop.smash import SMASH_COPRODUCT, SMASH_PRODUCT, _structure
+from hopfloop.structures import (HopfCoquasigroup, HopfQuasigroup,
+                                 _coq_maps, _delta_mult_holds, _quasi_maps,
                                  check_associativity,
                                  check_coassociativity)
 
@@ -257,10 +257,11 @@ def smash_candidates(draw):
     inp = SmashInput(loop_algebra(H), loop_algebra(A),
                      perm_action(QQ, H.n, perms))
     if draw(st.booleans()):
-        return _smash_product(inp)
-    return _smash_coproduct(CosmashInput(
-        dualize(inp.H), dualize(inp.A),
-        CoactionData.dual_of_action(inp.act)))
+        return _structure(HopfQuasigroup, SMASH_PRODUCT, inp.H, inp.A,
+                          act=inp.act)
+    return _structure(HopfCoquasigroup, SMASH_COPRODUCT, dualize(inp.H),
+                      dualize(inp.A),
+                      coact=CoactionData.dual_of_action(inp.act))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
