@@ -269,8 +269,8 @@ def built(H, A, act, coact):
 @example(cancelling_input())
 def test_build_matches_hand_built_references(inp):
     """The ten smash and cosmash maps and d_map, built from their chains,
-    equal the hand-built references, type included; no nonzero-keyed
-    entry of a sparse one is zero."""
+    equal the hand-built references, type included, and no stored entry
+    of a sparse one is zero."""
     H, A, act, coact = inp
     smash, cosmash, R = built(H, A, act, coact)
     refs = (sref.smash_product(SmashInput(H, A, act)),
