@@ -30,10 +30,12 @@ step or a step on the wrong legs fails at import, whatever the dims.
 `evaluate` walks the domain one slab at a time: a slab fixes the index of
 the leg `slab`, 0 unless declared (ldmp2 walks the m of (h, m) outermost),
 and a law of rank-0 domain is one slab.  A caller that knows which slabs
-can fail (the integer-table paths of `hopfloop.structures`) names them,
-and only those are evaluated.  Each side of a slab is one dict keyed by the
-flat int inst * prod(out_dims) + out, inst the instance's other legs and
-out the output basis tuple, both row-major, and `LawAccumulator.check_slab`
+can fail names them, and only those are evaluated: the integer tables of
+`hopfloop.structures` only pick the first failing slab, or none, and the
+declaration decides it, so every verdict and witness comes from here.
+Each side of a slab is one dict keyed by the flat int
+inst * prod(out_dims) + out, inst the instance's other legs and out the
+output basis tuple, both row-major, and `LawAccumulator.check_slab`
 compares the two: the witness is the first failing instance in walk order,
 its indices in domain order.  Once a law has failed, its later slabs are
 not evaluated.
@@ -281,14 +283,22 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
     action `act` or coaction `coact`, whose carrier is the leg A, and the
     maps of the target A where a law uses them; a law of H alone needs
     none of them.  `firsts`, if given, holds per law the first indices of
-    the only slabs to evaluate, the others taken to hold."""
+    the only slabs to evaluate, the others taken to hold, or None for
+    every slab.  A law with no slab to evaluate passes, and none of its
+    maps is read."""
     f = H.field
     one, mul, add = f.one, f.mul, f.add
-    names = {name for lw in laws for name, _ in lw.lhs + lw.rhs}
+    if firsts is None:
+        firsts = [None] * len(laws)
+    names = {name for lw, chosen in zip(laws, firsts)
+             if chosen is None or chosen for name, _ in lw.lhs + lw.rhs}
     dims, fibres = _inputs(names, H, A, act, coact)
     nH, nA = dims["H"], dims["A"]
     rep = VerificationReport()
-    for k, lw in enumerate(laws):
+    for lw, chosen in zip(laws, firsts):
+        if chosen is not None and not chosen:
+            rep.add(lw.law_id, True, informational=lw.informational)
+            continue
         acc = LawAccumulator(rep, f, lw.law_id, lw.informational)
         lhs, rhs = lw.sides
         lhs_maps = [fibres[name] for name, _ in lw.lhs]
@@ -299,7 +309,7 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
         out_dims = tuple(dims[leg] for leg in lw.out)
         if lw.out_sizes:
             out_dims = tuple(map(prod, _runs(out_dims, lw.out_sizes)))
-        slabs = (firsts[k] if firsts is not None
+        slabs = (chosen if chosen is not None
                  else range(dom[s]) if dom else (None,))
         for first in slabs:
             if acc.failed:

@@ -70,6 +70,12 @@ def _structure(kind, maps, H, A, act=None, coact=None):
                 anti.transpose())
 
 
+def _require(rep, error, what):
+    """Raise error("what: <the failing law ids>") unless `rep` is ok."""
+    if not rep.ok:
+        raise error(f"{what}: " + ", ".join(e.law_id for e in rep.failing()))
+
+
 class SmashInput:
     """A Hopf quasigroup H acting on a Hopf quasigroup A."""
 
@@ -138,11 +144,8 @@ def build_smash_product(inp):
     Raises InvalidInput unless the input validates; no axioms of the
     candidate are checked here.
     """
-    val = inp.validate()
-    if not val.ok:
-        raise InvalidInput(
-            "not a quasimodule Hopf quasigroup: "
-            + ", ".join(l.law_id for l in val.failing()))
+    _require(inp.validate(), InvalidInput,
+             "not a quasimodule Hopf quasigroup")
     return _structure(HopfQuasigroup, SMASH_PRODUCT, inp.H, inp.A,
                       act=inp.act)
 
@@ -165,11 +168,8 @@ def build_smash_coproduct(inp):
     antipode S(h(x)c) = S(hc^(1)) (x) S(c^(0)).  Raises InvalidInput
     unless the input validates; no axioms of the candidate are checked here.
     """
-    val = inp.validate()
-    if not val.ok:
-        raise InvalidInput(
-            "not a quasicomodule Hopf coquasigroup: "
-            + ", ".join(l.law_id for l in val.failing()))
+    _require(inp.validate(), InvalidInput,
+             "not a quasicomodule Hopf coquasigroup")
     return _structure(HopfCoquasigroup, SMASH_COPRODUCT, inp.H, inp.C,
                       coact=inp.coact)
 
@@ -218,10 +218,7 @@ def theorem_smash_roundtrip(inp):
     hyp = VerificationReport()
     hyp.extend(inp.validate())
     hyp.extend(check_cocommu(inp))
-    if not hyp.ok:
-        raise HypothesisNotMet(
-            "standing hypotheses fail: "
-            + ", ".join(l.law_id for l in hyp.failing()))
+    _require(hyp, HypothesisNotMet, "standing hypotheses fail")
     # inp.validate() passed above
     candidate = _structure(HopfQuasigroup, SMASH_PRODUCT, inp.H, inp.A,
                            act=inp.act)
@@ -234,10 +231,7 @@ def theorem_cosmash_roundtrip(inp):
     hyp = VerificationReport()
     hyp.extend(inp.validate())
     hyp.extend(check_commu(inp))
-    if not hyp.ok:
-        raise HypothesisNotMet(
-            "standing hypotheses fail: "
-            + ", ".join(l.law_id for l in hyp.failing()))
+    _require(hyp, HypothesisNotMet, "standing hypotheses fail")
     # inp.validate() passed above
     candidate = _structure(HopfCoquasigroup, SMASH_COPRODUCT, inp.H, inp.C,
                            coact=inp.coact)

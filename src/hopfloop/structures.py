@@ -6,10 +6,10 @@ counit vectors and the antipode matrix over one exact field.  Each of its
 and eps (`hopfloop.laws`) and checked by `laws.evaluate` over every basis
 tuple, with a witness on the first mismatch per law.
 
-Four law families are decided on integer tables when the tensors they read
-are basis maps, each input going to one basis vector with coefficient one,
-as on loop algebras, their duals and the smash (co)products built from
-them:
+Four law families are first read on integer tables when the tensors they
+read are basis maps, each input going to one basis vector with coefficient
+one, as on loop algebras, their duals and the smash (co)products built
+from them:
 
 * assoc, when mu is a basis map (a magma algebra);
 * quasi*, when mu and S are basis maps, delta is grouplike
@@ -20,17 +20,16 @@ them:
   basis maps, e_i e_j = [i = j] e_i and the unit is the sum of the basis.
 
 bialg.delta_mult holds outright when mu is a basis map and delta is
-grouplike, or dually.  The input selects the path; every other structure
-is checked by the declarations alone.  Both paths give the same report,
-witnesses included.
+grouplike, or dually.  One rule covers all of these: the tables only pick
+the slabs that can fail, the first failing one or none, and `evaluate`
+gives every verdict and witness from the declarations, as it does for
+every other structure.
 """
-
-from collections import deque
 
 from .errors import DimMismatch
 from .fields import check_same_field
 from .laws import evaluate, law
-from .report import LawAccumulator, VerificationReport
+from .report import VerificationReport
 from .tensors import Ten3, Vec, assoc_mismatches, mismatches, quasi_rows
 
 
@@ -138,23 +137,25 @@ class HopfCoquasigroup(HopfStructure):
 # The table paths (see the module docstring for when they apply) read the
 # basis-map views mu.mul_rows, delta.comul_rows, antipode.column_map and
 # antipode.row_map.  Both sides of every instance are then single basis
-# vectors, so a law is decided by composing and comparing integer rows
-# (tensors.assoc_mismatches, tensors.quasi_rows), every row of it.
-# Mismatches are produced lazily and never stored: a law keeps only its
-# first mismatch or least slab index.
+# vectors, so a law's failing slabs are found by composing and comparing
+# integer rows (tensors.assoc_mismatches, tensors.quasi_rows).  The tables
+# only pick slabs: `evaluate` is given the first failing slab, or none, as
+# `firsts`, and the declaration decides that slab, so verdict and witness
+# are the ones the walk over every slab gives.  Mismatches are produced
+# lazily and never stored.
 #
-# * assoc and quasi*: the first mismatching instance is the witness, and
-#   its two sides are its two basis vectors.
+# * assoc and quasi*: the first mismatch is in the first failing slab, the
+#   i of assoc's (i, j, k), the h of quasi's (h, g), and no later row is
+#   compared.
 # * coassoc and coq*: each is the transpose of a law of the dual (assoc,
 #   and quasi_k.side for coq_k.side), and two maps are equal exactly when
 #   their transposes are, so the law holds exactly when the dual law holds
 #   on the transposed tables.  A mismatch l != r of the dual law at some
 #   input makes slabs l and r of the law differ, so the first failing slab
-#   is the least min(l, r).  The declared law is evaluated on that slab
-#   only, so the witness is the one the walk over every slab finds.
+#   is the least min(l, r) over every mismatch.
 #
 # The shape check: bialg.delta_mult holds when mu is a basis map and delta
-# grouplike, or dually (_delta_mult_holds), and then its declaration is not
+# grouplike, or dually (_delta_mult_holds), and then no slab of it is
 # evaluated.  On the smash coproduct of the duals of two loop algebras, of
 # dim n, delta transposes to a basis map and mu is diagonal, and the
 # declared right side would visit about n^3 products per slab, nearly all
@@ -207,12 +208,11 @@ ANTIPODE = (
 )
 
 
-def _first(items):
-    """The first of the iterator `items`, or None; the rest are produced
-    (every row compared) but not kept."""
-    first = next(items, None)
-    deque(items, maxlen=0)
-    return first
+def _first_slab(items):
+    """The slabs to evaluate of the law with the (first, ...) mismatches
+    `items`, in slab order: the first's slab, or none."""
+    bad = next(items, None)
+    return () if bad is None else (bad[0],)
 
 
 def _least_slab(items):
@@ -230,19 +230,10 @@ def check_unital_counital(H):
 
 def check_associativity(H, informational=False):
     """(xy)z = x(yz) over all basis triples, with a witness triple."""
-    rows = H.mu.mul_rows
-    if rows is None:
-        return evaluate((ASSOC[informational],), H)
-    f = H.field
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, f, "assoc", informational)
-    # the first failing triple, and both its sides, single basis vectors
-    bad = _first(assoc_mismatches(rows))
-    if bad is not None:
-        i, j, k, lhs, rhs = bad
-        acc.check_slab((i, j, k), {lhs: f.one}, {rhs: f.one}, (), (H.dim,))
-    acc.finish()
-    return rep
+    rows, firsts = H.mu.mul_rows, None
+    if rows is not None:
+        firsts = [_first_slab(assoc_mismatches(rows))]
+    return evaluate((ASSOC[informational],), H, firsts=firsts)
 
 
 def check_coassociativity(H, informational=False):
@@ -269,12 +260,8 @@ def _delta_mult_holds(H):
 
 def check_bialgebra_compat(H):
     """Delta and epsilon are algebra homomorphisms."""
-    if not _delta_mult_holds(H):
-        return evaluate(BIALGEBRA, H)
-    rep = VerificationReport()
-    rep.add("bialg.delta_mult", True)
-    rep.extend(evaluate(BIALGEBRA[1:], H))
-    return rep
+    firsts = [(), None, None, None] if _delta_mult_holds(H) else None
+    return evaluate(BIALGEBRA, H, firsts=firsts)
 
 
 def _table_maps(rows, s, diag, ones):
@@ -316,17 +303,10 @@ def check_quasi_identities(H):
     Coassociativity is a prerequisite and is reported first.
     """
     rep = check_coassociativity(H)
-    maps = _quasi_maps(H)
-    if maps is None:
-        rep.extend(evaluate(QUASI, H))
-        return rep
-    f, n = H.field, H.dim
-    for lw, bad in zip(QUASI, map(_first, _quasi_mismatches(maps))):
-        acc = LawAccumulator(rep, f, lw.law_id)
-        if bad is not None:
-            h, g, lhs, rhs = bad
-            acc.check_slab((h, g), {lhs: f.one}, {rhs: f.one}, (), (n,))
-        acc.finish()
+    maps, firsts = _quasi_maps(H), None
+    if maps is not None:
+        firsts = [_first_slab(bad) for bad in _quasi_mismatches(maps)]
+    rep.extend(evaluate(QUASI, H, firsts=firsts))
     return rep
 
 

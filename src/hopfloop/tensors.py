@@ -298,8 +298,10 @@ class Ten3(SparseTensor):
 def _composer(inner):
     """The map outer -> (outer[inner[0]], outer[inner[1]], ...), outer a
     tuple: the row of outer after inner, built in one C call."""
-    if len(inner) == 1:
-        return itemgetter(slice(inner[0], inner[0] + 1))
+    if len(inner) < 2:
+        # itemgetter of one index returns the item, of none raises
+        return itemgetter(slice(inner[0], inner[0] + 1) if inner
+                          else slice(0))
     return itemgetter(*inner)
 
 

@@ -142,6 +142,17 @@ def test_dequation_trivial_bundle(tmp_path, capsys, H2, H3):
     assert out == "R = identity; D-equation: pass\n"
 
 
+def test_dequation_zero_dim_carrier(tmp_path, capsys, H2):
+    """The D-equation on the zero space holds: exit 0 and one line."""
+    (tmp_path / "h2.hq").write_text(fileio.serialize_structure(H2))
+    (tmp_path / "z.act").write_text("action 2 0\n")
+    (tmp_path / "z.coact").write_text("coaction 0 2\n")
+    bundle = tmp_path / "z.bundle"
+    bundle.write_text("dimodule quasigroup\nh2.hq\nz.act\nz.coact\n")
+    assert main(["dequation", str(bundle)]) == 0
+    assert capsys.readouterr() == ("R = identity; D-equation: pass\n", "")
+
+
 def test_search_loops_cli(tmp_path, capsys):
     prefix = str(tmp_path) + "/"
     assert main(["search-loops", "7", "--nonassoc", "--limit", "1",

@@ -108,6 +108,8 @@ def test_adjunction_refuses_other_field(H2):
 
 def test_d_equation_small_carrier(H2):
     assert check_d_equation(d_map(free_dimodule(H2))).ok
+    # the zero space: a basis map with no slab, and the equation holds
+    assert check_d_equation(RMap(QQ, 0, ())).ok
 
 
 def test_d_equation_dim49_free_dimodule():

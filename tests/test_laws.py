@@ -168,12 +168,16 @@ def test_structure_law_without_action():
 
 
 def test_chosen_first_indices():
-    """`firsts` evaluates only the slabs named, per law: slab 0 of the
-    order-7 loop's assoc holds, since e_0 is its unit."""
+    """`firsts` evaluates only the slabs named, per law, and every slab
+    for None: slab 0 of the order-7 loop's assoc holds, since e_0 is its
+    unit, and the law fails in a later one.  With no slab named, the law
+    passes and the fibres of mu are not built."""
     assoc = law("assoc", "HHH", "H", "mu@0 mu@0", "mu@1 mu@0")
     H = loop_algebra(loop7())
-    assert evaluate((assoc,), H, firsts=[(0,)]).ok
     assert evaluate((assoc,), H, firsts=[()]).ok
+    assert "_by_first_two" not in vars(H.mu)
+    assert evaluate((assoc,), H, firsts=[(0,)]).ok
+    assert evaluate((assoc,), H, firsts=[None]) == evaluate((assoc,), H)
     w = evaluate((assoc,), H, firsts=[(5, 3)]).law("assoc").witness
     assert w.indices[0] == 5
 
