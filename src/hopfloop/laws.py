@@ -35,41 +35,56 @@ can fail names them, and only those are evaluated: the integer tables of
 declaration decides it, so every verdict and witness comes from here.
 Each side of a slab is one dict keyed by the flat int
 inst * prod(out_dims) + out, inst the instance's other legs and out the
-output basis tuple, both row-major, and `LawAccumulator.check_slab`
-compares the two: the witness is the first failing instance in walk order,
-its indices in domain order.  Once a law has failed, its later slabs are
-not evaluated.
+output basis tuple, both row-major.
 
-Each side is a loop nest compiled once from its chain, as `dataclasses`
-compiles `__init__`.  A step is one loop over the image of its input legs,
-read from the cached fibres of its map, and a swap only renames legs.  A
-step sits outside the loops over the instance legs it does not read, so
-that the (S (x) id)Delta(h) of qm2.left is formed once per h, not once per
-(h, m), and the coefficients are multiplied where a term is stored, or
-before an instance loop for the steps outside it:
+Each law is compiled once into one function, `Law.check`, as `dataclasses`
+compiles `__init__`.  It walks the slabs it is given, builds both sides'
+dicts of each and compares them with one `==`; only when they differ does
+it compare them again with zero values read as absent, copying neither,
+and it returns the first slab that still differs, with both dicts.  Once a
+law has failed, its later slabs are not evaluated.  `evaluate` makes one
+call per law, with the law's slabs and dims memoized per (nH, nA), and
+builds a witness only from the slab returned (`report.slab_witness`): the
+first failing instance in walk order, its indices in domain order.
 
-    for (y0_0, y0_1), v0 in t[0][x0]:           # delta@0, x0 the slab's h
-        for y1_0, v1 in t[1][y0_1]:             # S@1
-            c3 = mul(v0, v1)
-            for x1 in range(nA):                # the instance m
-                for y2_0, v2 in t[2][y1_0][x1]:     # act@1
-                    for y3_0, v3 in t[3][y0_0][y2_0]:   # act@0
-                        key = (x1) * nA + y3_0
-                        ...  # add mul(mul(c3, v2), v3) to slab[key]
+Each side is a loop nest emitted from its chain.  A step is one loop over
+the image of its input legs, read from the cached fibres of its map, and a
+swap only renames legs; the steps of both sides read one list of fibres,
+the right side's after the left's.  A step sits outside the loops over the
+instance legs it does not read, so that the (S (x) id)Delta(h) of qm2.left
+is formed once per h, not once per (h, m), and the coefficients are
+multiplied where a term is stored, or before an instance loop for the
+steps outside it:
+
+    for x0 in slabs:                                # the slab's h
+        lhs = {}
+        for (y0_0, y0_1), v0 in t[0][x0]:           # delta@0
+            for y1_0, v1 in t[1][y0_1]:             # S@1
+                c4 = mul(v0, v1)
+                for x1 in range(nA):                # the instance m
+                    for y2_0, v2 in t[2][y1_0][x1]:     # act@1
+                        for y3_0, v3 in t[3][y0_0][y2_0]:   # act@0
+                            key = (x1) * nA + y3_0
+                            ...  # add mul(mul(c4, v2), v3) to lhs[key]
+        rhs = {}
+        ...  # eps@0 from t[4], into rhs
+        if lhs != rhs and differ(lhs, rhs, zero):
+            return x0, lhs, rhs
 
 A construction declares one chain as a map, `construction(id, domain, out,
-chain)`, checked as a law's chains are; `build` runs its loop nest over
-each index of the first leg and returns a sparse tensor indexed by the
-leg groups, domain first, so that "(AH)(AH)" -> "(AH)" is a product.
+chain)`, checked as a law's chains are.  Its nest, `Construction.nest`,
+walks every index of the first leg outermost and keys each term by the
+tuple of its leg groups' flat indices, domain first, so that `build` only
+hands the dict to a sparse tensor: "(AH)(AH)" -> "(AH)" is a product.
 """
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from math import prod
 
-from .report import LawAccumulator, VerificationReport
+from .report import VerificationReport, differ, slab_witness
 from .tensors import SparseTensor
 
 # name -> (input legs, output legs)
@@ -106,10 +121,49 @@ class Law:
     out_sizes: tuple = None
 
     @cached_property
-    def sides(self):
-        """The loop nests of both sides, compiled on first use."""
-        return (_compile(self.lhs, self.domain, self.out, self.slab),
-                _compile(self.rhs, self.domain, self.out, self.slab))
+    def names(self):
+        """The maps read by the steps of both chains, in order."""
+        return tuple(name for name, _ in self.lhs + self.rhs)
+
+    @cached_property
+    def check(self):
+        """The law compiled on first use: a function of the indices of the
+        walked leg to evaluate, the fibres t of `names`, the dims nH and
+        nA, and the field's one, mul, add and zero, that returns the first
+        failing (index, lhs slab, rhs slab), or None."""
+        s = self.slab
+        spaces = self.domain[:s] + self.domain[s + 1:] + self.out
+
+        def key(xs, ys):
+            return _flat(xs[:s] + xs[s + 1:] + ys, spaces)
+
+        return _function("check(slabs, t, nH, nA, one, mul, add, zero)", [
+            f"    for x{s} in slabs:",
+            "        lhs = {}",
+            *_nest(self.lhs, self.domain, s, 0, "lhs", key, 2),
+            "        rhs = {}",
+            *_nest(self.rhs, self.domain, s, len(self.lhs), "rhs", key, 2),
+            "        if lhs != rhs and differ(lhs, rhs, zero):",
+            f"            return x{s}, lhs, rhs"])
+
+    @cached_property
+    def _dims(self):
+        return {}
+
+    def dims_at(self, nH, nA):
+        """The indices of the walked leg, or (None,) for a rank-0 domain,
+        and the instance and output dims, at the dims nH and nA."""
+        shape = self._dims.get((nH, nA))
+        if shape is None:
+            dims, s = {"H": nH, "A": nA}, self.slab
+            dom = [dims[leg] for leg in self.domain]
+            out = tuple(dims[leg] for leg in self.out)
+            if self.out_sizes:
+                out = tuple(map(prod, _runs(out, self.out_sizes)))
+            shape = self._dims[nH, nA] = (
+                range(dom[s]) if dom else (None,),
+                tuple(dom[:s] + dom[s + 1:]), out)
+        return shape
 
 
 _LEG = re.compile(r"[HA]|\([HA]+\)")  # one index of a witness
@@ -183,8 +237,24 @@ class Construction:
     groups: tuple  # the legs of each index of a built tensor, domain first
 
     @cached_property
-    def side(self):
-        return _compile(self.chain, self.domain, self.out, 0)
+    def nest(self):
+        """The map compiled on first use: a function of the fibres t of
+        its chain's steps, the dims nH and nA, and the field's one, mul
+        and add, that returns its terms keyed by the groups' indices."""
+        sizes = [len(group) for group in self.groups]
+
+        def key(xs, ys):
+            return "(" + "".join(
+                f"{_flat(names, group)}, "
+                for names, group in zip(_runs(xs + ys, sizes), self.groups)
+            ) + ")"
+
+        # the first domain leg is walked outermost; a rank-0 domain has none
+        walk = [f"    for x0 in range(n{leg}):" for leg in self.domain[:1]]
+        return _function("nest(t, nH, nA, one, mul, add)", [
+            "    out = {}", *walk,
+            *_nest(self.chain, self.domain, 0, 0, "out", key, 1 + len(walk)),
+            "    return out"])
 
 
 def construction(map_id, domain, out, chain):
@@ -214,16 +284,18 @@ def _ravel(index, dims):
     return sum(i * prod(dims[k + 1:]) for k, i in enumerate(index))
 
 
-def _compile(chain, domain, out, walked):
-    """The loop nest of one side of a law declared by `law`: a function of
-    the index of the slab's leg `walked`, the fibres t of each step's map,
-    the dims nH and nA, and the field's one, mul and add, that returns the
-    side's slab."""
-    legs = [f"x{i}" for i in range(len(domain))]  # the current legs' names
-    inst, inst_domain = (x[:walked] + x[walked + 1:] for x in (legs, domain))
-    defined = set(legs[walked:walked + 1])
-    waiting = list(zip(inst, inst_domain))
-    lines, depth, coef = [], 1, "one"
+def _nest(chain, domain, walked, k0, slab, key, depth):
+    """The lines, indented `depth` levels, of the loop nest of `chain` on
+    the legs `domain`, named x0, x1, ..., with the leg `walked` bound
+    outside it: each term is added to the dict `slab` under the key
+    key(xs, ys), xs the domain legs' names and ys the output legs', and
+    step k of the chain reads the fibres t[k0 + k]."""
+    xs = [f"x{i}" for i in range(len(domain))]
+    legs = list(xs)  # the current legs' names
+    defined = set(xs[walked:walked + 1])
+    waiting = [(x, space) for i, (x, space) in enumerate(zip(xs, domain))
+               if i != walked]
+    lines, coef = [], "one"
 
     def emit(line):
         nonlocal depth
@@ -238,7 +310,7 @@ def _compile(chain, domain, out, walked):
         emit(f"for {var} in range(n{space}):")
         defined.add(var)
 
-    for k, (name, p) in enumerate(chain):
+    for k, (name, p) in enumerate(chain, k0):
         if name == "swap":
             legs[p:p + 2] = legs[p + 1], legs[p]
             continue
@@ -253,12 +325,16 @@ def _compile(chain, domain, out, walked):
         legs[p:p + n_in] = new
     for var, space in waiting:
         loop(var, space)
-    emit(f"key = {_flat(inst + legs, inst_domain + out)}")
-    emit(f"slab[key] = add(slab[key], {coef}) if key in slab else {coef}")
-    namespace = {}
-    exec("\n".join([f"def side(x{walked}, t, nH, nA, one, mul, add):",
-                    "    slab = {}", *lines, "    return slab"]), namespace)
-    return namespace["side"]
+    emit(f"key = {key(xs, legs)}")
+    emit(f"{slab}[key] = add({slab}[key], {coef}) if key in {slab} else {coef}")
+    return lines
+
+
+def _function(head, lines):
+    """The function `head` with the body `lines`, compiled."""
+    namespace = {"differ": differ}
+    exec("\n".join([f"def {head}:", *lines]), namespace)
+    return namespace[head.partition("(")[0]]
 
 
 def _inputs(names, H, A, act, coact):
@@ -285,78 +361,54 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
     none of them.  `firsts`, if given, holds per law the first indices of
     the only slabs to evaluate, the others taken to hold, or None for
     every slab.  A law with no slab to evaluate passes, and none of its
-    maps is read."""
+    maps is read.  Each law is one call of its compiled `check`, and a
+    witness is built only for the slab it returns."""
     f = H.field
-    one, mul, add = f.one, f.mul, f.add
     if firsts is None:
         firsts = [None] * len(laws)
     names = {name for lw, chosen in zip(laws, firsts)
-             if chosen is None or chosen for name, _ in lw.lhs + lw.rhs}
+             if chosen is None or chosen for name in lw.names}
     dims, fibres = _inputs(names, H, A, act, coact)
     nH, nA = dims["H"], dims["A"]
     rep = VerificationReport()
     for lw, chosen in zip(laws, firsts):
-        if chosen is not None and not chosen:
-            rep.add(lw.law_id, True, informational=lw.informational)
-            continue
-        acc = LawAccumulator(rep, f, lw.law_id, lw.informational)
-        lhs, rhs = lw.sides
-        lhs_maps = [fibres[name] for name, _ in lw.lhs]
-        rhs_maps = [fibres[name] for name, _ in lw.rhs]
-        s = lw.slab
-        dom = [dims[leg] for leg in lw.domain]
-        inst_dims = tuple(dom[:s] + dom[s + 1:])
-        out_dims = tuple(dims[leg] for leg in lw.out)
-        if lw.out_sizes:
-            out_dims = tuple(map(prod, _runs(out_dims, lw.out_sizes)))
-        slabs = (chosen if chosen is not None
-                 else range(dom[s]) if dom else (None,))
-        for first in slabs:
-            if acc.failed:
-                break
-            acc.check_slab(() if first is None else (first,),
-                           lhs(first, lhs_maps, nH, nA, one, mul, add),
-                           rhs(first, rhs_maps, nH, nA, one, mul, add),
-                           inst_dims, out_dims)
-        if acc.failed and (s or lw.dom_sizes):
-            # the walked leg's index, first in the witness, to its place
-            index = acc.witness.indices
-            index = index[1:s + 1] + index[:1] + index[s + 1:]
-            if lw.dom_sizes:
-                index = tuple(map(_ravel, _runs(index, lw.dom_sizes),
-                                  _runs(dom, lw.dom_sizes)))
-            acc.witness = replace(acc.witness, indices=index)
-        acc.finish()
+        witness = None
+        if chosen is None or chosen:
+            slabs, inst_dims, out_dims = lw.dims_at(nH, nA)
+            bad = lw.check(slabs if chosen is None else chosen,
+                           [fibres[name] for name in lw.names],
+                           nH, nA, f.one, f.mul, f.add, f.zero)
+            if bad is not None:
+                witness = _witness(lw, f, dims, bad, inst_dims, out_dims)
+        rep.add(lw.law_id, witness is None, witness, lw.informational)
     return rep
 
 
-@lru_cache(maxsize=1024)
-def _shape(con, nH, nA):
-    """The indices of the first leg of `con` at the dims nH and nA, the
-    number of index tuples of its other legs, and its groups' sizes and
-    row-major strides."""
-    dims = {"H": nH, "A": nA}
-    legs = [dims[leg] for leg in con.domain + con.out]
-    sizes = tuple(prod(dims[leg] for leg in group) for group in con.groups)
-    return (range(legs[0]) if con.domain else (0,), prod(legs[1:]), sizes,
-            tuple(prod(sizes[k + 1:]) for k in range(len(sizes))))
+def _witness(lw, field, dims, bad, inst_dims, out_dims):
+    """The witness of `lw` at its first failing (index, lhs, rhs), the
+    walked leg's index in its place and each leg group one index."""
+    first, lhs, rhs = bad
+    witness = slab_witness(field, () if first is None else (first,),
+                           lhs, rhs, inst_dims, out_dims)
+    s = lw.slab
+    if s or lw.dom_sizes:
+        # the walked leg's index, first in the witness, to its place
+        index = witness.indices
+        index = index[1:s + 1] + index[:1] + index[s + 1:]
+        if lw.dom_sizes:
+            dom = [dims[leg] for leg in lw.domain]
+            index = tuple(map(_ravel, _runs(index, lw.dom_sizes),
+                              _runs(dom, lw.dom_sizes)))
+        witness = replace(witness, indices=index)
+    return witness
 
 
 def build(con, H, A=None, act=None, coact=None, cls=SparseTensor):
     """The map `con` over the inputs of `evaluate`, as a `cls` whose legs
-    are its leg groups: its chain run once per index of its first leg, and
-    each term's flat int over all legs cut into the groups' indices."""
+    are its leg groups."""
     f = H.field
     dims, fibres = _inputs(con.names, H, A, act, coact)
-    maps = [fibres[name] for name, _ in con.chain]
-    nH, nA = dims["H"], dims["A"]
-    firsts, rest, sizes, strides = _shape(con, nH, nA)
-    flats, coeffs = [], []
-    for first in firsts:
-        slab = con.side(first, maps, nH, nA, f.one, f.mul, f.add)
-        flats += [first * rest + key for key in slab]
-        coeffs += slab.values()
-    keys = list(zip(*[[x // stride % size for x in flats]
-                      for stride, size in zip(strides, sizes)]))
-    # a map of no legs has one key, ()
-    return cls._from_nz(f, sizes, dict(zip(keys or [()], coeffs)))
+    sizes = tuple(prod(dims[leg] for leg in group) for group in con.groups)
+    terms = con.nest([fibres[name] for name, _ in con.chain],
+                     dims["H"], dims["A"], f.one, f.mul, f.add)
+    return cls._from_nz(f, sizes, terms)

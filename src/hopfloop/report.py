@@ -97,8 +97,43 @@ def _unravel(flat, dims):
     return tuple(reversed(out))
 
 
+def _differing(lhs, rhs, zero):
+    """The keys at which the dicts lhs and rhs differ, a missing key read
+    as zero; lazy, and neither dict is copied."""
+    yield from (k for k, c in lhs.items() if c != rhs.get(k, zero))
+    yield from (k for k, c in rhs.items() if c != zero and k not in lhs)
+
+
+def differ(lhs, rhs, zero):
+    """Whether the dicts lhs and rhs differ once zero values are dropped."""
+    return next(_differing(lhs, rhs, zero), None) is not None
+
+
+def slab_witness(field, prefix, lhs, rhs, inst_dims, out_dims):
+    """The witness of the least instance at which the slabs lhs and rhs
+    differ, zero values ignored, or None if there is none.
+
+    Both slabs map the flat int inst * prod(out_dims) + out to a scalar,
+    inst and out row-major over inst_dims and out_dims.  The witness is
+    prefix + that instance, with both sides of it keyed by out tuples.
+    """
+    zero = field.zero
+    least = min(_differing(lhs, rhs, zero), default=None)
+    if least is None:
+        return None
+    size = prod(out_dims)
+    inst = least // size
+
+    def side(slab):
+        return witness_side(field, {
+            _unravel(k % size, out_dims): c for k, c in slab.items()
+            if k // size == inst and c != zero})
+
+    return Witness(prefix + _unravel(inst, inst_dims), side(lhs), side(rhs))
+
+
 class LawAccumulator:
-    """Collects instance results for one law id and emits a single entry."""
+    """Collects slab results for one law id and emits a single entry."""
 
     def __init__(self, report, field, law_id, informational=False):
         self.report = report
@@ -109,34 +144,18 @@ class LawAccumulator:
         self.witness = None
 
     def check_slab(self, prefix, lhs, rhs, inst_dims, out_dims):
-        """Compare the instances sharing the fixed first input `prefix`.
+        """Compare the instances sharing the fixed first input `prefix`,
+        slabs as `slab_witness` takes them; zero values may be present.
 
-        Both slabs map the flat int inst * prod(out_dims) + out to a
-        scalar, inst and out row-major over inst_dims and out_dims; zero
-        values may be present.  On the first mismatch of this law the
-        witness is prefix + the least differing instance, with both sides
-        of that instance keyed by out tuples.  Once the law has failed,
-        later slabs cannot change its entry and are not compared.
+        The fast path is one `==`.  On the first mismatch of this law the
+        witness is the `slab_witness`.  Once the law has failed, later
+        slabs cannot change its entry and are not compared.
         """
-        if lhs == rhs or self.failed:
+        if self.failed or lhs == rhs:
             return
-        zero = self.field.zero
-        lhs = {k: c for k, c in lhs.items() if c != zero}
-        rhs = {k: c for k, c in rhs.items() if c != zero}
-        if lhs == rhs:
-            return
-        size = prod(out_dims)
-        inst = min(k // size for k in lhs.keys() | rhs.keys()
-                   if lhs.get(k) != rhs.get(k))
-
-        def side(slab):
-            return witness_side(self.field, {
-                _unravel(k % size, out_dims): c
-                for k, c in slab.items() if k // size == inst})
-
-        self.witness = Witness(prefix + _unravel(inst, inst_dims),
-                               side(lhs), side(rhs))
-        self.failed = True
+        self.witness = slab_witness(self.field, prefix, lhs, rhs,
+                                    inst_dims, out_dims)
+        self.failed = self.witness is not None
 
     def finish(self):
         self.report.add(self.law_id, not self.failed, self.witness,

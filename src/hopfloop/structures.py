@@ -26,11 +26,15 @@ gives every verdict and witness from the declarations, as it does for
 every other structure.
 """
 
+from itertools import compress
+from operator import ne
+
 from .errors import DimMismatch
 from .fields import check_same_field
 from .laws import evaluate, law
 from .report import VerificationReport
-from .tensors import Ten3, Vec, assoc_mismatches, mismatches, quasi_rows
+from .tensors import (Ten3, Vec, assoc_mismatches, assoc_sides, mismatches,
+                      quasi_rows)
 
 
 class AlgebraData:
@@ -138,7 +142,7 @@ class HopfCoquasigroup(HopfStructure):
 # basis-map views mu.mul_rows, delta.comul_rows, antipode.column_map and
 # antipode.row_map.  Both sides of every instance are then single basis
 # vectors, so a law's failing slabs are found by composing and comparing
-# integer rows (tensors.assoc_mismatches, tensors.quasi_rows).  The tables
+# integer rows (tensors.assoc_sides, tensors.quasi_rows).  The tables
 # only pick slabs: `evaluate` is given the first failing slab, or none, as
 # `firsts`, and the declaration decides that slab, so verdict and witness
 # are the ones the walk over every slab gives.  Mismatches are produced
@@ -215,11 +219,23 @@ def _first_slab(items):
     return () if bad is None else (bad[0],)
 
 
-def _least_slab(items):
-    """The slabs to evaluate of the transposed law with the (..., l, r)
-    mismatches `items`: the least min(l, r), its first failing slab, or
-    none."""
-    least = min((min(lhs, rhs) for *_, lhs, rhs in items), default=None)
+def _least_slab(sides):
+    """The slabs to evaluate of the transposed law whose dual law compares
+    the two lists of rows of each pair in `sides`: the least min(l, r)
+    over every place where rows hold l != r, its first failing slab, or
+    none.  Each differing row pair is compared in C, and the scan stops
+    at slab 0."""
+    least = None
+    for left, right in sides:
+        if left != right:
+            for lrow, rrow in zip(left, right):
+                if lrow != rrow:
+                    m = min(map(min, compress(zip(lrow, rrow),
+                                              map(ne, lrow, rrow))))
+                    if least is None or m < least:
+                        if m == 0:
+                            return (0,)
+                        least = m
     return () if least is None else (least,)
 
 
@@ -242,7 +258,7 @@ def check_coassociativity(H, informational=False):
     if rows is not None:
         # delta is coassociative exactly when its transpose, the product
         # of the dual, is associative
-        firsts = [_least_slab(assoc_mismatches(rows))]
+        firsts = [_least_slab(assoc_sides(rows))]
     return evaluate((COASSOC[informational],), H, firsts=firsts)
 
 
@@ -287,13 +303,13 @@ def _coq_maps(H):
     return _table_maps(H.delta.comul_rows, H.antipode.row_map, H.mu, H.unit)
 
 
-def _quasi_mismatches(maps):
-    """Per quasi law (1.left, 1.right, 2.left, 2.right), a lazy iterator of
-    every (h, g, l, r) where the law's basis image l at (h, g) is not
-    r = g."""
+def _quasi_sides(maps):
+    """Per quasi law (1.left, 1.right, 2.left, 2.right), the pair of its
+    rows h -> (the law's basis image at (h, g) for each g) and the rows
+    h -> (g for each g) they must equal."""
     rows, s = maps
     expected = [tuple(range(len(rows)))] * len(rows)
-    return [mismatches(side, expected)
+    return [(side, expected)
             for side in quasi_rows(rows, list(enumerate(s)))]
 
 
@@ -305,7 +321,8 @@ def check_quasi_identities(H):
     rep = check_coassociativity(H)
     maps, firsts = _quasi_maps(H), None
     if maps is not None:
-        firsts = [_first_slab(bad) for bad in _quasi_mismatches(maps)]
+        firsts = [_first_slab(mismatches(*law_sides))
+                  for law_sides in _quasi_sides(maps)]
     rep.extend(evaluate(QUASI, H, firsts=firsts))
     return rep
 
@@ -318,7 +335,8 @@ def check_coq_identities(H):
     rep = check_associativity(H)
     maps, firsts = _coq_maps(H), None
     if maps is not None:
-        firsts = [_least_slab(bad) for bad in _quasi_mismatches(maps)]
+        firsts = [_least_slab([law_sides])
+                  for law_sides in _quasi_sides(maps)]
     rep.extend(evaluate(COQ, H, firsts=firsts))
     return rep
 

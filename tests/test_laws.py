@@ -182,6 +182,49 @@ def test_chosen_first_indices():
     assert w.indices[0] == 5
 
 
+def test_firsts_past_a_passing_slab():
+    """Named slabs are evaluated in the order given: a passing slab 0 and
+    then a failing one give that slab's witness, the least failing
+    instance of the whole walk when the failing slab is the walk's first,
+    and the first slab that fails decides."""
+    assoc = law("assoc", "HHH", "H", "mu@0 mu@0", "mu@1 mu@0")
+    H = loop_algebra(loop7())
+    full = evaluate((assoc,), H).law("assoc")
+    i = full.witness.indices[0]
+    assert i > 0
+    assert evaluate((assoc,), H, firsts=[(0, i)]).law("assoc") == full
+    later = evaluate((assoc,), H, firsts=[(0, 5)]).law("assoc").witness
+    assert later == evaluate((assoc,), H, firsts=[(5,)]).law("assoc").witness
+    assert later.indices[0] == 5 and later != full.witness
+
+
+def cancelling_counit(delta_00_11):
+    """Q[C2] with counit 1 on both basis vectors and delta(e_1) = e_1 (x)
+    e_1, delta(e_0) = e_0 (x) e_0 + e_0 (x) e_1 + c e_1 (x) e_1: then
+    (eps (x) id)delta(e_0) = e_0 + (1 + c) e_1, whose e_1 term is an
+    explicit zero for c = -1."""
+    H = loop_algebra(cyclic(2))
+    delta = Ten3(QQ, (2, 2, 2), [(0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1),
+                                 (0, 1, 1, QQ.from_int(delta_00_11))])
+    return type(H)(H.alg, CoalgebraData(delta, Vec(QQ, [1, 1])), H.antipode)
+
+
+def test_terms_cancelling_to_zero_pass():
+    """A side whose terms cancel keeps their zero sum in its slab, and the
+    law still holds: walked (the counit law on the first of (h, g), g
+    outermost) and of rank-0 domain (on the unit e_0).  With c = -2 the
+    terms no longer cancel and both fail at e_0."""
+    walked = law("counit.walked", "HH", "HH", "delta@0 eps@0", "", slab=1)
+    unit = law("counit.unit", "", "H", "eta@0 delta@0 eps@0", "eta@0")
+    assert evaluate((walked, unit), cancelling_counit(-1)).ok
+    rep = evaluate((walked, unit), cancelling_counit(-2))
+    assert entry(rep, "counit.walked")["witness"] == {
+        "indices": [0, 0], "lhs": [[[0, 0], "1"], [[1, 0], "-1"]],
+        "rhs": [[[0, 0], "1"]]}
+    assert entry(rep, "counit.unit")["witness"] == {
+        "indices": [], "lhs": [[[0], "1"], [[1], "-1"]], "rhs": [[[0], "1"]]}
+
+
 def test_walk_leg_and_leg_groups():
     """h.m = eps(h) m walked m outside h, on the domain (HA): over C2 on
     C3, 1 acts as the swap of e1 and e2 and g as the swap of e0 and e1,

@@ -329,6 +329,33 @@ def test_table_paths_keep_no_mismatch_list():
         assert not rep.ok and peak < 2 ** 19, (check, peak)
 
 
+def test_table_path_witnesses_on_failing_magma_dual():
+    """The dual of the dim-48 magma algebra above: its coproduct sends e_l
+    to the sum of e_i (x) e_j over t[i][j] = l, so e_1 goes to e_2 (x) e_3
+    alone, and coassoc fails first at 1 with the terms of t[i][j] = 2
+    against those of t[i][j] = 3.  Every coq law fails first at 0, where
+    the unit, the sum of the basis, meets e_0 (x) e_0."""
+    n = 48
+    rng = random.Random(48)
+    t = [[rng.randrange(2, n) for _ in range(n)] for _ in range(n)]
+    t[0][0], t[2][3] = 0, 1
+    D = dualize(magma_algebra(QQ, t, range(n)))
+    preimages = {l: [(i, j) for i in range(n) for j in range(n)
+                     if t[i][j] == l] for l in (2, 3)}
+    w = check_coassociativity(D).law("coassoc").witness
+    assert w.indices == (1,)
+    assert w.lhs == tuple(sorted(((i, j, 3), "1") for i, j in preimages[2]))
+    assert w.rhs == tuple(sorted(((2, i, j), "1") for i, j in preimages[3]))
+    assert (len(w.lhs), len(w.rhs)) == (47, 51)
+    rep = check_coq_identities(D)
+    for law_id, rhs in (("coq1", lambda k: (k, 0)), ("coq2", lambda k: (0, k))):
+        for side in ("left", "right"):
+            w = rep.law(f"{law_id}.{side}").witness
+            assert w.indices == (0,)
+            assert w.lhs == (((0, 0), "1"),)
+            assert w.rhs == tuple((rhs(k), "1") for k in range(n))
+
+
 def test_dim_zero_structure_matches_reference():
     """The empty structure: every view is empty, every law holds."""
     f = QQ
