@@ -33,13 +33,13 @@ from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
                          check_hopf_coquasigroup, check_hopf_quasigroup,
                          check_quasi_identities, check_unital_counital,
                          dualize)
-from .tensors import Mat, Ten3, Vec
+from .tensors import Mat, SparseTensor, Ten3
 
 __all__ = [
     "ActionData", "AlgebraData", "CoactionData", "CoalgebraData", "GF",
     "HopfCoquasigroup", "HopfQuasigroup", "LongDimodule", "LoopTable", "Mat",
-    "OVER_COQUASIGROUP", "OVER_QUASIGROUP", "QQ", "RMap", "Ten3",
-    "Vec", "VerificationReport", "build_from_comodule",
+    "OVER_COQUASIGROUP", "OVER_QUASIGROUP", "QQ", "RMap", "SparseTensor",
+    "Ten3", "VerificationReport", "build_from_comodule",
     "build_from_quasimodule", "check_adjunction", "check_antipode_basic",
     "check_antipode_colinear", "check_antipode_linear",
     "check_bialgebra_compat", "check_comodule", "check_compatibility",

@@ -38,7 +38,7 @@ class ActionData(SparseTensor):
         f = H.field
         return cls.from_entries(
             f, H.dim, m_dim,
-            ((h, m, m, H.counit[h]) for h in range(H.dim)
+            ((h, m, m, c) for (h,), c in H.counit.nz.items()
              for m in range(m_dim)))
 
     @classmethod
@@ -73,7 +73,8 @@ class CoactionData(SparseTensor):
         """m -> m (x) 1."""
         return cls.from_entries(
             H.field, m_dim, H.dim,
-            ((m, m, h, c) for m in range(m_dim) for h, c in H.unit.nonzero()))
+            ((m, m, h, c) for m in range(m_dim)
+             for (h,), c in H.unit.nz.items()))
 
     @classmethod
     def from_delta(cls, H):

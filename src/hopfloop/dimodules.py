@@ -28,7 +28,7 @@ from .actions import (ActionData, CoactionData, check_comodule, check_module,
 from .errors import DimMismatch, HMismatch
 from .fields import check_same_field
 from .laws import build, construction, evaluate, law
-from .report import LawAccumulator, VerificationReport
+from .report import VerificationReport, slab_witness
 from .structures import HopfQuasigroup
 from .tensors import Mat, _composer, pair_index
 
@@ -156,9 +156,9 @@ def unit_dimodule(H):
     """The one-dimensional dimodule carried by the ground field."""
     f = H.field
     coact = CoactionData.from_entries(
-        f, 1, H.dim, ((0, 0, h, c) for h, c in H.unit.nonzero()))
+        f, 1, H.dim, ((0, 0, h, c) for (h,), c in H.unit.nz.items()))
     act = ActionData.from_entries(
-        f, H.dim, 1, ((h, 0, 0, H.counit[h]) for h in range(H.dim)))
+        f, H.dim, 1, ((h, 0, 0, c) for (h,), c in H.counit.nz.items()))
     return LongDimodule(H, act, coact)
 
 
@@ -258,37 +258,13 @@ def _first_failing_slab(r, nd):
     return ()
 
 
-def check_d_equation(R):
-    """R12 R23 = R23 R12 on M (x) M (x) M, exactly.
-
-    Both sides are read off R's nonzeros as two sparse contractions,
-
-        (R12 R23)[xyz, lmn] = sum_m' R[(x, y), (l, m')] R[(m', z), (m, n)]
-        (R23 R12)[xyz, lmn] = sum_y' R[(y, z), (y', n)] R[(x, y'), (l, m)],
-
-    one slab of fixed l at a time: a slab maps the flat int of
-    ((m, n), (x, y, z)) to its entry, so memory is one slab and never the
-    whole nd^3 x nd^3 product.  The witness is the least (l, m, n) whose
-    images differ, with both images keyed by (x, y, z) triples.
-
-    When R is a basis map (`column_map`), each image is one basis triple
-    with coefficient one, so the slabs are first compared as lists of
-    ints, and only the least failing slab, or none, is contracted: it is
-    the first slab that fails in the contraction, which alone gives the
-    verdict and the witness.  Any other R contracts the slabs in order
-    up to the first that fails.
-    """
+def _first_witness(R, slabs):
+    """The witness of eq.d at the first of `slabs` that fails, or None;
+    no later slab is contracted."""
     f = R.field
     add, mul = f.add, f.mul
     nd = R.m_dim
     nd2, nd3 = nd * nd, nd * nd * nd
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, f, "eq.d")
-    r = R.column_map
-    slabs = range(nd) if r is None else _first_failing_slab(r, nd)
-    if not slabs:
-        acc.finish()
-        return rep
 
     # A slab key is mn * nd^3 + xyz, both flattened row-major.  Group
     # R[(a, z), (m, n)] by a and R[(y, z), (b, n)] by b, each term carrying
@@ -309,14 +285,43 @@ def check_d_equation(R):
         return out
 
     for l in slabs:
-        if acc.failed:
-            break
         lhs = slab((xy * nd, c, by_out_first[m2])
                    for m2 in range(nd)
                    for xy, c in R.column(pair_index(l, m2, nd)))
         rhs = slab((m * nd * nd3 + xy // nd * nd2, c, by_in_first[xy % nd])
                    for m in range(nd)
                    for xy, c in R.column(pair_index(l, m, nd)))
-        acc.check_slab((l,), lhs, rhs, (nd, nd), (nd, nd, nd))
-    acc.finish()
+        if lhs != rhs:
+            witness = slab_witness(f, (l,), lhs, rhs, (nd, nd), (nd, nd, nd))
+            if witness is not None:
+                return witness
+    return None
+
+
+def check_d_equation(R):
+    """R12 R23 = R23 R12 on M (x) M (x) M, exactly.
+
+    Both sides are read off R's nonzeros as two sparse contractions,
+
+        (R12 R23)[xyz, lmn] = sum_m' R[(x, y), (l, m')] R[(m', z), (m, n)]
+        (R23 R12)[xyz, lmn] = sum_y' R[(y, z), (y', n)] R[(x, y'), (l, m)],
+
+    one slab of fixed l at a time: a slab maps the flat int of
+    ((m, n), (x, y, z)) to its entry, so memory is one slab and never the
+    whole nd^3 x nd^3 product.  The witness is the least (l, m, n) whose
+    images differ, with both images keyed by (x, y, z) triples.
+
+    When R is a basis map (`column_map`), each image is one basis triple
+    with coefficient one, so the slabs are first compared as lists of
+    ints, and only the least failing slab, or none, is contracted: it is
+    the first slab that fails in the contraction, which alone gives the
+    verdict and the witness.  Any other R contracts the slabs in order
+    up to the first that fails.
+    """
+    nd = R.m_dim
+    r = R.column_map
+    slabs = range(nd) if r is None else _first_failing_slab(r, nd)
+    witness = _first_witness(R, slabs) if slabs else None
+    rep = VerificationReport()
+    rep.add("eq.d", witness is None, witness)
     return rep

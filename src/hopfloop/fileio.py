@@ -17,7 +17,7 @@ from .loops import LoopTable
 from .smash import CosmashInput, SmashInput
 from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
                          HopfQuasigroup)
-from .tensors import Mat, Ten3, Vec
+from .tensors import Mat, SparseTensor, Ten3
 
 _STRUCT_HEADERS = {"hopfqg": HopfQuasigroup, "hopfcoqg": HopfCoquasigroup}
 _SECTIONS = ("mu", "delta", "unit", "counit", "antipode")
@@ -193,15 +193,10 @@ def parse_structure(text):
     def tensor(kind, name, dims):
         return kind._from_nz(field, dims, entries(name, len(dims)))
 
-    def vector(name):
-        data = [field.zero] * n
-        for (i,), c in entries(name, 1).items():
-            data[i] = c
-        return Vec(field, data)
-
-    return cls(AlgebraData(tensor(Ten3, "mu", (n, n, n)), vector("unit")),
+    return cls(AlgebraData(tensor(Ten3, "mu", (n, n, n)),
+                           tensor(SparseTensor, "unit", (n,))),
                CoalgebraData(tensor(Ten3, "delta", (n, n, n)),
-                             vector("counit")),
+                             tensor(SparseTensor, "counit", (n,))),
                tensor(Mat, "antipode", (n, n)))
 
 
@@ -216,17 +211,11 @@ def _entry_lines(tensor):
 
 
 def serialize_structure(H):
-    f = H.field
     out = ["hopfqg" if isinstance(H, HopfQuasigroup) else "hopfcoqg",
-           _field_line(f), f"dim {H.dim}"]
-    for name, ten in (("mu", H.mu), ("delta", H.delta)):
+           _field_line(H.field), f"dim {H.dim}"]
+    for name in _SECTIONS:
         out.append(f"{name}:")
-        out.extend(_entry_lines(ten))
-    for name, vec in (("unit", H.unit), ("counit", H.counit)):
-        out.append(f"{name}:")
-        out.extend(f"{i} {f.format(c)}" for i, c in vec.nonzero())
-    out.append("antipode:")
-    out.extend(_entry_lines(H.antipode))
+        out.extend(_entry_lines(getattr(H, name)))
     return "\n".join(out) + "\n"
 
 

@@ -99,11 +99,11 @@ SIGNATURES = {
 # The fibres of each map of a Hopf structure, algebra or coalgebra X by its
 # input legs: (output legs, coeff) pairs, one leg an int, more a tuple.
 _FIBRES = {
-    "mu": lambda X: X.mu.mul_table,
+    "mu": lambda X: X.mu._by_first_two,
     "delta": lambda X: X.delta._by_first,
     "S": lambda X: X.antipode._by_second,
-    "eta": lambda X: X.unit.unit_fibre,
-    "eps": lambda X: X.counit.counit_fibres,
+    "eta": lambda X: X.unit._nonzeros,
+    "eps": lambda X: X.counit._by_first,
 }
 
 

@@ -10,7 +10,8 @@ from .errors import BudgetExceeded, MalformedTable, NotIPLoop
 from .fields import QQ
 from .report import VerificationReport, Witness
 from .structures import AlgebraData, CoalgebraData, HopfQuasigroup
-from .tensors import Mat, Ten3, Vec, assoc_mismatches, mismatches, quasi_rows
+from .tensors import (Mat, SparseTensor, Ten3, assoc_mismatches, mismatches,
+                      quasi_rows)
 
 SEARCH_MAX_ORDER = 9
 
@@ -143,8 +144,8 @@ def loop_algebra(T, field=QQ):
     mu = Ten3._from_nz(f, (n, n, n), {(i, j, rows[i][j]): f.one
                                       for i in range(n) for j in range(n)})
     delta = Ten3._from_nz(f, (n, n, n), {(i, i, i): f.one for i in range(n)})
-    unit = Vec.basis(f, n, 0)
-    counit = Vec(f, (f.one,) * n)
+    unit = SparseTensor._from_nz(f, (n,), {(0,): f.one})
+    counit = SparseTensor._from_nz(f, (n,), {(i,): f.one for i in range(n)})
     anti = Mat._from_nz(f, (n, n), {(T.inverse_of(a), a): f.one
                                     for a in range(n)})
     return HopfQuasigroup(AlgebraData(mu, unit),

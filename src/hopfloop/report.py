@@ -1,9 +1,11 @@
 """Per-law verification reports with concrete basis-index witnesses.
 
-Checkers never short-circuit: every law is evaluated and recorded so that
-reports for two structures can be diffed law by law.  A failing entry always
-carries a witness (the basis indices plus both evaluated sides) that
-reproduces the discrepancy when re-evaluated.
+Checkers never skip a law: every law is evaluated and recorded, one entry
+each, so that reports for two structures can be diffed law by law.  Within
+a law a checker stops at its first failing slab, the instances that share
+a first input, and `slab_witness` reads the law's witness off that slab.
+A failing entry always carries a witness (the basis indices plus both
+evaluated sides) that reproduces the discrepancy when re-evaluated.
 """
 
 # Annotations stay unevaluated: an Optional[Witness] built at class creation
@@ -131,33 +133,3 @@ def slab_witness(field, prefix, lhs, rhs, inst_dims, out_dims):
 
     return Witness(prefix + _unravel(inst, inst_dims), side(lhs), side(rhs))
 
-
-class LawAccumulator:
-    """Collects slab results for one law id and emits a single entry."""
-
-    def __init__(self, report, field, law_id, informational=False):
-        self.report = report
-        self.field = field
-        self.law_id = law_id
-        self.informational = informational
-        self.failed = False
-        self.witness = None
-
-    def check_slab(self, prefix, lhs, rhs, inst_dims, out_dims):
-        """Compare the instances sharing the fixed first input `prefix`,
-        slabs as `slab_witness` takes them; zero values may be present.
-
-        The fast path is one `==`.  On the first mismatch of this law the
-        witness is the `slab_witness`.  Once the law has failed, later
-        slabs cannot change its entry and are not compared.
-        """
-        if self.failed or lhs == rhs:
-            return
-        self.witness = slab_witness(self.field, prefix, lhs, rhs,
-                                    inst_dims, out_dims)
-        self.failed = self.witness is not None
-
-    def finish(self):
-        self.report.add(self.law_id, not self.failed, self.witness,
-                        self.informational)
-        return not self.failed

@@ -23,7 +23,7 @@ from .report import VerificationReport
 from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
                          HopfQuasigroup, check_hopf_coquasigroup,
                          check_hopf_quasigroup)
-from .tensors import Mat, SparseTensor, Ten3, Vec
+from .tensors import Mat, SparseTensor, Ten3
 
 
 COCOMMU = (
@@ -64,9 +64,7 @@ def _structure(kind, maps, H, A, act=None, coact=None):
     mu, eta, delta, eps, anti = (
         build(con, H, A, act, coact, cls) for con, cls in zip(maps, (
             Ten3, SparseTensor, Ten3, SparseTensor, Mat)))
-    f, n = H.field, mu.dim
-    return kind(AlgebraData(mu, Vec(f, [eta[i,] for i in range(n)])),
-                CoalgebraData(delta, Vec(f, [eps[i,] for i in range(n)])),
+    return kind(AlgebraData(mu, eta), CoalgebraData(delta, eps),
                 anti.transpose())
 
 

@@ -1,10 +1,10 @@
 """Hopf quasigroups and coquasigroups as structure-constant tensors.
 
 A structure bundles the product tensor mu, coproduct tensor delta, unit and
-counit vectors and the antipode matrix over one exact field.  Each of its
-22 laws is declared as an equation between two chains of mu, delta, S, eta
-and eps (`hopfloop.laws`) and checked by `laws.evaluate` over every basis
-tuple, with a witness on the first mismatch per law.
+counit tensors of dims (n,) and the antipode matrix over one exact field.
+Each of its 22 laws is declared as an equation between two chains of mu,
+delta, S, eta and eps (`hopfloop.laws`) and checked by `laws.evaluate` over
+every basis tuple, with a witness on the first mismatch per law.
 
 Four law families are first read on integer tables when the tensors they
 read are basis maps, each input going to one basis vector with coefficient
@@ -33,15 +33,16 @@ from .errors import DimMismatch
 from .fields import check_same_field
 from .laws import evaluate, law
 from .report import VerificationReport
-from .tensors import (Ten3, Vec, assoc_mismatches, assoc_sides, mismatches,
+from .tensors import (Ten3, assoc_mismatches, assoc_sides, mismatches,
                       quasi_rows)
 
 
 class AlgebraData:
-    """Unital, not necessarily associative algebra: product tensor + unit."""
+    """Unital, not necessarily associative algebra: product tensor + unit,
+    the image of 1 as a tensor of dims (n,)."""
 
     def __init__(self, mu, unit):
-        if mu.dim != unit.dim:
+        if unit.dims != (mu.dim,):
             raise DimMismatch("mu/unit dims differ")
         check_same_field(mu.field, unit.field)
         self.mu = mu
@@ -59,11 +60,12 @@ class AlgebraData:
 class CoalgebraData:
     """Counital, not necessarily coassociative coalgebra.
 
-    The counit is stored as a vector of its values on basis elements.
+    The counit is stored as a tensor of dims (n,), its values on basis
+    elements.
     """
 
     def __init__(self, delta, counit):
-        if delta.dim != counit.dim:
+        if counit.dims != (delta.dim,):
             raise DimMismatch("delta/counit dims differ")
         check_same_field(delta.field, counit.field)
         self.delta = delta
@@ -283,13 +285,16 @@ def check_bialgebra_compat(H):
 def _table_maps(rows, s, diag, ones):
     """(rows, s) when the quasi identities read from them compose basis
     maps: rows and s basis-map views, the tensor `diag` diagonal and the
-    vector `ones` 1 on every basis vector; else None.  For quasi* these are
-    mu.mul_rows, S.column_map, delta and the counit; for coq*, the same
-    views of dualize(H) read from H: delta.comul_rows, S.row_map, mu and
-    the unit, since the coq identities of H are the transposes of the quasi
-    identities of its dual and each holds exactly when its dual holds."""
+    tensor `ones`, of dims (n,), 1 on every basis vector; else None.  For
+    quasi* these are mu.mul_rows, S.column_map, delta and the counit; for
+    coq*, the same views of dualize(H) read from H: delta.comul_rows,
+    S.row_map, mu and the unit, since the coq identities of H are the
+    transposes of the quasi identities of its dual and each holds exactly
+    when its dual holds."""
+    one = ones.field.one
     if (rows is None or s is None or not diag.is_diagonal()
-            or any(c != ones.field.one for c in ones.data)):
+            or len(ones.nz) != ones.dims[0]
+            or any(c != one for c in ones.nz.values())):
         return None
     return rows, s
 
@@ -372,7 +377,8 @@ def dualize(H):
     """Structure on the dual basis; an involution on the stored tensors.
 
     new_mu[i, j, k] = delta[k, i, j], new_delta[i, j, k] = mu[j, k, i],
-    unit and counit swap roles, the antipode transposes.
+    unit and counit swap roles, shared as they are, the antipode
+    transposes.
     """
     f = H.field
     n = H.dim
@@ -380,8 +386,8 @@ def dualize(H):
         f, (n, n, n), {(i, j, k): c for (k, i, j), c in H.delta.nz.items()})
     delta = Ten3._from_nz(
         f, (n, n, n), {(i, j, k): c for (j, k, i), c in H.mu.nz.items()})
-    alg = AlgebraData(mu, Vec(f, H.counit.data))
-    coalg = CoalgebraData(delta, Vec(f, H.unit.data))
+    alg = AlgebraData(mu, H.counit)
+    coalg = CoalgebraData(delta, H.unit)
     anti = H.antipode.transpose()
     cls = HopfCoquasigroup if isinstance(H, HopfQuasigroup) else HopfQuasigroup
     return cls(alg, coalg, anti)

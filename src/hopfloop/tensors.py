@@ -25,8 +25,9 @@ coproduct of its dual read through the transpose, an antipode that sends
 basis vectors to basis vectors.  Laws over such maps are decided by
 composing and comparing integer rows (`assoc_mismatches`, `quasi_rows`).
 
-Vec, the values of a unit or counit, stays a dense tuple, with its fibres
-as a unit and as a counit built once on first use.
+A unit or counit is a tensor of dims (n,): read as a counit, its fibres
+are those of `_by_first`, one ((), coeff) pair or none per basis vector;
+read as a unit, its one fibre is `_nonzeros`, every (i, coeff) pair.
 """
 
 from functools import cached_property
@@ -38,61 +39,6 @@ from .errors import DimMismatch
 
 def pair_index(i, j, dim_second):
     return i * dim_second + j
-
-
-class Vec:
-    __slots__ = ("field", "data", "_nonzero", "_by_index")
-
-    def __init__(self, field, data):
-        self.field = field
-        self.data = tuple(data)
-        self._nonzero = self._by_index = None
-
-    @property
-    def dim(self):
-        return len(self.data)
-
-    def __getitem__(self, i):
-        return self.data[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, Vec) and self.field == other.field
-                and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.field, self.data))
-
-    def __repr__(self):
-        return f"Vec({self.field!r}, {list(self.data)})"
-
-    @classmethod
-    def basis(cls, field, n, i):
-        data = [field.zero] * n
-        data[i] = field.one
-        return cls(field, data)
-
-    def nonzero(self):
-        z = self.field.zero
-        return [(i, c) for i, c in enumerate(self.data) if c != z]
-
-    # Fibres, built once: of the map 1 -> this vector (a unit), and of the
-    # map e_i -> self[i] to the ground field (a counit).
-
-    @property
-    def unit_fibre(self):
-        """The nonzeros as (i, coeff) pairs."""
-        if self._nonzero is None:
-            self._nonzero = tuple(self.nonzero())
-        return self._nonzero
-
-    @property
-    def counit_fibres(self):
-        """[i] -> the pair ((), self[i]), or none where it is zero."""
-        if self._by_index is None:
-            z = self.field.zero
-            self._by_index = tuple((((), c),) if c != z else ()
-                                   for c in self.data)
-        return self._by_index
 
 
 class SparseTensor:
@@ -129,6 +75,12 @@ class SparseTensor:
         return self
 
     def __getitem__(self, key):
+        """The entry at the full index tuple `key`; IndexError on any other
+        key, so that a short or out-of-range key never reads as zero."""
+        dims = self.dims
+        if not (type(key) is tuple and len(key) == len(dims) and all(
+                type(i) is int and 0 <= i < d for i, d in zip(key, dims))):
+            raise IndexError(f"{key!r} is not an index of dims {dims}")
         return self.nz.get(key, self.field.zero)
 
     def __eq__(self, other):
@@ -165,6 +117,11 @@ class SparseTensor:
         for key, c in sorted(self.nz.items()):
             out[key[0]].append((key[1:], c))
         return tuple(map(tuple, out))
+
+    @cached_property
+    def _nonzeros(self):
+        """(i, coeff) pairs of a rank-1 tensor, in index order."""
+        return tuple((i, c) for (i,), c in sorted(self.nz.items()))
 
     @cached_property
     def _by_first_two(self):
@@ -251,11 +208,6 @@ class Ten3(SparseTensor):
     def mul_pairs(self, i, j):
         """Product view: nonzeros of e_i * e_j as (k, coeff) pairs."""
         return self._by_first_two[i][j]
-
-    @property
-    def mul_table(self):
-        """Product view as nested tuples: mul_table[i][j] is mul_pairs(i, j)."""
-        return self._by_first_two
 
     def split_pairs(self, i):
         """Coproduct view: nonzeros of delta(e_i) as ((j, k), coeff) pairs."""

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from hopfloop import ActionData, LoopTable, QQ, loop_algebra
+from hopfloop import ActionData, LoopTable, QQ, SparseTensor, loop_algebra
 
 
 def cyclic(n):
@@ -62,6 +62,12 @@ def automorphisms(table):
                for i in range(n) for j in range(n)):
             auts.append(p)
     return auts
+
+
+def vector(field, values):
+    """The unit or counit, a tensor of dims (n,), with the n `values`,
+    zeros included."""
+    return SparseTensor(field, (len(values),), enumerate(values))
 
 
 def perm_action(field, h_dim, perms):

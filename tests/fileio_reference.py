@@ -13,7 +13,7 @@ from hopfloop.errors import ParseError
 from hopfloop.fileio import (_SECTIONS, _STRUCT_HEADERS, _check_dims,
                              _field_line, _parse_field_line)
 from hopfloop.structures import AlgebraData, CoalgebraData, HopfQuasigroup
-from hopfloop.tensors import Mat, Ten3, Vec
+from hopfloop.tensors import Mat, SparseTensor, Ten3
 
 
 class _Lines:
@@ -122,15 +122,10 @@ def parse_structure(text):
         return kind(field, dims, (key + (c,) for key, c in
                                   entries(name, len(dims)).items()))
 
-    def vector(name):
-        data = [field.zero] * n
-        for (i,), c in entries(name, 1).items():
-            data[i] = c
-        return Vec(field, data)
-
-    return cls(AlgebraData(tensor(Ten3, "mu", (n, n, n)), vector("unit")),
+    return cls(AlgebraData(tensor(Ten3, "mu", (n, n, n)),
+                           tensor(SparseTensor, "unit", (n,))),
                CoalgebraData(tensor(Ten3, "delta", (n, n, n)),
-                             vector("counit")),
+                             tensor(SparseTensor, "counit", (n,))),
                tensor(Mat, "antipode", (n, n)))
 
 
@@ -145,14 +140,10 @@ def serialize_structure(H):
     f = H.field
     out = ["hopfqg" if isinstance(H, HopfQuasigroup) else "hopfcoqg",
            _field_line(f), f"dim {H.dim}"]
-    for name, ten in (("mu", H.mu), ("delta", H.delta)):
+    for name, ten in (("mu", H.mu), ("delta", H.delta), ("unit", H.unit),
+                      ("counit", H.counit), ("antipode", H.antipode)):
         out.append(f"{name}:")
         out.extend(_entry_lines(ten))
-    for name, vec in (("unit", H.unit), ("counit", H.counit)):
-        out.append(f"{name}:")
-        out.extend(f"{i} {f.format(c)}" for i, c in vec.nonzero())
-    out.append("antipode:")
-    out.extend(_entry_lines(H.antipode))
     return "\n".join(out) + "\n"
 
 

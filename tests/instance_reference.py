@@ -10,7 +10,6 @@ against them, report for report.  They assume inputs of matching dims and
 field; the package checkers guard those.
 """
 
-from hopfloop import report
 from hopfloop.dimodules import OVER_QUASIGROUP, build_from_quasimodule
 from hopfloop.fields import QQ
 from hopfloop.report import VerificationReport, Witness, witness_side
@@ -38,14 +37,33 @@ def sadd(field, acc, key, coeff):
             acc[key] = s
 
 
+def nonzeros(vec):
+    """The (i, coeff) nonzeros of a unit or counit, in index order."""
+    return [(i, c) for (i,), c in sorted(vec.nz.items())]
+
+
+def value(vec, i):
+    """The entry at i of a unit or counit."""
+    return vec.nz.get((i,), vec.field.zero)
+
+
 def sscale(field, d, coeff):
     if coeff == field.zero:
         return {}
     return {k: field.mul(c, coeff) for k, c in d.items()}
 
 
-class LawAccumulator(report.LawAccumulator):
-    """The package accumulator plus the per-instance comparison."""
+class LawAccumulator:
+    """Collects the per-instance results of one law id and emits one
+    entry, its first failing instance the witness."""
+
+    def __init__(self, report, field, law_id, informational=False):
+        self.report = report
+        self.field = field
+        self.law_id = law_id
+        self.informational = informational
+        self.failed = False
+        self.witness = None
 
     def check(self, indices, lhs, rhs):
         if lhs != rhs:
@@ -55,6 +73,11 @@ class LawAccumulator(report.LawAccumulator):
                     witness_side(self.field, lhs),
                     witness_side(self.field, rhs))
             self.failed = True
+
+    def finish(self):
+        self.report.add(self.law_id, not self.failed, self.witness,
+                        self.informational)
+        return not self.failed
 
 
 def _elem(v):
@@ -82,7 +105,7 @@ def apply_coaction(coaction, mu):
 
 
 def unit_sparse(H):
-    return {(i,): c for i, c in H.unit.nonzero()}
+    return {(i,): c for i, c in nonzeros(H.unit)}
 
 
 # --- actions and coactions -------------------------------------------------
@@ -118,7 +141,7 @@ def tensor2(field, u, v):
 def _unital(rep, f, law_id, H, act):
     """1 . m = m over every basis vector of M."""
     acc = LawAccumulator(rep, f, law_id)
-    one = H.unit.nonzero()
+    one = nonzeros(H.unit)
     for m in range(act.m_dim):
         out = {}
         for u, a in one:
@@ -138,7 +161,7 @@ def check_quasimodule(H, act):
     right = LawAccumulator(rep, f, "qm2.right")
     for h in range(H.dim):
         dh = split(h)
-        eps = H.counit[h]
+        eps = value(H.counit, h)
         for m in range(act.m_dim):
             expected = {(m,): eps} if eps != f.zero else {}
             lhs, rhs = {}, {}
@@ -189,7 +212,7 @@ def _counital(f, H, rm):
     """(id (x) counit) of a coaction value given as ((m, h), coeff) pairs."""
     out = {}
     for (m1, h), c in rm:
-        sadd(f, out, (m1,), f.mul(c, H.counit[h]))
+        sadd(f, out, (m1,), f.mul(c, value(H.counit, h)))
     return out
 
 
@@ -222,7 +245,7 @@ def check_quasicomodule(H, coact):
     counital = LawAccumulator(rep, f, "cqm.counital")
     left = LawAccumulator(rep, f, "cqm2.left")
     right = LawAccumulator(rep, f, "cqm2.right")
-    one = H.unit.nonzero()
+    one = nonzeros(H.unit)
     for m in range(coact.m_dim):
         rm = coact._pairs(m)
         counital.check((m,), _counital(f, H, rm), {(m,): f.one})
@@ -273,14 +296,14 @@ def check_qm_algebra(H, alg, act):
                 mult.check((h, a, b), lhs, rhs)
     mult.finish()
     unit = LawAccumulator(rep, f, "qmalg.unit")
-    one_a = alg.unit.nonzero()
+    one_a = nonzeros(alg.unit)
     one_sparse = {(i,): c for i, c in one_a}
     for h in range(H.dim):
         lhs = {}
         for x, u in one_a:
             for k, w in pairs(h, x):
                 sadd(f, lhs, (k,), f.mul(u, w))
-        unit.check((h,), lhs, sscale(f, one_sparse, H.counit[h]))
+        unit.check((h,), lhs, sscale(f, one_sparse, value(H.counit, h)))
     unit.finish()
     return rep
 
@@ -301,7 +324,7 @@ def check_qm_coalgebra(H, coalg, act):
             for x, v in hc:
                 for jk, w in csplit(x):
                     sadd(f, lhs, jk, f.mul(v, w))
-                lhs_eps = f.add(lhs_eps, f.mul(v, coalg.counit[x]))
+                lhs_eps = f.add(lhs_eps, f.mul(v, value(coalg.counit, x)))
             rhs = {}
             for (h1, h2), c in dh:
                 for (c1, c2), c2v in csplit(cidx):
@@ -310,7 +333,7 @@ def check_qm_coalgebra(H, coalg, act):
                         for y, v2 in pairs(h2, c2):
                             sadd(f, rhs, (x, y), f.mul(cc, f.mul(v1, v2)))
             comult.check((h, cidx), lhs, rhs)
-            rhs_eps = f.mul(H.counit[h], coalg.counit[cidx])
+            rhs_eps = f.mul(value(H.counit, h), value(coalg.counit, cidx))
             counit.check((h, cidx),
                          {(): lhs_eps} if lhs_eps != f.zero else {},
                          {(): rhs_eps} if rhs_eps != f.zero else {})
@@ -355,7 +378,7 @@ def check_coqm_algebra(H, alg, coact):
             mult.check((a, b), lhs, rhs)
     mult.finish()
     unit = LawAccumulator(rep, f, "coqmalg.unit")
-    one_a = {(i,): c for i, c in alg.unit.nonzero()}
+    one_a = {(i,): c for i, c in nonzeros(alg.unit)}
     unit.check((), apply_coaction(coact, one_a),
                tensor2(f, one_a, unit_sparse(H)))
     unit.finish()
@@ -375,7 +398,7 @@ def check_coqm_coalgebra(H, coalg, coact):
         for (c0, h), c in pairs(cidx):
             for (c1, c2), c2v in csplit(c0):
                 sadd(f, lhs, (c1, c2, h), f.mul(c, c2v))
-            sadd(f, lhs_eps, (h,), f.mul(c, coalg.counit[c0]))
+            sadd(f, lhs_eps, (h,), f.mul(c, value(coalg.counit, c0)))
         rhs = {}
         for (c1, c2), cv in csplit(cidx):
             for (c10, h1), v1 in pairs(c1):
@@ -385,7 +408,7 @@ def check_coqm_coalgebra(H, coalg, coact):
                         sadd(f, rhs, (c10, c20, k), f.mul(cc, c))
         comult.check((cidx,), lhs, rhs)
         counit.check((cidx,), lhs_eps,
-                     sscale(f, one, coalg.counit[cidx]))
+                     sscale(f, one, value(coalg.counit, cidx)))
     comult.finish()
     counit.finish()
     return rep
@@ -638,7 +661,7 @@ def check_adjunction(H, D):
     for m in range(D.dim):
         out = {}
         for (m0, h1), c in coact(m):
-            sadd(f, out, (m0,), f.mul(c, H.counit[h1]))
+            sadd(f, out, (m0,), f.mul(c, value(H.counit, h1)))
         tri1.check((m,), out, {(m,): f.one})
     tri1.finish()
 
@@ -650,7 +673,7 @@ def check_adjunction(H, D):
         for (j, h1), c in free.coact._pairs(i):
             m0, k1 = divmod(j, n)
             sadd(f, collapsed, (pair_index(m0, h1, n),),
-                 f.mul(c, H.counit[k1]))
+                 f.mul(c, value(H.counit, k1)))
         tri2.check((i,), collapsed, {(i,): f.one})
     tri2.finish()
     return rep

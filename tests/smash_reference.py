@@ -7,8 +7,11 @@ of each formula, are never used by the package, and are kept only so that
 the declarations can be tested against them.
 """
 
+from conftest import vector
+from instance_reference import nonzeros, value
+
 from hopfloop import (AlgebraData, CoalgebraData, HopfCoquasigroup,
-                      HopfQuasigroup, Mat, RMap, Ten3, Vec)
+                      HopfQuasigroup, Mat, RMap, Ten3)
 from hopfloop.tensors import pair_index
 
 
@@ -38,8 +41,8 @@ def smash_product(inp):
                                         (i, j, pair_index(x, y, nH),
                                          f.mul(c, f.mul(u, v2))))
     unit = [f.zero] * n
-    for a, ca in A.unit.nonzero():
-        for h, ch in H.unit.nonzero():
+    for a, ca in nonzeros(A.unit):
+        for h, ch in nonzeros(H.unit):
             unit[pair_index(a, h, nH)] = f.mul(ca, ch)
 
     delta_entries = []
@@ -47,7 +50,7 @@ def smash_product(inp):
     for a in range(nA):
         for h in range(nH):
             i = pair_index(a, h, nH)
-            counit[i] = f.mul(A.counit[a], H.counit[h])
+            counit[i] = f.mul(value(A.counit, a), value(H.counit, h))
             for (a1, a2), ca in A.delta.split_pairs(a):
                 for (h1, h2), ch in split(h):
                     delta_entries.append(
@@ -71,9 +74,9 @@ def smash_product(inp):
                                                   f.mul(c, f.mul(u, v1))))
 
     return HopfQuasigroup(
-        AlgebraData(Ten3.from_entries(f, n, mu_entries), Vec(f, unit)),
+        AlgebraData(Ten3.from_entries(f, n, mu_entries), vector(f, unit)),
         CoalgebraData(Ten3.from_entries(f, n, delta_entries),
-                      Vec(f, counit)),
+                      vector(f, counit)),
         Mat(f, (n, n), s_entries))
 
 
@@ -98,8 +101,8 @@ def smash_coproduct(inp):
                                 (pair_index(h, c, nC), pair_index(g, d, nC),
                                  pair_index(x, y, nC), f.mul(u, v)))
     unit = [f.zero] * n
-    for h, ch in H.unit.nonzero():
-        for c, cc in C.unit.nonzero():
+    for h, ch in nonzeros(H.unit):
+        for c, cc in nonzeros(C.unit):
             unit[pair_index(h, c, nC)] = f.mul(ch, cc)
 
     delta_entries = []
@@ -108,7 +111,7 @@ def smash_coproduct(inp):
         h_split = H.delta.split_pairs(h)
         for c in range(nC):
             i = pair_index(h, c, nC)
-            counit[i] = f.mul(H.counit[h], C.counit[c])
+            counit[i] = f.mul(value(H.counit, h), value(C.counit, c))
             for (c1, c2), vc in C.delta.split_pairs(c):
                 for (c10, c11), w in pairs(c1):
                     for (h1, h2), vh in h_split:
@@ -132,9 +135,9 @@ def smash_coproduct(inp):
                                               f.mul(v, f.mul(u, w))))
 
     return HopfCoquasigroup(
-        AlgebraData(Ten3.from_entries(f, n, mu_entries), Vec(f, unit)),
+        AlgebraData(Ten3.from_entries(f, n, mu_entries), vector(f, unit)),
         CoalgebraData(Ten3.from_entries(f, n, delta_entries),
-                      Vec(f, counit)),
+                      vector(f, counit)),
         Mat(f, (n, n), s_entries))
 
 

@@ -123,8 +123,8 @@ def test_criterion_5_classical_recovery():
     f = QQ
     n = 6
     for i in range(n):
-        assert cand.unit[i] == HS3.unit[sigma[i]]
-        assert cand.counit[i] == HS3.counit[sigma[i]]
+        assert cand.unit[i,] == HS3.unit[sigma[i],]
+        assert cand.counit[i,] == HS3.counit[sigma[i],]
         for j in range(n):
             assert cand.antipode[i, j] == \
                 HS3.antipode[sigma[i], sigma[j]]

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fileio_reference as reference
-from conftest import cyclic, inversion_action, loop7, s3_table
+from conftest import cyclic, inversion_action, loop7, s3_table, vector
 
 from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
                       CosmashInput, GF, HopfCoquasigroup, HopfQuasigroup,
-                      LongDimodule, LoopTable, Mat, QQ, SmashInput, Ten3, Vec,
+                      LongDimodule, LoopTable, Mat, QQ, SmashInput, Ten3,
                       dualize, loop_algebra)
 from hopfloop import fileio
 from hopfloop.errors import HopfloopError, MalformedTable, ParseError
@@ -186,7 +186,7 @@ def structure_texts(draw):
                              max_size=2 * n * n))
 
     def vec():
-        return Vec(f, draw(st.lists(scalar, min_size=n, max_size=n)))
+        return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     cls = draw(st.sampled_from((HopfQuasigroup, HopfCoquasigroup)))
     H = cls(AlgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),

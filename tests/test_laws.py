@@ -19,13 +19,13 @@ from hypothesis import example, given, settings, strategies as st
 import instance_reference as ref
 import smash_reference as sref
 from conftest import (cyclic, inversion_action, loop7, perm_action,
-                      s3_table)
+                      s3_table, vector)
 from test_module_laws import action_inputs, actions, dimodules, structures
 from test_structures import random_structures, s3_perturbations
 
 from hopfloop import (GF, QQ, ActionData, AlgebraData, CoactionData,
                       CoalgebraData, CosmashInput, LongDimodule, Mat,
-                      SmashInput, Ten3, Vec, check_adjunction,
+                      SmashInput, SparseTensor, Ten3, check_adjunction,
                       check_antipode_colinear, check_antipode_linear,
                       check_cocommu, check_commu, check_comodcoass,
                       check_comodule, check_coqm_algebra,
@@ -124,13 +124,13 @@ def test_unit_and_counit_on_rank0_legs():
     """eps(1) = 1 as a law of rank-0 domain and output, and as
     eta = eta eps eta with a rank-1 output."""
     scalar = law("eps.eta", "", "", "eta@0 eps@0", "")
-    vector = law("eta.eps.eta", "", "H", "eta@0", "eta@0 eps@0 eta@0")
+    rank1 = law("eta.eps.eta", "", "H", "eta@0", "eta@0 eps@0 eta@0")
     H = loop_algebra(cyclic(2))
     act = ActionData.trivial(H, 3)
-    assert evaluate((scalar, vector), H, act=act).ok
-    bad = type(H)(H.alg, CoalgebraData(H.delta, Vec(QQ, [2, 0])),
+    assert evaluate((scalar, rank1), H, act=act).ok
+    bad = type(H)(H.alg, CoalgebraData(H.delta, vector(QQ, [2, 0])),
                   H.antipode)
-    rep = evaluate((scalar, vector), bad, act=act)
+    rep = evaluate((scalar, rank1), bad, act=act)
     assert entry(rep, "eps.eta") == {
         "law": "eps.eta", "pass": False, "witness": {
             "indices": [], "lhs": [[[], "2"]], "rhs": [[[], "1"]]}}
@@ -206,7 +206,7 @@ def cancelling_counit(delta_00_11):
     H = loop_algebra(cyclic(2))
     delta = Ten3(QQ, (2, 2, 2), [(0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1),
                                  (0, 1, 1, QQ.from_int(delta_00_11))])
-    return type(H)(H.alg, CoalgebraData(delta, Vec(QQ, [1, 1])), H.antipode)
+    return type(H)(H.alg, CoalgebraData(delta, vector(QQ, [1, 1])), H.antipode)
 
 
 def test_terms_cancelling_to_zero_pass():
@@ -295,9 +295,9 @@ def cancelling_input():
     H = HopfQuasigroup(
         AlgebraData(Ten3(f, (2,) * 3, [(0, 0, 0, 1), (0, 1, 0, -1),
                                        (1, 0, 1, 1), (1, 1, 1, -1)]),
-                    Vec(f, [1, 0])),
+                    vector(f, [1, 0])),
         CoalgebraData(Ten3(f, (2,) * 3, [(0, 0, 0, 1), (1, 0, 1, 1),
-                                         (1, 1, 1, 1)]), Vec(f, [1, 1])),
+                                         (1, 1, 1, 1)]), vector(f, [1, 1])),
         Mat(f, (2, 2), [(0, 0, 1), (1, 1, 1)]))
     A = loop_algebra(cyclic(1))
     return (H, A, ActionData(f, (2, 1, 1), [(0, 0, 0, 1), (1, 0, 0, -1)]),
@@ -338,7 +338,7 @@ def test_build_on_rank0_legs():
     H = loop_algebra(cyclic(2))
     assert build(scalar, H).nz == {(): 1}
     for counit, nz in (([2, 0], {(): 2}), ([0, 1], {})):
-        bumped = type(H)(H.alg, CoalgebraData(H.delta, Vec(QQ, counit)),
+        bumped = type(H)(H.alg, CoalgebraData(H.delta, vector(QQ, counit)),
                          H.antipode)
         assert build(scalar, bumped).nz == nz
 
@@ -411,10 +411,7 @@ def relabel(X, p, q=None):
                                   for (i, j, k), c in t.nz.items()))
 
     def vec(v):
-        out = [f.zero] * n
-        for i, c in enumerate(v.data):
-            out[p[i]] = c
-        return Vec(f, out)
+        return SparseTensor(f, (n,), ((p[i], c) for (i,), c in v.nz.items()))
 
     return type(X)(
         AlgebraData(ten3(X.mu), vec(X.unit)),

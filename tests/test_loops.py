@@ -71,7 +71,7 @@ def test_loop_algebra_grouplike_tensors():
     assert H.dim == 3
     for i in range(3):
         assert list(H.delta.split_pairs(i)) == [((i, i), QQ.one)]
-        assert H.counit[i] == QQ.one
+        assert H.counit[i,] == QQ.one
     # S(a) = a^{-1}
     assert list(H.antipode.column(1)) == [(2, QQ.one)]
 

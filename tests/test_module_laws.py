@@ -12,12 +12,12 @@ import json
 from hypothesis import given, settings, strategies as st
 
 import instance_reference as ref
-from conftest import cyclic, inversion_action, klein, perm_action
+from conftest import cyclic, inversion_action, klein, perm_action, vector
 from test_structures import SCALARS
 
 from hopfloop import (GF, QQ, ActionData, AlgebraData, CoactionData,
                       CoalgebraData, CosmashInput, HopfQuasigroup,
-                      LongDimodule, Mat, SmashInput, Ten3, Vec,
+                      LongDimodule, Mat, SmashInput, Ten3,
                       build_from_quasimodule, check_adjunction,
                       check_antipode_colinear, check_antipode_linear,
                       check_cocommu, check_commu, check_comodcoass,
@@ -47,7 +47,7 @@ def structures(draw, f, n):
                              max_size=2 * n * n))
 
     def vec():
-        return Vec(f, draw(st.lists(scalar, min_size=n, max_size=n)))
+        return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     return HopfQuasigroup(
         AlgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),

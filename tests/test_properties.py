@@ -6,8 +6,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import vector
+
 from hopfloop import (GF, QQ, AlgebraData, CoalgebraData, HopfCoquasigroup,
-                      HopfQuasigroup, Mat, Ten3, Vec, dualize)
+                      HopfQuasigroup, Mat, Ten3, dualize)
 from hopfloop.fileio import load_structure, serialize_structure, write_text
 
 SCALARS = {
@@ -29,7 +31,7 @@ def structures(draw):
                              max_size=2 * n * n))
 
     def vec():
-        return Vec(f, draw(st.lists(scalar, min_size=n, max_size=n)))
+        return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     cls = draw(st.sampled_from((HopfQuasigroup, HopfCoquasigroup)))
     return cls(AlgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),

@@ -7,28 +7,15 @@ from fractions import Fraction
 import pytest
 
 from hopfloop import QQ, VerificationReport, report
-from hopfloop.report import LawAccumulator, Witness, witness_side
+from hopfloop.report import Witness, slab_witness, witness_side
 
 
-def test_accumulator_passes_when_all_equal():
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, QQ, "law.x")
-    acc.check_slab((0,), {0: QQ.one}, {0: QQ.one}, (), (1,))
-    assert acc.finish()
-    assert rep.ok
-    entry = rep.law("law.x")
-    assert entry.passed and entry.witness is None
+def _witness(prefix, lhs, rhs, inst_dims, out_dims):
+    return slab_witness(QQ, prefix, lhs, rhs, inst_dims, out_dims)
 
 
-def _slab_entry(*slabs):
-    """The law entry after check_slab on each (prefix, lhs, rhs, inst_dims,
-    out_dims) in turn."""
-    rep = VerificationReport()
-    acc = LawAccumulator(rep, QQ, "law.s")
-    for args in slabs:
-        acc.check_slab(*args)
-    acc.finish()
-    return rep.law("law.s")
+def test_slab_witness_none_when_equal():
+    assert _witness((0,), {0: QQ.one}, {0: QQ.one}, (), (1,)) is None
 
 
 def test_slab_witness_is_least_differing_instance():
@@ -38,74 +25,63 @@ def test_slab_witness_is_least_differing_instance():
            (1 * 3 + 0) * 3 + 2: 5, (0 * 3 + 1) * 3 + 1: 7}
     rhs = {(0 * 3 + 2) * 3 + 1: 3, (1 * 3 + 0) * 3 + 2: 5,
            (0 * 3 + 1) * 3 + 1: 7, (1 * 3 + 0) * 3 + 0: 4}
-    entry = _slab_entry(((4,), lhs, rhs, (2, 3), (3,)))
-    assert not entry.passed
-    assert entry.witness.indices == (4, 0, 2)
-    assert entry.witness.lhs == (((1,), "2"),)
-    assert entry.witness.rhs == (((1,), "3"),)
+    witness = _witness((4,), lhs, rhs, (2, 3), (3,))
+    assert witness.indices == (4, 0, 2)
+    assert witness.lhs == (((1,), "2"),)
+    assert witness.rhs == (((1,), "3"),)
 
 
 def test_slab_zero_sums_pass():
     # terms that cancelled to 0 stay in a slab; they equal an absent entry
     lhs = {0: 2, 1: Fraction(1, 2) - Fraction(1, 2), 3: 0}
-    entry = _slab_entry(((), lhs, {0: 2, 2: 0}, (2,), (2,)))
-    assert entry.passed and entry.witness is None
+    assert _witness((), lhs, {0: 2, 2: 0}, (2,), (2,)) is None
 
 
 def test_slab_zeros_dropped_from_witness():
-    entry = _slab_entry(((0,), {0: 0, 1: 1}, {2: 0}, (2,), (2,)))
-    assert entry.witness.indices == (0, 0)
-    assert entry.witness.lhs == (((1,), "1"),)
-    assert entry.witness.rhs == ()
+    witness = _witness((0,), {0: 0, 1: 1}, {2: 0}, (2,), (2,))
+    assert witness.indices == (0, 0)
+    assert witness.lhs == (((1,), "1"),)
+    assert witness.rhs == ()
 
 
 def test_slab_one_side_empty():
-    entry = _slab_entry(((3,), {}, {5: 1, 7: -1}, (3,), (2,)))
-    assert entry.witness.indices == (3, 2)
-    assert entry.witness.lhs == ()
-    assert entry.witness.rhs == (((1,), "1"),)
-
-
-def test_slab_second_failure_keeps_first_witness():
-    entry = _slab_entry(((0,), {1: 1}, {1: 2}, (), (2,)),
-                        ((1,), {0: 1}, {}, (), (2,)))
-    assert not entry.passed
-    assert entry.witness.indices == (0,)
-    assert entry.witness.lhs == (((1,), "1"),)
+    witness = _witness((3,), {}, {5: 1, 7: -1}, (3,), (2,))
+    assert witness.indices == (3, 2)
+    assert witness.lhs == ()
+    assert witness.rhs == (((1,), "1"),)
 
 
 def test_slab_key_shape_single():
-    entry = _slab_entry(((2,), {4: 1}, {}, (), (5,)))
-    assert entry.witness.to_dict() == {
+    witness = _witness((2,), {4: 1}, {}, (), (5,))
+    assert witness.to_dict() == {
         "indices": [2], "lhs": [[[4], "1"]], "rhs": []}
 
 
 def test_slab_key_shape_pair():
     # out (y, b) over (3, 4): key y*4 + b
-    entry = _slab_entry(((1,), {2 * 4 + 3: Fraction(-1, 3)}, {}, (), (3, 4)))
-    assert entry.witness.to_dict() == {
+    witness = _witness((1,), {2 * 4 + 3: Fraction(-1, 3)}, {}, (), (3, 4))
+    assert witness.to_dict() == {
         "indices": [1], "lhs": [[[2, 3], "-1/3"]], "rhs": []}
 
 
 def test_slab_key_shape_triple():
     # out (a, b, k) over (2, 3, 4): key (a*3 + b)*4 + k
-    entry = _slab_entry(((0,), {}, {(1 * 3 + 2) * 4 + 1: 1}, (), (2, 3, 4)))
-    assert entry.witness.to_dict() == {
+    witness = _witness((0,), {}, {(1 * 3 + 2) * 4 + 1: 1}, (), (2, 3, 4))
+    assert witness.to_dict() == {
         "indices": [0], "lhs": [], "rhs": [[[1, 2, 1], "1"]]}
 
 
 def test_slab_key_shape_scalar():
     # scalar outputs: out_dims () and the key is the instance alone
-    entry = _slab_entry(((0,), {0: 1, 1: 2}, {0: 1, 1: 3}, (2,), ()))
-    assert entry.witness.to_dict() == {
+    witness = _witness((0,), {0: 1, 1: 2}, {0: 1, 1: 3}, (2,), ())
+    assert witness.to_dict() == {
         "indices": [0, 1], "lhs": [[[], "2"]], "rhs": [[[], "3"]]}
 
 
 def test_informational_entries_do_not_affect_verdict():
     rep = VerificationReport()
-    acc = LawAccumulator(rep, QQ, "law.info", informational=True)
-    acc.check_slab((0,), {0: QQ.one}, {}, (), (1,))
-    acc.finish()
+    rep.add("law.info", False, _witness((0,), {0: QQ.one}, {}, (), (1,)),
+            informational=True)
     assert rep.ok
     assert not rep.law("law.info").passed
     assert rep.failing() == []

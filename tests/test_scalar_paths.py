@@ -9,7 +9,7 @@ import json
 import random
 from fractions import Fraction
 
-from conftest import s3_table
+from conftest import s3_table, vector
 from test_acceptance import (SWEEP_SEED, _dimodule_fixture_set,
                              _sweep_inputs)
 
@@ -23,7 +23,7 @@ from hopfloop.errors import ParseError
 from hopfloop.fields import RationalField
 from hopfloop.fileio import serialize_structure
 from hopfloop.structures import AlgebraData, CoalgebraData
-from hopfloop.tensors import Mat, Ten3, Vec
+from hopfloop.tensors import Mat, Ten3
 
 
 class FractionField(RationalField):
@@ -102,9 +102,9 @@ def _with_field(H, field, antipode_00):
     anti.append((0, 0, field.parse(antipode_00)))
     return type(H)(
         AlgebraData(Ten3(field, H.mu.dims, entries(H.mu)),
-                    Vec(field, [conv(c) for c in H.unit.data])),
+                    vector(field, [conv(c) for c in H.unit.data])),
         CoalgebraData(Ten3(field, H.delta.dims, entries(H.delta)),
-                      Vec(field, [conv(c) for c in H.counit.data])),
+                      vector(field, [conv(c) for c in H.counit.data])),
         Mat(field, H.antipode.dims, anti))
 
 

@@ -2,11 +2,12 @@ from itertools import product
 
 import pytest
 
-from conftest import cyclic, inversion_action, klein, loop7, perm_action, s3_table
+from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
+                      s3_table, vector)
 from instance_reference import tensor_mul
 
 from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
-                      CosmashInput, Mat, QQ, SmashInput, Ten3, Vec,
+                      CosmashInput, Mat, QQ, SmashInput, Ten3,
                       build_smash_coproduct, build_smash_product,
                       check_cocommu, check_commu, check_comodcoass,
                       check_hopf_coquasigroup, check_hopf_quasigroup,
@@ -87,7 +88,7 @@ def test_trivial_action_degeneracy(H2, H3):
     for a in range(3):
         for h in range(2):
             i = a * 2 + h
-            assert cand.counit[i] == f.mul(H3.counit[a], H2.counit[h])
+            assert cand.counit[i,] == f.mul(H3.counit[a,], H2.counit[h,])
             for b in range(3):
                 for g in range(2):
                     j = b * 2 + g
@@ -180,10 +181,11 @@ def rebase(H, P, Q):
             for (k, i), v in H.antipode.nz.items() for a in R for c in R]
     return type(H)(
         AlgebraData(Ten3.from_entries(f, H.dim, mu),
-                    Vec(f, [sum(Q[c][i] * H.unit[i] for i in R) for c in R])),
+                    vector(f, [sum(Q[c][i] * H.unit[i,] for i in R)
+                               for c in R])),
         CoalgebraData(Ten3.from_entries(f, H.dim, delta),
-                      Vec(f, [sum(P[i][a] * H.counit[i] for i in R)
-                              for a in R])),
+                      vector(f, [sum(P[i][a] * H.counit[i,] for i in R)
+                                 for a in R])),
         Mat(f, H.antipode.dims, anti))
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import structures_reference as ref
 from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
-                      s3_table)
+                      s3_table, vector)
 
 from hopfloop import (GF, AlgebraData, CoactionData, CoalgebraData,
-                      CosmashInput, Mat, QQ, SmashInput, Ten3, Vec,
+                      CosmashInput, Mat, QQ, SmashInput, SparseTensor, Ten3,
                       build_smash_coproduct, build_smash_product,
                       check_antipode_basic, check_bialgebra_compat,
                       check_coq_identities, check_hopf_coquasigroup,
@@ -142,7 +142,7 @@ def random_structures(draw):
                              max_size=2 * n * n))
 
     def vec():
-        return Vec(f, draw(st.lists(scalar, min_size=n, max_size=n)))
+        return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     return HopfQuasigroup(
         AlgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
@@ -160,14 +160,9 @@ def s3_perturbations(draw):
     bump = draw(st.sampled_from(BUMPS))
     idx = st.integers(0, H.dim - 1)
     t = parts[name]
-    if isinstance(t, Vec):
-        i = draw(idx)
-        parts[name] = Vec(QQ, [c + bump if k == i else c
-                               for k, c in enumerate(t.data)])
-    else:
-        key = draw(st.tuples(*[idx] * len(t.dims)))
-        parts[name] = type(t)(QQ, t.dims, [k + (c,) for k, c in t.nz.items()]
-                              + [key + (bump,)])
+    key = draw(st.tuples(*[idx] * len(t.dims)))
+    parts[name] = type(t)(QQ, t.dims, [k + (c,) for k, c in t.nz.items()]
+                          + [key + (bump,)])
     return type(H)(AlgebraData(parts["mu"], parts["unit"]),
                    CoalgebraData(parts["delta"], parts["counit"]),
                    parts["antipode"])
@@ -215,9 +210,9 @@ def magma_algebra(f, t, s):
     return HopfQuasigroup(
         AlgebraData(Ten3(f, (n,) * 3, [(i, j, t[i][j], f.one)
                                        for i in range(n) for j in range(n)]),
-                    Vec.basis(f, n, 0)),
+                    SparseTensor(f, (n,), [(0, f.one)])),
         CoalgebraData(Ten3(f, (n,) * 3, [(i, i, i, f.one) for i in range(n)]),
-                      Vec(f, [f.one] * n)),
+                      vector(f, [f.one] * n)),
         Mat(f, (n, n), [(s[h], h, f.one) for h in range(n)]))
 
 
@@ -359,8 +354,8 @@ def test_table_path_witnesses_on_failing_magma_dual():
 def test_dim_zero_structure_matches_reference():
     """The empty structure: every view is empty, every law holds."""
     f = QQ
-    H = HopfQuasigroup(AlgebraData(Ten3(f, (0, 0, 0), ()), Vec(f, ())),
-                       CoalgebraData(Ten3(f, (0, 0, 0), ()), Vec(f, ())),
+    H = HopfQuasigroup(AlgebraData(Ten3(f, (0, 0, 0), ()), vector(f, ())),
+                       CoalgebraData(Ten3(f, (0, 0, 0), ()), vector(f, ())),
                        Mat(f, (0, 0), ()))
     assert H.mu.mul_rows == H.delta.comul_rows == ()
     assert_same_as_reference(H)

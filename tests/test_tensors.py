@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfloop import GF, QQ, Mat, Ten3, Vec
+from conftest import cyclic
+
+from hopfloop import GF, QQ, Mat, Ten3, loop_algebra
 from hopfloop.errors import DimMismatch
 from hopfloop.tensors import SparseTensor, pair_index
 
@@ -12,10 +14,31 @@ def test_pair_index_roundtrip():
             assert divmod(pair_index(i, j, 7), 7) == (i, j)
 
 
-def test_vec_basics():
-    v = Vec.basis(QQ, 3, 1)
-    assert v[1] == QQ.one and v[0] == QQ.zero
-    assert v.nonzero() == [(1, QQ.one)]
+def test_rank1_groupings():
+    """The two groupings the laws read from a tensor of dims (n,): as a
+    counit, `_by_first`, one ((), coeff) pair or none per index; as a
+    unit, `_nonzeros`, the (i, coeff) pairs.  Both in index order, whatever
+    the order of the entries, and neither holds a zero."""
+    two = QQ.from_int(2)
+    v = SparseTensor(QQ, (4,), [(3, two), (2, QQ.zero), (1, QQ.one)])
+    assert v._by_first == ((), (((), QQ.one),), (), (((), two),))
+    assert v._nonzeros == ((1, QQ.one), (3, two))
+    empty = SparseTensor(QQ, (0,), [])
+    assert empty._by_first == () and empty._nonzeros == ()
+
+
+def test_getitem_refuses_malformed_keys():
+    """Only a full, in-range index tuple reads an entry: a bare int, a
+    short tuple or an out-of-range index raises instead of reading 0."""
+    H = loop_algebra(cyclic(3))
+    assert H.counit[2,] == QQ.one and H.unit[1,] == QQ.zero
+    assert H.mu[1, 2, 0] == QQ.one and H.mu[1, 2, 1] == QQ.zero
+    for t, key in [(H.counit, 0), (H.counit, ()), (H.counit, (3,)),
+                   (H.counit, (-1,)), (H.mu, 0), (H.mu, (0, 1)),
+                   (H.mu, (5, 5, 5)), (H.mu, (0, 0, 0, 0)),
+                   (H.antipode, 0)]:
+        with pytest.raises(IndexError):
+            t[key]
 
 
 def test_mat_transpose_and_columns():
