@@ -9,8 +9,7 @@ from .actions import (ActionData, CoactionData, check_antipode_colinear,
                       check_antipode_linear, check_comodule,
                       check_coqm_algebra, check_coqm_coalgebra, check_module,
                       check_qm_algebra, check_qm_coalgebra,
-                      check_quasicomodule, check_quasimodule,
-                      diagonal_action, tensor_coaction)
+                      check_quasicomodule, check_quasimodule)
 from .dimodules import (OVER_COQUASIGROUP, OVER_QUASIGROUP, LongDimodule,
                         RMap, build_from_comodule, build_from_quasimodule,
                         check_adjunction, check_compatibility,
@@ -52,8 +51,8 @@ __all__ = [
     "check_commu", "check_comodcoass", "check_modass",
     "theorem_cosmash_roundtrip", "theorem_smash_roundtrip",
     "check_quasi_identities", "check_quasicomodule", "check_quasimodule",
-    "check_unital_counital", "d_map", "diagonal_action",
+    "check_unital_counital", "d_map",
     "dualize", "is_associative", "loop_algebra",
-    "search_ip_loops", "tensor_coaction", "tensor_dimodule",
+    "search_ip_loops", "tensor_dimodule",
     "trivial_action_dimodule", "trivial_coaction_dimodule", "unit_dimodule",
 ]

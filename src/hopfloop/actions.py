@@ -47,10 +47,6 @@ class ActionData(SparseTensor):
         return cls(H.field, H.mu.dims,
                    (key + (c,) for key, c in H.mu.nz.items()))
 
-    def _pairs(self, h, m):
-        """Nonzeros of h . e_m as (m', coeff) pairs."""
-        return self._by_first_two[h][m]
-
 
 class CoactionData(SparseTensor):
     """rho(e_m) = sum_{m',h} rho[m, m', h] e_{m'} (x) e_h, dims
@@ -102,10 +98,6 @@ class CoactionData(SparseTensor):
         return cls.from_entries(
             act.field, act.m_dim, act.h_dim,
             ((m, m2, h, c) for (h, m, m2), c in act.nz.items()))
-
-    def _pairs(self, m):
-        """Nonzeros of rho(e_m) as ((m', h), coeff) pairs."""
-        return self._by_first[m]
 
 
 def _require_action_dims(H, act):
@@ -192,39 +184,6 @@ def check_quasicomodule(H, coact):
     """Counitality plus the two antipode-cancellation laws of the coaction."""
     _require_coaction_dims(H, coact)
     return evaluate(QUASICOMODULE, H, coact=coact)
-
-
-def diagonal_action(H, act1, act2):
-    """Action on the flattened M (x) N through the coproduct of H."""
-    _require_action_dims(H, act1)
-    _require_action_dims(H, act2)
-    f = H.field
-    n2 = act2.m_dim
-    return ActionData.from_entries(
-        f, H.dim, act1.m_dim * n2,
-        ((h, m * n2 + n, m2 * n2 + np, f.mul(c, f.mul(c1, c2)))
-         for h in range(H.dim)
-         for (h1, h2), c in H.delta.split_pairs(h)
-         for m in range(act1.m_dim)
-         for m2, c1 in act1._pairs(h1, m)
-         for n in range(n2)
-         for np, c2 in act2._pairs(h2, n)))
-
-
-def tensor_coaction(H, co1, co2):
-    """Coaction on the flattened M (x) N, last legs multiplied in H."""
-    _require_coaction_dims(H, co1)
-    _require_coaction_dims(H, co2)
-    f = H.field
-    n2 = co2.m_dim
-    return CoactionData.from_entries(
-        f, co1.m_dim * n2, H.dim,
-        ((m * n2 + n, mp * n2 + np, k, f.mul(f.mul(c1, c2), c))
-         for m in range(co1.m_dim)
-         for (mp, h1), c1 in co1._pairs(m)
-         for n in range(n2)
-         for (np, h2), c2 in co2._pairs(n)
-         for k, c in H.mu.mul_pairs(h1, h2)))
 
 
 def check_qm_algebra(H, alg, act):

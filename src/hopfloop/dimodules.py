@@ -9,28 +9,32 @@ The compatibility, lemma and adjunction laws are declarations of
 `hopfloop.laws` on legs H and A, A the dimodule's carrier M, checked by
 `laws.evaluate`.  ldmp2, ldmcp2 and adj.unit_linear walk m outside h
 (slab=1) and report (h, m); the adjunction laws read the free dimodule's
-M (x) H as the legs (AH), whose witness index is one flat int.  The
-D-equation candidate `d_map` is a construction of `hopfloop.laws`, the
-chain m (x) n -> n^(1) . m (x) n^(0) on the legs (AA), materialized by
-`laws.build`.  eq.d is contracted by hand in `check_d_equation`: R is
-input data, not a chain of structure maps.  When R sends basis vectors to
-basis vectors, as the d_map of a dimodule with permutation action and
-grading coaction does, the D-equation is first decided on integer tables,
-and only the least failing slab is contracted for its witness.
+M (x) H as the legs (AH), whose witness index is one flat int.
+
+The action and coaction of the free dimodules on M (x) H, legs (AH), and
+H (x) M, legs (HA), and of the tensor product M (x) N, legs (AB), N the
+second carrier B, are constructions of `hopfloop.laws` built by
+`laws.build`, as is `d_map`, m (x) n -> n^(1) . m (x) n^(0) on legs (AA).
+
+eq.d is contracted by hand in `check_d_equation`: R is input data, not a
+chain of structure maps.  When R sends basis vectors to basis vectors, as
+the d_map of a dimodule with permutation action and grading coaction does,
+the D-equation is first decided on integer tables, and only the least
+failing slab is contracted for its witness.
 """
 
 import operator
 from math import isqrt
 
-from .actions import (ActionData, CoactionData, check_comodule, check_module,
-                      check_quasicomodule, check_quasimodule, diagonal_action,
-                      tensor_coaction)
+from .actions import (ActionData, CoactionData, _require_action_dims,
+                      _require_coaction_dims, check_comodule, check_module,
+                      check_quasicomodule, check_quasimodule)
 from .errors import DimMismatch, HMismatch
 from .fields import check_same_field
 from .laws import build, construction, evaluate, law
 from .report import VerificationReport, slab_witness
 from .structures import HopfQuasigroup
-from .tensors import Mat, _composer, pair_index
+from .tensors import Mat, _composer
 
 OVER_QUASIGROUP = "quasigroup"
 OVER_COQUASIGROUP = "coquasigroup"
@@ -116,30 +120,36 @@ def check_long_dimodule(D):
     return rep
 
 
+FREE_ON_MODULE = (
+    construction("free_mh.act", "H(AH)", "(AH)", "act@0"),
+    construction("free_mh.coact", "(AH)", "(AH)H", "delta@1"))
+FREE_ON_COMODULE = (
+    construction("free_hm.act", "H(HA)", "(HA)", "mu@0"),
+    construction("free_hm.coact", "(HA)", "(HA)H", "coact@1"))
+TENSOR = (
+    construction("tensor.act", "H(AB)", "(AB)",
+                 "delta@0 swap@1 act@0 act_B@1"),
+    construction("tensor.coact", "(AB)", "(AB)H",
+                 "coact@0 coact_B@2 swap@1 mu@2"))
+
+
+def _dimodule(maps, H, variant=None, **carriers):
+    """The dimodule whose action and coaction are `maps` over H."""
+    act, coact = (build(con, H, cls=cls, **carriers)
+                  for con, cls in zip(maps, (ActionData, CoactionData)))
+    return LongDimodule(H, act, coact, variant)
+
+
 def build_from_quasimodule(H, act):
     """The dimodule on M (x) H: action on the M leg, coproduct on the H leg."""
-    f, n, m_dim = H.field, H.dim, act.m_dim
-    return LongDimodule(
-        H,
-        ActionData.from_entries(f, n, m_dim * n, (
-            (h, pair_index(m, k, n), pair_index(m2, k, n), c)
-            for (h, m, m2), c in act.nz.items() for k in range(n))),
-        CoactionData.from_entries(f, m_dim * n, n, (
-            (pair_index(m, k, n), pair_index(m, k1, n), k2, c)
-            for m in range(m_dim) for (k, k1, k2), c in H.delta.nz.items())))
+    _require_action_dims(H, act)
+    return _dimodule(FREE_ON_MODULE, H, act=act)
 
 
 def build_from_comodule(H, coact):
     """The dimodule on H (x) M: product on the H leg, coaction on the M leg."""
-    f, n, m_dim = H.field, H.dim, coact.m_dim
-    return LongDimodule(
-        H,
-        ActionData.from_entries(f, n, n * m_dim, (
-            (h, pair_index(k, m, m_dim), pair_index(k2, m, m_dim), c)
-            for (h, k, k2), c in H.mu.nz.items() for m in range(m_dim))),
-        CoactionData.from_entries(f, n * m_dim, n, (
-            (pair_index(k, m, m_dim), pair_index(k, m2, m_dim), h1, c)
-            for k in range(n) for (m, m2, h1), c in coact.nz.items())))
+    _require_coaction_dims(H, coact)
+    return _dimodule(FREE_ON_COMODULE, H, coact=coact)
 
 
 def trivial_coaction_dimodule(H, act):
@@ -172,11 +182,8 @@ def tensor_dimodule(D1, D2):
         raise HMismatch("dimodules live over different Hopf structures")
     if D1.variant != D2.variant:
         raise HMismatch("dimodule variants differ")
-    return LongDimodule(
-        D1.H,
-        diagonal_action(D1.H, D1.act, D2.act),
-        tensor_coaction(D1.H, D1.coact, D2.coact),
-        D1.variant)
+    return _dimodule(TENSOR, D1.H, D1.variant, act=D1.act, coact=D1.coact,
+                     act_B=D2.act, coact_B=D2.coact)
 
 
 def check_lemma_identities(D):
@@ -284,13 +291,14 @@ def _first_witness(R, slabs):
                 out[k] = add(out[k], p) if k in out else p
         return out
 
+    columns = R._by_second
     for l in slabs:
         lhs = slab((xy * nd, c, by_out_first[m2])
                    for m2 in range(nd)
-                   for xy, c in R.column(pair_index(l, m2, nd)))
+                   for xy, c in columns[l * nd + m2])
         rhs = slab((m * nd * nd3 + xy // nd * nd2, c, by_in_first[xy % nd])
                    for m in range(nd)
-                   for xy, c in R.column(pair_index(l, m, nd)))
+                   for xy, c in columns[l * nd + m])
         if lhs != rhs:
             witness = slab_witness(f, (l,), lhs, rhs, (nd, nd), (nd, nd, nd))
             if witness is not None:

@@ -1,21 +1,24 @@
 """Laws and maps as declarations: `evaluate` checks the structure,
 action, coaction, smash-condition and dimodule laws, and `build` makes the
-smash (co)product maps and the D-equation candidate.
+smash (co)product maps, the D-equation candidate and the action and
+coaction of the free and tensor-product dimodules.
 
 Every such law is an equation between two composites of structure maps,
 declared by its id, its domain and output legs, and its two sides as
 chains of steps; `evaluate` checks it over every basis tuple of the domain.
 A leg is "H", a copy of the Hopf structure, or "A", a copy of the space
 acted or coacted on (the module, or the algebra, coalgebra or Hopf structure
-A whose own maps a law may use).  A chain is a space-separated string of
-steps `name@p`, applied left to right; each applies one map to the legs
-p, p+1, ... of the current tensor and puts its output legs in their place:
+A whose own maps a law may use); a construction, not a law, may also read a
+second such space "B", as the tensor product of two dimodules does.  A chain
+is a space-separated string of steps `name@p`, applied left to right; each
+applies one map to the legs p, p+1, ... of the current tensor and puts its
+output legs in their place:
 
     mu    HH -> H     delta    H -> HH    S    H -> H
     mu_A  AA -> A     delta_A  A -> AA    S_A  A -> A
     eta      -> H     eps      H ->       act  HA -> A
     eta_A    -> A     eps_A    A ->       coact A -> AH
-    swap  XY -> YX
+    act_B HB -> B     coact_B  B -> BH    swap  XY -> YX
 
 so that the quasimodule law h_(1).(S(h_(2)).m) = eps(h) m is
 
@@ -94,16 +97,19 @@ SIGNATURES = {
     "mu_A": ("AA", "A"), "delta_A": ("A", "AA"), "S_A": ("A", "A"),
     "eta_A": ("", "A"), "eps_A": ("A", ""),
     "act": ("HA", "A"), "coact": ("A", "AH"),
+    "act_B": ("HB", "B"), "coact_B": ("B", "BH"),
 }
 
-# The fibres of each map of a Hopf structure, algebra or coalgebra X by its
-# input legs: (output legs, coeff) pairs, one leg an int, more a tuple.
+# The fibres of each map of a Hopf structure, (co)algebra or (co)action X by
+# its input legs: (output legs, coeff) pairs, one leg an int, more a tuple.
 _FIBRES = {
     "mu": lambda X: X.mu._by_first_two,
     "delta": lambda X: X.delta._by_first,
     "S": lambda X: X.antipode._by_second,
     "eta": lambda X: X.unit._nonzeros,
     "eps": lambda X: X.counit._by_first,
+    "act": lambda X: X._by_first_two,
+    "coact": lambda X: X._by_first,
 }
 
 
@@ -166,7 +172,7 @@ class Law:
         return shape
 
 
-_LEG = re.compile(r"[HA]|\([HA]+\)")  # one index of a witness
+_LEG = re.compile(r"[HAB]|\([HAB]+\)")  # one index of a witness
 
 
 def _legs_after(law_id, legs, step):
@@ -216,9 +222,11 @@ def _checked(law_id, text, domain, out):
 
 
 def law(law_id, domain, out, lhs, rhs, informational=False, slab=0):
-    """Declare a law: both chains must take `domain` to `out`."""
+    """Declare a law on legs H and A: both chains take `domain` to `out`."""
     (domain, dom_sizes), (out, out_sizes) = (
         _legs(law_id, domain), _legs(law_id, out))
+    if "B" in domain + out:
+        raise ValueError(f"{law_id}: leg B in a law, {domain!r} -> {out!r}")
     if not 0 <= slab < max(len(domain), 1):
         raise ValueError(f"{law_id}: no leg {slab} in {domain!r} to walk")
     return Law(law_id, domain, out, _checked(law_id, lhs, domain, out),
@@ -239,7 +247,7 @@ class Construction:
     @cached_property
     def nest(self):
         """The map compiled on first use: a function of the fibres t of
-        its chain's steps, the dims nH and nA, and the field's one, mul
+        its chain's steps, the dims nH, nA and nB, and the field's one, mul
         and add, that returns its terms keyed by the groups' indices."""
         sizes = [len(group) for group in self.groups]
 
@@ -251,7 +259,7 @@ class Construction:
 
         # the first domain leg is walked outermost; a rank-0 domain has none
         walk = [f"    for x0 in range(n{leg}):" for leg in self.domain[:1]]
-        return _function("nest(t, nH, nA, one, mul, add)", [
+        return _function("nest(t, nH, nA, nB, one, mul, add)", [
             "    out = {}", *walk,
             *_nest(self.chain, self.domain, 0, 0, "out", key, 1 + len(walk)),
             "    return out"])
@@ -337,21 +345,22 @@ def _function(head, lines):
     return namespace[head.partition("(")[0]]
 
 
-def _inputs(names, H, A, act, coact):
-    """The dims of the legs H and A, and the fibres of the maps `names`."""
+def _inputs(names, H, A, act, coact, act_B=None, coact_B=None):
+    """The dims of the legs H, A and B, and the fibres of the maps `names`:
+    A is the carrier of `act` or `coact`, else the target A, and B that of
+    `act_B` or `coact_B`."""
     carrier = act if act is not None else coact
     nA = (carrier.m_dim if carrier is not None
           else A.dim if A is not None else 0)
+    carrier = act_B if act_B is not None else coact_B
+    nB = carrier.m_dim if carrier is not None else 0
+    maps = {"act": act, "coact": coact, "act_B": act_B, "coact_B": coact_B}
     fibres = {"swap": None}
     for name in names:
-        if name == "act":
-            fibres[name] = act._by_first_two
-        elif name == "coact":
-            fibres[name] = coact._by_first
-        elif name != "swap":
-            fibres[name] = _FIBRES[name.removesuffix("_A")](
-                A if name.endswith("_A") else H)
-    return {"H": H.dim, "A": nA}, fibres
+        if name != "swap":
+            X = maps.get(name, A if name.endswith("_A") else H)
+            fibres[name] = _FIBRES[name.partition("_")[0]](X)
+    return {"H": H.dim, "A": nA, "B": nB}, fibres
 
 
 def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
@@ -403,12 +412,13 @@ def _witness(lw, field, dims, bad, inst_dims, out_dims):
     return witness
 
 
-def build(con, H, A=None, act=None, coact=None, cls=SparseTensor):
-    """The map `con` over the inputs of `evaluate`, as a `cls` whose legs
-    are its leg groups."""
+def build(con, H, A=None, act=None, coact=None, cls=SparseTensor, *,
+          act_B=None, coact_B=None):
+    """The map `con` over the inputs of `evaluate` and those of the leg B,
+    as a `cls` whose legs are its leg groups."""
     f = H.field
-    dims, fibres = _inputs(con.names, H, A, act, coact)
+    dims, fibres = _inputs(con.names, H, A, act, coact, act_B, coact_B)
     sizes = tuple(prod(dims[leg] for leg in group) for group in con.groups)
-    terms = con.nest([fibres[name] for name, _ in con.chain],
-                     dims["H"], dims["A"], f.one, f.mul, f.add)
+    terms = con.nest([fibres[name] for name, _ in con.chain], dims["H"],
+                     dims["A"], dims["B"], f.one, f.mul, f.add)
     return cls._from_nz(f, sizes, terms)

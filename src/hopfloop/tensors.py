@@ -37,10 +37,6 @@ from operator import itemgetter
 from .errors import DimMismatch
 
 
-def pair_index(i, j, dim_second):
-    return i * dim_second + j
-
-
 class SparseTensor:
     """An immutable tensor of shape `dims` over `field`, nonzeros only."""
 
@@ -173,10 +169,6 @@ class Mat(SparseTensor):
     def ncols(self):
         return self.dims[1]
 
-    def column(self, j):
-        """Nonzero entries of column j as (row, coeff) pairs."""
-        return self._by_second[j]
-
     @cached_property
     def column_map(self):
         """s[j] = i when S(e_j) = e_i for every j, else None."""
@@ -204,14 +196,6 @@ class Ten3(SparseTensor):
     @property
     def dim(self):
         return self.dims[0]
-
-    def mul_pairs(self, i, j):
-        """Product view: nonzeros of e_i * e_j as (k, coeff) pairs."""
-        return self._by_first_two[i][j]
-
-    def split_pairs(self, i):
-        """Coproduct view: nonzeros of delta(e_i) as ((j, k), coeff) pairs."""
-        return self._by_first[i]
 
     @cached_property
     def mul_rows(self):

@@ -10,7 +10,6 @@ tested against it.
 from instance_reference import LawAccumulator, sadd
 
 from hopfloop.report import VerificationReport
-from hopfloop.tensors import pair_index
 
 
 def check_d_equation_per_triple(R):
@@ -22,7 +21,7 @@ def check_d_equation_per_triple(R):
     def apply12(vec):
         out = {}
         for (l, m, n_), c in vec.items():
-            for k, v in R.column(pair_index(l, m, nd)):
+            for k, v in R._by_second[l * nd + m]:
                 l2, m2 = divmod(k, nd)
                 sadd(f, out, (l2, m2, n_), f.mul(c, v))
         return out
@@ -30,7 +29,7 @@ def check_d_equation_per_triple(R):
     def apply23(vec):
         out = {}
         for (l, m, n_), c in vec.items():
-            for k, v in R.column(pair_index(m, n_, nd)):
+            for k, v in R._by_second[m * nd + n_]:
                 m2, n2 = divmod(k, nd)
                 sadd(f, out, (l, m2, n2), f.mul(c, v))
         return out
@@ -39,9 +38,9 @@ def check_d_equation_per_triple(R):
         for m in range(nd):
             for n_ in range(nd):
                 r23, r12 = {}, {}
-                for k, v in R.column(pair_index(m, n_, nd)):
+                for k, v in R._by_second[m * nd + n_]:
                     sadd(f, r23, (l,) + divmod(k, nd), v)
-                for k, v in R.column(pair_index(l, m, nd)):
+                for k, v in R._by_second[l * nd + m]:
                     sadd(f, r12, divmod(k, nd) + (n_,), v)
                 acc.check((l, m, n_), apply12(r23), apply23(r12))
     acc.finish()

@@ -13,7 +13,6 @@ field; the package checkers guard those.
 from hopfloop.dimodules import OVER_QUASIGROUP, build_from_quasimodule
 from hopfloop.fields import QQ
 from hopfloop.report import VerificationReport, Witness, witness_side
-from hopfloop.tensors import pair_index
 
 
 # --- sparse elements -------------------------------------------------------
@@ -99,7 +98,7 @@ def apply_coaction(coaction, mu):
     f = coaction.field
     out = {}
     for (m,), a in mu.items():
-        for (mh, c) in coaction._pairs(m):
+        for (mh, c) in coaction._by_first[m]:
             sadd(f, out, mh, f.mul(a, c))
     return out
 
@@ -115,16 +114,16 @@ def tensor_mul(f, mu1, mu2, u2, v2):
     """Product on a tensor product of algebras, (a(x)b)(c(x)d) = ac (x) bd
     with mu1 on the first leg and mu2 on the second, of ((a, b), coeff)
     pair sequences."""
-    mul1, mul2 = mu1.mul_pairs, mu2.mul_pairs
+    mul1, mul2 = mu1._by_first_two, mu2._by_first_two
     out = {}
     for (a, b), ca in u2:
         for (c, d), cb in v2:
-            ac = mul1(a, c)
+            ac = mul1[a][c]
             if not ac:
                 continue
             coeff = f.mul(ca, cb)
             for x, cx in ac:
-                for y, cy in mul2(b, d):
+                for y, cy in mul2[b][d]:
                     sadd(f, out, (x, y), f.mul(coeff, f.mul(cx, cy)))
     return out
 
@@ -145,7 +144,7 @@ def _unital(rep, f, law_id, H, act):
     for m in range(act.m_dim):
         out = {}
         for u, a in one:
-            for k, c in act._pairs(u, m):
+            for k, c in act._by_first_two[u][m]:
                 sadd(f, out, (k,), f.mul(a, c))
         acc.check((m,), out, {(m,): f.one})
     acc.finish()
@@ -154,29 +153,30 @@ def _unital(rep, f, law_id, H, act):
 def check_quasimodule(H, act):
     """Unitality plus the two antipode-cancellation laws of the action."""
     f = H.field
-    split, anti, pairs = H.delta.split_pairs, H.antipode.column, act._pairs
+    split, anti = H.delta._by_first, H.antipode._by_second
+    pairs = act._by_first_two
     rep = VerificationReport()
     _unital(rep, f, "qm.unital", H, act)
     left = LawAccumulator(rep, f, "qm2.left")
     right = LawAccumulator(rep, f, "qm2.right")
     for h in range(H.dim):
-        dh = split(h)
+        dh = split[h]
         eps = value(H.counit, h)
         for m in range(act.m_dim):
             expected = {(m,): eps} if eps != f.zero else {}
             lhs, rhs = {}, {}
             for (h1, h2), c in dh:
                 # h1 . (S(h2) . m)
-                for x, a in anti(h2):
-                    for k, b in pairs(x, m):
+                for x, a in anti[h2]:
+                    for k, b in pairs[x][m]:
                         ab = f.mul(c, f.mul(a, b))
-                        for k2, v in pairs(h1, k):
+                        for k2, v in pairs[h1][k]:
                             sadd(f, lhs, (k2,), f.mul(ab, v))
                 # S(h1) . (h2 . m)
-                for x, a in anti(h1):
-                    for k, b in pairs(h2, m):
+                for x, a in anti[h1]:
+                    for k, b in pairs[h2][m]:
                         ab = f.mul(c, f.mul(a, b))
-                        for k2, v in pairs(x, k):
+                        for k2, v in pairs[x][k]:
                             sadd(f, rhs, (k2,), f.mul(ab, v))
             left.check((h, m), lhs, expected)
             right.check((h, m), rhs, expected)
@@ -188,20 +188,20 @@ def check_quasimodule(H, act):
 def check_module(H, act):
     """Strict unital associative module laws (the coquasigroup-side input)."""
     f = H.field
-    pairs = act._pairs
+    pairs = act._by_first_two
     rep = VerificationReport()
     _unital(rep, f, "mod.unital", H, act)
     assoc = LawAccumulator(rep, f, "mod.assoc")
     for h in range(H.dim):
         for g in range(H.dim):
-            hg = H.mu.mul_pairs(h, g)
+            hg = H.mu._by_first_two[h][g]
             for m in range(act.m_dim):
                 lhs, rhs = {}, {}
-                for k, b in pairs(g, m):
-                    for k2, v in pairs(h, k):
+                for k, b in pairs[g][m]:
+                    for k2, v in pairs[h][k]:
                         sadd(f, lhs, (k2,), f.mul(b, v))
                 for x, a in hg:
-                    for k, v in pairs(x, m):
+                    for k, v in pairs[x][m]:
                         sadd(f, rhs, (k,), f.mul(a, v))
                 assoc.check((h, g, m), lhs, rhs)
     assoc.finish()
@@ -223,13 +223,13 @@ def check_comodule(H, coact):
     counital = LawAccumulator(rep, f, "comod.counital")
     coassoc = LawAccumulator(rep, f, "comod.coassoc")
     for m in range(coact.m_dim):
-        rm = coact._pairs(m)
+        rm = coact._by_first[m]
         counital.check((m,), _counital(f, H, rm), {(m,): f.one})
         lhs, rhs = {}, {}
         for (m1, h), c in rm:
-            for (m2, h2), c2 in coact._pairs(m1):
+            for (m2, h2), c2 in coact._by_first[m1]:
                 sadd(f, lhs, (m2, h2, h), f.mul(c, c2))
-            for (a, b), c2 in H.delta.split_pairs(h):
+            for (a, b), c2 in H.delta._by_first[h]:
                 sadd(f, rhs, (m1, a, b), f.mul(c, c2))
         coassoc.check((m,), lhs, rhs)
     counital.finish()
@@ -240,28 +240,28 @@ def check_comodule(H, coact):
 def check_quasicomodule(H, coact):
     """Counitality plus the two antipode-cancellation laws of the coaction."""
     f = H.field
-    mul, anti = H.mu.mul_pairs, H.antipode.column
+    mul, anti = H.mu._by_first_two, H.antipode._by_second
     rep = VerificationReport()
     counital = LawAccumulator(rep, f, "cqm.counital")
     left = LawAccumulator(rep, f, "cqm2.left")
     right = LawAccumulator(rep, f, "cqm2.right")
     one = nonzeros(H.unit)
     for m in range(coact.m_dim):
-        rm = coact._pairs(m)
+        rm = coact._by_first[m]
         counital.check((m,), _counital(f, H, rm), {(m,): f.one})
         expected = {(m, u): b for u, b in one}
         lhs, rhs = {}, {}
         for (m0, h), c in rm:
-            sh = anti(h)
-            for (m00, h0), c2 in coact._pairs(m0):
+            sh = anti[h]
+            for (m00, h0), c2 in coact._by_first[m0]:
                 cc = f.mul(c, c2)
                 # h0 S(h)
                 for x, a in sh:
-                    for y, v in mul(h0, x):
+                    for y, v in mul[h0][x]:
                         sadd(f, lhs, (m00, y), f.mul(cc, f.mul(a, v)))
                 # S(h0) h
-                for x, a in anti(h0):
-                    for y, v in mul(x, h):
+                for x, a in anti[h0]:
+                    for y, v in mul[x][h]:
                         sadd(f, rhs, (m00, y), f.mul(cc, f.mul(a, v)))
         left.check((m,), lhs, expected)
         right.check((m,), rhs, expected)
@@ -274,24 +274,24 @@ def check_quasicomodule(H, coact):
 def check_qm_algebra(H, alg, act):
     """Action respects the product and unit of the target algebra."""
     f = H.field
-    amul, pairs = alg.mu.mul_pairs, act._pairs
+    amul, pairs = alg.mu._by_first_two, act._by_first_two
     rep = VerificationReport()
     mult = LawAccumulator(rep, f, "qmalg.mult")
     for h in range(H.dim):
-        dh = H.delta.split_pairs(h)
+        dh = H.delta._by_first[h]
         for a in range(alg.dim):
             for b in range(alg.dim):
                 lhs, rhs = {}, {}
                 # (h1 . a)(h2 . b)
                 for (h1, h2), c in dh:
-                    for x, u in pairs(h1, a):
-                        for y, v in pairs(h2, b):
+                    for x, u in pairs[h1][a]:
+                        for y, v in pairs[h2][b]:
                             uv = f.mul(c, f.mul(u, v))
-                            for k, w in amul(x, y):
+                            for k, w in amul[x][y]:
                                 sadd(f, lhs, (k,), f.mul(uv, w))
                 # h . (ab)
-                for x, u in amul(a, b):
-                    for k, w in pairs(h, x):
+                for x, u in amul[a][b]:
+                    for k, w in pairs[h][x]:
                         sadd(f, rhs, (k,), f.mul(u, w))
                 mult.check((h, a, b), lhs, rhs)
     mult.finish()
@@ -301,7 +301,7 @@ def check_qm_algebra(H, alg, act):
     for h in range(H.dim):
         lhs = {}
         for x, u in one_a:
-            for k, w in pairs(h, x):
+            for k, w in pairs[h][x]:
                 sadd(f, lhs, (k,), f.mul(u, w))
         unit.check((h,), lhs, sscale(f, one_sparse, value(H.counit, h)))
     unit.finish()
@@ -311,26 +311,26 @@ def check_qm_algebra(H, alg, act):
 def check_qm_coalgebra(H, coalg, act):
     """Action respects the coproduct and counit of the target coalgebra."""
     f = H.field
-    csplit, pairs = coalg.delta.split_pairs, act._pairs
+    csplit, pairs = coalg.delta._by_first, act._by_first_two
     rep = VerificationReport()
     comult = LawAccumulator(rep, f, "qmcoalg.comult")
     counit = LawAccumulator(rep, f, "qmcoalg.counit")
     for h in range(H.dim):
-        dh = H.delta.split_pairs(h)
+        dh = H.delta._by_first[h]
         for cidx in range(coalg.dim):
-            hc = pairs(h, cidx)
+            hc = pairs[h][cidx]
             lhs = {}
             lhs_eps = f.zero
             for x, v in hc:
-                for jk, w in csplit(x):
+                for jk, w in csplit[x]:
                     sadd(f, lhs, jk, f.mul(v, w))
                 lhs_eps = f.add(lhs_eps, f.mul(v, value(coalg.counit, x)))
             rhs = {}
             for (h1, h2), c in dh:
-                for (c1, c2), c2v in csplit(cidx):
+                for (c1, c2), c2v in csplit[cidx]:
                     cc = f.mul(c, c2v)
-                    for x, v1 in pairs(h1, c1):
-                        for y, v2 in pairs(h2, c2):
+                    for x, v1 in pairs[h1][c1]:
+                        for y, v2 in pairs[h2][c2]:
                             sadd(f, rhs, (x, y), f.mul(cc, f.mul(v1, v2)))
             comult.check((h, cidx), lhs, rhs)
             rhs_eps = f.mul(value(H.counit, h), value(coalg.counit, cidx))
@@ -345,17 +345,17 @@ def check_qm_coalgebra(H, coalg, act):
 def check_antipode_linear(H, A, act):
     """S of the acted-on Hopf structure commutes with the action."""
     f = H.field
-    anti, pairs = A.antipode.column, act._pairs
+    anti, pairs = A.antipode._by_second, act._by_first_two
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "antipode.linear")
     for h in range(H.dim):
         for a in range(A.dim):
             lhs, rhs = {}, {}
-            for x, v in pairs(h, a):
-                for y, s in anti(x):
+            for x, v in pairs[h][a]:
+                for y, s in anti[x]:
                     sadd(f, lhs, (y,), f.mul(v, s))
-            for x, s in anti(a):
-                for k, w in pairs(h, x):
+            for x, s in anti[a]:
+                for k, w in pairs[h][x]:
                     sadd(f, rhs, (k,), f.mul(s, w))
             acc.check((h, a), lhs, rhs)
     acc.finish()
@@ -368,13 +368,13 @@ def check_coqm_algebra(H, alg, coact):
     rep = VerificationReport()
     mult = LawAccumulator(rep, f, "coqmalg.mult")
     for a in range(alg.dim):
-        ra = coact._pairs(a)
+        ra = coact._by_first[a]
         for b in range(alg.dim):
             lhs = {}
-            for x, u in alg.mu.mul_pairs(a, b):
-                for mh, c in coact._pairs(x):
+            for x, u in alg.mu._by_first_two[a][b]:
+                for mh, c in coact._by_first[x]:
                     sadd(f, lhs, mh, f.mul(u, c))
-            rhs = tensor_mul(f, alg.mu, H.mu, ra, coact._pairs(b))
+            rhs = tensor_mul(f, alg.mu, H.mu, ra, coact._by_first[b])
             mult.check((a, b), lhs, rhs)
     mult.finish()
     unit = LawAccumulator(rep, f, "coqmalg.unit")
@@ -388,23 +388,23 @@ def check_coqm_algebra(H, alg, coact):
 def check_coqm_coalgebra(H, coalg, coact):
     """Coaction and coproduct of C commute in the comodule-coalgebra sense."""
     f = H.field
-    csplit, pairs = coalg.delta.split_pairs, coact._pairs
+    csplit, pairs = coalg.delta._by_first, coact._by_first
     rep = VerificationReport()
     comult = LawAccumulator(rep, f, "coqmcoalg.comult")
     counit = LawAccumulator(rep, f, "coqmcoalg.counit")
     one = unit_sparse(H)
     for cidx in range(coalg.dim):
         lhs, lhs_eps = {}, {}
-        for (c0, h), c in pairs(cidx):
-            for (c1, c2), c2v in csplit(c0):
+        for (c0, h), c in pairs[cidx]:
+            for (c1, c2), c2v in csplit[c0]:
                 sadd(f, lhs, (c1, c2, h), f.mul(c, c2v))
             sadd(f, lhs_eps, (h,), f.mul(c, value(coalg.counit, c0)))
         rhs = {}
-        for (c1, c2), cv in csplit(cidx):
-            for (c10, h1), v1 in pairs(c1):
-                for (c20, h2), v2 in pairs(c2):
+        for (c1, c2), cv in csplit[cidx]:
+            for (c10, h1), v1 in pairs[c1]:
+                for (c20, h2), v2 in pairs[c2]:
                     cc = f.mul(cv, f.mul(v1, v2))
-                    for k, c in H.mu.mul_pairs(h1, h2):
+                    for k, c in H.mu._by_first_two[h1][h2]:
                         sadd(f, rhs, (c10, c20, k), f.mul(cc, c))
         comult.check((cidx,), lhs, rhs)
         counit.check((cidx,), lhs_eps,
@@ -417,16 +417,16 @@ def check_coqm_coalgebra(H, coalg, coact):
 def check_antipode_colinear(H, C, coact):
     """S of the coacted-on Hopf structure is a comodule map."""
     f = H.field
-    anti, pairs = C.antipode.column, coact._pairs
+    anti, pairs = C.antipode._by_second, coact._by_first
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "antipode.colinear")
     for cidx in range(C.dim):
         lhs, rhs = {}, {}
-        for x, s in anti(cidx):
-            for mh, c in pairs(x):
+        for x, s in anti[cidx]:
+            for mh, c in pairs[x]:
                 sadd(f, lhs, mh, f.mul(s, c))
-        for (c0, h), c in pairs(cidx):
-            for x, v in anti(c0):
+        for (c0, h), c in pairs[cidx]:
+            for x, v in anti[c0]:
                 sadd(f, rhs, (x, h), f.mul(c, v))
         acc.check((cidx,), lhs, rhs)
     acc.finish()
@@ -439,17 +439,17 @@ def check_antipode_colinear(H, C, coact):
 def check_cocommu(inp):
     """h_(1) (x) h_(2).a = h_(2) (x) h_(1).a for all basis h, a."""
     f = inp.H.field
-    pairs = inp.act._pairs
+    pairs = inp.act._by_first_two
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "cocommu")
     for h in range(inp.H.dim):
-        split = inp.H.delta.split_pairs(h)
+        split = inp.H.delta._by_first[h]
         for a in range(inp.A.dim):
             lhs, rhs = {}, {}
             for (h1, h2), c in split:
-                for x, v in pairs(h2, a):
+                for x, v in pairs[h2][a]:
                     sadd(f, lhs, (h1, x), f.mul(c, v))
-                for x, v in pairs(h1, a):
+                for x, v in pairs[h1][a]:
                     sadd(f, rhs, (h2, x), f.mul(c, v))
             acc.check((h, a), lhs, rhs)
     acc.finish()
@@ -465,7 +465,7 @@ def check_modass(inp):
     """
     H = inp.H
     f = H.field
-    mul, pairs = H.mu.mul_pairs, inp.act._pairs
+    mul, pairs = H.mu._by_first_two, inp.act._by_first_two
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "modass")
     strict = LawAccumulator(rep, f, "modass.strict", informational=True)
@@ -474,7 +474,7 @@ def check_modass(inp):
         """e_g . t for t given as (basis index of A, coeff) pairs."""
         out = {}
         for k, b in t:
-            for k2, v in pairs(g, k):
+            for k2, v in pairs[g][k]:
                 sadd(f, out, (k2,), f.mul(b, v))
         return out
 
@@ -482,23 +482,23 @@ def check_modass(inp):
         """u . e_a for u given as (basis index of H, coeff) pairs."""
         out = {}
         for x, s in u:
-            for k, v in pairs(x, a):
+            for k, v in pairs[x][a]:
                 sadd(f, out, (k,), f.mul(s, v))
         return out
 
     for g in range(H.dim):
         for h in range(H.dim):
-            sh = H.antipode.column(h)
+            sh = H.antipode._by_second[h]
             gsh = {}
             for x, s in sh:
-                for k, c in mul(g, x):
+                for k, c in mul[g][x]:
                     sadd(f, gsh, k, f.mul(s, c))
             gsh = list(gsh.items())
-            gh = mul(g, h)
+            gh = mul[g][h]
             for a in range(inp.A.dim):
-                sha = [(k, f.mul(s, b)) for x, s in sh for k, b in pairs(x, a)]
+                sha = [(k, f.mul(s, b)) for x, s in sh for k, b in pairs[x][a]]
                 acc.check((g, h, a), act_g(g, sha), act_on(gsh, a))
-                strict.check((g, h, a), act_g(g, pairs(h, a)),
+                strict.check((g, h, a), act_g(g, pairs[h][a]),
                              act_on(gh, a))
     acc.finish()
     strict.finish()
@@ -509,17 +509,17 @@ def check_commu(inp):
     """c^(0) (x) c^(1)h = c^(0) (x) hc^(1) for all basis c, h."""
     H = inp.H
     f = H.field
-    mul = H.mu.mul_pairs
+    mul = H.mu._by_first_two
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "commu")
     for c in range(inp.C.dim):
-        co = inp.coact._pairs(c)
+        co = inp.coact._by_first[c]
         for h in range(H.dim):
             lhs, rhs = {}, {}
             for (c0, c1), v in co:
-                for x, u in mul(c1, h):
+                for x, u in mul[c1][h]:
                     sadd(f, lhs, (c0, x), f.mul(v, u))
-                for x, u in mul(h, c1):
+                for x, u in mul[h][c1]:
                     sadd(f, rhs, (c0, x), f.mul(v, u))
             acc.check((c, h), lhs, rhs)
     acc.finish()
@@ -530,17 +530,17 @@ def check_comodcoass(inp):
     """c^(0)(0) (x) S(c^(0)(1)) (x) c^(1) = c^(0) (x) S(c^(1)_(1)) (x) c^(1)_(2)."""
     H = inp.H
     f = H.field
-    pairs, anti = inp.coact._pairs, H.antipode.column
+    pairs, anti = inp.coact._by_first, H.antipode._by_second
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "comodcoass")
     for c in range(inp.C.dim):
         lhs, rhs = {}, {}
-        for (c0, c1), v in pairs(c):
-            for (c00, c01), w in pairs(c0):
-                for x, u in anti(c01):
+        for (c0, c1), v in pairs[c]:
+            for (c00, c01), w in pairs[c0]:
+                for x, u in anti[c01]:
                     sadd(f, lhs, (c00, x, c1), f.mul(v, f.mul(w, u)))
-            for (h1, h2), w in H.delta.split_pairs(c1):
-                for x, u in anti(h1):
+            for (h1, h2), w in H.delta._by_first[c1]:
+                for x, u in anti[h1]:
                     sadd(f, rhs, (c0, x, h2), f.mul(v, f.mul(w, u)))
         acc.check((c,), lhs, rhs)
     acc.finish()
@@ -553,17 +553,17 @@ def check_comodcoass(inp):
 def check_compatibility(D):
     """rho(h.m) = h.m^(0) (x) m^(1) over all basis pairs (law ldm1)."""
     f = D.field
-    act, coact = D.act._pairs, D.coact._pairs
+    act, coact = D.act._by_first_two, D.coact._by_first
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "ldm1")
     for h in range(D.H.dim):
         for m in range(D.dim):
             lhs, rhs = {}, {}
-            for x, v in act(h, m):
-                for mh, c in coact(x):
+            for x, v in act[h][m]:
+                for mh, c in coact[x]:
                     sadd(f, lhs, mh, f.mul(v, c))
-            for (m0, h1), c in coact(m):
-                for x, v in act(h, m0):
+            for (m0, h1), c in coact[m]:
+                for x, v in act[h][m0]:
                     sadd(f, rhs, (x, h1), f.mul(c, v))
             acc.check((h, m), lhs, rhs)
     acc.finish()
@@ -583,19 +583,19 @@ def check_lemma_identities(D):
     acc1 = LawAccumulator(rep, f, f"ldm{suffix}1")
     acc2 = LawAccumulator(rep, f, f"ldm{suffix}2")
 
-    act, anti = D.act._pairs, H.antipode.column
+    act, anti = D.act._by_first_two, H.antipode._by_second
 
     def inner(m):
         """S(m^(1)) . m^(0) and its split form S(m^(1)_(2)) . m^(0) (x) m^(1)_(1)."""
         plain, split = {}, {}
-        for (m0, h), c in D.coact._pairs(m):
-            for x, s in anti(h):
-                for k, v in act(x, m0):
+        for (m0, h), c in D.coact._by_first[m]:
+            for x, s in anti[h]:
+                for k, v in act[x][m0]:
                     sadd(f, plain, (k,), f.mul(c, f.mul(s, v)))
-            for (h1, h2), c2 in H.delta.split_pairs(h):
+            for (h1, h2), c2 in H.delta._by_first[h]:
                 cc = f.mul(c, c2)
-                for x, s in anti(h2):
-                    for k, v in act(x, m0):
+                for x, s in anti[h2]:
+                    for k, v in act[x][m0]:
                         sadd(f, split, (k, h1), f.mul(cc, f.mul(s, v)))
         return plain, split
 
@@ -605,10 +605,10 @@ def check_lemma_identities(D):
         for h in range(H.dim):
             hplain, rhs = {}, {}
             for (x,), c in plain.items():
-                for y, v in act(h, x):
+                for y, v in act[h][x]:
                     sadd(f, hplain, (y,), f.mul(c, v))
             for (x, h1), c in split.items():
-                for y, v in act(h, x):
+                for y, v in act[h][x]:
                     sadd(f, rhs, (y, h1), f.mul(c, v))
             lhs = apply_coaction(D.coact, hplain)
             acc2.check((h, m), lhs, rhs)
@@ -629,30 +629,30 @@ def check_adjunction(H, D):
     rep = VerificationReport()
     n = H.dim
     free = build_from_quasimodule(H, D.act)
-    coact = D.coact._pairs
+    coact = D.coact._by_first
 
     def eta(u):  # (m, coeff) pairs of M -> sparse element of M (x) H
         out = {}
         for m, a in u:
-            for (m0, h1), c in coact(m):
-                sadd(f, out, (pair_index(m0, h1, n),), f.mul(a, c))
+            for (m0, h1), c in coact[m]:
+                sadd(f, out, (m0 * n + h1,), f.mul(a, c))
         return out
 
     linear = LawAccumulator(rep, f, "adj.unit_linear")
     colinear = LawAccumulator(rep, f, "adj.unit_colinear")
     for m in range(D.dim):
-        im = {(pair_index(m0, h1, n),): c for (m0, h1), c in coact(m)}
+        im = {(m0 * n + h1,): c for (m0, h1), c in coact[m]}
         for h in range(n):
             him = {}
             for (j,), b in im.items():
-                for k, c in free.act._pairs(h, j):
+                for k, c in free.act._by_first_two[h][j]:
                     sadd(f, him, (k,), f.mul(b, c))
-            linear.check((h, m), eta(D.act._pairs(h, m)), him)
+            linear.check((h, m), eta(D.act._by_first_two[h][m]), him)
         lhs = apply_coaction(free.coact, im)
         rhs = {}
-        for (m0, h1), c in coact(m):
-            for (m00, h2), v in coact(m0):
-                sadd(f, rhs, (pair_index(m00, h2, n), h1), f.mul(c, v))
+        for (m0, h1), c in coact[m]:
+            for (m00, h2), v in coact[m0]:
+                sadd(f, rhs, (m00 * n + h2, h1), f.mul(c, v))
         colinear.check((m,), lhs, rhs)
     linear.finish()
     colinear.finish()
@@ -660,7 +660,7 @@ def check_adjunction(H, D):
     tri1 = LawAccumulator(rep, f, "adj.triangle1")
     for m in range(D.dim):
         out = {}
-        for (m0, h1), c in coact(m):
+        for (m0, h1), c in coact[m]:
             sadd(f, out, (m0,), f.mul(c, value(H.counit, h1)))
         tri1.check((m,), out, {(m,): f.one})
     tri1.finish()
@@ -670,9 +670,9 @@ def check_adjunction(H, D):
     for i in range(free.dim):
         # (sigma (x) id) o (id (x) delta) with sigma = id (x) counit
         collapsed = {}
-        for (j, h1), c in free.coact._pairs(i):
+        for (j, h1), c in free.coact._by_first[i]:
             m0, k1 = divmod(j, n)
-            sadd(f, collapsed, (pair_index(m0, h1, n),),
+            sadd(f, collapsed, (m0 * n + h1,),
                  f.mul(c, value(H.counit, k1)))
         tri2.check((i,), collapsed, {(i,): f.one})
     tri2.finish()

@@ -24,7 +24,7 @@ def split_sparse_tensor(f, delta, u):
     """Coproduct of a 1-leg sparse element as a 2-leg sparse element."""
     out = {}
     for (i,), a in u.items():
-        for (j, k), c in delta.split_pairs(i):
+        for (j, k), c in delta._by_first[i]:
             sadd(f, out, (j, k), f.mul(a, c))
     return out
 
@@ -32,7 +32,7 @@ def split_sparse_tensor(f, delta, u):
 def check_unital_counital(H):
     """Unit and counit laws over every basis vector."""
     f = H.field
-    mul, split = H.mu.mul_pairs, H.delta.split_pairs
+    mul, split = H.mu._by_first_two, H.delta._by_first
     rep = VerificationReport()
     one = nonzeros(H.unit)
     ul = LawAccumulator(rep, f, "unit.left")
@@ -40,9 +40,9 @@ def check_unital_counital(H):
     for i in range(H.dim):
         left, right = {}, {}
         for u, a in one:
-            for k, c in mul(u, i):
+            for k, c in mul[u][i]:
                 sadd(f, left, (k,), f.mul(a, c))
-            for k, c in mul(i, u):
+            for k, c in mul[i][u]:
                 sadd(f, right, (k,), f.mul(a, c))
         e = {(i,): f.one}
         ul.check((i,), left, e)
@@ -53,7 +53,7 @@ def check_unital_counital(H):
     cr = LawAccumulator(rep, f, "counit.right")
     for i in range(H.dim):
         left, right = {}, {}
-        for (j, k), c in split(i):
+        for (j, k), c in split[i]:
             sadd(f, left, (k,), f.mul(c, value(H.counit, j)))
             sadd(f, right, (j,), f.mul(c, value(H.counit, k)))
         e = {(i,): f.one}
@@ -67,19 +67,19 @@ def check_unital_counital(H):
 def check_associativity(H, informational=False):
     """(xy)z = x(yz) over all basis triples, with a witness triple."""
     f = H.field
-    mul = H.mu.mul_pairs
+    mul = H.mu._by_first_two
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "assoc", informational)
     for i in range(H.dim):
         for j in range(H.dim):
-            ij = mul(i, j)
+            ij = mul[i][j]
             for k in range(H.dim):
                 left, right = {}, {}
                 for x, a in ij:
-                    for y, b in mul(x, k):
+                    for y, b in mul[x][k]:
                         sadd(f, left, (y,), f.mul(a, b))
-                for x, a in mul(j, k):
-                    for y, b in mul(i, x):
+                for x, a in mul[j][k]:
+                    for y, b in mul[i][x]:
                         sadd(f, right, (y,), f.mul(a, b))
                 acc.check((i, j, k), left, right)
     acc.finish()
@@ -89,15 +89,15 @@ def check_associativity(H, informational=False):
 def check_coassociativity(H, informational=False):
     """(delta (x) id) delta = (id (x) delta) delta over all basis vectors."""
     f = H.field
-    split = H.delta.split_pairs
+    split = H.delta._by_first
     rep = VerificationReport()
     acc = LawAccumulator(rep, f, "coassoc", informational)
     for i in range(H.dim):
         left, right = {}, {}
-        for (j, k), c in split(i):
-            for (a, b), c2 in split(j):
+        for (j, k), c in split[i]:
+            for (a, b), c2 in split[j]:
                 sadd(f, left, (a, b, k), f.mul(c, c2))
-            for (a, b), c2 in split(k):
+            for (a, b), c2 in split[k]:
                 sadd(f, right, (j, a, b), f.mul(c, c2))
         acc.check((i,), left, right)
     acc.finish()
@@ -107,21 +107,21 @@ def check_coassociativity(H, informational=False):
 def check_bialgebra_compat(H):
     """Delta and epsilon are algebra homomorphisms."""
     f = H.field
-    mul, split, counit = H.mu.mul_pairs, H.delta.split_pairs, H.counit
+    mul, split, counit = H.mu._by_first_two, H.delta._by_first, H.counit
     rep = VerificationReport()
     dm = LawAccumulator(rep, f, "bialg.delta_mult")
     cm = LawAccumulator(rep, f, "bialg.counit_mult")
     for i in range(H.dim):
-        di = split(i)
+        di = split[i]
         for j in range(H.dim):
-            prod = mul(i, j)
+            prod = mul[i][j]
             dprod = {}
             lhs = f.zero
             for x, a in prod:
-                for jk, c in split(x):
+                for jk, c in split[x]:
                     sadd(f, dprod, jk, f.mul(a, c))
                 lhs = f.add(lhs, f.mul(a, value(counit, x)))
-            dm.check((i, j), dprod, tensor_mul(f, H.mu, H.mu, di, split(j)))
+            dm.check((i, j), dprod, tensor_mul(f, H.mu, H.mu, di, split[j]))
             rhs = f.mul(value(counit, i), value(counit, j))
             cm.check((i, j), {(): lhs} if lhs != f.zero else {},
                      {(): rhs} if rhs != f.zero else {})
@@ -144,42 +144,43 @@ def check_quasi_identities(H):
     Coassociativity is a prerequisite and is reported first.
     """
     f = H.field
-    mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
+    mul, split = H.mu._by_first_two, H.delta._by_first
+    anti = H.antipode._by_second
     rep = VerificationReport()
     rep.extend(check_coassociativity(H))
     accs = {name: LawAccumulator(rep, f, name) for name in
             ("quasi1.left", "quasi1.right", "quasi2.left", "quasi2.right")}
     for h in range(H.dim):
-        dh = split(h)
+        dh = split[h]
         eps_h = value(H.counit, h)
         for g in range(H.dim):
             expected = {(g,): eps_h} if eps_h != f.zero else {}
             q1l, q1r, q2l, q2r = {}, {}, {}, {}
             for (h1, h2), c in dh:
-                s1, s2 = anti(h1), anti(h2)
+                s1, s2 = anti[h1], anti[h2]
                 # S(h1)(h2 g)
-                for y, b in mul(h2, g):
+                for y, b in mul[h2][g]:
                     for x, a in s1:
                         ab = f.mul(c, f.mul(a, b))
-                        for k, v in mul(x, y):
+                        for k, v in mul[x][y]:
                             sadd(f, q1l, (k,), f.mul(ab, v))
                 # h1 (S(h2) g)
                 for x, a in s2:
-                    for y, b in mul(x, g):
+                    for y, b in mul[x][g]:
                         ab = f.mul(c, f.mul(a, b))
-                        for k, v in mul(h1, y):
+                        for k, v in mul[h1][y]:
                             sadd(f, q1r, (k,), f.mul(ab, v))
                 # (g h1) S(h2)
-                for x, a in mul(g, h1):
+                for x, a in mul[g][h1]:
                     for y, b in s2:
                         ab = f.mul(c, f.mul(a, b))
-                        for k, v in mul(x, y):
+                        for k, v in mul[x][y]:
                             sadd(f, q2l, (k,), f.mul(ab, v))
                 # (g S(h1)) h2
                 for y, b in s1:
-                    for x, a in mul(g, y):
+                    for x, a in mul[g][y]:
                         ab = f.mul(c, f.mul(a, b))
-                        for k, v in mul(x, h2):
+                        for k, v in mul[x][h2]:
                             sadd(f, q2r, (k,), f.mul(ab, v))
             accs["quasi1.left"].check((h, g), q1l, expected)
             accs["quasi1.right"].check((h, g), q1r, expected)
@@ -196,7 +197,8 @@ def check_coq_identities(H):
     Associativity of the product is a prerequisite and is reported first.
     """
     f = H.field
-    mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
+    mul, split = H.mu._by_first_two, H.delta._by_first
+    anti = H.antipode._by_second
     rep = VerificationReport()
     rep.extend(check_associativity(H))
     accs = {name: LawAccumulator(rep, f, name) for name in
@@ -206,26 +208,26 @@ def check_coq_identities(H):
         one_h = {(u, h): a for u, a in one}
         h_one = {(h, u): a for u, a in one}
         c1l, c1r, c2l, c2r = {}, {}, {}, {}
-        for (h1, h2), c in split(h):
+        for (h1, h2), c in split[h]:
             # S(h1) h2(1) (x) h2(2)  and  h1 S(h2(1)) (x) h2(2)
-            s1 = anti(h1)
-            for (a, b), c2 in split(h2):
+            s1 = anti[h1]
+            for (a, b), c2 in split[h2]:
                 cc = f.mul(c, c2)
                 for x, sx in s1:
-                    for y, v in mul(x, a):
+                    for y, v in mul[x][a]:
                         sadd(f, c1l, (y, b), f.mul(cc, f.mul(sx, v)))
-                for x, sx in anti(a):
-                    for y, v in mul(h1, x):
+                for x, sx in anti[a]:
+                    for y, v in mul[h1][x]:
                         sadd(f, c1r, (y, b), f.mul(cc, f.mul(sx, v)))
             # h1(1) (x) h1(2) S(h2)  and  h1(1) (x) S(h1(2)) h2
-            s2 = anti(h2)
-            for (a, b), c2 in split(h1):
+            s2 = anti[h2]
+            for (a, b), c2 in split[h1]:
                 cc = f.mul(c, c2)
                 for x, sx in s2:
-                    for y, v in mul(b, x):
+                    for y, v in mul[b][x]:
                         sadd(f, c2l, (a, y), f.mul(cc, f.mul(sx, v)))
-                for x, sx in anti(b):
-                    for y, v in mul(x, h2):
+                for x, sx in anti[b]:
+                    for y, v in mul[x][h2]:
                         sadd(f, c2r, (a, y), f.mul(cc, f.mul(sx, v)))
         accs["coq1.left"].check((h,), c1l, one_h)
         accs["coq1.right"].check((h,), c1r, one_h)
@@ -237,25 +239,26 @@ def check_coq_identities(H):
 
 
 def check_antipode_basic(H):
-    """Convolution identities plus anti(co)multiplicativity of the antipode."""
+    """Convolution identities plus anti[co]multiplicativity of the antipode."""
     f = H.field
-    mul, split, anti = H.mu.mul_pairs, H.delta.split_pairs, H.antipode.column
+    mul, split = H.mu._by_first_two, H.delta._by_first
+    anti = H.antipode._by_second
     rep = VerificationReport()
     one = unit_sparse(H)
     cv_l = LawAccumulator(rep, f, "antipode.conv_left")
     cv_r = LawAccumulator(rep, f, "antipode.conv_right")
     anti_co = LawAccumulator(rep, f, "antipode.anticomult")
     for h in range(H.dim):
-        dh = split(h)
+        dh = split[h]
         expected = sscale(f, one, value(H.counit, h))
         left, right, lhs = {}, {}, {}
         for (h1, h2), c in dh:
-            s1, s2 = anti(h1), anti(h2)
+            s1, s2 = anti[h1], anti[h2]
             for x, a in s1:
-                for k, v in mul(x, h2):
+                for k, v in mul[x][h2]:
                     sadd(f, left, (k,), f.mul(c, f.mul(a, v)))
             for x, a in s2:
-                for k, v in mul(h1, x):
+                for k, v in mul[h1][x]:
                     sadd(f, right, (k,), f.mul(c, f.mul(a, v)))
             # (S (x) S)(delta h)
             for a, c1 in s1:
@@ -265,24 +268,24 @@ def check_antipode_basic(H):
         cv_r.check((h,), right, expected)
         # flip(delta(S h))
         rhs = {}
-        for x, a in anti(h):
-            for (p, q), c in split(x):
+        for x, a in anti[h]:
+            for (p, q), c in split[x]:
                 sadd(f, rhs, (q, p), f.mul(a, c))
         anti_co.check((h,), lhs, rhs)
     cv_l.finish()
     cv_r.finish()
     anti_mul = LawAccumulator(rep, f, "antipode.antimult")
     for i in range(H.dim):
-        si = anti(i)
+        si = anti[i]
         for j in range(H.dim):
             lhs, rhs = {}, {}
-            for x, a in mul(i, j):
-                for y, c in anti(x):
+            for x, a in mul[i][j]:
+                for y, c in anti[x]:
                     sadd(f, lhs, (y,), f.mul(a, c))
-            for x, a in anti(j):
+            for x, a in anti[j]:
                 for y, b in si:
                     ab = f.mul(a, b)
-                    for k, c in mul(x, y):
+                    for k, c in mul[x][y]:
                         sadd(f, rhs, (k,), f.mul(ab, c))
             anti_mul.check((i, j), lhs, rhs)
     anti_mul.finish()

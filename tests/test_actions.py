@@ -8,8 +8,9 @@ from hopfloop import (GF, ActionData, CoactionData, CosmashInput, QQ,
                       check_antipode_linear, check_comodule,
                       check_coqm_algebra, check_coqm_coalgebra, check_module,
                       check_qm_algebra, check_qm_coalgebra,
-                      check_quasicomodule, check_quasimodule,
-                      diagonal_action, dualize, loop_algebra, tensor_coaction)
+                      check_quasicomodule, check_quasimodule, dualize,
+                      loop_algebra, tensor_dimodule, trivial_action_dimodule,
+                      trivial_coaction_dimodule)
 from hopfloop.errors import DimMismatch, FieldMismatch
 
 
@@ -97,16 +98,17 @@ def test_trivial_coaction_quasicomodule(H2):
 
 def test_diagonal_action_closure():
     H = loop_algebra(loop7())
-    act = ActionData.from_mu(H)
-    diag = diagonal_action(H, act, act)
+    D = trivial_coaction_dimodule(H, ActionData.from_mu(H))
+    diag = tensor_dimodule(D, D).act
     assert diag.m_dim == 49
     assert check_quasimodule(H, diag).ok
 
 
 def test_tensor_coaction_closure(H2):
     H2d = dualize(H2)
-    co = CoactionData.dual_of_action(inversion_action())
-    tens = tensor_coaction(H2d, co, co)
+    D = trivial_action_dimodule(
+        H2d, CoactionData.dual_of_action(inversion_action()))
+    tens = tensor_dimodule(D, D).coact
     assert tens.m_dim == 9
     assert check_quasicomodule(H2d, tens).ok
 

@@ -83,6 +83,20 @@ def test_tensor_dimodule(H2):
     assert T.dim == 9
     assert check_long_dimodule(T).ok
     assert check_d_equation(d_map(T)).ok
+    # factors of dims 4 and 3, so that e_m (x) e_n is e_(3m + n): g acts
+    # as (0 1)(2 3) on the first and grades the second by [0, 1, 1]
+    swap = (1, 0, 3, 2)
+    D1 = trivial_coaction_dimodule(H2, perm_action(QQ, 2, [(0, 1, 2, 3), swap]))
+    T = tensor_dimodule(D1, D2)
+    assert T.dim == 12
+    one = QQ.one
+    assert T.act.nz == {(h, 3 * m + n, 3 * (swap[m] if h else m) + n): one
+                        for h in range(2) for m in range(4)
+                        for n in range(3)}
+    assert T.coact.nz == {(3 * m + n, 3 * m + n, (0, 1, 1)[n]): one
+                          for m in range(4) for n in range(3)}
+    assert check_long_dimodule(T).ok
+    assert check_d_equation(d_map(T)).ok
 
 
 def test_tensor_dimodule_h_mismatch(H2, H3):
@@ -396,6 +410,12 @@ def test_dim_guards(H2, H3):
         LongDimodule(H2, inversion_action(), CoactionData.trivial(H2, 4))
     with pytest.raises(DimMismatch):
         LongDimodule(H3, inversion_action(), CoactionData.trivial(H3, 3))
+    # an action or coaction over Q[C2] given with Q[C3]
+    with pytest.raises(DimMismatch):
+        build_from_quasimodule(H3, inversion_action())
+    with pytest.raises(DimMismatch):
+        build_from_comodule(dualize(H3), CoactionData.dual_of_action(
+            inversion_action()))
 
 
 def test_mixed_fields_refused(H2):
@@ -450,13 +470,13 @@ def test_d_equation_stops_after_the_first_failing_slab(monkeypatch):
     R = RMap(R.field, R.m_dim, [key + (c,) for key, c in nz.items()])
     assert R.column_map is None
     columns = []
-    column = RMap.column
 
-    def counted(self, j):
-        columns.append(j)
-        return column(self, j)
+    class Counted(tuple):
+        def __getitem__(self, j):
+            columns.append(j)
+            return tuple.__getitem__(self, j)
 
-    monkeypatch.setattr(RMap, "column", counted)
+    monkeypatch.setitem(vars(R), "_by_second", Counted(R._by_second))
     rep = check_d_equation(R)
     # each side of slab l reads the columns (l, m) = l nd + m of R, and
     # no other slab is contracted

@@ -1,5 +1,6 @@
 """The law evaluator of `hopfloop.laws` on its own, `laws.build` against
-the hand-built references of the maps it makes, and a metamorphic test
+the hand-built references of the maps it makes, with a guard that every
+construction of the package has one, and a metamorphic test
 of the 25 action, coaction and smash-condition laws, the 22 Hopf
 (co)quasigroup laws and the dimodule laws under relabelling.
 
@@ -10,7 +11,9 @@ leg other than the first, leg groups) is checked against witnesses worked
 out by hand or read off the tensors directly.
 """
 
+import importlib
 import json
+import pkgutil
 import random
 
 import pytest
@@ -21,11 +24,13 @@ import smash_reference as sref
 from conftest import (cyclic, inversion_action, loop7, perm_action,
                       s3_table, vector)
 from test_module_laws import action_inputs, actions, dimodules, structures
-from test_structures import random_structures, s3_perturbations
+from test_structures import SCALARS, random_structures, s3_perturbations
 
+import hopfloop
 from hopfloop import (GF, QQ, ActionData, AlgebraData, CoactionData,
                       CoalgebraData, CosmashInput, LongDimodule, Mat,
-                      SmashInput, SparseTensor, Ten3, check_adjunction,
+                      SmashInput, SparseTensor, Ten3, build_from_comodule,
+                      build_from_quasimodule, check_adjunction,
                       check_antipode_colinear, check_antipode_linear,
                       check_cocommu, check_commu, check_comodcoass,
                       check_comodule, check_coqm_algebra,
@@ -34,9 +39,9 @@ from hopfloop import (GF, QQ, ActionData, AlgebraData, CoactionData,
                       check_long_dimodule, check_modass, check_module,
                       check_qm_algebra, check_qm_coalgebra,
                       check_quasicomodule, check_quasimodule, d_map,
-                      dualize, loop_algebra)
+                      dualize, loop_algebra, tensor_dimodule)
 from hopfloop.actions import COQM_ALGEBRA, QM_COALGEBRA
-from hopfloop.laws import build, construction, evaluate, law
+from hopfloop.laws import Construction, build, construction, evaluate, law
 from hopfloop.smash import SMASH_COPRODUCT, SMASH_PRODUCT, _structure
 from hopfloop.structures import (HopfCoquasigroup, HopfQuasigroup,
                                  check_associativity)
@@ -74,6 +79,7 @@ WRONG_CONSTRUCTIONS = [
     ("(AH)", "(AH)", "delta@1 act@1", None, "act@1"),   # act needs HA
     ("(AA)", "(AA)", "coact@1 swap@1 swap@0", None,      # ends in HAA
      "'coact@1 swap@1 swap@0'"),
+    ("HC", "HC", "", None, "'HC'"),                      # no leg C
 ]
 
 
@@ -311,6 +317,45 @@ def built(H, A, act, coact):
             d_map(LongDimodule(H, act, coact)))
 
 
+def smash_maps(H, A, act, coact):
+    """map id -> (the map built from its chain, its hand-built reference),
+    over the ten smash and cosmash maps and d_map."""
+    smash, cosmash, R = built(H, A, act, coact)
+    refs = (sref.smash_product(SmashInput(H, A, act)),
+            sref.smash_coproduct(CosmashInput(H, A, coact)))
+    maps = {"d_map": (R, sref.d_map(LongDimodule(H, act, coact)))}
+    for prefix, new, old in zip(("smash", "cosmash"), (smash, cosmash), refs):
+        for name, attr in (("mu", "mu"), ("eta", "unit"), ("delta", "delta"),
+                           ("eps", "counit"), ("S", "antipode")):
+            maps[f"{prefix}.{name}"] = getattr(new, attr), getattr(old, attr)
+    return maps
+
+
+def dimodule_maps(H, act, coact, act_B, coact_B):
+    """map id -> (the map built from its chain, its hand-built reference),
+    over the action and coaction of the free dimodules on M (x) H and
+    H (x) M and of the tensor product M (x) N, M the carrier of `act` and
+    `coact` and N that of `act_B` and `coact_B`."""
+    M, N = LongDimodule(H, act, coact), LongDimodule(H, act_B, coact_B)
+    dimodules = {
+        "free_mh": (build_from_quasimodule(H, act),
+                    sref.build_from_quasimodule(H, act)),
+        "free_hm": (build_from_comodule(H, coact),
+                    sref.build_from_comodule(H, coact)),
+        "tensor": (tensor_dimodule(M, N), sref.tensor_dimodule(M, N))}
+    return {f"{prefix}.{name}": (getattr(new, name), getattr(old, name))
+            for prefix, (new, old) in dimodules.items()
+            for name in ("act", "coact")}
+
+
+def assert_maps_match(maps, zero):
+    """Each built map equals its reference, type and dims included, and
+    stores no zero."""
+    for map_id, (new, old) in maps.items():
+        assert new == old, map_id
+        assert zero not in new.nz.values(), map_id
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(construction_inputs())
 @example(cancelling_input())
@@ -319,16 +364,79 @@ def test_build_matches_hand_built_references(inp):
     equal the hand-built references, type included, and no stored entry
     of a sparse one is zero."""
     H, A, act, coact = inp
-    smash, cosmash, R = built(H, A, act, coact)
-    refs = (sref.smash_product(SmashInput(H, A, act)),
-            sref.smash_coproduct(CosmashInput(H, A, coact)))
-    for new, old in zip((smash, cosmash), refs):
-        for name in ("mu", "unit", "delta", "counit", "antipode"):
-            assert getattr(new, name) == getattr(old, name), name
-        for t in (new.mu, new.delta, new.antipode):
-            assert H.field.zero not in t.nz.values()
-    assert R == sref.d_map(LongDimodule(H, act, coact))
-    assert R.m_dim == A.dim and H.field.zero not in R.nz.values()
+    maps = smash_maps(H, A, act, coact)
+    assert_maps_match(maps, H.field.zero)
+    assert maps["d_map"][0].m_dim == A.dim
+
+
+@st.composite
+def carriers(draw, f, nh):
+    """An action and a coaction of a structure of dim nh on a carrier of
+    dim 0 to 3, with random coefficients that may cancel."""
+    nm = draw(st.integers(0, 3))
+    scalar = st.sampled_from(SCALARS[f])
+
+    def entries(*legs):
+        if not nm:
+            return []
+        idx = {"H": st.integers(0, nh - 1), "M": st.integers(0, nm - 1)}
+        return draw(st.lists(st.tuples(*(idx[leg] for leg in legs), scalar),
+                             max_size=2 * nh * nm))
+
+    return (ActionData.from_entries(f, nh, nm, entries("H", "M", "M")),
+            CoactionData.from_entries(f, nm, nh, entries("M", "M", "H")))
+
+
+@st.composite
+def dimodule_inputs(draw):
+    """(H, act, coact, act_B, coact_B) over Q or GF(5): H of dim 1 to 3,
+    and two carriers whose dims may differ."""
+    f = draw(st.sampled_from((QQ, GF(5))))
+    nh = draw(st.integers(1, 3))
+    return (draw(structures(f, nh)), *draw(carriers(f, nh)),
+            *draw(carriers(f, nh)))
+
+
+def cancelling_dimodule_input():
+    """The H of `cancelling_input` on two copies of its carrier: in the
+    tensor product, the terms of e_1 . (e_0 (x) e_0) and of the whole
+    coaction sum to zero."""
+    H, _, act, coact = cancelling_input()
+    return H, act, coact, act, coact
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dimodule_inputs())
+@example(cancelling_dimodule_input())
+def test_dimodule_maps_match_hand_built_references(inp):
+    """The six maps of the free and tensor-product dimodules, built from
+    their chains, equal the hand-built references, type and dims
+    included, and no stored entry is zero."""
+    assert_maps_match(dimodule_maps(*inp), inp[0].field.zero)
+
+
+def declared_constructions():
+    """The map ids of every `laws.Construction` at module level in the
+    package, alone or in a tuple or dict."""
+    found = set()
+    for info in pkgutil.iter_modules(hopfloop.__path__):
+        module = importlib.import_module(f"hopfloop.{info.name}")
+        for value in vars(module).values():
+            values = (value.values() if isinstance(value, dict)
+                      else value if isinstance(value, tuple) else (value,))
+            found.update(x.map_id for x in values
+                         if isinstance(x, Construction))
+    return found
+
+
+def test_every_construction_has_a_hand_reference():
+    """The differential tests above compare every construction of the
+    package with a hand-built reference, and no other map id: a new
+    construction cannot land without one."""
+    H, A, act, coact = cancelling_input()
+    compared = (set(smash_maps(H, A, act, coact))
+                | set(dimodule_maps(*cancelling_dimodule_input())))
+    assert declared_constructions() == compared
 
 
 def test_build_on_rank0_legs():
@@ -347,6 +455,9 @@ def test_build_drops_terms_that_cancel():
     smash, cosmash, R = built(*cancelling_input())
     assert {(i, j) for i, j, _ in smash.mu.nz} == {(0, 0), (0, 1)}
     assert not cosmash.delta.nz and not cosmash.antipode.nz and not R.nz
+    maps = dimodule_maps(*cancelling_dimodule_input())
+    assert set(maps["tensor.act"][0].nz) == {(0, 0, 0)}
+    assert not maps["tensor.coact"][0].nz
 
 
 # --- dims 2, 3 and 5 ---------------------------------------------------------

@@ -70,10 +70,10 @@ def test_loop_algebra_grouplike_tensors():
     H = loop_algebra(table)
     assert H.dim == 3
     for i in range(3):
-        assert list(H.delta.split_pairs(i)) == [((i, i), QQ.one)]
+        assert list(H.delta._by_first[i]) == [((i, i), QQ.one)]
         assert H.counit[i,] == QQ.one
     # S(a) = a^{-1}
-    assert list(H.antipode.column(1)) == [(2, QQ.one)]
+    assert list(H.antipode._by_second[1]) == [(2, QQ.one)]
 
 
 def test_loop_algebra_gf5():

@@ -5,13 +5,7 @@ from conftest import cyclic
 
 from hopfloop import GF, QQ, Mat, Ten3, loop_algebra
 from hopfloop.errors import DimMismatch
-from hopfloop.tensors import SparseTensor, pair_index
-
-
-def test_pair_index_roundtrip():
-    for i in range(5):
-        for j in range(7):
-            assert divmod(pair_index(i, j, 7), 7) == (i, j)
+from hopfloop.tensors import SparseTensor
 
 
 def test_rank1_groupings():
@@ -46,16 +40,16 @@ def test_mat_transpose_and_columns():
     assert a.rows == ((1, 0, 2), (0, 0, 3))
     assert a.transpose().rows == ((1, 0), (0, 0), (2, 3))
     assert a.transpose().transpose() == a
-    assert a.column(2) == ((0, 2), (1, 3))
-    assert a.column(1) == ()
+    assert a._by_second[2] == ((0, 2), (1, 3))
+    assert a._by_second[1] == ()
 
 
 def test_ten3_sparse_views():
     entries = [(0, 0, 1, QQ.parse("2")), (1, 0, 0, QQ.one)]
     t = Ten3.from_entries(QQ, 2, entries)
-    assert list(t.mul_pairs(0, 0)) == [(1, QQ.parse("2"))]
-    assert list(t.mul_pairs(0, 1)) == []
-    assert dict(t.split_pairs(1)) == {(0, 0): QQ.one}
+    assert list(t._by_first_two[0][0]) == [(1, QQ.parse("2"))]
+    assert list(t._by_first_two[0][1]) == []
+    assert dict(t._by_first[1]) == {(0, 0): QQ.one}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
@@ -67,8 +61,8 @@ def test_sparse_tensor_sums_repeated_keys(field):
     assert t.nz == {(0, 1, 1): field.one}
     assert t[0, 1, 1] == field.one and t[1, 0, 0] == field.zero
     assert t == Ten3.from_entries(field, 2, [(0, 1, 1, field.one)])
-    assert t.mul_pairs(0, 1) == ((1, field.one),)
-    assert t.split_pairs(1) == ()
+    assert t._by_first_two[0][1] == ((1, field.one),)
+    assert t._by_first[1] == ()
 
 
 def test_sparse_tensor_dense_view_and_bounds():
