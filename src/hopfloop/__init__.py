@@ -26,17 +26,16 @@ from .smash import (CosmashInput, RoundtripReport, SmashInput,
                     check_cocommu, check_commu, check_comodcoass,
                     check_modass, theorem_cosmash_roundtrip,
                     theorem_smash_roundtrip)
-from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
-                         HopfQuasigroup, check_antipode_basic,
-                         check_bialgebra_compat, check_coq_identities,
-                         check_hopf_coquasigroup, check_hopf_quasigroup,
-                         check_quasi_identities, check_unital_counital,
-                         dualize)
+from .structures import (HopfCoquasigroup, HopfQuasigroup,
+                         check_antipode_basic, check_bialgebra_compat,
+                         check_coq_identities, check_hopf_coquasigroup,
+                         check_hopf_quasigroup, check_quasi_identities,
+                         check_unital_counital, dualize)
 from .tensors import Mat, SparseTensor, Ten3
 
 __all__ = [
-    "ActionData", "AlgebraData", "CoactionData", "CoalgebraData", "GF",
-    "HopfCoquasigroup", "HopfQuasigroup", "LongDimodule", "LoopTable", "Mat",
+    "ActionData", "CoactionData", "GF", "HopfCoquasigroup", "HopfQuasigroup",
+    "LongDimodule", "LoopTable", "Mat",
     "OVER_COQUASIGROUP", "OVER_QUASIGROUP", "QQ", "RMap", "SparseTensor",
     "Ten3", "VerificationReport", "build_from_comodule",
     "build_from_quasimodule", "check_adjunction", "check_antipode_basic",

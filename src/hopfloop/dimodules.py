@@ -163,17 +163,14 @@ def trivial_action_dimodule(H, coact):
 
 
 def unit_dimodule(H):
-    """The one-dimensional dimodule carried by the ground field."""
-    f = H.field
-    coact = CoactionData.from_entries(
-        f, 1, H.dim, ((0, 0, h, c) for (h,), c in H.unit.nz.items()))
-    act = ActionData.from_entries(
-        f, H.dim, 1, ((h, 0, 0, c) for (h,), c in H.counit.nz.items()))
-    return LongDimodule(H, act, coact)
+    """The one-dimensional dimodule carried by the ground field: the
+    trivial action and coaction on a carrier of dim 1."""
+    return LongDimodule(H, ActionData.trivial(H, 1),
+                        CoactionData.trivial(H, 1))
 
 
 def _same_structure(H, K):
-    return H is K or (H.same_tensors(K) and H.field == K.field)
+    return H is K or H.same_tensors(K)
 
 
 def tensor_dimodule(D1, D2):

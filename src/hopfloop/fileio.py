@@ -15,8 +15,7 @@ from .errors import ParseError
 from .fields import GF, QQ
 from .loops import LoopTable
 from .smash import CosmashInput, SmashInput
-from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
-                         HopfQuasigroup)
+from .structures import HopfCoquasigroup, HopfQuasigroup
 from .tensors import Mat, SparseTensor, Ten3
 
 _STRUCT_HEADERS = {"hopfqg": HopfQuasigroup, "hopfcoqg": HopfCoquasigroup}
@@ -193,10 +192,10 @@ def parse_structure(text):
     def tensor(kind, name, dims):
         return kind._from_nz(field, dims, entries(name, len(dims)))
 
-    return cls(AlgebraData(tensor(Ten3, "mu", (n, n, n)),
-                           tensor(SparseTensor, "unit", (n,))),
-               CoalgebraData(tensor(Ten3, "delta", (n, n, n)),
-                             tensor(SparseTensor, "counit", (n,))),
+    return cls(tensor(Ten3, "mu", (n, n, n)),
+               tensor(SparseTensor, "unit", (n,)),
+               tensor(Ten3, "delta", (n, n, n)),
+               tensor(SparseTensor, "counit", (n,)),
                tensor(Mat, "antipode", (n, n)))
 
 

@@ -9,7 +9,7 @@ loops of an order up to isomorphism.
 from .errors import BudgetExceeded, MalformedTable, NotIPLoop
 from .fields import QQ
 from .report import VerificationReport, Witness
-from .structures import AlgebraData, CoalgebraData, HopfQuasigroup
+from .structures import HopfQuasigroup
 from .tensors import (Mat, SparseTensor, Ten3, assoc_mismatches, mismatches,
                       quasi_rows)
 
@@ -148,8 +148,7 @@ def loop_algebra(T, field=QQ):
     counit = SparseTensor._from_nz(f, (n,), {(i,): f.one for i in range(n)})
     anti = Mat._from_nz(f, (n, n), {(T.inverse_of(a), a): f.one
                                     for a in range(n)})
-    return HopfQuasigroup(AlgebraData(mu, unit),
-                          CoalgebraData(delta, counit), anti)
+    return HopfQuasigroup(mu, unit, delta, counit, anti)
 
 
 def inversion_maps(n):

@@ -20,9 +20,8 @@ from .errors import DimMismatch, HypothesisNotMet, InvalidInput
 from .fields import check_same_field
 from .laws import build, construction, evaluate, law
 from .report import VerificationReport
-from .structures import (AlgebraData, CoalgebraData, HopfCoquasigroup,
-                         HopfQuasigroup, check_hopf_coquasigroup,
-                         check_hopf_quasigroup)
+from .structures import (HopfCoquasigroup, HopfQuasigroup,
+                         check_hopf_coquasigroup, check_hopf_quasigroup)
 from .tensors import Mat, SparseTensor, Ten3
 
 
@@ -64,8 +63,7 @@ def _structure(kind, maps, H, A, act=None, coact=None):
     mu, eta, delta, eps, anti = (
         build(con, H, A, act, coact, cls) for con, cls in zip(maps, (
             Ten3, SparseTensor, Ten3, SparseTensor, Mat)))
-    return kind(AlgebraData(mu, eta), CoalgebraData(delta, eps),
-                anti.transpose())
+    return kind(mu, eta, delta, eps, anti.transpose())
 
 
 def _require(rep, error, what):

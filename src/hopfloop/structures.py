@@ -1,7 +1,8 @@
 """Hopf quasigroups and coquasigroups as structure-constant tensors.
 
-A structure bundles the product tensor mu, coproduct tensor delta, unit and
-counit tensors of dims (n,) and the antipode matrix over one exact field.
+A structure is its five maps over one exact field: the product mu and
+coproduct delta as tensors of dims (n, n, n), the unit and counit as
+tensors of dims (n,), and the antipode matrix.
 Each of its 22 laws is declared as an equation between two chains of mu,
 delta, S, eta and eps (`hopfloop.laws`) and checked by `laws.evaluate` over
 every basis tuple, with a witness on the first mismatch per law.
@@ -33,90 +34,31 @@ from .errors import DimMismatch
 from .fields import check_same_field
 from .laws import evaluate, law
 from .report import VerificationReport
-from .tensors import (Ten3, assoc_mismatches, assoc_sides, mismatches,
+from .tensors import (Mat, Ten3, assoc_mismatches, assoc_sides, mismatches,
                       quasi_rows)
 
 
-class AlgebraData:
-    """Unital, not necessarily associative algebra: product tensor + unit,
-    the image of 1 as a tensor of dims (n,)."""
+class HopfStructure:
+    """A Hopf quasigroup or coquasigroup: its five maps mu, unit, delta,
+    counit and antipode on one space of dim `dim` over `field`."""
 
-    def __init__(self, mu, unit):
-        if unit.dims != (mu.dim,):
+    def __init__(self, mu, unit, delta, counit, antipode):
+        n = mu.dim
+        if unit.dims != (n,):
             raise DimMismatch("mu/unit dims differ")
         check_same_field(mu.field, unit.field)
-        self.mu = mu
-        self.unit = unit
-
-    @property
-    def dim(self):
-        return self.mu.dim
-
-    @property
-    def field(self):
-        return self.mu.field
-
-
-class CoalgebraData:
-    """Counital, not necessarily coassociative coalgebra.
-
-    The counit is stored as a tensor of dims (n,), its values on basis
-    elements.
-    """
-
-    def __init__(self, delta, counit):
         if counit.dims != (delta.dim,):
             raise DimMismatch("delta/counit dims differ")
         check_same_field(delta.field, counit.field)
-        self.delta = delta
-        self.counit = counit
-
-    @property
-    def dim(self):
-        return self.delta.dim
-
-    @property
-    def field(self):
-        return self.delta.field
-
-
-class HopfStructure:
-    """Shared data layout of Hopf quasigroups and coquasigroups."""
-
-    def __init__(self, alg, coalg, antipode):
-        if alg.dim != coalg.dim:
+        if delta.dim != n:
             raise DimMismatch("algebra/coalgebra dims differ")
-        if antipode.nrows != alg.dim or antipode.ncols != alg.dim:
+        if not isinstance(antipode, Mat) or antipode.dims != (n, n):
             raise DimMismatch("antipode matrix dims")
-        check_same_field(alg.field, coalg.field)
-        check_same_field(alg.field, antipode.field)
-        self.alg = alg
-        self.coalg = coalg
-        self.antipode = antipode
-
-    @property
-    def dim(self):
-        return self.alg.dim
-
-    @property
-    def field(self):
-        return self.alg.field
-
-    @property
-    def mu(self):
-        return self.alg.mu
-
-    @property
-    def unit(self):
-        return self.alg.unit
-
-    @property
-    def delta(self):
-        return self.coalg.delta
-
-    @property
-    def counit(self):
-        return self.coalg.counit
+        check_same_field(mu.field, delta.field)
+        check_same_field(mu.field, antipode.field)
+        self.mu, self.unit, self.delta = mu, unit, delta
+        self.counit, self.antipode = counit, antipode
+        self.dim, self.field = n, mu.field
 
     def same_tensors(self, other):
         return (self.mu == other.mu and self.delta == other.delta
@@ -386,8 +328,5 @@ def dualize(H):
         f, (n, n, n), {(i, j, k): c for (k, i, j), c in H.delta.nz.items()})
     delta = Ten3._from_nz(
         f, (n, n, n), {(i, j, k): c for (j, k, i), c in H.mu.nz.items()})
-    alg = AlgebraData(mu, H.counit)
-    coalg = CoalgebraData(delta, H.unit)
-    anti = H.antipode.transpose()
     cls = HopfCoquasigroup if isinstance(H, HopfQuasigroup) else HopfQuasigroup
-    return cls(alg, coalg, anti)
+    return cls(mu, H.counit, delta, H.unit, H.antipode.transpose())

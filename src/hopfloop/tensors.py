@@ -161,14 +161,6 @@ class SparseTensor:
 class Mat(SparseTensor):
     """A matrix; column j lists the image of e_j."""
 
-    @property
-    def nrows(self):
-        return self.dims[0]
-
-    @property
-    def ncols(self):
-        return self.dims[1]
-
     @cached_property
     def column_map(self):
         """s[j] = i when S(e_j) = e_i for every j, else None."""

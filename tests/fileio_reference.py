@@ -12,7 +12,7 @@ from hopfloop.actions import ActionData, CoactionData
 from hopfloop.errors import ParseError
 from hopfloop.fileio import (_SECTIONS, _STRUCT_HEADERS, _check_dims,
                              _field_line, _parse_field_line)
-from hopfloop.structures import AlgebraData, CoalgebraData, HopfQuasigroup
+from hopfloop.structures import HopfQuasigroup
 from hopfloop.tensors import Mat, SparseTensor, Ten3
 
 
@@ -122,10 +122,10 @@ def parse_structure(text):
         return kind(field, dims, (key + (c,) for key, c in
                                   entries(name, len(dims)).items()))
 
-    return cls(AlgebraData(tensor(Ten3, "mu", (n, n, n)),
-                           tensor(SparseTensor, "unit", (n,))),
-               CoalgebraData(tensor(Ten3, "delta", (n, n, n)),
-                             tensor(SparseTensor, "counit", (n,))),
+    return cls(tensor(Ten3, "mu", (n, n, n)),
+               tensor(SparseTensor, "unit", (n,)),
+               tensor(Ten3, "delta", (n, n, n)),
+               tensor(SparseTensor, "counit", (n,)),
                tensor(Mat, "antipode", (n, n)))
 
 

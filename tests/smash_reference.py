@@ -11,9 +11,8 @@ the declarations can be tested against them.
 from conftest import vector
 from instance_reference import nonzeros, value
 
-from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
-                      HopfCoquasigroup, HopfQuasigroup, LongDimodule, Mat,
-                      RMap, Ten3)
+from hopfloop import (ActionData, CoactionData, HopfCoquasigroup,
+                      HopfQuasigroup, LongDimodule, Mat, RMap, Ten3)
 
 
 def smash_product(inp):
@@ -75,9 +74,8 @@ def smash_product(inp):
                                                   f.mul(c, f.mul(u, v1))))
 
     return HopfQuasigroup(
-        AlgebraData(Ten3.from_entries(f, n, mu_entries), vector(f, unit)),
-        CoalgebraData(Ten3.from_entries(f, n, delta_entries),
-                      vector(f, counit)),
+        Ten3.from_entries(f, n, mu_entries), vector(f, unit),
+        Ten3.from_entries(f, n, delta_entries), vector(f, counit),
         Mat(f, (n, n), s_entries))
 
 
@@ -136,9 +134,8 @@ def smash_coproduct(inp):
                                               f.mul(v, f.mul(u, w))))
 
     return HopfCoquasigroup(
-        AlgebraData(Ten3.from_entries(f, n, mu_entries), vector(f, unit)),
-        CoalgebraData(Ten3.from_entries(f, n, delta_entries),
-                      vector(f, counit)),
+        Ten3.from_entries(f, n, mu_entries), vector(f, unit),
+        Ten3.from_entries(f, n, delta_entries), vector(f, counit),
         Mat(f, (n, n), s_entries))
 
 

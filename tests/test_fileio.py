@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 import fileio_reference as reference
 from conftest import cyclic, inversion_action, loop7, s3_table, vector
 
-from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
-                      CosmashInput, GF, HopfCoquasigroup, HopfQuasigroup,
-                      LongDimodule, LoopTable, Mat, QQ, SmashInput, Ten3,
-                      dualize, loop_algebra)
+from hopfloop import (ActionData, CoactionData, CosmashInput, GF,
+                      HopfCoquasigroup, HopfQuasigroup, LongDimodule,
+                      LoopTable, Mat, QQ, SmashInput, Ten3, dualize,
+                      loop_algebra)
 from hopfloop import fileio
 from hopfloop.errors import HopfloopError, MalformedTable, ParseError
 
@@ -189,8 +189,8 @@ def structure_texts(draw):
         return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     cls = draw(st.sampled_from((HopfQuasigroup, HopfCoquasigroup)))
-    H = cls(AlgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
-            CoalgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
+    H = cls(Ten3(f, (n,) * 3, entries(3)), vec(),
+            Ten3(f, (n,) * 3, entries(3)), vec(),
             Mat(f, (n, n), entries(2)))
     return (reference.serialize_structure(H),)
 

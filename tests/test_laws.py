@@ -27,10 +27,10 @@ from test_module_laws import action_inputs, actions, dimodules, structures
 from test_structures import SCALARS, random_structures, s3_perturbations
 
 import hopfloop
-from hopfloop import (GF, QQ, ActionData, AlgebraData, CoactionData,
-                      CoalgebraData, CosmashInput, LongDimodule, Mat,
-                      SmashInput, SparseTensor, Ten3, build_from_comodule,
-                      build_from_quasimodule, check_adjunction,
+from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
+                      LongDimodule, Mat, SmashInput, SparseTensor, Ten3,
+                      build_from_comodule, build_from_quasimodule,
+                      check_adjunction,
                       check_antipode_colinear, check_antipode_linear,
                       check_cocommu, check_commu, check_comodcoass,
                       check_comodule, check_coqm_algebra,
@@ -134,8 +134,7 @@ def test_unit_and_counit_on_rank0_legs():
     H = loop_algebra(cyclic(2))
     act = ActionData.trivial(H, 3)
     assert evaluate((scalar, rank1), H, act=act).ok
-    bad = type(H)(H.alg, CoalgebraData(H.delta, vector(QQ, [2, 0])),
-                  H.antipode)
+    bad = type(H)(H.mu, H.unit, H.delta, vector(QQ, [2, 0]), H.antipode)
     rep = evaluate((scalar, rank1), bad, act=act)
     assert entry(rep, "eps.eta") == {
         "law": "eps.eta", "pass": False, "witness": {
@@ -212,7 +211,7 @@ def cancelling_counit(delta_00_11):
     H = loop_algebra(cyclic(2))
     delta = Ten3(QQ, (2, 2, 2), [(0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1),
                                  (0, 1, 1, QQ.from_int(delta_00_11))])
-    return type(H)(H.alg, CoalgebraData(delta, vector(QQ, [1, 1])), H.antipode)
+    return type(H)(H.mu, H.unit, delta, vector(QQ, [1, 1]), H.antipode)
 
 
 def test_terms_cancelling_to_zero_pass():
@@ -299,11 +298,11 @@ def cancelling_input():
     of the whole cosmash delta and S and d_map, sum to zero."""
     f = QQ
     H = HopfQuasigroup(
-        AlgebraData(Ten3(f, (2,) * 3, [(0, 0, 0, 1), (0, 1, 0, -1),
-                                       (1, 0, 1, 1), (1, 1, 1, -1)]),
-                    vector(f, [1, 0])),
-        CoalgebraData(Ten3(f, (2,) * 3, [(0, 0, 0, 1), (1, 0, 1, 1),
-                                         (1, 1, 1, 1)]), vector(f, [1, 1])),
+        Ten3(f, (2,) * 3, [(0, 0, 0, 1), (0, 1, 0, -1),
+                           (1, 0, 1, 1), (1, 1, 1, -1)]),
+        vector(f, [1, 0]),
+        Ten3(f, (2,) * 3, [(0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1)]),
+        vector(f, [1, 1]),
         Mat(f, (2, 2), [(0, 0, 1), (1, 1, 1)]))
     A = loop_algebra(cyclic(1))
     return (H, A, ActionData(f, (2, 1, 1), [(0, 0, 0, 1), (1, 0, 0, -1)]),
@@ -446,7 +445,7 @@ def test_build_on_rank0_legs():
     H = loop_algebra(cyclic(2))
     assert build(scalar, H).nz == {(): 1}
     for counit, nz in (([2, 0], {(): 2}), ([0, 1], {})):
-        bumped = type(H)(H.alg, CoalgebraData(H.delta, vector(QQ, counit)),
+        bumped = type(H)(H.mu, H.unit, H.delta, vector(QQ, counit),
                          H.antipode)
         assert build(scalar, bumped).nz == nz
 
@@ -525,8 +524,8 @@ def relabel(X, p, q=None):
         return SparseTensor(f, (n,), ((p[i], c) for (i,), c in v.nz.items()))
 
     return type(X)(
-        AlgebraData(ten3(X.mu), vec(X.unit)),
-        CoalgebraData(ten3(X.delta), vec(X.counit)),
+        ten3(X.mu), vec(X.unit),
+        ten3(X.delta), vec(X.counit),
         Mat(f, (n, n), ((p[i], p[j], c)
                         for (i, j), c in X.antipode.nz.items())))
 

@@ -15,9 +15,8 @@ import instance_reference as ref
 from conftest import cyclic, inversion_action, klein, perm_action, vector
 from test_structures import SCALARS
 
-from hopfloop import (GF, QQ, ActionData, AlgebraData, CoactionData,
-                      CoalgebraData, CosmashInput, HopfQuasigroup,
-                      LongDimodule, Mat, SmashInput, Ten3,
+from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
+                      HopfQuasigroup, LongDimodule, Mat, SmashInput, Ten3,
                       build_from_quasimodule, check_adjunction,
                       check_antipode_colinear, check_antipode_linear,
                       check_cocommu, check_commu, check_comodcoass,
@@ -50,8 +49,8 @@ def structures(draw, f, n):
         return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     return HopfQuasigroup(
-        AlgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
-        CoalgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
+        Ten3(f, (n,) * 3, entries(3)), vec(),
+        Ten3(f, (n,) * 3, entries(3)), vec(),
         Mat(f, (n, n), entries(2)))
 
 

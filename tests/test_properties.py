@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import vector
 
-from hopfloop import (GF, QQ, AlgebraData, CoalgebraData, HopfCoquasigroup,
-                      HopfQuasigroup, Mat, Ten3, dualize)
+from hopfloop import (GF, QQ, HopfCoquasigroup, HopfQuasigroup, Mat, Ten3,
+                      dualize)
 from hopfloop.fileio import load_structure, serialize_structure, write_text
 
 SCALARS = {
@@ -34,8 +34,8 @@ def structures(draw):
         return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     cls = draw(st.sampled_from((HopfQuasigroup, HopfCoquasigroup)))
-    return cls(AlgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
-               CoalgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
+    return cls(Ten3(f, (n,) * 3, entries(3)), vec(),
+               Ten3(f, (n,) * 3, entries(3)), vec(),
                Mat(f, (n, n), entries(2)))
 
 

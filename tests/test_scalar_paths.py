@@ -22,7 +22,6 @@ from hopfloop import (CoactionData, CosmashInput, QQ,
 from hopfloop.errors import ParseError
 from hopfloop.fields import RationalField
 from hopfloop.fileio import serialize_structure
-from hopfloop.structures import AlgebraData, CoalgebraData
 from hopfloop.tensors import Mat, Ten3
 
 
@@ -101,10 +100,10 @@ def _with_field(H, field, antipode_00):
     anti = [e for e in entries(H.antipode) if e[:2] != (0, 0)]
     anti.append((0, 0, field.parse(antipode_00)))
     return type(H)(
-        AlgebraData(Ten3(field, H.mu.dims, entries(H.mu)),
-                    vector(field, [conv(c) for c in H.unit.data])),
-        CoalgebraData(Ten3(field, H.delta.dims, entries(H.delta)),
-                      vector(field, [conv(c) for c in H.counit.data])),
+        Ten3(field, H.mu.dims, entries(H.mu)),
+        vector(field, [conv(c) for c in H.unit.data]),
+        Ten3(field, H.delta.dims, entries(H.delta)),
+        vector(field, [conv(c) for c in H.counit.data]),
         Mat(field, H.antipode.dims, anti))
 
 

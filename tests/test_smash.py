@@ -6,9 +6,9 @@ from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
                       s3_table, vector)
 from instance_reference import tensor_mul
 
-from hopfloop import (ActionData, AlgebraData, CoactionData, CoalgebraData,
-                      CosmashInput, Mat, QQ, SmashInput, Ten3,
-                      build_smash_coproduct, build_smash_product,
+from hopfloop import (ActionData, CoactionData, CosmashInput, Mat, QQ,
+                      SmashInput, Ten3, build_smash_coproduct,
+                      build_smash_product,
                       check_cocommu, check_commu, check_comodcoass,
                       check_hopf_coquasigroup, check_hopf_quasigroup,
                       check_modass, dualize, loop_algebra,
@@ -180,12 +180,10 @@ def rebase(H, P, Q):
     anti = [(c, a, Q[c][k] * v * P[i][a])
             for (k, i), v in H.antipode.nz.items() for a in R for c in R]
     return type(H)(
-        AlgebraData(Ten3.from_entries(f, H.dim, mu),
-                    vector(f, [sum(Q[c][i] * H.unit[i,] for i in R)
-                               for c in R])),
-        CoalgebraData(Ten3.from_entries(f, H.dim, delta),
-                      vector(f, [sum(P[i][a] * H.counit[i,] for i in R)
-                                 for a in R])),
+        Ten3.from_entries(f, H.dim, mu),
+        vector(f, [sum(Q[c][i] * H.unit[i,] for i in R) for c in R]),
+        Ten3.from_entries(f, H.dim, delta),
+        vector(f, [sum(P[i][a] * H.counit[i,] for i in R) for a in R]),
         Mat(f, H.antipode.dims, anti))
 
 

@@ -3,19 +3,21 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import structures_reference as ref
 from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
                       s3_table, vector)
 
-from hopfloop import (GF, AlgebraData, CoactionData, CoalgebraData,
-                      CosmashInput, Mat, QQ, SmashInput, SparseTensor, Ten3,
-                      build_smash_coproduct, build_smash_product,
+from hopfloop import (GF, CoactionData, CosmashInput, Mat, QQ, SmashInput,
+                      SparseTensor, Ten3, build_smash_coproduct,
+                      build_smash_product,
                       check_antipode_basic, check_bialgebra_compat,
                       check_coq_identities, check_hopf_coquasigroup,
                       check_hopf_quasigroup, check_quasi_identities,
                       check_unital_counital, dualize, loop_algebra)
+from hopfloop.errors import DimMismatch, FieldMismatch, HopfloopError
 from hopfloop.smash import SMASH_COPRODUCT, SMASH_PRODUCT, _structure
 from hopfloop.structures import (HopfCoquasigroup, HopfQuasigroup,
                                  _coq_maps, _delta_mult_holds, _quasi_maps,
@@ -58,12 +60,46 @@ def test_antipode_basic_laws():
 
 def test_zero_antipode_fails_convolution():
     H = loop_algebra(cyclic(2))
-    broken = HopfQuasigroup(H.alg, H.coalg, Mat(QQ, (2, 2), ()))
+    broken = HopfQuasigroup(H.mu, H.unit, H.delta, H.counit,
+                            Mat(QQ, (2, 2), ()))
     rep = check_antipode_basic(broken)
     conv = rep.law("antipode.conv_left")
     assert not conv.passed
     # the identity basis element already witnesses the failure
     assert conv.witness.indices == (0,)
+
+
+Q2, F2, Q3 = (loop_algebra(cyclic(2)), loop_algebra(cyclic(2), field=GF(5)),
+              loop_algebra(cyclic(3)))
+WIDE = Mat(QQ, (2, 3), ())
+
+
+@pytest.mark.parametrize("changed, error, message", [
+    ({"unit": Q3.unit}, DimMismatch, "mu/unit dims differ"),
+    ({"unit": F2.unit}, FieldMismatch, "cannot mix QQ and GF(5)"),
+    ({"counit": Q3.counit}, DimMismatch, "delta/counit dims differ"),
+    ({"delta": Q3.delta, "counit": Q3.counit}, DimMismatch,
+     "algebra/coalgebra dims differ"),
+    ({"antipode": WIDE}, DimMismatch, "antipode matrix dims"),
+    ({"delta": F2.delta}, FieldMismatch, "cannot mix GF(5) and QQ"),
+    ({"antipode": F2.antipode}, FieldMismatch, "cannot mix QQ and GF(5)"),
+    ({"unit": Q3.unit, "antipode": WIDE}, DimMismatch,
+     "mu/unit dims differ"),
+    ({"antipode": SparseTensor(QQ, (2, 2), [(0, 0, 1), (1, 1, 1)])},
+     DimMismatch, "antipode matrix dims"),
+], ids=["unit-dims", "unit-field", "counit-dims", "mu-delta-dims",
+        "antipode-dims", "delta-field", "antipode-field", "unit-first",
+        "antipode-not-a-matrix"])
+def test_constructor_refuses_mismatched_maps(changed, error, message):
+    """Q[C2]'s five maps with some replaced: the first failing check
+    decides the exception type and message, and an antipode that is not a
+    Mat is refused as one of the wrong dims."""
+    maps = {name: getattr(Q2, name)
+            for name in ("mu", "unit", "delta", "counit", "antipode")}
+    maps.update(changed)
+    with pytest.raises(HopfloopError) as exc:
+        HopfQuasigroup(**maps)
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 def test_dualize_involution_and_coq_suite():
@@ -98,7 +134,7 @@ def test_quasi_checker_reports_witness_on_corruption():
     bad_mu = [key + (c,) for key, c in H.mu.nz.items() if key != (1, 1, 0)]
     bad_mu.append((1, 1, 1, QQ.one))
     broken = HopfQuasigroup(
-        AlgebraData(Ten3.from_entries(QQ, 2, bad_mu), H.unit), H.coalg,
+        Ten3.from_entries(QQ, 2, bad_mu), H.unit, H.delta, H.counit,
         H.antipode)
     rep = check_quasi_identities(broken)
     assert not rep.ok
@@ -145,8 +181,8 @@ def random_structures(draw):
         return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     return HopfQuasigroup(
-        AlgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
-        CoalgebraData(Ten3(f, (n,) * 3, entries(3)), vec()),
+        Ten3(f, (n,) * 3, entries(3)), vec(),
+        Ten3(f, (n,) * 3, entries(3)), vec(),
         Mat(f, (n, n), entries(2)))
 
 
@@ -163,8 +199,8 @@ def s3_perturbations(draw):
     key = draw(st.tuples(*[idx] * len(t.dims)))
     parts[name] = type(t)(QQ, t.dims, [k + (c,) for k, c in t.nz.items()]
                           + [key + (bump,)])
-    return type(H)(AlgebraData(parts["mu"], parts["unit"]),
-                   CoalgebraData(parts["delta"], parts["counit"]),
+    return type(H)(parts["mu"], parts["unit"],
+                   parts["delta"], parts["counit"],
                    parts["antipode"])
 
 
@@ -208,11 +244,11 @@ def magma_algebra(f, t, s):
     counit 1, unit e_0 and S(e_h) = e_s[h]."""
     n = len(t)
     return HopfQuasigroup(
-        AlgebraData(Ten3(f, (n,) * 3, [(i, j, t[i][j], f.one)
-                                       for i in range(n) for j in range(n)]),
-                    SparseTensor(f, (n,), [(0, f.one)])),
-        CoalgebraData(Ten3(f, (n,) * 3, [(i, i, i, f.one) for i in range(n)]),
-                      vector(f, [f.one] * n)),
+        Ten3(f, (n,) * 3, [(i, j, t[i][j], f.one)
+                           for i in range(n) for j in range(n)]),
+        SparseTensor(f, (n,), [(0, f.one)]),
+        Ten3(f, (n,) * 3, [(i, i, i, f.one) for i in range(n)]),
+        vector(f, [f.one] * n),
         Mat(f, (n, n), [(s[h], h, f.one) for h in range(n)]))
 
 
@@ -354,8 +390,8 @@ def test_table_path_witnesses_on_failing_magma_dual():
 def test_dim_zero_structure_matches_reference():
     """The empty structure: every view is empty, every law holds."""
     f = QQ
-    H = HopfQuasigroup(AlgebraData(Ten3(f, (0, 0, 0), ()), vector(f, ())),
-                       CoalgebraData(Ten3(f, (0, 0, 0), ()), vector(f, ())),
+    H = HopfQuasigroup(Ten3(f, (0, 0, 0), ()), vector(f, ()),
+                       Ten3(f, (0, 0, 0), ()), vector(f, ()),
                        Mat(f, (0, 0), ()))
     assert H.mu.mul_rows == H.delta.comul_rows == ()
     assert_same_as_reference(H)
