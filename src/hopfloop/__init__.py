@@ -31,13 +31,13 @@ from .structures import (HopfCoquasigroup, HopfQuasigroup,
                          check_coq_identities, check_hopf_coquasigroup,
                          check_hopf_quasigroup, check_quasi_identities,
                          check_unital_counital, dualize)
-from .tensors import Mat, SparseTensor, Ten3
+from .tensors import SparseTensor
 
 __all__ = [
     "ActionData", "CoactionData", "GF", "HopfCoquasigroup", "HopfQuasigroup",
-    "LongDimodule", "LoopTable", "Mat",
+    "LongDimodule", "LoopTable",
     "OVER_COQUASIGROUP", "OVER_QUASIGROUP", "QQ", "RMap", "SparseTensor",
-    "Ten3", "VerificationReport", "build_from_comodule",
+    "VerificationReport", "build_from_comodule",
     "build_from_quasimodule", "check_adjunction", "check_antipode_basic",
     "check_antipode_colinear", "check_antipode_linear",
     "check_bialgebra_compat", "check_comodule", "check_compatibility",

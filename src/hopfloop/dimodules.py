@@ -34,7 +34,7 @@ from .fields import check_same_field
 from .laws import build, construction, evaluate, law
 from .report import VerificationReport, slab_witness
 from .structures import HopfQuasigroup
-from .tensors import Mat, _composer
+from .tensors import SparseTensor, _composer
 
 OVER_QUASIGROUP = "quasigroup"
 OVER_COQUASIGROUP = "coquasigroup"
@@ -214,7 +214,7 @@ def check_adjunction(H, D):
     return evaluate(ADJUNCTION, H, act=D.act, coact=D.coact)
 
 
-class RMap(Mat):
+class RMap(SparseTensor):
     """A linear endomorphism of M (x) M as a matrix on flattened pairs:
     R(e_j) = sum_i R[i, j] e_i."""
 
@@ -316,15 +316,15 @@ def check_d_equation(R):
     whole nd^3 x nd^3 product.  The witness is the least (l, m, n) whose
     images differ, with both images keyed by (x, y, z) triples.
 
-    When R is a basis map (`column_map`), each image is one basis triple
-    with coefficient one, so the slabs are first compared as lists of
-    ints, and only the least failing slab, or none, is contracted: it is
-    the first slab that fails in the contraction, which alone gives the
-    verdict and the witness.  Any other R contracts the slabs in order
-    up to the first that fails.
+    When R is a basis map (`R.basis_map(0)`), each image is one basis
+    triple with coefficient one, so the slabs are first compared as lists
+    of ints, and only the least failing slab, or none, is contracted: it
+    is the first slab that fails in the contraction, which alone gives the
+    verdict and the witness.  Any other R contracts the slabs in order up
+    to the first that fails.
     """
     nd = R.m_dim
-    r = R.column_map
+    r = R.basis_map(0)
     slabs = range(nd) if r is None else _first_failing_slab(r, nd)
     witness = _first_witness(R, slabs) if slabs else None
     rep = VerificationReport()

@@ -16,7 +16,7 @@ from .fields import GF, QQ
 from .loops import LoopTable
 from .smash import CosmashInput, SmashInput
 from .structures import HopfCoquasigroup, HopfQuasigroup
-from .tensors import Mat, SparseTensor, Ten3
+from .tensors import SparseTensor
 
 _STRUCT_HEADERS = {"hopfqg": HopfQuasigroup, "hopfcoqg": HopfCoquasigroup}
 _SECTIONS = ("mu", "delta", "unit", "counit", "antipode")
@@ -189,14 +189,12 @@ def parse_structure(text):
             field, sections[name], (n,) * count, name,
             lambda no, line, toks: tuple(_parse_indices(toks, count, n, no)))
 
-    def tensor(kind, name, dims):
-        return kind._from_nz(field, dims, entries(name, len(dims)))
+    def tensor(name, dims):
+        return SparseTensor._from_nz(field, dims, entries(name, len(dims)))
 
-    return cls(tensor(Ten3, "mu", (n, n, n)),
-               tensor(SparseTensor, "unit", (n,)),
-               tensor(Ten3, "delta", (n, n, n)),
-               tensor(SparseTensor, "counit", (n,)),
-               tensor(Mat, "antipode", (n, n)))
+    return cls(tensor("mu", (n, n, n)), tensor("unit", (n,)),
+               tensor("delta", (n, n, n)), tensor("counit", (n,)),
+               tensor("antipode", (n, n)))
 
 
 def _field_line(field):

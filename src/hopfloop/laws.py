@@ -87,6 +87,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import prod
 
+from .errors import DimMismatch
 from .report import VerificationReport, differ, slab_witness
 from .tensors import SparseTensor
 
@@ -348,19 +349,27 @@ def _function(head, lines):
 def _inputs(names, H, A, act, coact, act_B=None, coact_B=None):
     """The dims of the legs H, A and B, and the fibres of the maps `names`:
     A is the carrier of `act` or `coact`, else the target A, and B that of
-    `act_B` or `coact_B`."""
+    `act_B` or `coact_B`.  DimMismatch unless every action and coaction
+    has the dims of its legs, both carrier legs alike."""
+    nH = H.dim
     carrier = act if act is not None else coact
     nA = (carrier.m_dim if carrier is not None
           else A.dim if A is not None else 0)
     carrier = act_B if act_B is not None else coact_B
     nB = carrier.m_dim if carrier is not None else 0
+    if (act is not None and act.dims != (nH, nA, nA)
+            or coact is not None and coact.dims != (nA, nA, nH)
+            or act_B is not None and act_B.dims != (nH, nB, nB)
+            or coact_B is not None and coact_B.dims != (nB, nB, nH)):
+        raise DimMismatch("action or coaction dims do not match legs H, A, "
+                          f"B of dims {nH}, {nA}, {nB}")
     maps = {"act": act, "coact": coact, "act_B": act_B, "coact_B": coact_B}
     fibres = {"swap": None}
     for name in names:
         if name != "swap":
             X = maps.get(name, A if name.endswith("_A") else H)
             fibres[name] = _FIBRES[name.partition("_")[0]](X)
-    return {"H": H.dim, "A": nA, "B": nB}, fibres
+    return {"H": nH, "A": nA, "B": nB}, fibres
 
 
 def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):

@@ -10,8 +10,7 @@ from .errors import BudgetExceeded, MalformedTable, NotIPLoop
 from .fields import QQ
 from .report import VerificationReport, Witness
 from .structures import HopfQuasigroup
-from .tensors import (Mat, SparseTensor, Ten3, assoc_mismatches, mismatches,
-                      quasi_rows)
+from .tensors import SparseTensor, assoc_mismatches, mismatches, quasi_rows
 
 SEARCH_MAX_ORDER = 9
 
@@ -141,13 +140,14 @@ def loop_algebra(T, field=QQ):
     n = T.n
     f = field
     rows = T.rows
-    mu = Ten3._from_nz(f, (n, n, n), {(i, j, rows[i][j]): f.one
-                                      for i in range(n) for j in range(n)})
-    delta = Ten3._from_nz(f, (n, n, n), {(i, i, i): f.one for i in range(n)})
+    mu = SparseTensor._from_nz(f, (n, n, n), {
+        (i, j, rows[i][j]): f.one for i in range(n) for j in range(n)})
+    delta = SparseTensor._from_nz(f, (n, n, n),
+                                  {(i, i, i): f.one for i in range(n)})
     unit = SparseTensor._from_nz(f, (n,), {(0,): f.one})
     counit = SparseTensor._from_nz(f, (n,), {(i,): f.one for i in range(n)})
-    anti = Mat._from_nz(f, (n, n), {(T.inverse_of(a), a): f.one
-                                    for a in range(n)})
+    anti = SparseTensor._from_nz(f, (n, n), {(T.inverse_of(a), a): f.one
+                                             for a in range(n)})
     return HopfQuasigroup(mu, unit, delta, counit, anti)
 
 

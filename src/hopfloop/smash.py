@@ -22,7 +22,6 @@ from .laws import build, construction, evaluate, law
 from .report import VerificationReport
 from .structures import (HopfCoquasigroup, HopfQuasigroup,
                          check_hopf_coquasigroup, check_hopf_quasigroup)
-from .tensors import Mat, SparseTensor, Ten3
 
 
 COCOMMU = (
@@ -60,9 +59,7 @@ SMASH_COPRODUCT = (
 def _structure(kind, maps, H, A, act=None, coact=None):
     """The structure `kind` whose mu, eta, delta, eps and S are the
     constructions `maps` over H, A and the (co)action."""
-    mu, eta, delta, eps, anti = (
-        build(con, H, A, act, coact, cls) for con, cls in zip(maps, (
-            Ten3, SparseTensor, Ten3, SparseTensor, Mat)))
+    mu, eta, delta, eps, anti = (build(con, H, A, act, coact) for con in maps)
     return kind(mu, eta, delta, eps, anti.transpose())
 
 

@@ -1,8 +1,8 @@
 """Hopf quasigroups and coquasigroups as structure-constant tensors.
 
-A structure is its five maps over one exact field: the product mu and
-coproduct delta as tensors of dims (n, n, n), the unit and counit as
-tensors of dims (n,), and the antipode matrix.
+A structure is its five maps over one exact field, each a plain
+`SparseTensor`: the product mu and coproduct delta of dims (n, n, n), the
+unit and counit of dims (n,), and the antipode matrix of dims (n, n).
 Each of its 22 laws is declared as an equation between two chains of mu,
 delta, S, eta and eps (`hopfloop.laws`) and checked by `laws.evaluate` over
 every basis tuple, with a witness on the first mismatch per law.
@@ -34,8 +34,8 @@ from .errors import DimMismatch
 from .fields import check_same_field
 from .laws import evaluate, law
 from .report import VerificationReport
-from .tensors import (Mat, Ten3, assoc_mismatches, assoc_sides, mismatches,
-                      quasi_rows)
+from .tensors import (SparseTensor, assoc_mismatches, assoc_sides,
+                      mismatches, quasi_rows)
 
 
 class HopfStructure:
@@ -43,16 +43,19 @@ class HopfStructure:
     counit and antipode on one space of dim `dim` over `field`."""
 
     def __init__(self, mu, unit, delta, counit, antipode):
-        n = mu.dim
+        for name, t in (("mu", mu), ("delta", delta)):
+            if len(t.dims) != 3 or len(set(t.dims)) != 1:
+                raise DimMismatch(f"{name} dims {t.dims} are not (n, n, n)")
+        n = mu.dims[0]
         if unit.dims != (n,):
             raise DimMismatch("mu/unit dims differ")
         check_same_field(mu.field, unit.field)
-        if counit.dims != (delta.dim,):
+        if counit.dims != delta.dims[:1]:
             raise DimMismatch("delta/counit dims differ")
         check_same_field(delta.field, counit.field)
-        if delta.dim != n:
+        if delta.dims[0] != n:
             raise DimMismatch("algebra/coalgebra dims differ")
-        if not isinstance(antipode, Mat) or antipode.dims != (n, n):
+        if antipode.dims != (n, n):
             raise DimMismatch("antipode matrix dims")
         check_same_field(mu.field, delta.field)
         check_same_field(mu.field, antipode.field)
@@ -82,15 +85,15 @@ class HopfCoquasigroup(HopfStructure):
 # assoc's (i, j, k), the h of quasi's (h, g).  Its witness is the least
 # failing instance.  Two shortcuts read the shape of the tensors first.
 #
-# The table paths (see the module docstring for when they apply) read the
-# basis-map views mu.mul_rows, delta.comul_rows, antipode.column_map and
-# antipode.row_map.  Both sides of every instance are then single basis
-# vectors, so a law's failing slabs are found by composing and comparing
-# integer rows (tensors.assoc_sides, tensors.quasi_rows).  The tables
-# only pick slabs: `evaluate` is given the first failing slab, or none, as
-# `firsts`, and the declaration decides that slab, so verdict and witness
-# are the ones the walk over every slab gives.  Mismatches are produced
-# lazily and never stored.
+# The table paths (see the module docstring for when they apply) read one
+# cached view, SparseTensor.basis_map: mu.basis_map(2), delta.basis_map(0)
+# (the product of the dual), antipode.basis_map(0) and (1).  Both sides of
+# every instance are then single basis vectors, so a law's failing slabs
+# are found by composing and comparing integer rows (tensors.assoc_sides,
+# tensors.quasi_rows).  The tables only pick slabs: `evaluate` is given the
+# first failing slab, or none, as `firsts`, and the declaration decides
+# that slab, so verdict and witness are the ones the walk over every slab
+# gives.  Mismatches are produced lazily and never stored.
 #
 # * assoc and quasi*: the first mismatch is in the first failing slab, the
 #   i of assoc's (i, j, k), the h of quasi's (h, g), and no later row is
@@ -190,7 +193,7 @@ def check_unital_counital(H):
 
 def check_associativity(H, informational=False):
     """(xy)z = x(yz) over all basis triples, with a witness triple."""
-    rows, firsts = H.mu.mul_rows, None
+    rows, firsts = H.mu.basis_map(2), None
     if rows is not None:
         firsts = [_first_slab(assoc_mismatches(rows))]
     return evaluate((ASSOC[informational],), H, firsts=firsts)
@@ -198,7 +201,7 @@ def check_associativity(H, informational=False):
 
 def check_coassociativity(H, informational=False):
     """(delta (x) id) delta = (id (x) delta) delta over all basis vectors."""
-    rows, firsts = H.delta.comul_rows, None
+    rows, firsts = H.delta.basis_map(0), None
     if rows is not None:
         # delta is coassociative exactly when its transpose, the product
         # of the dual, is associative
@@ -214,8 +217,8 @@ def _delta_mult_holds(H):
     is the transpose of delta and whose coproduct is the transpose of mu.
     So it also holds when delta transposes to a basis map and mu is
     diagonal, the dual of the first shape."""
-    return ((H.mu.mul_rows is not None and H.delta.is_diagonal())
-            or (H.delta.comul_rows is not None and H.mu.is_diagonal()))
+    return ((H.mu.basis_map(2) is not None and H.delta.is_diagonal())
+            or (H.delta.basis_map(0) is not None and H.mu.is_diagonal()))
 
 
 def check_bialgebra_compat(H):
@@ -228,11 +231,11 @@ def _table_maps(rows, s, diag, ones):
     """(rows, s) when the quasi identities read from them compose basis
     maps: rows and s basis-map views, the tensor `diag` diagonal and the
     tensor `ones`, of dims (n,), 1 on every basis vector; else None.  For
-    quasi* these are mu.mul_rows, S.column_map, delta and the counit; for
-    coq*, the same views of dualize(H) read from H: delta.comul_rows,
-    S.row_map, mu and the unit, since the coq identities of H are the
-    transposes of the quasi identities of its dual and each holds exactly
-    when its dual holds."""
+    quasi* these are mu.basis_map(2), S.basis_map(0), delta and the
+    counit; for coq*, the same views of dualize(H) read from H:
+    delta.basis_map(0), S.basis_map(1), mu and the unit, since the coq
+    identities of H are the transposes of the quasi identities of its dual
+    and each holds exactly when its dual holds."""
     one = ones.field.one
     if (rows is None or s is None or not diag.is_diagonal()
             or len(ones.nz) != ones.dims[0]
@@ -242,12 +245,13 @@ def _table_maps(rows, s, diag, ones):
 
 
 def _quasi_maps(H):
-    return _table_maps(H.mu.mul_rows, H.antipode.column_map, H.delta,
+    return _table_maps(H.mu.basis_map(2), H.antipode.basis_map(0), H.delta,
                        H.counit)
 
 
 def _coq_maps(H):
-    return _table_maps(H.delta.comul_rows, H.antipode.row_map, H.mu, H.unit)
+    return _table_maps(H.delta.basis_map(0), H.antipode.basis_map(1), H.mu,
+                       H.unit)
 
 
 def _quasi_sides(maps):
@@ -324,9 +328,9 @@ def dualize(H):
     """
     f = H.field
     n = H.dim
-    mu = Ten3._from_nz(
+    mu = SparseTensor._from_nz(
         f, (n, n, n), {(i, j, k): c for (k, i, j), c in H.delta.nz.items()})
-    delta = Ten3._from_nz(
+    delta = SparseTensor._from_nz(
         f, (n, n, n), {(i, j, k): c for (j, k, i), c in H.mu.nz.items()})
     cls = HopfCoquasigroup if isinstance(H, HopfQuasigroup) else HopfQuasigroup
     return cls(mu, H.counit, delta, H.unit, H.antipode.transpose())

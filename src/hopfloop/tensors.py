@@ -14,16 +14,20 @@ Index conventions, used identically everywhere:
 
 * as a multiplication, ``e_i * e_j = sum_k T[i, j, k] e_k``;
 * as a comultiplication, ``delta(e_i) = sum_{j,k} T[i, j, k] e_j (x) e_k``;
-* as a matrix, ``S(e_j) = sum_i S[i, j] e_i``;
+* as a matrix, ``S(e_j) = sum_i S[i, j] e_i``: column j lists the image
+  of e_j;
 * the tensor product of spaces of dims (m, n) is flattened row-major,
   ``(i, j) -> i * n + j``.
 
 A tensor that sends every input to one basis vector with coefficient one
-also has a basis-map view, the output index of each input as a plain int,
-and None for any other tensor: the product of a magma algebra, the
-coproduct of its dual read through the transpose, an antipode that sends
-basis vectors to basis vectors.  Laws over such maps are decided by
-composing and comparing integer rows (`assoc_mismatches`, `quasi_rows`).
+also has a basis-map view, `basis_map(out)`: the output index on leg `out`
+of each input on the other legs, as plain ints nested by those legs, and
+None for any other tensor.  The product of a magma algebra is
+`mu.basis_map(2)`, the coproduct of its dual read through the transpose
+`delta.basis_map(0)`, and an antipode that sends basis vectors to basis
+vectors `S.basis_map(0)`, or `S.basis_map(1)` for its transpose.  Laws
+over such maps are decided by composing and comparing integer rows
+(`assoc_mismatches`, `quasi_rows`).
 
 A unit or counit is a tensor of dims (n,): read as a counit, its fibres
 are those of `_by_first`, one ((), coeff) pair or none per basis vector;
@@ -137,11 +141,22 @@ class SparseTensor:
             out[j].append((i, c))
         return tuple(map(tuple, out))
 
-    def _basis_map(self, out):
-        """This tensor as a map from its other legs to leg `out`: a tuple
-        over the other legs' row-major flat index x, holding the k with
-        x -> e_k.  None unless every input goes to exactly one basis vector
-        with coefficient one."""
+    def basis_map(self, out):
+        """This tensor as a map from its other legs to leg `out`: the k with
+        e_x -> e_k for each input x, nested by the other legs as the fibres
+        are ([x] -> k on a matrix, [x][y] -> k on an order-3 tensor).  None
+        unless every input goes to one basis vector with coefficient one.
+        Cached per `out`."""
+        views = self._basis_maps
+        if out not in views:
+            views[out] = self._find_basis_map(out)
+        return views[out]
+
+    @cached_property
+    def _basis_maps(self):
+        return {}
+
+    def _find_basis_map(self, out):
         dims, one = self.dims, self.field.one
         rest = dims[:out] + dims[out + 1:]
         size = prod(rest)
@@ -155,65 +170,28 @@ class SparseTensor:
             if c != one or flat[x] is not None:
                 return None
             flat[x] = key[out]
-        return tuple(flat)
-
-
-class Mat(SparseTensor):
-    """A matrix; column j lists the image of e_j."""
-
-    @cached_property
-    def column_map(self):
-        """s[j] = i when S(e_j) = e_i for every j, else None."""
-        return self._basis_map(0)
-
-    @cached_property
-    def row_map(self):
-        """s[i] = j when row i holds one entry, a one in column j, for
-        every i (the column map of the transpose), else None."""
-        return self._basis_map(1)
+        return _nested(flat, rest)
 
     def transpose(self):
-        return type(self)._from_nz(self.field, self.dims[::-1],
-                            {(j, i): c for (i, j), c in self.nz.items()})
-
-
-class Ten3(SparseTensor):
-    """A cubical order-3 tensor: a product or a coproduct."""
-
-    @classmethod
-    def from_entries(cls, field, n, entries):
-        """Build from an iterable of (i, j, k, coeff), zeros elsewhere."""
-        return cls(field, (n, n, n), entries)
-
-    @property
-    def dim(self):
-        return self.dims[0]
-
-    @cached_property
-    def mul_rows(self):
-        """Product view as integer rows: mul_rows[i][j] = k when
-        e_i e_j = e_k for every pair, else None."""
-        return self._rows(2)
-
-    @cached_property
-    def comul_rows(self):
-        """Coproduct view through the transpose: comul_rows[a][b] = i when
-        e_a (x) e_b occurs in exactly one delta(e_i), with coefficient one,
-        for every pair; else None.  It is the mul_rows of the dual."""
-        return self._rows(0)
-
-    def _rows(self, out):
-        flat, n = self._basis_map(out), self.dims[0]
-        if flat is None:
-            return None
-        return tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        """The transpose of a matrix."""
+        nz = {(j, i): c for (i, j), c in self.nz.items()}
+        return type(self)._from_nz(self.field, self.dims[::-1], nz)
 
     def is_diagonal(self):
-        """T[i, i, i] = 1 for every i and no other nonzero: a grouplike
+        """T[i, ..., i] = 1 for every i and no other nonzero: a grouplike
         coproduct, or the product of a function algebra."""
-        one, nz = self.field.one, self.nz
-        return len(nz) == self.dims[0] and all(
-            nz.get((i, i, i)) == one for i in range(self.dims[0]))
+        one, nz, n, r = self.field.one, self.nz, self.dims[0], len(self.dims)
+        return len(nz) == n and all(nz.get((i,) * r) == one for i in range(n))
+
+
+def _nested(flat, dims):
+    """The row-major list `flat` over `dims` as nested tuples, grouped
+    from the last leg out."""
+    flat = tuple(flat)
+    for k in range(len(dims) - 1, 0, -1):
+        d = dims[k]
+        flat = tuple([flat[i * d:(i + 1) * d] for i in range(prod(dims[:k]))])
+    return flat
 
 
 # --- basis maps as integer tables -------------------------------------------

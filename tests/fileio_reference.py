@@ -13,7 +13,7 @@ from hopfloop.errors import ParseError
 from hopfloop.fileio import (_SECTIONS, _STRUCT_HEADERS, _check_dims,
                              _field_line, _parse_field_line)
 from hopfloop.structures import HopfQuasigroup
-from hopfloop.tensors import Mat, SparseTensor, Ten3
+from hopfloop.tensors import SparseTensor
 
 
 class _Lines:
@@ -122,11 +122,11 @@ def parse_structure(text):
         return kind(field, dims, (key + (c,) for key, c in
                                   entries(name, len(dims)).items()))
 
-    return cls(tensor(Ten3, "mu", (n, n, n)),
+    return cls(tensor(SparseTensor, "mu", (n, n, n)),
                tensor(SparseTensor, "unit", (n,)),
-               tensor(Ten3, "delta", (n, n, n)),
+               tensor(SparseTensor, "delta", (n, n, n)),
                tensor(SparseTensor, "counit", (n,)),
-               tensor(Mat, "antipode", (n, n)))
+               tensor(SparseTensor, "antipode", (n, n)))
 
 
 def _entry_lines(tensor):

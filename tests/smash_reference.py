@@ -12,7 +12,7 @@ from conftest import vector
 from instance_reference import nonzeros, value
 
 from hopfloop import (ActionData, CoactionData, HopfCoquasigroup,
-                      HopfQuasigroup, LongDimodule, Mat, RMap, Ten3)
+                      HopfQuasigroup, LongDimodule, RMap, SparseTensor)
 
 
 def smash_product(inp):
@@ -74,9 +74,9 @@ def smash_product(inp):
                                                   f.mul(c, f.mul(u, v1))))
 
     return HopfQuasigroup(
-        Ten3.from_entries(f, n, mu_entries), vector(f, unit),
-        Ten3.from_entries(f, n, delta_entries), vector(f, counit),
-        Mat(f, (n, n), s_entries))
+        SparseTensor(f, (n,) * 3, mu_entries), vector(f, unit),
+        SparseTensor(f, (n,) * 3, delta_entries), vector(f, counit),
+        SparseTensor(f, (n, n), s_entries))
 
 
 def smash_coproduct(inp):
@@ -134,9 +134,9 @@ def smash_coproduct(inp):
                                               f.mul(v, f.mul(u, w))))
 
     return HopfCoquasigroup(
-        Ten3.from_entries(f, n, mu_entries), vector(f, unit),
-        Ten3.from_entries(f, n, delta_entries), vector(f, counit),
-        Mat(f, (n, n), s_entries))
+        SparseTensor(f, (n,) * 3, mu_entries), vector(f, unit),
+        SparseTensor(f, (n,) * 3, delta_entries), vector(f, counit),
+        SparseTensor(f, (n, n), s_entries))
 
 
 def d_map(D):

@@ -12,10 +12,10 @@ from test_acceptance import _dimodule_fixture_set
 from hopfloop import (GF, QQ, ActionData, CoactionData, LongDimodule,
                       OVER_COQUASIGROUP, OVER_QUASIGROUP, RMap,
                       build_from_comodule, build_from_quasimodule,
-                      check_adjunction, check_d_equation,
+                      check_adjunction, check_comodule, check_d_equation,
                       check_lemma_identities,
-                      check_long_dimodule, d_map, dualize, loop_algebra,
-                      search_ip_loops,
+                      check_long_dimodule, check_quasimodule, d_map,
+                      dualize, loop_algebra, search_ip_loops,
                       tensor_dimodule, trivial_action_dimodule,
                       trivial_coaction_dimodule, unit_dimodule)
 from hopfloop.errors import DimMismatch, FieldMismatch, HMismatch
@@ -117,6 +117,28 @@ def test_adjunction_refuses_other_field(H2):
     with pytest.raises(HMismatch):
         check_adjunction(loop_algebra(cyclic(2), field=GF(5)),
                          free_dimodule(H2))
+
+
+def test_carrier_legs_of_two_dims_are_refused(H2):
+    """An action of dims (2, 2, 3) or a coaction of dims (2, 3, 2) over
+    Q[C2] has carrier legs of two dims: each checker, builder and
+    dimodule that reads it raises DimMismatch, rather than reading fibres
+    of the wrong length or building a dimodule of the wrong dim."""
+    act = ActionData(QQ, (2, 2, 3), [(h, m, m, 1) for h in range(2)
+                                     for m in range(2)])
+    coact = CoactionData(QQ, (2, 3, 2), [(m, m, 0, 1) for m in range(2)])
+    D_act = LongDimodule(H2, act, CoactionData.trivial(H2, 2))
+    D_coact = LongDimodule(H2, ActionData.trivial(H2, 2), coact)
+    for call, args in ((check_quasimodule, (H2, act)),
+                       (check_comodule, (H2, coact)),
+                       (build_from_quasimodule, (H2, act)),
+                       (build_from_comodule, (H2, coact)),
+                       (check_long_dimodule, (D_act,)),
+                       (check_long_dimodule, (D_coact,))):
+        with pytest.raises(DimMismatch) as exc:
+            call(*args)
+        assert str(exc.value) == ("action or coaction dims do not match "
+                                  "legs H, A, B of dims 2, 2, 0")
 
 
 def test_d_equation_small_carrier(H2):
@@ -289,7 +311,7 @@ def basis_rmaps(draw):
 @example(basis_rmap(QQ, 1, [0]))
 @example(basis_rmap(GF(5), 3, [0, 1, 2, 3, 4, 5, 6, 8, 7]))
 def test_d_equation_on_basis_maps_matches_reference(R):
-    assert R.column_map is not None
+    assert R.basis_map(0) is not None
     assert_same_as_reference(R)
 
 
@@ -300,7 +322,7 @@ def test_d_equation_off_basis_maps_matches_reference(R, data):
     one column zeroed.  Each leaves basis mode."""
     f, d = R.field, R.dim
     j = data.draw(st.integers(0, d - 1))
-    i = R.column_map[j]
+    i = R.basis_map(0)[j]
     nz = dict(R.nz)
     kinds = ["coefficient", "zero"] + (["second"] if d > 1 else [])
     kind = data.draw(st.sampled_from(kinds))
@@ -311,7 +333,7 @@ def test_d_equation_off_basis_maps_matches_reference(R, data):
     else:
         nz[(i + data.draw(st.integers(1, d - 1))) % d, j] = f.one
     R = RMap(f, R.m_dim, [key + (c,) for key, c in nz.items()])
-    assert R.column_map is None
+    assert R.basis_map(0) is None
     assert_same_as_reference(R)
 
 
@@ -331,7 +353,7 @@ def test_d_equation_on_permutation_dimodules_matches_reference(field):
                         for A in factors for B in graded]:
         assert D.dim <= 12
         R = d_map(D)
-        assert R.column_map is not None
+        assert R.basis_map(0) is not None
         assert_same_as_reference(R)
         verdicts.add(check_d_equation(R).ok)
     assert verdicts == {True, False}
@@ -346,7 +368,7 @@ def test_d_equation_basis_map_memory_and_witness_dim49():
     both sides would take several."""
     H7 = loop_algebra(loop7())
     R = d_map(build_from_quasimodule(H7, ActionData.from_mu(H7)))
-    r = list(R.column_map)
+    r = list(R.basis_map(0))
     r[2399], r[2400] = r[2400], r[2399]
     swapped = basis_rmap(R.field, R.m_dim, r)
     for X, ok in ((R, True), (swapped, False)):
@@ -466,9 +488,9 @@ def test_d_equation_stops_after_the_first_failing_slab(monkeypatch):
     H7 = loop_algebra(loop7())
     R = d_map(build_from_quasimodule(H7, ActionData.from_mu(H7)))
     nz = dict(R.nz)
-    nz[R.column_map[0], 0] = R.field.from_int(2)
+    nz[R.basis_map(0)[0], 0] = R.field.from_int(2)
     R = RMap(R.field, R.m_dim, [key + (c,) for key, c in nz.items()])
-    assert R.column_map is None
+    assert R.basis_map(0) is None
     columns = []
 
     class Counted(tuple):

@@ -8,7 +8,7 @@ from conftest import cyclic, inversion_action, loop7, s3_table, vector
 
 from hopfloop import (ActionData, CoactionData, CosmashInput, GF,
                       HopfCoquasigroup, HopfQuasigroup, LongDimodule,
-                      LoopTable, Mat, QQ, SmashInput, Ten3, dualize,
+                      LoopTable, QQ, SmashInput, SparseTensor, dualize,
                       loop_algebra)
 from hopfloop import fileio
 from hopfloop.errors import HopfloopError, MalformedTable, ParseError
@@ -189,9 +189,9 @@ def structure_texts(draw):
         return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     cls = draw(st.sampled_from((HopfQuasigroup, HopfCoquasigroup)))
-    H = cls(Ten3(f, (n,) * 3, entries(3)), vec(),
-            Ten3(f, (n,) * 3, entries(3)), vec(),
-            Mat(f, (n, n), entries(2)))
+    H = cls(SparseTensor(f, (n,) * 3, entries(3)), vec(),
+            SparseTensor(f, (n,) * 3, entries(3)), vec(),
+            SparseTensor(f, (n, n), entries(2)))
     return (reference.serialize_structure(H),)
 
 

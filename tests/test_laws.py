@@ -28,7 +28,7 @@ from test_structures import SCALARS, random_structures, s3_perturbations
 
 import hopfloop
 from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
-                      LongDimodule, Mat, SmashInput, SparseTensor, Ten3,
+                      LongDimodule, SmashInput, SparseTensor,
                       build_from_comodule, build_from_quasimodule,
                       check_adjunction,
                       check_antipode_colinear, check_antipode_linear,
@@ -209,8 +209,9 @@ def cancelling_counit(delta_00_11):
     (eps (x) id)delta(e_0) = e_0 + (1 + c) e_1, whose e_1 term is an
     explicit zero for c = -1."""
     H = loop_algebra(cyclic(2))
-    delta = Ten3(QQ, (2, 2, 2), [(0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1),
-                                 (0, 1, 1, QQ.from_int(delta_00_11))])
+    delta = SparseTensor(QQ, (2, 2, 2), [
+        (0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1),
+        (0, 1, 1, QQ.from_int(delta_00_11))])
     return type(H)(H.mu, H.unit, delta, vector(QQ, [1, 1]), H.antipode)
 
 
@@ -298,12 +299,13 @@ def cancelling_input():
     of the whole cosmash delta and S and d_map, sum to zero."""
     f = QQ
     H = HopfQuasigroup(
-        Ten3(f, (2,) * 3, [(0, 0, 0, 1), (0, 1, 0, -1),
-                           (1, 0, 1, 1), (1, 1, 1, -1)]),
+        SparseTensor(f, (2,) * 3, [(0, 0, 0, 1), (0, 1, 0, -1),
+                                   (1, 0, 1, 1), (1, 1, 1, -1)]),
         vector(f, [1, 0]),
-        Ten3(f, (2,) * 3, [(0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1)]),
+        SparseTensor(f, (2,) * 3,
+                     [(0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1)]),
         vector(f, [1, 1]),
-        Mat(f, (2, 2), [(0, 0, 1), (1, 1, 1)]))
+        SparseTensor(f, (2, 2), [(0, 0, 1), (1, 1, 1)]))
     A = loop_algebra(cyclic(1))
     return (H, A, ActionData(f, (2, 1, 1), [(0, 0, 0, 1), (1, 0, 0, -1)]),
             CoactionData(f, (1, 1, 2), [(0, 0, 0, 1), (0, 0, 1, 1)]))
@@ -517,8 +519,8 @@ def relabel(X, p, q=None):
     n = X.dim
 
     def ten3(t):
-        return Ten3(f, (n,) * 3, ((p[i], p[j], p[k], c)
-                                  for (i, j, k), c in t.nz.items()))
+        return SparseTensor(f, (n,) * 3, ((p[i], p[j], p[k], c)
+                                          for (i, j, k), c in t.nz.items()))
 
     def vec(v):
         return SparseTensor(f, (n,), ((p[i], c) for (i,), c in v.nz.items()))
@@ -526,8 +528,8 @@ def relabel(X, p, q=None):
     return type(X)(
         ten3(X.mu), vec(X.unit),
         ten3(X.delta), vec(X.counit),
-        Mat(f, (n, n), ((p[i], p[j], c)
-                        for (i, j), c in X.antipode.nz.items())))
+        SparseTensor(f, (n, n), ((p[i], p[j], c)
+                                 for (i, j), c in X.antipode.nz.items())))
 
 
 def law_verdicts(H, A, act):

@@ -16,7 +16,7 @@ from conftest import cyclic, inversion_action, klein, perm_action, vector
 from test_structures import SCALARS
 
 from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
-                      HopfQuasigroup, LongDimodule, Mat, SmashInput, Ten3,
+                      HopfQuasigroup, LongDimodule, SmashInput, SparseTensor,
                       build_from_quasimodule, check_adjunction,
                       check_antipode_colinear, check_antipode_linear,
                       check_cocommu, check_commu, check_comodcoass,
@@ -49,9 +49,9 @@ def structures(draw, f, n):
         return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     return HopfQuasigroup(
-        Ten3(f, (n,) * 3, entries(3)), vec(),
-        Ten3(f, (n,) * 3, entries(3)), vec(),
-        Mat(f, (n, n), entries(2)))
+        SparseTensor(f, (n,) * 3, entries(3)), vec(),
+        SparseTensor(f, (n,) * 3, entries(3)), vec(),
+        SparseTensor(f, (n, n), entries(2)))
 
 
 @st.composite

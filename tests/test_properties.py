@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import vector
 
-from hopfloop import (GF, QQ, HopfCoquasigroup, HopfQuasigroup, Mat, Ten3,
+from hopfloop import (GF, QQ, HopfCoquasigroup, HopfQuasigroup, SparseTensor,
                       dualize)
 from hopfloop.fileio import load_structure, serialize_structure, write_text
 
@@ -34,9 +34,9 @@ def structures(draw):
         return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     cls = draw(st.sampled_from((HopfQuasigroup, HopfCoquasigroup)))
-    return cls(Ten3(f, (n,) * 3, entries(3)), vec(),
-               Ten3(f, (n,) * 3, entries(3)), vec(),
-               Mat(f, (n, n), entries(2)))
+    return cls(SparseTensor(f, (n,) * 3, entries(3)), vec(),
+               SparseTensor(f, (n,) * 3, entries(3)), vec(),
+               SparseTensor(f, (n, n), entries(2)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -22,7 +22,7 @@ from hopfloop import (CoactionData, CosmashInput, QQ,
 from hopfloop.errors import ParseError
 from hopfloop.fields import RationalField
 from hopfloop.fileio import serialize_structure
-from hopfloop.tensors import Mat, Ten3
+from hopfloop.tensors import SparseTensor
 
 
 class FractionField(RationalField):
@@ -100,11 +100,11 @@ def _with_field(H, field, antipode_00):
     anti = [e for e in entries(H.antipode) if e[:2] != (0, 0)]
     anti.append((0, 0, field.parse(antipode_00)))
     return type(H)(
-        Ten3(field, H.mu.dims, entries(H.mu)),
+        SparseTensor(field, H.mu.dims, entries(H.mu)),
         vector(field, [conv(c) for c in H.unit.data]),
-        Ten3(field, H.delta.dims, entries(H.delta)),
+        SparseTensor(field, H.delta.dims, entries(H.delta)),
         vector(field, [conv(c) for c in H.counit.data]),
-        Mat(field, H.antipode.dims, anti))
+        SparseTensor(field, H.antipode.dims, anti))
 
 
 def test_nonintegral_witnesses_identical():

@@ -6,8 +6,8 @@ from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
                       s3_table, vector)
 from instance_reference import tensor_mul
 
-from hopfloop import (ActionData, CoactionData, CosmashInput, Mat, QQ,
-                      SmashInput, Ten3, build_smash_coproduct,
+from hopfloop import (ActionData, CoactionData, CosmashInput, QQ,
+                      SmashInput, SparseTensor, build_smash_coproduct,
                       build_smash_product,
                       check_cocommu, check_commu, check_comodcoass,
                       check_hopf_coquasigroup, check_hopf_quasigroup,
@@ -180,11 +180,11 @@ def rebase(H, P, Q):
     anti = [(c, a, Q[c][k] * v * P[i][a])
             for (k, i), v in H.antipode.nz.items() for a in R for c in R]
     return type(H)(
-        Ten3.from_entries(f, H.dim, mu),
+        SparseTensor(f, (H.dim,) * 3, mu),
         vector(f, [sum(Q[c][i] * H.unit[i,] for i in R) for c in R]),
-        Ten3.from_entries(f, H.dim, delta),
+        SparseTensor(f, (H.dim,) * 3, delta),
         vector(f, [sum(P[i][a] * H.counit[i,] for i in R) for a in R]),
-        Mat(f, H.antipode.dims, anti))
+        SparseTensor(f, H.antipode.dims, anti))
 
 
 def test_smash_product_sums_terms_sharing_a_leg(H2):

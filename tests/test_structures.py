@@ -10,8 +10,8 @@ import structures_reference as ref
 from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
                       s3_table, vector)
 
-from hopfloop import (GF, CoactionData, CosmashInput, Mat, QQ, SmashInput,
-                      SparseTensor, Ten3, build_smash_coproduct,
+from hopfloop import (GF, CoactionData, CosmashInput, QQ, SmashInput,
+                      SparseTensor, build_smash_coproduct,
                       build_smash_product,
                       check_antipode_basic, check_bialgebra_compat,
                       check_coq_identities, check_hopf_coquasigroup,
@@ -61,7 +61,7 @@ def test_antipode_basic_laws():
 def test_zero_antipode_fails_convolution():
     H = loop_algebra(cyclic(2))
     broken = HopfQuasigroup(H.mu, H.unit, H.delta, H.counit,
-                            Mat(QQ, (2, 2), ()))
+                            SparseTensor(QQ, (2, 2), ()))
     rep = check_antipode_basic(broken)
     conv = rep.law("antipode.conv_left")
     assert not conv.passed
@@ -71,7 +71,7 @@ def test_zero_antipode_fails_convolution():
 
 Q2, F2, Q3 = (loop_algebra(cyclic(2)), loop_algebra(cyclic(2), field=GF(5)),
               loop_algebra(cyclic(3)))
-WIDE = Mat(QQ, (2, 3), ())
+WIDE = SparseTensor(QQ, (2, 3), ())
 
 
 @pytest.mark.parametrize("changed, error, message", [
@@ -85,15 +85,23 @@ WIDE = Mat(QQ, (2, 3), ())
     ({"antipode": F2.antipode}, FieldMismatch, "cannot mix QQ and GF(5)"),
     ({"unit": Q3.unit, "antipode": WIDE}, DimMismatch,
      "mu/unit dims differ"),
-    ({"antipode": SparseTensor(QQ, (2, 2), [(0, 0, 1), (1, 1, 1)])},
+    ({"antipode": SparseTensor(QQ, (2, 2, 2), [(0, 0, 0, 1), (1, 1, 1, 1)])},
      DimMismatch, "antipode matrix dims"),
+    ({"mu": SparseTensor(QQ, (2, 3, 2), [(0, 0, 0, 1)])}, DimMismatch,
+     "mu dims (2, 3, 2) are not (n, n, n)"),
+    ({"delta": SparseTensor(QQ, (2, 2, 3), [(0, 0, 0, 1)])}, DimMismatch,
+     "delta dims (2, 2, 3) are not (n, n, n)"),
+    ({"mu": SparseTensor(QQ, (2, 2), [(0, 0, 1)])}, DimMismatch,
+     "mu dims (2, 2) are not (n, n, n)"),
 ], ids=["unit-dims", "unit-field", "counit-dims", "mu-delta-dims",
         "antipode-dims", "delta-field", "antipode-field", "unit-first",
-        "antipode-not-a-matrix"])
+        "antipode-not-a-matrix", "mu-not-cubical", "delta-not-cubical",
+        "mu-rank-2"])
 def test_constructor_refuses_mismatched_maps(changed, error, message):
     """Q[C2]'s five maps with some replaced: the first failing check
-    decides the exception type and message, and an antipode that is not a
-    Mat is refused as one of the wrong dims."""
+    decides the exception type and message.  A rank-3 antipode is refused
+    as one of the wrong dims, and a mu or delta not of dims (n, n, n),
+    whatever its rank, before any other check reads its dims."""
     maps = {name: getattr(Q2, name)
             for name in ("mu", "unit", "delta", "counit", "antipode")}
     maps.update(changed)
@@ -134,7 +142,7 @@ def test_quasi_checker_reports_witness_on_corruption():
     bad_mu = [key + (c,) for key, c in H.mu.nz.items() if key != (1, 1, 0)]
     bad_mu.append((1, 1, 1, QQ.one))
     broken = HopfQuasigroup(
-        Ten3.from_entries(QQ, 2, bad_mu), H.unit, H.delta, H.counit,
+        SparseTensor(QQ, (2,) * 3, bad_mu), H.unit, H.delta, H.counit,
         H.antipode)
     rep = check_quasi_identities(broken)
     assert not rep.ok
@@ -181,9 +189,9 @@ def random_structures(draw):
         return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
 
     return HopfQuasigroup(
-        Ten3(f, (n,) * 3, entries(3)), vec(),
-        Ten3(f, (n,) * 3, entries(3)), vec(),
-        Mat(f, (n, n), entries(2)))
+        SparseTensor(f, (n,) * 3, entries(3)), vec(),
+        SparseTensor(f, (n,) * 3, entries(3)), vec(),
+        SparseTensor(f, (n, n), entries(2)))
 
 
 @st.composite
@@ -244,12 +252,12 @@ def magma_algebra(f, t, s):
     counit 1, unit e_0 and S(e_h) = e_s[h]."""
     n = len(t)
     return HopfQuasigroup(
-        Ten3(f, (n,) * 3, [(i, j, t[i][j], f.one)
-                           for i in range(n) for j in range(n)]),
+        SparseTensor(f, (n,) * 3, [(i, j, t[i][j], f.one)
+                                   for i in range(n) for j in range(n)]),
         SparseTensor(f, (n,), [(0, f.one)]),
-        Ten3(f, (n,) * 3, [(i, i, i, f.one) for i in range(n)]),
+        SparseTensor(f, (n,) * 3, [(i, i, i, f.one) for i in range(n)]),
         vector(f, [f.one] * n),
-        Mat(f, (n, n), [(s[h], h, f.one) for h in range(n)]))
+        SparseTensor(f, (n, n), [(s[h], h, f.one) for h in range(n)]))
 
 
 @st.composite
@@ -298,9 +306,9 @@ def smash_candidates(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(magma_algebras())
 def test_table_paths_match_reference_on_magma_algebras(H):
-    assert H.mu.mul_rows is not None and _quasi_maps(H) is not None
+    assert H.mu.basis_map(2) is not None and _quasi_maps(H) is not None
     D = dualize(H)
-    assert D.delta.comul_rows is not None and _coq_maps(D) is not None
+    assert D.delta.basis_map(0) is not None and _coq_maps(D) is not None
     assert_same_as_reference(H)
     assert_same_as_reference(D)
 
@@ -309,9 +317,9 @@ def test_table_paths_match_reference_on_magma_algebras(H):
 @given(smash_candidates())
 def test_table_paths_match_reference_on_smash_candidates(X):
     if isinstance(X, HopfQuasigroup):
-        assert X.mu.mul_rows is not None and _quasi_maps(X) is not None
+        assert X.mu.basis_map(2) is not None and _quasi_maps(X) is not None
     else:
-        assert X.delta.comul_rows is not None and _coq_maps(X) is not None
+        assert X.delta.basis_map(0) is not None and _coq_maps(X) is not None
     assert_same_as_reference(X)
 
 
@@ -325,7 +333,7 @@ def test_bumped_tensors_leave_the_table_paths(H):
     quasi = isinstance(H, HopfQuasigroup)
     base = S3 if quasi else dualize(S3)
     maps = _quasi_maps if quasi else _coq_maps
-    rows = H.mu.mul_rows if quasi else H.delta.comul_rows
+    rows = H.mu.basis_map(2) if quasi else H.delta.basis_map(0)
     bumped = {part for part in ("mu", "delta", "unit", "counit", "antipode")
               if getattr(H, part) != getattr(base, part)}
     assert maps(base) is not None
@@ -390,9 +398,9 @@ def test_table_path_witnesses_on_failing_magma_dual():
 def test_dim_zero_structure_matches_reference():
     """The empty structure: every view is empty, every law holds."""
     f = QQ
-    H = HopfQuasigroup(Ten3(f, (0, 0, 0), ()), vector(f, ()),
-                       Ten3(f, (0, 0, 0), ()), vector(f, ()),
-                       Mat(f, (0, 0), ()))
-    assert H.mu.mul_rows == H.delta.comul_rows == ()
+    H = HopfQuasigroup(SparseTensor(f, (0, 0, 0), ()), vector(f, ()),
+                       SparseTensor(f, (0, 0, 0), ()), vector(f, ()),
+                       SparseTensor(f, (0, 0), ()))
+    assert H.mu.basis_map(2) == H.delta.basis_map(0) == ()
     assert_same_as_reference(H)
     assert_same_as_reference(dualize(H))
