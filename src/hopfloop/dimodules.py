@@ -3,7 +3,9 @@
 Both variants share one type with a tag: the action/coaction compatibility
 law is the same tensor equation in both cases, only the constituent
 preconditions differ (quasimodule + comodule over a Hopf quasigroup,
-module + quasicomodule over a Hopf coquasigroup).
+module + quasicomodule over a Hopf coquasigroup).  A dimodule is refused
+when it is made unless its action and coaction fit H and one carrier
+(`laws.legs`).
 
 The compatibility, lemma and adjunction laws are declarations of
 `hopfloop.laws` on legs H and A, A the dimodule's carrier M, checked by
@@ -26,12 +28,10 @@ failing slab is contracted for its witness.
 import operator
 from math import isqrt
 
-from .actions import (ActionData, CoactionData, _require_action_dims,
-                      _require_coaction_dims, check_comodule, check_module,
+from .actions import (ActionData, CoactionData, check_comodule, check_module,
                       check_quasicomodule, check_quasimodule)
-from .errors import DimMismatch, HMismatch
-from .fields import check_same_field
-from .laws import build, construction, evaluate, law
+from .errors import HMismatch
+from .laws import build, construction, evaluate, law, legs
 from .report import VerificationReport, slab_witness
 from .structures import HopfQuasigroup
 from .tensors import SparseTensor, _composer
@@ -49,12 +49,7 @@ class LongDimodule:
                        else OVER_COQUASIGROUP)
         if variant not in (OVER_QUASIGROUP, OVER_COQUASIGROUP):
             raise ValueError(f"unknown variant {variant!r}")
-        if act.m_dim != coact.m_dim:
-            raise DimMismatch("action and coaction carrier dims differ")
-        if act.h_dim != H.dim or coact.h_dim != H.dim:
-            raise DimMismatch("action/coaction dims do not match H")
-        check_same_field(H.field, act.field)
-        check_same_field(H.field, coact.field)
+        legs(H, act=act, coact=coact)
         self.H = H
         self.act = act
         self.coact = coact
@@ -142,13 +137,11 @@ def _dimodule(maps, H, variant=None, **carriers):
 
 def build_from_quasimodule(H, act):
     """The dimodule on M (x) H: action on the M leg, coproduct on the H leg."""
-    _require_action_dims(H, act)
     return _dimodule(FREE_ON_MODULE, H, act=act)
 
 
 def build_from_comodule(H, coact):
     """The dimodule on H (x) M: product on the H leg, coaction on the M leg."""
-    _require_coaction_dims(H, coact)
     return _dimodule(FREE_ON_COMODULE, H, coact=coact)
 
 

@@ -74,6 +74,11 @@ steps outside it:
         if lhs != rhs and differ(lhs, rhs, zero):
             return x0, lhs, rhs
 
+`legs` is the one check of a (co)action, target or bundle against H's
+field (FieldMismatch) and the dims of the legs H, A and B (DimMismatch):
+every `evaluate` and `build` call runs it first, and the dimodule and
+smash inputs run it when they are made.
+
 A construction declares one chain as a map, `construction(id, domain, out,
 chain)`, checked as a law's chains are.  Its nest, `Construction.nest`,
 walks every index of the first leg outermost and keys each term by the
@@ -88,6 +93,7 @@ from itertools import accumulate
 from math import prod
 
 from .errors import DimMismatch
+from .fields import check_same_field
 from .report import VerificationReport, differ, slab_witness
 from .tensors import SparseTensor
 
@@ -346,23 +352,42 @@ def _function(head, lines):
     return namespace[head.partition("(")[0]]
 
 
-def _inputs(names, H, A, act, coact, act_B=None, coact_B=None):
-    """The dims of the legs H, A and B, and the fibres of the maps `names`:
-    A is the carrier of `act` or `coact`, else the target A, and B that of
-    `act_B` or `coact_B`.  DimMismatch unless every action and coaction
-    has the dims of its legs, both carrier legs alike."""
-    nH = H.dim
+def legs(H, A=None, act=None, coact=None, act_B=None, coact_B=None):
+    """The dims nH, nA and nB of the legs H, A and B: A is the carrier of
+    `act` or `coact`, else the target A, and B that of `act_B` or
+    `coact_B`.  FieldMismatch unless every given map and the target A are
+    over H's field; then DimMismatch unless every action and coaction has
+    the dims of its legs, both carrier legs alike, and the target A has
+    the carrier's dim.  Maps that fit cost one `or` chain; only a refusal
+    loops over them."""
+    f, nH = H.field, H.dim
     carrier = act if act is not None else coact
     nA = (carrier.m_dim if carrier is not None
           else A.dim if A is not None else 0)
     carrier = act_B if act_B is not None else coact_B
     nB = carrier.m_dim if carrier is not None else 0
-    if (act is not None and act.dims != (nH, nA, nA)
-            or coact is not None and coact.dims != (nA, nA, nH)
-            or act_B is not None and act_B.dims != (nH, nB, nB)
-            or coact_B is not None and coact_B.dims != (nB, nB, nH)):
-        raise DimMismatch("action or coaction dims do not match legs H, A, "
-                          f"B of dims {nH}, {nA}, {nB}")
+    # a tuple compares its fields by identity first, without calling
+    # the field's own __eq__ when the field is the same object
+    if (act is not None and (act.field, act.dims) != (f, (nH, nA, nA))
+            or coact is not None
+            and (coact.field, coact.dims) != (f, (nA, nA, nH))
+            or act_B is not None
+            and (act_B.field, act_B.dims) != (f, (nH, nB, nB))
+            or coact_B is not None
+            and (coact_B.field, coact_B.dims) != (f, (nB, nB, nH))
+            or A is not None and (A.field, A.dim) != (f, nA)):
+        for X in (act, coact, act_B, coact_B, A):
+            if X is not None:
+                check_same_field(f, X.field)
+        raise DimMismatch("action, coaction or target dims do not match "
+                          f"legs H, A, B of dims {nH}, {nA}, {nB}")
+    return nH, nA, nB
+
+
+def _inputs(names, H, A, act, coact, act_B=None, coact_B=None):
+    """The dims of the legs H, A and B, checked by `legs`, and the fibres
+    of the maps `names`."""
+    nH, nA, nB = legs(H, A, act, coact, act_B, coact_B)
     maps = {"act": act, "coact": coact, "act_B": act_B, "coact_B": coact_B}
     fibres = {"swap": None}
     for name in names:

@@ -2,9 +2,11 @@
 coquasigroups, with checkers for the hypotheses under which the built
 candidate is itself a valid structure.
 
-Builders never validate their output; feed the candidate to the structure
-checkers.  The roundtrip functions package both directions: the candidate's
-full suite verdict against the single condition that governs it.
+An input is refused when it is made unless its (co)action fits H and the
+target (`laws.legs`).  Builders never validate their output; feed the
+candidate to the structure checkers.  The roundtrip functions package both
+directions: the candidate's full suite verdict against the single
+condition that governs it.
 
 The conditions (cocommu, modass, commu, comodcoass) are declarations of
 `hopfloop.laws`, evaluated by `laws.evaluate`; on their legs "A" is the
@@ -16,9 +18,8 @@ of H (x) C built by `laws.build`.
 from .actions import (check_coqm_algebra, check_coqm_coalgebra,
                       check_qm_algebra, check_qm_coalgebra,
                       check_quasicomodule, check_quasimodule)
-from .errors import DimMismatch, HypothesisNotMet, InvalidInput
-from .fields import check_same_field
-from .laws import build, construction, evaluate, law
+from .errors import HypothesisNotMet, InvalidInput
+from .laws import build, construction, evaluate, law, legs
 from .report import VerificationReport
 from .structures import (HopfCoquasigroup, HopfQuasigroup,
                          check_hopf_coquasigroup, check_hopf_quasigroup)
@@ -75,10 +76,7 @@ class SmashInput:
     __slots__ = ("H", "A", "act")
 
     def __init__(self, H, A, act):
-        if act.h_dim != H.dim or act.m_dim != A.dim:
-            raise DimMismatch("action dims do not match H and A")
-        check_same_field(H.field, A.field)
-        check_same_field(H.field, act.field)
+        legs(H, A, act=act)
         self.H = H
         self.A = A
         self.act = act
@@ -98,10 +96,7 @@ class CosmashInput:
     __slots__ = ("H", "C", "coact")
 
     def __init__(self, H, C, coact):
-        if coact.h_dim != H.dim or coact.m_dim != C.dim:
-            raise DimMismatch("coaction dims do not match H and C")
-        check_same_field(H.field, C.field)
-        check_same_field(H.field, coact.field)
+        legs(H, C, coact=coact)
         self.H = H
         self.C = C
         self.coact = coact

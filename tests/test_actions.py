@@ -1,10 +1,14 @@
+import inspect
+
 import pytest
 
 from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
                       s3_table)
 
-from hopfloop import (GF, ActionData, CoactionData, CosmashInput, QQ,
-                      SmashInput, check_antipode_colinear,
+import hopfloop
+from hopfloop import (GF, ActionData, CoactionData, CosmashInput,
+                      LongDimodule, QQ, SmashInput, build_from_comodule,
+                      build_from_quasimodule, check_antipode_colinear,
                       check_antipode_linear, check_comodule,
                       check_coqm_algebra, check_coqm_coalgebra, check_module,
                       check_qm_algebra, check_qm_coalgebra,
@@ -120,29 +124,31 @@ def test_dim_mismatch_guard(H2):
 
 
 
-TARGET_CHECKS = ((check_qm_algebra, "algebra"),
-                 (check_qm_coalgebra, "coalgebra"),
-                 (check_antipode_linear, "structure"))
-COTARGET_CHECKS = ((check_coqm_algebra, "algebra"),
-                   (check_coqm_coalgebra, "coalgebra"),
-                   (check_antipode_colinear, "structure"))
+TARGET_CHECKS = (check_qm_algebra, check_qm_coalgebra, check_antipode_linear)
+COTARGET_CHECKS = (check_coqm_algebra, check_coqm_coalgebra,
+                   check_antipode_colinear)
+
+
+def _legs_message(nA):
+    """The one refusal of a (co)action or target that does not fit the
+    legs H and B of dims 2 and 0 and the carrier A of dim nA."""
+    return ("action, coaction or target dims do not match legs H, A, B of "
+            f"dims 2, {nA}, 0")
 
 
 def test_target_guards(H2):
     act = inversion_action()
     H2d, co = dualize(H2), CoactionData.dual_of_action(act)
     gf5, klein4 = loop_algebra(cyclic(3), field=GF(5)), loop_algebra(klein())
-    for check, target in TARGET_CHECKS:
+    for check in TARGET_CHECKS:
         with pytest.raises(FieldMismatch):
             check(H2, gf5, act)
-        with pytest.raises(DimMismatch,
-                           match=f"^{target} dim != action M_dim$"):
+        with pytest.raises(DimMismatch, match=f"^{_legs_message(3)}$"):
             check(H2, klein4, act)
-    for check, target in COTARGET_CHECKS:
+    for check in COTARGET_CHECKS:
         with pytest.raises(FieldMismatch):
             check(H2d, dualize(gf5), co)
-        with pytest.raises(DimMismatch,
-                           match=f"^{target} dim != coaction M_dim$"):
+        with pytest.raises(DimMismatch, match=f"^{_legs_message(3)}$"):
             check(H2d, dualize(klein4), co)
 
 
@@ -156,9 +162,98 @@ def test_smash_inputs_refuse_mixed_fields(H2, H3):
     H2d = dualize(H2)
     with pytest.raises(FieldMismatch):
         CosmashInput(H2d, dualize(H3_gf5), CoactionData.dual_of_action(act))
-    with pytest.raises(DimMismatch,
-                       match="^action dims do not match H and A$"):
+    with pytest.raises(DimMismatch, match=f"^{_legs_message(3)}$"):
         SmashInput(H2, H2, act)
-    with pytest.raises(DimMismatch,
-                       match="^coaction dims do not match H and C$"):
+    with pytest.raises(DimMismatch, match=f"^{_legs_message(3)}$"):
         CosmashInput(H2d, H2d, CoactionData.dual_of_action(act))
+
+
+# Every public entry point that takes an action or a coaction, as a call of
+# H, the target T and the map X; an entry point that takes no target
+# ignores T, and a dimodule pairs X with the trivial other map.
+def _no_target(call):
+    return lambda H, T, X: call(H, X)
+
+
+ON_ACTION = {
+    "check_quasimodule": _no_target(check_quasimodule),
+    "check_module": _no_target(check_module),
+    "build_from_quasimodule": _no_target(build_from_quasimodule),
+    "trivial_coaction_dimodule": _no_target(trivial_coaction_dimodule),
+    "LongDimodule": lambda H, T, X: LongDimodule(
+        H, X, CoactionData.trivial(H, X.m_dim)),
+    "check_qm_algebra": check_qm_algebra,
+    "check_qm_coalgebra": check_qm_coalgebra,
+    "check_antipode_linear": check_antipode_linear,
+    "SmashInput": SmashInput}
+ON_COACTION = {
+    "check_comodule": _no_target(check_comodule),
+    "check_quasicomodule": _no_target(check_quasicomodule),
+    "build_from_comodule": _no_target(build_from_comodule),
+    "trivial_action_dimodule": _no_target(trivial_action_dimodule),
+    "LongDimodule": lambda H, T, X: LongDimodule(
+        H, ActionData.trivial(H, X.m_dim), X),
+    "check_coqm_algebra": check_coqm_algebra,
+    "check_coqm_coalgebra": check_coqm_coalgebra,
+    "check_antipode_colinear": check_antipode_colinear,
+    "CosmashInput": CosmashInput}
+TAKES_TARGET = {"check_qm_algebra", "check_qm_coalgebra",
+                "check_antipode_linear", "SmashInput", "check_coqm_algebra",
+                "check_coqm_coalgebra", "check_antipode_colinear",
+                "CosmashInput"}
+
+
+def _bad_inputs(kind, case):
+    """The target and map of `case` over Q[C2], with the exception and
+    message it must raise: a map over GF(5), a map whose H leg has dim 3,
+    a map whose carrier legs have dims 2 and 3, or a fitting map, of
+    carrier dim 3, with a target of dim 4 or over GF(5)."""
+    H3, gf5 = loop_algebra(cyclic(3)), GF(5)
+    on_act = kind == "act"
+    if case == "field":
+        X = (inversion_action(gf5) if on_act else
+             CoactionData.trivial(loop_algebra(cyclic(2), field=gf5), 3))
+    elif case == "h-dim":
+        X = (ActionData if on_act else CoactionData).trivial(H3, 3)
+    elif case == "non-square":
+        X = (ActionData(QQ, (2, 2, 3), [(h, m, m, 1) for h in range(2)
+                                        for m in range(2)]) if on_act else
+             CoactionData(QQ, (2, 3, 2), [(m, m, 0, 1) for m in range(2)]))
+    else:
+        X = (inversion_action() if on_act
+             else CoactionData.trivial(loop_algebra(cyclic(2)), 3))
+    T = {"target-dim": loop_algebra(klein()),
+         "target-field": loop_algebra(cyclic(3), field=gf5)}.get(case, H3)
+    if case in ("field", "target-field"):
+        return T, X, FieldMismatch, "cannot mix QQ and GF(5)"
+    return T, X, DimMismatch, _legs_message(2 if case == "non-square" else 3)
+
+
+REFUSALS = [(kind, name, case)
+            for kind, table in (("act", ON_ACTION), ("coact", ON_COACTION))
+            for name in table
+            for case in ("field", "h-dim", "non-square")
+            + (("target-dim", "target-field") if name in TAKES_TARGET
+               else ())]
+
+
+@pytest.mark.parametrize("kind, name, case", REFUSALS)
+def test_every_entry_point_refuses_maps_off_its_legs(H2, kind, name, case):
+    """Each entry point that takes an action or a coaction refuses, with
+    one exception type and message, a map over another field, a map of
+    another H dim, a map whose carrier legs differ, and a target of
+    another dim or field."""
+    T, X, error, message = _bad_inputs(kind, case)
+    call = (ON_ACTION if kind == "act" else ON_COACTION)[name]
+    with pytest.raises(error) as exc:
+        call(H2, T, X)
+    assert str(exc.value) == message
+
+
+def test_refusal_table_covers_every_entry_point():
+    """The table above holds every public callable with a parameter act
+    or coact, so a new entry point cannot go untested."""
+    public = {name: getattr(hopfloop, name) for name in hopfloop.__all__}
+    takes_map = {name for name, obj in public.items() if callable(obj)
+                 and {"act", "coact"} & set(inspect.signature(obj).parameters)}
+    assert takes_map == set(ON_ACTION) | set(ON_COACTION)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cyclic, inversion_action, loop7
 
-from hopfloop import CoactionData, dualize, loop_algebra
+from hopfloop import ActionData, CoactionData, dualize, loop_algebra
 from hopfloop import fileio
 from hopfloop.cli import _json_text, build_parser, main
 
@@ -290,6 +290,26 @@ def test_action_coaction_dims_beyond_budget_exit_2(tmp_path, capsys, H2, H3,
     bundle.write_text("dimodule quasigroup\nh2.hq\ninv.act\ntriv.coact\n")
     assert main(["verify", str(bundle)]) == 2
     _assert_error_line(capsys, "line 1:", "outside the supported range")
+
+
+@pytest.mark.parametrize("command, bundle", [
+    ("verify", "dimodule quasigroup\nh2.hq\nh3.act\ntriv.coact\n"),
+    ("dequation", "dimodule quasigroup\nh2.hq\nh3.act\ntriv.coact\n"),
+    ("verify", "smash\nh2.hq\nh3.hq\nh3.act\n"),
+    ("smash", "smash\nh2.hq\nh3.hq\nh3.act\n")])
+def test_action_of_another_h_dim_exit_2(tmp_path, capsys, H2, H3, command,
+                                        bundle):
+    """A bundle whose action file declares H_dim 3 over the dim-2 H is
+    refused where it is loaded, with one line naming the legs' dims."""
+    write_fixture_tree(tmp_path, H2, H3)
+    (tmp_path / "h3.act").write_text(
+        fileio.serialize_action(ActionData.trivial(H3, 3)))
+    path = tmp_path / "x.bundle"
+    path.write_text(bundle)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: action, coaction or target dims do not match legs H, A, B "
+        "of dims 2, 3, 0\n"))
 
 
 def test_memory_error_exit_2(tmp_path, capsys, H2, monkeypatch):

@@ -9,8 +9,9 @@ from conftest import cyclic, inversion_action, loop7, perm_action
 from d_equation_reference import check_d_equation_per_triple
 from test_acceptance import _dimodule_fixture_set
 
-from hopfloop import (GF, QQ, ActionData, CoactionData, LongDimodule,
-                      OVER_COQUASIGROUP, OVER_QUASIGROUP, RMap,
+from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
+                      LongDimodule, OVER_COQUASIGROUP, OVER_QUASIGROUP, RMap,
+                      SmashInput,
                       build_from_comodule, build_from_quasimodule,
                       check_adjunction, check_comodule, check_d_equation,
                       check_lemma_identities,
@@ -121,24 +122,25 @@ def test_adjunction_refuses_other_field(H2):
 
 def test_carrier_legs_of_two_dims_are_refused(H2):
     """An action of dims (2, 2, 3) or a coaction of dims (2, 3, 2) over
-    Q[C2] has carrier legs of two dims: each checker, builder and
-    dimodule that reads it raises DimMismatch, rather than reading fibres
-    of the wrong length or building a dimodule of the wrong dim."""
+    Q[C2] has carrier legs of two dims: each checker and builder that
+    reads it raises DimMismatch when called, and each dimodule and smash
+    input that holds it when it is made, rather than reading fibres of
+    the wrong length or building a dimodule of the wrong dim."""
     act = ActionData(QQ, (2, 2, 3), [(h, m, m, 1) for h in range(2)
                                      for m in range(2)])
     coact = CoactionData(QQ, (2, 3, 2), [(m, m, 0, 1) for m in range(2)])
-    D_act = LongDimodule(H2, act, CoactionData.trivial(H2, 2))
-    D_coact = LongDimodule(H2, ActionData.trivial(H2, 2), coact)
     for call, args in ((check_quasimodule, (H2, act)),
                        (check_comodule, (H2, coact)),
                        (build_from_quasimodule, (H2, act)),
                        (build_from_comodule, (H2, coact)),
-                       (check_long_dimodule, (D_act,)),
-                       (check_long_dimodule, (D_coact,))):
+                       (LongDimodule, (H2, act, CoactionData.trivial(H2, 2))),
+                       (LongDimodule, (H2, ActionData.trivial(H2, 2), coact)),
+                       (SmashInput, (H2, H2, act)),
+                       (CosmashInput, (H2, H2, coact))):
         with pytest.raises(DimMismatch) as exc:
             call(*args)
-        assert str(exc.value) == ("action or coaction dims do not match "
-                                  "legs H, A, B of dims 2, 2, 0")
+        assert str(exc.value) == ("action, coaction or target dims do not "
+                                  "match legs H, A, B of dims 2, 2, 0")
 
 
 def test_d_equation_small_carrier(H2):

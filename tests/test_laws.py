@@ -1,6 +1,7 @@
 """The law evaluator of `hopfloop.laws` on its own, `laws.build` against
 the hand-built references of the maps it makes, with a guard that every
-construction of the package has one, and a metamorphic test
+construction of the package has one, a guard that only `laws.legs` checks
+a (co)action, target or bundle against its legs, and a metamorphic test
 of the 25 action, coaction and smash-condition laws, the 22 Hopf
 (co)quasigroup laws and the dimodule laws under relabelling.
 
@@ -11,10 +12,12 @@ leg other than the first, leg groups) is checked against witnesses worked
 out by hand or read off the tensors directly.
 """
 
+import ast
 import importlib
 import json
 import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -438,6 +441,22 @@ def test_every_construction_has_a_hand_reference():
     compared = (set(smash_maps(H, A, act, coact))
                 | set(dimodule_maps(*cancelling_dimodule_input())))
     assert declared_constructions() == compared
+
+
+def test_dims_and_fields_are_refused_in_one_place():
+    """`DimMismatch` is raised and `check_same_field` called only in the
+    tensors, the fields, the structure constructor and `laws.legs`: no
+    module grows a guard of its own on a (co)action, target or bundle."""
+    found = set()
+    for path in Path(hopfloop.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            target = (node.func if isinstance(node, ast.Call)
+                      else node.exc if isinstance(node, ast.Raise) else None)
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name in ("DimMismatch", "check_same_field"):
+                found.add(path.name)
+    assert "laws.py" in found
+    assert found <= {"tensors.py", "fields.py", "structures.py", "laws.py"}
 
 
 def test_build_on_rank0_legs():
