@@ -84,19 +84,15 @@ class VerificationReport:
         return f"VerificationReport({len(self.entries)} laws, {state})"
 
 
-def witness_side(field, sparse):
-    """Freeze a sparse element into a canonical witness side."""
-    return tuple(sorted(
-        (tuple(k), field.format(c)) for k, c in sparse.items()))
-
-
-def _unravel(flat, dims):
-    """The index tuple of a row-major flat index over dims."""
-    out = []
+def _unravel(flats, dims):
+    """The index tuples of the row-major flat indices `flats` over dims,
+    one leg at a time; only a flat index's remainder mod prod(dims)
+    counts."""
+    legs, stride = [], 1
     for d in reversed(dims):
-        flat, r = divmod(flat, d)
-        out.append(r)
-    return tuple(reversed(out))
+        legs.append([x // stride % d for x in flats])
+        stride *= d
+    return list(zip(*reversed(legs))) if legs else [()] * len(flats)
 
 
 def _differing(lhs, rhs, zero):
@@ -125,11 +121,20 @@ def slab_witness(field, prefix, lhs, rhs, inst_dims, out_dims):
         return None
     size = prod(out_dims)
     inst = least // size
+    lo, hi = inst * size, (inst + 1) * size
+    formatted = {}
 
     def side(slab):
-        return witness_side(field, {
-            _unravel(k % size, out_dims): c for k, c in slab.items()
-            if k // size == inst and c != zero})
+        # row-major flat order is out-tuple order, so sorting the ints
+        # sorts the witness side
+        keys = sorted([k for k, c in slab.items()
+                       if lo <= k < hi and c != zero])
+        cs = list(map(slab.__getitem__, keys))
+        for c in cs:
+            if c not in formatted:
+                formatted[c] = field.format(c)
+        return tuple(zip(_unravel(keys, out_dims), map(formatted.get, cs)))
 
-    return Witness(prefix + _unravel(inst, inst_dims), side(lhs), side(rhs))
+    return Witness(prefix + _unravel([inst], inst_dims)[0], side(lhs),
+                   side(rhs))
 

@@ -35,6 +35,7 @@ read as a unit, its one fibre is `_nonzeros`, every (i, coeff) pair.
 """
 
 from functools import cached_property
+from itertools import product
 from math import prod
 from operator import itemgetter
 
@@ -146,7 +147,9 @@ class SparseTensor:
         e_x -> e_k for each input x, nested by the other legs as the fibres
         are ([x] -> k on a matrix, [x][y] -> k on an order-3 tensor).  None
         unless every input goes to one basis vector with coefficient one.
-        Cached per `out`."""
+        Found in one pass of C-level calls: count the ones among the
+        values, sort the keys by the other legs, compare them with every
+        input in row-major order and read leg `out`.  Cached per `out`."""
         views = self._basis_maps
         if out not in views:
             views[out] = self._find_basis_map(out)
@@ -157,20 +160,22 @@ class SparseTensor:
         return {}
 
     def _find_basis_map(self, out):
-        dims, one = self.dims, self.field.one
+        # a basis map has one nonzero per input, each of them one: sorted
+        # by the other legs, its keys list every input once, in order
+        dims, nz = self.dims, self.nz
         rest = dims[:out] + dims[out + 1:]
         size = prod(rest)
-        if len(self.nz) != size:
+        if len(nz) != size or list(nz.values()).count(self.field.one) != size:
             return None
-        flat = [None] * size
-        for key, c in self.nz.items():
-            x = 0
-            for i, d in zip(key[:out] + key[out + 1:], rest):
-                x = x * d + i
-            if c != one or flat[x] is not None:
+        keys = list(nz)
+        if rest:
+            by = itemgetter(*range(out), *range(out + 1, len(dims)))
+            keys.sort(key=by)
+            inputs = (product(*map(range, rest)) if len(rest) > 1
+                      else range(size))
+            if list(map(by, keys)) != list(inputs):
                 return None
-            flat[x] = key[out]
-        return _nested(flat, rest)
+        return _nested(list(map(itemgetter(out), keys)), rest)
 
     def transpose(self):
         """The transpose of a matrix."""

@@ -5,11 +5,19 @@ This is the direct reading of R12 R23 = R23 R12: for each basis triple
 e_l (x) e_m (x) e_n and compare the two sparse results.  It is slow (two
 fresh dicts per triple) and is kept only so that `check_d_equation` can be
 tested against it.
+
+`first_failing_slab_flat` is the earlier slab picker of
+`check_d_equation` on basis maps: it builds both sides of each slab as nd^2
+flat ints, nd^3 in all, and is kept so that the picker that decides the
+three pair identities can be tested against it.
 """
+
+import operator
 
 from instance_reference import LawAccumulator, sadd
 
 from hopfloop.report import VerificationReport
+from hopfloop.tensors import _composer
 
 
 def check_d_equation_per_triple(R):
@@ -45,3 +53,22 @@ def check_d_equation_per_triple(R):
                 acc.check((l, m, n_), apply12(r23), apply23(r12))
     acc.finish()
     return rep
+
+
+def first_failing_slab_flat(r, nd):
+    """The least l whose slab of eq.d fails, as (l,), or (), for the R
+    with R(e_j) = e_r[j].  Both sides of slab l are flat ints
+    x nd^2 + y nd + z over (m, n): R12 R23 e_lmn is r[l nd + m'] nd + z
+    with (m', z) = divmod(r[m nd + n], nd), and R23 R12 e_lmn is
+    x nd^2 + r[y' nd + n] with (x, y') = divmod(r[l nd + m], nd)."""
+    inner = _composer([v // nd for v in r])
+    zs = [v % nd for v in r]
+    rows = [r[y * nd:(y + 1) * nd] for y in range(nd)]
+    scaled = [[v * nd for v in row] for row in rows]
+    xs = [[v // nd * nd * nd for v in row] for row in rows]
+    for l in range(nd):
+        lhs = list(map(operator.add, inner(scaled[l]), zs))
+        rhs = [x + v for x, u in zip(xs[l], rows[l]) for v in rows[u % nd]]
+        if lhs != rhs:
+            return (l,)
+    return ()

@@ -12,13 +12,19 @@ field; the package checkers guard those.
 
 from hopfloop.dimodules import OVER_QUASIGROUP, build_from_quasimodule
 from hopfloop.fields import QQ
-from hopfloop.report import VerificationReport, Witness, witness_side
+from hopfloop.report import VerificationReport, Witness
 
 
 # --- sparse elements -------------------------------------------------------
 #
 # Intermediate values are sparse linear combinations of basis tensors,
 # represented as dicts mapping an index tuple to a nonzero scalar.
+
+
+def witness_side(field, sparse):
+    """Freeze a sparse element into a canonical witness side."""
+    return tuple(sorted(
+        (tuple(k), field.format(c)) for k, c in sparse.items()))
 
 
 def sadd(field, acc, key, coeff):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -5,8 +6,10 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import cyclic, inversion_action, loop7, perm_action
-from d_equation_reference import check_d_equation_per_triple
+from chein import chein_double, symmetric_group
+from conftest import cyclic, inversion_action, loop7, perm_action, s3_table
+from d_equation_reference import (check_d_equation_per_triple,
+                                  first_failing_slab_flat)
 from test_acceptance import _dimodule_fixture_set
 
 from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
@@ -19,6 +22,7 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
                       dualize, loop_algebra, search_ip_loops,
                       tensor_dimodule, trivial_action_dimodule,
                       trivial_coaction_dimodule, unit_dimodule)
+from hopfloop.dimodules import _first_failing_slab
 from hopfloop.errors import DimMismatch, FieldMismatch, HMismatch
 
 
@@ -361,6 +365,101 @@ def test_d_equation_on_permutation_dimodules_matches_reference(field):
     assert verdicts == {True, False}
 
 
+# --- the slab picker against the flat-int reference ----------------------
+
+def failing_identities(r, nd, l):
+    """Which of the identities (1)-(3) of `_first_failing_slab` fail on
+    slab l of the basis map r, read off one pair (m, n) at a time."""
+    a = [v // nd for v in r]
+    b = [v % nd for v in r]
+    failing = set()
+    for m, n in product(range(nd), repeat=2):
+        amn, blm = a[m * nd + n], b[l * nd + m]
+        if a[l * nd + amn] != a[l * nd + m]:
+            failing.add(1)
+        if b[l * nd + amn] != a[blm * nd + n]:
+            failing.add(2)
+        if b[m * nd + n] != b[blm * nd + n]:
+            failing.add(3)
+    return failing
+
+
+@st.composite
+def basis_tables(draw):
+    """(r, nd) for a basis map of carrier dim 0-6: a permutation of the
+    pairs, an arbitrary map of them, or the identity with one or two
+    pairs of images swapped."""
+    nd = draw(st.integers(0, 6))
+    d = nd * nd
+    kind = draw(st.sampled_from(["permutation", "map", "swap"]))
+    if kind == "permutation":
+        r = draw(st.permutations(range(d)))
+    elif kind == "map" and d:
+        r = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    else:
+        r = list(range(d))
+        for _ in range(draw(st.integers(1, 2)) if d else 0):
+            i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+            r[i], r[j] = r[j], r[i]
+    return tuple(r), nd
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(basis_tables())
+@example(((), 0))
+@example(((1, 0, 2, 3), 2))                 # fails (3) on slab 0
+@example(((0, 1, 2, 3, 4, 8, 6, 7, 5), 3))  # fails (1) alone on slab 1
+@example(((0, 1, 2, 3, 4, 5, 6, 8, 7), 3))  # fails (3) on the last slab
+def test_slab_picker_matches_reference(table):
+    """The picker returns the reference's slab, and that slab is the least
+    at which one of the three identities fails."""
+    r, nd = table
+    picked = _first_failing_slab(r, nd)
+    assert picked == first_failing_slab_flat(r, nd)
+    assert picked == next(((l,) for l in range(nd)
+                           if failing_identities(r, nd, l)), ())
+
+
+def basis_d_maps():
+    """The d_maps of the free M (x) H and H (x) M dimodules over Q[L7],
+    Q[S3] and their duals, on the regular (co)actions: all basis maps."""
+    maps = []
+    for H in (loop_algebra(loop7()), loop_algebra(s3_table())):
+        Hd = dualize(H)
+        for D in (build_from_quasimodule(H, ActionData.from_mu(H)),
+                  build_from_comodule(H, CoactionData.from_delta(H)),
+                  build_from_quasimodule(Hd, ActionData.from_mu(Hd)),
+                  build_from_comodule(Hd, CoactionData.dual_of_action(
+                      ActionData.from_mu(H)))):
+            maps.append((d_map(D).basis_map(0), D.dim))
+    return maps
+
+
+def test_slab_picker_matches_reference_on_d_maps():
+    """Each d_map as built, with its last two images swapped and with two
+    images swapped at seeded positions: the picker returns the reference's
+    slab.  These fail on the first, a middle and the last slab, and one
+    fails identity (1) alone."""
+    rng = random.Random(25)
+    seen = set()
+    for r, nd in basis_d_maps():
+        assert r is not None and _first_failing_slab(r, nd) == ()
+        d = nd * nd
+        for i, j in [(d - 2, d - 1)] + [(rng.randrange(d), rng.randrange(d))
+                                        for _ in range(3)]:
+            s = list(r)
+            s[i], s[j] = s[j], s[i]
+            picked = _first_failing_slab(s, nd)
+            assert picked == first_failing_slab_flat(s, nd)
+            if picked:
+                (l,) = picked
+                seen.add("first" if l == 0 else "last" if l == nd - 1
+                         else "middle")
+                if failing_identities(s, nd, l) == {1}:
+                    seen.add("(1) alone")
+    assert seen == {"first", "middle", "last", "(1) alone"}
+
+
 def test_d_equation_basis_map_memory_and_witness_dim49():
     """The d_map of the free M (x) H dimodule over Q[L7], dim 49, solves
     the D-equation; with the images of columns 2399 and 2400 swapped it
@@ -386,6 +485,36 @@ def test_d_equation_basis_map_memory_and_witness_dim49():
     assert witness.indices == (48, 5, 6)
     assert witness.lhs == (((34, 48, 6), "1"),)
     assert witness.rhs == (((13, 47, 6), "1"),)
+
+
+def test_d_equation_dim144_free_dimodule_over_chein_loop():
+    """The free M (x) H dimodule over Q[M(S3, 2)], dim 144, passes ldm,
+    the lemma and the adjunction and solves the D-equation, and eq.d keeps
+    no nd^3 table: traced on its second call, once the cached views exist,
+    it stays under 2 MiB.  With its last two images swapped, R fails on
+    the slab the reference picker names."""
+    H = loop_algebra(chein_double(symmetric_group(3)))
+    D = build_from_quasimodule(H, ActionData.from_mu(H))
+    assert D.dim == 144
+    assert check_long_dimodule(D).ok and check_lemma_identities(D).ok
+    assert check_adjunction(H, D).ok
+    R = d_map(D)
+    check_d_equation(R)
+    tracemalloc.start()
+    try:
+        rep = check_d_equation(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and peak < 2 * 2 ** 20, peak
+    r = list(R.basis_map(0))
+    r[-2], r[-1] = r[-1], r[-2]
+    assert first_failing_slab_flat(r, 144) == (143,)
+    witness = check_d_equation(basis_rmap(R.field, 144, r)).law(
+        "eq.d").witness
+    assert witness.indices == (143, 10, 11)
+    assert witness.lhs == (((11, 143, 11), "1"),)
+    assert witness.rhs == (((23, 142, 11), "1"),)
 
 
 def test_compatibility_failure(H2):

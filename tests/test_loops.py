@@ -1,10 +1,12 @@
 import functools
+import itertools
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chein import chein_double, symmetric_group
 from conftest import LOOP7_ROWS, NON_IP_ROWS, cyclic, klein, loop7, s3_table
 from ip_check_reference import check_ip_loop as reference_check_ip_loop
 from ip_search_reference import canonical_form as reference_canonical_form
@@ -31,6 +33,18 @@ def test_groups_are_ip_loops():
     for table in (cyclic(2), cyclic(3), cyclic(5), klein(), s3_table()):
         rep = check_ip_loop(table)
         assert rep.ok, rep
+
+
+def test_chein_double_of_s3():
+    """M(S3, 2) is a Moufang loop of order 12, z(x(zy)) = ((zx)z)y, so an
+    IP loop, and nonassociative."""
+    T = chein_double(symmetric_group(3))
+    assert T.n == 12
+    assert check_ip_loop(T).ok
+    assert not is_associative(T)[0]
+    m = T.mul
+    assert all(m(z, m(x, m(z, y))) == m(m(m(z, x), z), y)
+               for x, y, z in itertools.product(range(12), repeat=3))
 
 
 def test_non_latin_table_fails():

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from instance_reference import witness_side
+
 from hopfloop import QQ, VerificationReport, report
-from hopfloop.report import Witness, slab_witness, witness_side
+from hopfloop.report import Witness, slab_witness
 
 
 def _witness(prefix, lhs, rhs, inst_dims, out_dims):

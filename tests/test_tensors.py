@@ -1,7 +1,11 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cyclic
+from tensors_reference import find_basis_map
 
 from hopfloop import GF, QQ, SparseTensor, loop_algebra
 from hopfloop.errors import DimMismatch
@@ -147,3 +151,49 @@ def test_basis_map_is_cached_per_leg():
     assert H.mu.basis_map(2) is H.mu.basis_map(2)
     off = SparseTensor(QQ, (2, 2), [(0, 0, 2), (1, 1, 1)])
     assert off.basis_map(0) is None and off._basis_maps == {0: None}
+
+
+NOT_ONE = {QQ: (2, -1, Fraction(1, 2)), GF(5): (2, 3, 4), GF(2): (0,)}
+
+
+@st.composite
+def near_basis_maps(draw):
+    """A tensor of rank 1-3 and dims 0-3 that is a basis map to a drawn leg
+    `out`, as it is or with one input changed: a coefficient other than
+    one (zero over GF(2)), the input missing, its entry repeated (summed
+    to 2, or to 0 over GF(2)), or a second image, which may be the same
+    one."""
+    f = draw(st.sampled_from(list(NOT_ONE)))
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    out = draw(st.integers(0, len(dims) - 1))
+    inputs = list(product(*map(range, dims[:out] + dims[out + 1:])))
+    entries = [x[:out] + (draw(st.integers(0, dims[out] - 1)),) + x[out:]
+               + (f.one,) for x in inputs] if dims[out] else []
+    change = draw(st.sampled_from(
+        ["none", "coefficient", "missing", "repeat", "second"]))
+    if inputs and not dims[out]:
+        change = "missing"  # no input has an image
+    elif entries and change != "none":
+        i = draw(st.integers(0, len(entries) - 1))
+        key = entries[i][:-1]
+        if change == "coefficient":
+            entries[i] = key + (draw(st.sampled_from(NOT_ONE[f])),)
+        elif change == "missing":
+            del entries[i]
+        elif change == "repeat":
+            entries.append(entries[i])
+        else:
+            k = draw(st.integers(0, dims[out] - 1))
+            entries.append(key[:out] + (k,) + key[out + 1:] + (f.one,))
+    return SparseTensor(f, dims, entries), out, change
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(near_basis_maps())
+def test_basis_map_matches_reference(drawn):
+    """basis_map(out) agrees with the per-key reference on every leg."""
+    t, out, change = drawn
+    for leg in range(len(t.dims)):
+        assert t.basis_map(leg) == find_basis_map(t, leg)
+    if change == "none":
+        assert t.basis_map(out) is not None
