@@ -16,17 +16,20 @@ M (x) H as the legs (AH), whose witness index is one flat int.
 The action and coaction of the free dimodules on M (x) H, legs (AH), and
 H (x) M, legs (HA), and of the tensor product M (x) N, legs (AB), N the
 second carrier B, are constructions of `hopfloop.laws` built by
-`laws.build`, as is `d_map`, m (x) n -> n^(1) . m (x) n^(0) on legs (AA).
+`laws.build`, as is `d_map`, m (x) n -> n^(1) . m (x) n^(0) on legs (AA),
+unless the action is a basis map and each coaction fibre one basis term
+with coefficient one: then R is one basis vector per input, read off
+integer rows.
 
 eq.d is contracted by hand in `check_d_equation`: R is input data, not a
 chain of structure maps.  When R sends basis vectors to basis vectors, as
 the d_map of a dimodule with permutation action and grading coaction does,
-the D-equation is first decided on integer tables, from three identities
-on pairs of basis indices, and only the least failing slab is contracted
-for its witness.
+the D-equation is decided on integer tables, from three identities on
+pairs of basis indices, and the witness of the least failing slab is read
+off the same integers.
 """
 
-from itertools import count
+from itertools import compress, count
 from math import isqrt
 from operator import ne
 
@@ -234,8 +237,31 @@ D_MAP = construction("d_map", "(AA)", "(AA)",
 
 
 def d_map(D):
-    """The candidate D-equation solution m (x) n -> n^(1) . m (x) n^(0)."""
-    return build(D_MAP, D.H, act=D.act, coact=D.coact, cls=RMap).transpose()
+    """The candidate D-equation solution m (x) n -> n^(1) . m (x) n^(0).
+
+    When the action is a basis map and each e_n coacts as one e_n0 (x) e_h
+    with coefficient one, R(e_m (x) e_n) = e_(h.m) (x) e_n0 is one basis
+    vector, and R is made from the flat row of those indices, which it
+    holds as its `basis_map(0)`; no field product is formed.  Any other
+    dimodule is built by the construction D_MAP."""
+    r = _basis_row(D)
+    if r is None:
+        return build(D_MAP, D.H, act=D.act, coact=D.coact,
+                     cls=RMap).transpose()
+    return RMap._from_basis_map(D.field, (len(r),) * 2, r)
+
+
+def _basis_row(D):
+    """r with R(e_j) = e_r[j] for the d_map R of D, j = m nd + n and
+    r[j] = (h.m) nd + n0 for the one term e_n0 (x) e_h of the coaction of
+    e_n; None unless the action is a basis map and every coaction fibre
+    is one term with coefficient one."""
+    act, one, nd = D.act.basis_map(2), D.field.one, D.dim
+    terms = [fibre[0][0] for fibre in D.coact._by_first
+             if len(fibre) == 1 and fibre[0][1] == one]
+    if act is None or len(terms) != nd:
+        return None
+    return [act[h][m] * nd + n0 for m in range(nd) for n0, h in terms]
 
 
 def _first_failing_slab(r, nd):
@@ -287,9 +313,27 @@ def _first_failing_slab(r, nd):
     return (first,) if first < nd else ()
 
 
-def _first_witness(R, slabs):
-    """The witness of eq.d at the first of `slabs` that fails, or None;
-    no later slab is contracted."""
+def _basis_witness(f, r, nd, l):
+    """The witness of eq.d at the failing slab l for the R with
+    R(e_j) = e_r[j].  Each side of e_lmn is one basis triple with
+    coefficient one, the flat int x nd^2 + y nd + z: R12 R23 e_lmn is
+    r[l nd + m'] nd + z with (m', z) = divmod(r[m nd + n], nd), and
+    R23 R12 e_lmn is x nd^2 + r[y' nd + n] with (x, y') =
+    divmod(r[l nd + m], nd).  Only the least differing (m, n) goes to
+    `slab_witness`."""
+    row = r[l * nd:(l + 1) * nd]
+    lhs = [row[v // nd] * nd + v % nd for v in r]
+    rhs = [u // nd * nd * nd + v for u in row
+           for v in r[u % nd * nd:(u % nd + 1) * nd]]
+    mn = next(compress(count(), map(ne, lhs, rhs)))
+    key = mn * nd ** 3
+    return slab_witness(f, (l,), {key + lhs[mn]: f.one},
+                        {key + rhs[mn]: f.one}, (nd, nd), (nd, nd, nd))
+
+
+def _first_witness(R):
+    """The witness of eq.d at the first slab that fails, or None; no later
+    slab is contracted."""
     f = R.field
     add, mul = f.add, f.mul
     nd = R.m_dim
@@ -314,7 +358,7 @@ def _first_witness(R, slabs):
         return out
 
     columns = R._by_second
-    for l in slabs:
+    for l in range(nd):
         lhs = slab((xy * nd, c, by_out_first[m2])
                    for m2 in range(nd)
                    for xy, c in columns[l * nd + m2])
@@ -351,15 +395,19 @@ def check_d_equation(R):
         (3) b(m,n) = b(b(l,m), n).
 
     These are decided on integer rows and columns in O(nd^2) on a d_map,
-    and only the least failing slab, or none, is contracted: it is the
-    first slab that fails in the contraction, which alone gives the
-    verdict and the witness.  Any other R contracts the slabs in order up
-    to the first that fails.
+    and the witness of the least failing slab, the first slab that fails
+    in the contraction, is read off r (`_basis_witness`).  Any other R
+    contracts the slabs in order up to the first that fails.  The d_map of
+    a basis dimodule holds r from when it is made (`d_map`), so nothing
+    is transposed or sorted here.
     """
     nd = R.m_dim
     r = R.basis_map(0)
-    slabs = range(nd) if r is None else _first_failing_slab(r, nd)
-    witness = _first_witness(R, slabs) if slabs else None
+    if r is None:
+        witness = _first_witness(R)
+    else:
+        slabs = _first_failing_slab(r, nd)
+        witness = _basis_witness(R.field, r, nd, *slabs) if slabs else None
     rep = VerificationReport()
     rep.add("eq.d", witness is None, witness)
     return rep

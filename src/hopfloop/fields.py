@@ -7,6 +7,7 @@ not depend on which one holds a value.  GF(p) scalars are plain ints in
 [0, p).  Containers carry the field; scalars themselves stay lightweight.
 """
 
+import operator
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
@@ -49,23 +50,18 @@ class RationalField:
     zero = 0
     one = 1
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
+    # ints and Fractions add, subtract, multiply and negate exactly as
+    # they are, so these are the C operators themselves
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by zero in Q")
         q = Fraction(a) / b
         return q.numerator if q.denominator == 1 else q
-
-    def neg(self, a):
-        return -a
 
     def from_int(self, k):
         return int(k)

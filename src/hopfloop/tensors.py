@@ -6,9 +6,15 @@ given more than once at construction is summed exactly, so builders pass
 one entry per term and never accumulate themselves.  Memory is O(nnz).
 
 The law checkers read fibres: the nonzeros grouped by one or two index
-legs, as (rest of the index, coeff) pairs in sorted order.  Each grouping is
-built once from the nonzeros on first use and held in nested tuples, so a
-lookup is one or two subscripts and never hashes an index tuple.
+legs, as (rest of the index, coeff) pairs in the order of `nz`.  Each
+grouping is built in one pass over the nonzeros on first use and held in
+nested tuples, so a lookup is one or two subscripts and never hashes an
+index tuple.  Exact sums do not depend on the order of their terms, and a
+witness sorts its sides, so only a unit's few nonzeros are sorted.
+
+A builder that makes a fresh dict of distinct in-range keys hands it to
+`_from_nz`, and the tensor takes ownership of it: the dict becomes `nz`
+unless it holds a zero.
 
 Index conventions, used identically everywhere:
 
@@ -27,11 +33,13 @@ None for any other tensor.  The product of a magma algebra is
 `delta.basis_map(0)`, and an antipode that sends basis vectors to basis
 vectors `S.basis_map(0)`, or `S.basis_map(1)` for its transpose.  Laws
 over such maps are decided by composing and comparing integer rows
-(`assoc_mismatches`, `quasi_rows`).
+(`assoc_mismatches`, `quasi_rows`).  A matrix made from such a row by
+`_from_basis_map` holds it as its `basis_map(0)` from the start.
 
 A unit or counit is a tensor of dims (n,): read as a counit, its fibres
 are those of `_by_first`, one ((), coeff) pair or none per basis vector;
-read as a unit, its one fibre is `_nonzeros`, every (i, coeff) pair.
+read as a unit, its one fibre is `_nonzeros`, every (i, coeff) pair in
+index order.
 """
 
 from functools import cached_property
@@ -63,16 +71,30 @@ class SparseTensor:
 
     @classmethod
     def _from_nz(cls, field, dims, nz):
-        """Build from a dict of distinct index tuples, each inside dims.
+        """Build from a fresh dict of distinct index tuples, each inside
+        dims, and take ownership of it.
 
-        Zeros are dropped; unlike the constructor, nothing is summed or
+        The tensor keeps the dict itself as `nz` when it holds no zero, so
+        the caller must not change it afterwards; otherwise the zeros are
+        dropped from a copy.  Unlike the constructor, nothing is summed or
         range-checked, so callers guarantee both.
         """
         self = cls.__new__(cls)
         zero = field.zero
         self.field = field
         self.dims = tuple(dims)
-        self.nz = {key: c for key, c in nz.items() if c != zero}
+        self.nz = (nz if zero not in nz.values()
+                   else {key: c for key, c in nz.items() if c != zero})
+        return self
+
+    @classmethod
+    def _from_basis_map(cls, field, dims, flat):
+        """The matrix of dims `dims` whose column j is e_flat[j], holding
+        `flat` as its `basis_map(0)` rather than searching for it.  Callers
+        guarantee len(flat) == dims[1] and 0 <= flat[j] < dims[0]."""
+        self = cls._from_nz(field, dims, dict.fromkeys(
+            zip(flat, range(len(flat))), field.one))
+        self._basis_maps[0] = tuple(flat)
         return self
 
     def __getitem__(self, key):
@@ -109,13 +131,13 @@ class SparseTensor:
     rows = data
 
     # Fibres: the nonzeros grouped by leading legs, each group a tuple of
-    # (rest of the index, coeff) pairs in sorted order.
+    # (rest of the index, coeff) pairs in the order of nz.
 
     @cached_property
     def _by_first(self):
         """[i] -> ((j, k, ...), coeff) pairs."""
         out = [[] for _ in range(self.dims[0])]
-        for key, c in sorted(self.nz.items()):
+        for key, c in self.nz.items():
             out[key[0]].append((key[1:], c))
         return tuple(map(tuple, out))
 
@@ -127,18 +149,17 @@ class SparseTensor:
     @cached_property
     def _by_first_two(self):
         """[i][j] -> (k, coeff) pairs, for an order-3 tensor."""
-        n0, n1 = self.dims[0], self.dims[1]
-        out = [[] for _ in range(n0 * n1)]
-        for (i, j, k), c in sorted(self.nz.items()):
-            out[i * n1 + j].append((k, c))
-        return tuple(tuple(map(tuple, out[i * n1:(i + 1) * n1]))
-                     for i in range(n0))
+        n1 = self.dims[1]
+        out = [[[] for _ in range(n1)] for _ in range(self.dims[0])]
+        for (i, j, k), c in self.nz.items():
+            out[i][j].append((k, c))
+        return tuple([tuple(map(tuple, row)) for row in out])
 
     @cached_property
     def _by_second(self):
         """[j] -> (i, coeff) pairs, for a matrix."""
         out = [[] for _ in range(self.dims[1])]
-        for (i, j), c in sorted(self.nz.items()):
+        for (i, j), c in self.nz.items():
             out[j].append((i, c))
         return tuple(map(tuple, out))
 

@@ -22,8 +22,11 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
                       dualize, loop_algebra, search_ip_loops,
                       tensor_dimodule, trivial_action_dimodule,
                       trivial_coaction_dimodule, unit_dimodule)
-from hopfloop.dimodules import _first_failing_slab
+from hopfloop.dimodules import D_MAP, _basis_row, _first_failing_slab
 from hopfloop.errors import DimMismatch, FieldMismatch, HMismatch
+from hopfloop.laws import build
+from hopfloop.tensors import SparseTensor
+from tensors_reference import find_basis_map
 
 
 def free_dimodule(H2):
@@ -638,3 +641,94 @@ def test_d_equation_stops_after_the_first_failing_slab(monkeypatch):
     assert witness.indices == (0, 0, 1)
     assert witness.lhs == (((0, 7, 1), "1"),)
     assert witness.rhs == (((0, 7, 1), "2"),)
+
+
+# --- d_map on integer rows against the construction ----------------------
+
+def constructed_d_map(D):
+    """The d_map of D built by the construction D_MAP, as any dimodule's
+    is when its (co)action is not one basis term per input."""
+    return build(D_MAP, D.H, act=D.act, coact=D.coact, cls=RMap).transpose()
+
+
+def basis_dimodules():
+    """Dimodules whose action is a basis map and whose coaction sends each
+    basis vector to one basis term with coefficient one: the free M (x) H
+    dimodules over Q[C2], GF(5)[C2], Q[S3], Q[L7] and Q[M(S3, 2)], a free
+    H (x) M one, and trivial, graded, tensor and unit dimodules."""
+    H2, H2f5 = loop_algebra(cyclic(2)), loop_algebra(cyclic(2), field=GF(5))
+    HS3, H7 = loop_algebra(s3_table()), loop_algebra(loop7())
+    HM = loop_algebra(chein_double(symmetric_group(3)))
+    inv = inversion_action()
+    tc = trivial_coaction_dimodule(H2, inv)
+    ta = trivial_action_dimodule(H2, CoactionData.graded(H2, [0, 1, 1]))
+    return [build_from_quasimodule(H2, inv),
+            build_from_quasimodule(H2f5, inversion_action(GF(5))),
+            build_from_quasimodule(HS3, ActionData.from_mu(HS3)),
+            build_from_quasimodule(H7, ActionData.from_mu(H7)),
+            build_from_quasimodule(HM, ActionData.from_mu(HM)),
+            build_from_comodule(HS3, CoactionData.from_delta(HS3)),
+            tc, ta, trivial_coaction_dimodule(H7, ActionData.from_mu(H7)),
+            LongDimodule(H2, inv, CoactionData.graded(H2, [0, 1, 0])),
+            tensor_dimodule(tc, ta), unit_dimodule(HS3), unit_dimodule(H7)]
+
+
+def test_d_map_on_integer_rows_matches_the_construction():
+    """On every basis dimodule, d_map reads R off integer rows, and R
+    equals the construction's: type, dims, nonzeros and basis_map(0),
+    which it holds from when it is made."""
+    dims = set()
+    for D in basis_dimodules():
+        assert _basis_row(D) is not None, D
+        R, built = d_map(D), constructed_d_map(D)
+        assert type(R) is type(built) is RMap
+        assert R.dims == built.dims and R.nz == built.nz
+        assert R._basis_maps == {0: find_basis_map(built, 0)}
+        assert R.basis_map(0) == built.basis_map(0)
+        dims.add(D.dim)
+    assert {1, 144} <= dims
+
+
+def test_d_map_falls_back_to_the_construction():
+    """A coaction term with coefficient 2, a coaction of two terms and an
+    action with a missing image each leave the integer rows: d_map is the
+    construction's."""
+    H2 = loop_algebra(cyclic(2))
+    inv = inversion_action()
+    graded = [(m, m, h, 1) for m, h in enumerate([0, 1, 0])]
+    doubled = CoactionData.from_entries(QQ, 3, 2, [(0, 0, 0, 2)] + graded[1:])
+    two_terms = CoactionData.from_entries(QQ, 3, 2, graded + [(0, 0, 1, 1)])
+    missing = ActionData.from_entries(QQ, 2, 3, [
+        (h, m, k, 1) for h, perm in enumerate([(0, 1, 2), (0, 2, 1)])
+        for m, k in enumerate(perm) if (h, m) != (1, 2)])
+    for act, coact in ((inv, doubled), (inv, two_terms),
+                       (missing, CoactionData.from_entries(QQ, 3, 2, graded))):
+        D = LongDimodule(H2, act, coact)
+        assert _basis_row(D) is None
+        R = d_map(D)
+        assert R == constructed_d_map(D)
+        assert R.basis_map(0) is None
+
+
+def test_d_equation_of_a_basis_d_map_neither_searches_nor_transposes(
+        monkeypatch):
+    """Once the action's basis map is known, d_map and eq.d of a basis
+    dimodule run with the basis-map search and the transpose removed:
+    R holds its row, and the witness is read off it."""
+    H2, H7 = loop_algebra(cyclic(2)), loop_algebra(loop7())
+    D = build_from_quasimodule(H7, ActionData.from_mu(H7))
+    bad = LongDimodule(H2, inversion_action(),
+                       CoactionData.graded(H2, [0, 1, 0]))
+    for X in (D, bad):
+        X.act.basis_map(2)
+
+    def refused(*args):
+        raise AssertionError("searched or transposed")
+
+    monkeypatch.setattr(SparseTensor, "_find_basis_map", refused)
+    monkeypatch.setattr(SparseTensor, "transpose", refused)
+    assert check_d_equation(d_map(D)).ok
+    rep = check_d_equation(d_map(bad))
+    monkeypatch.undo()
+    assert rep.to_dict() == check_d_equation_per_triple(d_map(bad)).to_dict()
+    assert not rep.ok

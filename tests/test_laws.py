@@ -44,6 +44,7 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
                       check_quasicomodule, check_quasimodule, d_map,
                       dualize, loop_algebra, tensor_dimodule)
 from hopfloop.actions import COQM_ALGEBRA, QM_COALGEBRA
+from hopfloop.dimodules import D_MAP
 from hopfloop.laws import Construction, build, construction, evaluate, law
 from hopfloop.smash import SMASH_COPRODUCT, SMASH_PRODUCT, _structure
 from hopfloop.structures import (HopfCoquasigroup, HopfQuasigroup,
@@ -371,6 +372,28 @@ def test_build_matches_hand_built_references(inp):
     maps = smash_maps(H, A, act, coact)
     assert_maps_match(maps, H.field.zero)
     assert maps["d_map"][0].m_dim == A.dim
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(construction_inputs())
+@example(cancelling_input())
+def test_made_tensors_hold_no_input_dict(inp):
+    """A tensor adopts the dict it is built from, so `build`, `transpose`
+    and `dualize` each hand it a fresh one: no tensor they make holds the
+    nz of an input tensor.  The dual shares H's unit and counit tensors
+    themselves, as its counit and unit."""
+    H, A, act, coact = inp
+    inputs = [X.nz for X in (act, coact) + tuple(
+        getattr(S, name) for S in (H, A)
+        for name in ("mu", "unit", "delta", "counit", "antipode"))]
+    made = [new for new, _ in smash_maps(H, A, act, coact).values()]
+    made += [new for new, _ in dimodule_maps(H, act, coact, act,
+                                             coact).values()]
+    dual = dualize(H)
+    assert dual.unit is H.counit and dual.counit is H.unit
+    made += [dual.mu, dual.delta, dual.antipode, H.antipode.transpose(),
+             A.antipode.transpose(), build(D_MAP, H, act=act, coact=coact)]
+    assert not [X for X in made for nz in inputs if X.nz is nz]
 
 
 @st.composite

@@ -1,12 +1,16 @@
+import ast
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tensors_reference as ref
 from conftest import cyclic
 from tensors_reference import find_basis_map
 
+import hopfloop
 from hopfloop import GF, QQ, SparseTensor, loop_algebra
 from hopfloop.errors import DimMismatch
 
@@ -197,3 +201,111 @@ def test_basis_map_matches_reference(drawn):
         assert t.basis_map(leg) == find_basis_map(t, leg)
     if change == "none":
         assert t.basis_map(out) is not None
+
+
+@st.composite
+def summed_tensors(draw):
+    """A tensor of rank 1-3 and dims 0-3 over Q, GF(2) or GF(5), built
+    from entries in drawn order, some keys repeated and some of those
+    summing to zero."""
+    f = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    if not all(dims):
+        return SparseTensor(f, dims, [])
+    keys = st.tuples(*[st.integers(0, d - 1) for d in dims])
+    scalar = st.sampled_from(["1", "2", "-1", "3"] + (
+        ["1/2", "-1/2"] if f != GF(2) else [])).map(f.parse)
+    entries = [key + (c,) for key, c in draw(
+        st.lists(st.tuples(keys, scalar), max_size=30))]
+    # each drawn entry again, or its negative, so that it doubles or
+    # cancels
+    for e in draw(st.lists(st.sampled_from(entries), max_size=6)
+                  if entries else st.just([])):
+        entries.append(e[:-1] + (draw(st.sampled_from(
+            [e[-1], f.neg(e[-1])])),))
+    return SparseTensor(f, dims, draw(st.permutations(entries)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(summed_tensors())
+def test_fibres_match_sorted_reference(t):
+    """Each view, grouped in the order of nz, holds per fibre exactly the
+    pairs of the sorted grouping: the same fibres, the same (index,
+    coeff) pairs in each, and no zero."""
+    assert (tuple(tuple(sorted(fibre)) for fibre in t._by_first)
+            == ref.by_first(t))
+    views = {1: ("_nonzeros", ref.nonzeros), 2: ("_by_second", ref.by_second),
+             3: ("_by_first_two", ref.by_first_two)}
+    name, reference = views[len(t.dims)]
+    view, expected = getattr(t, name), reference(t)
+    if name == "_by_first_two":
+        view = tuple(tuple(tuple(sorted(fibre)) for fibre in row)
+                     for row in view)
+    elif name == "_by_second":
+        view = tuple(tuple(sorted(fibre)) for fibre in view)
+    assert view == expected
+    assert t.field.zero not in t.nz.values()
+
+
+VIEW_CACHES = {"_basis_maps", "_by_first", "_by_first_two", "_by_second",
+               "_nonzeros"}
+
+
+def cache_writes(tree):
+    """The lines of `tree` that write a view cache of a SparseTensor: an
+    assignment or deletion whose target is such an attribute or an item
+    of one, a mutating method called on one, or the cache's name as a
+    string, as setattr and vars() writes need."""
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                   else [node.target] if isinstance(
+                       node, (ast.AugAssign, ast.AnnAssign)) else [])
+        for target in targets:
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute) and target.attr in VIEW_CACHES:
+                yield node.lineno
+        if (isinstance(node, ast.Attribute) and isinstance(
+                node.value, ast.Attribute) and node.value.attr in VIEW_CACHES
+                and node.attr in ("update", "setdefault", "pop", "popitem",
+                                  "clear", "__setitem__")):
+            yield node.lineno
+        if isinstance(node, ast.Constant) and node.value in VIEW_CACHES:
+            yield node.lineno
+
+
+def test_view_caches_are_written_only_in_tensors():
+    """Only `tensors.py` writes the cached views of a SparseTensor, so a
+    view is always the one its nonzeros give: a builder that knows a
+    tensor's basis map hands it over through `_from_basis_map`."""
+    for write in ("R._basis_maps[0] = r", "R._by_second = ()",
+                  "R._basis_maps.setdefault(0, r)", "del R._nonzeros",
+                  "vars(R)['_by_first'] = ()"):
+        assert any(cache_writes(ast.parse(write))), write
+    assert not any(cache_writes(ast.parse("r = R.basis_map(0)")))
+    found = {path.name for path in Path(hopfloop.__file__).parent.glob("*.py")
+             if any(cache_writes(ast.parse(path.read_text())))}
+    assert found == {"tensors.py"}
+
+
+def test_from_nz_adopts_the_dict_it_is_given():
+    """A dict with no zero becomes the tensor's nz; one with a zero is
+    copied without it, and the caller's dict is left as it was."""
+    nz = {(0, 1): QQ.one, (1, 0): Fraction(1, 2)}
+    assert SparseTensor._from_nz(QQ, (2, 2), nz).nz is nz
+    zeroed = {(0, 1): QQ.one, (1, 1): QQ.zero}
+    t = SparseTensor._from_nz(QQ, (2, 2), zeroed)
+    assert t.nz == {(0, 1): QQ.one} and len(zeroed) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+def test_from_basis_map_holds_its_row(field):
+    """The matrix with column j the basis vector e_flat[j] equals the one
+    built entry by entry, and its basis_map(0) is the row itself."""
+    flat = [2, 0, 2, 1]
+    t = SparseTensor._from_basis_map(field, (3, 4), flat)
+    assert t == SparseTensor(field, (3, 4), [(k, j, field.one)
+                                             for j, k in enumerate(flat)])
+    assert t._basis_maps == {0: (2, 0, 2, 1)}
+    assert t.basis_map(0) == find_basis_map(t, 0)
+    assert t.basis_map(1) is None
