@@ -44,6 +44,14 @@ def _is_prime(p):
     return True
 
 
+def _exponent(text):
+    """|int(text)|, or 0 when int() does not read text."""
+    try:
+        return abs(int(text))
+    except ValueError:
+        return 0
+
+
 class RationalField:
     """The field of rational numbers: ints when integral, else Fractions."""
 
@@ -73,6 +81,12 @@ class RationalField:
         try:
             if text.isdecimal():  # what Fraction(text) reads as an int
                 return int(text)
+            # Fraction(text) expands an exponent as a power of ten, for
+            # seconds past 10**1000000: one beyond 4300, Python's limit on
+            # an int string's digits, is refused first, in linear time
+            cut = max(text.rfind("e"), text.rfind("E"))
+            if cut >= 0 and _exponent(text[cut + 1:]) > 4300:
+                raise ValueError("exponent beyond ±4300")
             q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational scalar {text!r}: {exc}", line)

@@ -5,9 +5,20 @@ Formats are sparse (nonzero entries only) and hand-editable: `#` starts a
 comment line and blank lines are skipped everywhere.  Serialization is
 deterministic — section order is fixed and entries are emitted in sorted
 index order — so serialize(parse(serialize(X))) is byte-identical.
+
+Entry sections are read and written a column at a time, each column in one
+C-level pass: a section's lines are split, its index columns read through
+a table of index names, each distinct scalar token parsed once, and the
+{index tuple: scalar} dict built in file order.  A section that does not
+read cleanly that way is read again row by row, which reports the first
+error in it, with its line.  The writer formats each index name and each
+distinct scalar once and joins the columns into lines.
 """
 
 import os
+from fractions import Fraction
+from itertools import compress, repeat
+from operator import contains, itemgetter, not_
 
 from .actions import ActionData, CoactionData
 from .dimodules import OVER_COQUASIGROUP, OVER_QUASIGROUP, LongDimodule
@@ -24,23 +35,27 @@ _SECTIONS = ("mu", "delta", "unit", "counit", "antipode")
 # Largest declared dimension a file may have; a loop order counts, since it
 # is the dimension of the loop algebra.  The law checkers loop over up to
 # dim^3 basis triples, so a short file declaring dim 3000 would start a
-# ~10^10-step run.  Cyclic group algebras verify in 0.2 s at dim 64, the
-# largest in the fixtures and benchmarks, and in 1.5 s at dim 128 (`verify`
-# through the CLI, median of 3; 2-vCPU x86-64 host, Python 3.11).
+# ~10^10-step run.  Cyclic group algebras verify in 0.03 s at dim 64, the
+# largest in the fixtures and benchmarks, and in 0.13 s at dim 128 (`verify`
+# through `cli.main`, median of 3; 2-vCPU x86-64 host, Python 3.11).
 MAX_DIM = 256
 
 
 class _Lines:
-    """Comment/blank-stripping line reader that remembers line numbers."""
+    """Comment/blank-stripping line reader: kept lines and line numbers."""
 
     def __init__(self, text):
-        self.items = [(no, line) for no, line in
-                      enumerate(map(str.strip, text.splitlines()), start=1)
-                      if line and line[0] != "#"]
+        lines = list(map(str.strip, text.splitlines()))
+        # a blank line is false, and its "" is in "#" like a comment's "#"
+        keep = lines if "#" not in text else list(map(not_, map(
+            contains, repeat("#"), map(itemgetter(slice(1)), lines))))
+        self.nos = list(compress(range(1, len(lines) + 1), keep))
+        self.lines = list(compress(lines, keep))
         self.pos = 0
 
     def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else None
+        if self.pos < len(self.lines):
+            return self.nos[self.pos], self.lines[self.pos]
 
     def end(self):
         """Refuse any line left after the last one a format reads."""
@@ -51,10 +66,14 @@ class _Lines:
     def next(self, what):
         item = self.peek()
         if item is None:
-            last = self.items[-1][0] if self.items else 0
+            last = self.nos[-1] if self.nos else 0
             raise ParseError(f"unexpected end of file, expected {what}", last)
         self.pos += 1
         return item
+
+    def rest(self):
+        """(line numbers, lines) of every line not read yet."""
+        return self.nos[self.pos:], self.lines[self.pos:]
 
 
 def _check_dims(dims, line):
@@ -83,28 +102,31 @@ def _parse_indices(tokens, count, bound, line):
     return [_index(t, bound, line) for t in tokens[:count]]
 
 
-def _whole_section(field, rows, toks, dims):
-    """A section's {index tuple: scalar} read in one pass, or None when a
-    row has the wrong arity, a bad or out-of-range index or a bad scalar,
-    or two rows have the same index tuple."""
-    count = len(dims)
-    if set(map(len, toks)) - {count + 1}:
+def _whole_section(field, toks, dims):
+    """A section's {index tuple: scalar} read column by column, or None
+    when a row has the wrong arity, an index is out of range or not spelt
+    as str() spells it (007, +1), a scalar is bad, or two rows have the
+    same index tuple.  Each distinct scalar token is parsed once."""
+    if not toks:
+        return {}
+    if set(map(len, toks)) != {len(dims) + 1}:
         return None
+    *legs, scalars = zip(*toks)
+    bound = max(dims)
+    index = {str(i): i for i in range(bound)}.__getitem__
     try:
-        ints = list(map(int, [i for t in toks for i in t[:count]]))
-        scalars = [field.parse(t[count], no) for (no, _), t in zip(rows, toks)]
-    except (ValueError, ParseError):
+        cols = [list(map(index, leg)) for leg in legs]
+        value = {t: field.parse(t) for t in set(scalars)}
+    except (KeyError, ParseError):
         return None
-    if ints and (min(ints) < 0 or any(
-            max(ints[leg::count]) >= d for leg, d in enumerate(dims))):
+    if any(max(c) >= d for c, d in zip(cols, dims) if d < bound):
         return None
-    keys = list(zip(*[iter(ints)] * count))
-    out = dict(zip(keys, scalars))
-    return out if len(out) == len(keys) else None
+    out = dict(zip(zip(*cols), map(value.__getitem__, scalars)))
+    return out if len(out) == len(toks) else None
 
 
 def _entries(field, rows, dims, section, slow_key):
-    """{index tuple: scalar} of one section's (line number, line) rows.
+    """{index tuple: scalar} of one section's (line numbers, lines) rows.
 
     A valid section is read whole.  Otherwise its rows are read one at a
     time, in order: slow_key(no, line, tokens), the per-token index parse,
@@ -112,12 +134,13 @@ def _entries(field, rows, dims, section, slow_key):
     the scalar is parsed; then a repeated index tuple is refused.  So the
     error reported is the first one in the section.
     """
-    toks = [line.split() for _, line in rows]
-    out = _whole_section(field, rows, toks, dims)
+    nos, lines = rows
+    toks = list(map(str.split, lines))
+    out = _whole_section(field, toks, dims)
     if out is not None:
         return out
     out = {}
-    for (no, line), t in zip(rows, toks):
+    for no, line, t in zip(nos, lines, toks):
         key = slow_key(no, line, t)
         c = field.parse(t[-1], no)
         if key in out:
@@ -161,25 +184,24 @@ def parse_structure(text):
         raise ParseError(f"dimension must be positive, got {n}", no)
     _check_dims((n,), no)
 
-    body = lines.items[lines.pos:]
-    heads = [k for k, (_, line) in enumerate(body) if line[-1] == ":"]
+    nos, body = lines.rest()
+    heads = list(compress(range(len(body)),
+                          map(str.endswith, body, repeat(":"))))
     if body and heads[:1] != [0]:
-        no, line = body[0]
-        raise ParseError(f"entry before any section: {line!r}", no)
+        raise ParseError(f"entry before any section: {body[0]!r}", nos[0])
     sections = {}
     for k, end in zip(heads, heads[1:] + [len(body)]):
-        no, line = body[k]
-        name = line[:-1]
+        name = body[k][:-1]
         if name not in _SECTIONS:
-            raise ParseError(f"unknown section {name!r}", no)
+            raise ParseError(f"unknown section {name!r}", nos[k])
         if name in sections:
-            raise ParseError(f"duplicate section {name!r}", no)
-        sections[name] = body[k + 1:end]
+            raise ParseError(f"duplicate section {name!r}", nos[k])
+        sections[name] = nos[k + 1:end], body[k + 1:end]
     missing = [s for s in _SECTIONS if s not in sections]
     if missing:
         raise ParseError(
             "missing sections: " + ", ".join(missing),
-            lines.items[-1][0] if lines.items else 0)
+            lines.nos[-1] if lines.nos else 0)
 
     # Sections are parsed in a fixed order (mu, unit, delta, counit,
     # antipode), not in file order, so a file with several bad entries
@@ -202,9 +224,18 @@ def _field_line(field):
 
 
 def _entry_lines(tensor):
-    """One `indices scalar` line per nonzero, in sorted index order."""
-    line, form = ("{} " * len(tensor.dims) + "{}").format, tensor.field.format
-    return [line(*key, form(c)) for key, c in sorted(tensor.nz.items())]
+    """One `indices scalar` line per nonzero, in sorted index order, built
+    column-wise: each index name and each distinct scalar is formatted
+    once.  Only ints and Fractions share a scalar's text, since equal
+    values of those types print alike (True, 1.0 and 1 do not)."""
+    nz, form = tensor.nz, tensor.field.format
+    keys = sorted(nz)
+    values = list(map(nz.__getitem__, keys))
+    if set(map(type, values)) <= {int, Fraction}:
+        form = {v: form(v) for v in set(values)}.__getitem__
+    name = list(map(str, range(max(tensor.dims, default=0)))).__getitem__
+    return list(map(" ".join, zip(*[map(name, leg) for leg in zip(*keys)],
+                                  map(form, values))))
 
 
 def serialize_structure(H):
@@ -284,7 +315,7 @@ def _parse_map(text, field, kind):
         return tuple(_index(t, d, no) for t, d in zip(toks, dims))
 
     return cls._from_nz(field, dims, _entries(
-        field, lines.items[lines.pos:], dims, kind, slow_key))
+        field, lines.rest(), dims, kind, slow_key))
 
 
 def parse_action(text, field):

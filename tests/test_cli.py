@@ -268,6 +268,20 @@ def test_declared_dim_beyond_budget_exit_2(tmp_path, capsys):
     _assert_error_line(capsys, "line 3:", "3000")
 
 
+def test_rational_exponent_beyond_bound_exit_2(tmp_path, capsys, H2):
+    # Fraction would expand 10**999999999 for minutes
+    text = fileio.serialize_structure(H2)
+    lines = text.splitlines()
+    no = lines.index("antipode:") + 2
+    lines[no - 1] = lines[no - 1].rsplit(" ", 1)[0] + " 1e999999999"
+    path = tmp_path / "exp.hq"
+    path.write_text("\n".join(lines) + "\n")
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    _assert_error_line(capsys, f"line {no}:", "1e999999999", "exponent")
+
+
 def test_loop_order_beyond_budget_exit_2(tmp_path, capsys):
     # its loop algebra would be a structure file that verify refuses
     path = tmp_path / "c257.cayley"

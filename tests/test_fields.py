@@ -96,7 +96,17 @@ def test_field_equality_and_mismatch():
 
 
 def _parse_via_fraction(text):
-    """QQ.parse without its shortcut for digit strings."""
+    """QQ.parse without its shortcut for digit strings.  Like QQ.parse, it
+    refuses a text whose part after the last e or E reads by int() as an
+    exponent beyond ±4300, which Fraction would expand as a power of ten."""
+    _, e, exp = text.replace("E", "e").rpartition("e")
+    try:
+        huge = bool(e) and abs(int(exp)) > 4300
+    except ValueError:
+        huge = False
+    if huge:
+        return ("error",
+                f"bad rational scalar {text!r}: exponent beyond ±4300")
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -107,10 +117,15 @@ def _parse_via_fraction(text):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.one_of(
     st.text(alphabet="0123456789-+/._eE ٣²x", max_size=8),
-    st.integers(4290, 4310).map(lambda k: "7" * k)))
+    st.integers(4290, 4310).map(lambda k: "7" * k),
+    st.tuples(st.sampled_from(("1", "-2.5", "x", "1/2")),
+              st.sampled_from("eE"), st.sampled_from(("", "+", "-", " ")),
+              st.integers(4295, 4305) | st.integers(0, 10**12)).map(
+                  lambda t: t[0] + t[1] + t[2] + str(t[3]))))
 def test_rational_parse_matches_fraction(text):
     """Digit strings read as int give what Fraction(text) gives, errors
-    included (an int string longer than Python's limit among them)."""
+    included (an int string longer than Python's limit among them), and
+    an exponent beyond ±4300 is refused before Fraction sees it."""
     try:
         q = QQ.parse(text)
     except ParseError as exc:
@@ -118,3 +133,14 @@ def test_rational_parse_matches_fraction(text):
     else:
         got = ("ok", type(q), q)
     assert got == _parse_via_fraction(text)
+
+
+def test_rational_huge_exponent_refused_quickly():
+    """Fraction would spend seconds expanding 10**999999999."""
+    t0 = time.perf_counter()
+    for text in ("1e999999999", "1E-999999999", "2.5e4301"):
+        with pytest.raises(ParseError, match="exponent beyond"):
+            QQ.parse(text)
+    assert time.perf_counter() - t0 < 0.5
+    assert QQ.parse("1e4300") == 10 ** 4300
+    assert QQ.parse("25e-4300") == Fraction(25, 10 ** 4300)

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -281,10 +282,7 @@ def _outcome(parse, *args):
              for p in parts])
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(mutated(structure_texts()))
-def test_parse_structure_matches_reference(args):
-    (text,) = args
+def _assert_structure_matches(text):
     got = _outcome(fileio.parse_structure, text)
     assert got == _outcome(reference.parse_structure, text)
     if got[0] == "ok":
@@ -293,10 +291,7 @@ def test_parse_structure_matches_reference(args):
                 == reference.serialize_structure(H))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(mutated(map_texts()))
-def test_parse_action_coaction_match_reference(args):
-    kind, f, text = args
+def _assert_map_matches(kind, f, text):
     parse = getattr(fileio, "parse_" + kind)
     got = _outcome(parse, text, f)
     assert got == _outcome(getattr(reference, "parse_" + kind), text, f)
@@ -304,6 +299,150 @@ def test_parse_action_coaction_match_reference(args):
         obj = parse(text, f)
         assert (getattr(fileio, "serialize_" + kind)(obj)
                 == getattr(reference, "serialize_" + kind)(obj))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated(structure_texts()))
+def test_parse_structure_matches_reference(args):
+    (text,) = args
+    _assert_structure_matches(text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated(map_texts()))
+def test_parse_action_coaction_match_reference(args):
+    _assert_map_matches(*args)
+
+
+# --- wider inputs: two-digit indices, a large prime, other spellings ------
+
+GF_BIG = GF(999999929)
+WIDE_SCALARS = {**SCALARS, GF_BIG: (0, 1, 2, 999999928, 500000000)}
+# scalar tokens that are not in the writer's own spelling; over GF(p) the
+# last two divide by zero
+RESPELT_SCALARS = ("1/2", "-3/4", "2/4", "0/5", "7/7", "+3", "999999930/2",
+                   "5/999999929", "1/7")
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _respell_index(rng, token):
+    """`token` as another string that int() reads as the same index."""
+    how = rng.randrange(6)
+    if how == 0:
+        return "00" + token
+    if how == 1:
+        return "+" + token
+    if how == 2 and len(token) > 1:
+        return token[0] + "_" + token[1:]
+    if how == 3:
+        return token.translate(ARABIC_INDIC)
+    return token
+
+
+@st.composite
+def respelt(draw, texts):
+    """A text from `texts` with some entry lines written differently:
+    index tokens int() reads but the index table does not know (007, +1,
+    1_0, ٣), scalars as a/b, and fields separated by tabs."""
+    *extra, text = draw(texts)
+    rng = draw(st.randoms(use_true_random=False))
+    rate = draw(st.sampled_from((0.0, 0.05, 0.3)))
+    out = []
+    for line in text.splitlines():
+        toks = line.split()
+        if len(toks) > 1 and toks[0].isdigit():
+            toks[:-1] = [_respell_index(rng, t) if rng.random() < rate
+                         else t for t in toks[:-1]]
+            if rng.random() < rate:
+                toks[-1] = rng.choice(RESPELT_SCALARS)
+            line = rng.choice((" ", "\t", " \t")).join(toks)
+        out.append(line)
+    return (*extra, "\n".join(out) + "\n")
+
+
+@st.composite
+def wide_structure_texts(draw):
+    """(text,): a serialized structure of dim 1-12 over Q, GF(7) or
+    GF(999999929)."""
+    f = draw(st.sampled_from(list(WIDE_SCALARS)))
+    n = draw(st.sampled_from((1, 2, 10, 11, 12)) | st.integers(1, 12))
+    scalar = st.sampled_from(WIDE_SCALARS[f])
+    idx = st.integers(0, n - 1)
+
+    def entries(order):
+        return draw(st.lists(st.tuples(*[idx] * order, scalar),
+                             max_size=3 * n))
+
+    def vec():
+        return vector(f, draw(st.lists(scalar, min_size=n, max_size=n)))
+
+    cls = draw(st.sampled_from((HopfQuasigroup, HopfCoquasigroup)))
+    H = cls(SparseTensor(f, (n,) * 3, entries(3)), vec(),
+            SparseTensor(f, (n,) * 3, entries(3)), vec(),
+            SparseTensor(f, (n, n), entries(2)))
+    return (reference.serialize_structure(H),)
+
+
+@st.composite
+def wide_map_texts(draw):
+    """(kind, field, text): a serialized action or coaction with dims 0-12
+    over Q, GF(7) or GF(999999929)."""
+    f = draw(st.sampled_from(list(WIDE_SCALARS)))
+    h_dim, m_dim = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("action", "coaction")))
+    if kind == "action":
+        dims, cls = (h_dim, m_dim, m_dim), ActionData
+    else:
+        dims, cls = (m_dim, m_dim, h_dim), CoactionData
+    entries = [] if 0 in dims else draw(st.lists(st.tuples(
+        *[st.integers(0, d - 1) for d in dims],
+        st.sampled_from(WIDE_SCALARS[f])), max_size=24))
+    write = getattr(reference, "serialize_" + kind)
+    return kind, f, write(cls(f, dims, entries))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated(respelt(wide_structure_texts())))
+def test_parse_wide_structure_matches_reference(args):
+    (text,) = args
+    _assert_structure_matches(text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated(respelt(wide_map_texts())))
+def test_parse_wide_action_coaction_match_reference(args):
+    _assert_map_matches(*args)
+
+
+@pytest.mark.parametrize("field", [QQ, GF_BIG], ids=["Q", "F999999929"])
+@pytest.mark.parametrize("order", [48, 64])
+def test_large_structures_match_reference(order, field):
+    """The loop algebras of C48 and C64 and their duals, the sizes the
+    column-wise reader and writer are for: the same bytes and parses as
+    the per-line reference."""
+    H = loop_algebra(cyclic(order), field=field)
+    for X in (H, dualize(H)):
+        text = fileio.serialize_structure(X)
+        assert text == reference.serialize_structure(X)
+        assert (_outcome(fileio.parse_structure, text)
+                == _outcome(reference.parse_structure, text))
+
+
+def test_scalars_that_compare_equal_keep_their_text():
+    """The writer formats each distinct int or Fraction once; True, 1.0
+    and Decimal("1.00") equal 1 but print otherwise, and keep their text."""
+    n = 4
+    unit = SparseTensor(QQ, (n,), [(0, 1), (1, True), (2, 1.0),
+                                   (3, Decimal("1.00"))])
+    counit = SparseTensor(QQ, (n,), [(0, Decimal("1.0")), (1, 1),
+                                     (2, Fraction(1)), (3, Fraction(2, 4))])
+    anti = SparseTensor(QQ, (n, n), [(0, 0, Fraction(2)), (1, 1, 2),
+                                     (2, 2, 2.0), (3, 3, Fraction(4, 2))])
+    empty = SparseTensor(QQ, (n,) * 3, [])
+    H = HopfQuasigroup(empty, unit, empty, counit, anti)
+    text = fileio.serialize_structure(H)
+    assert text == reference.serialize_structure(H)
+    assert "\nunit:\n0 1\n1 True\n2 1.0\n3 1.00\ncounit:\n0 1.0\n" in text
 
 
 def test_index_at_its_bound_matches_reference():
