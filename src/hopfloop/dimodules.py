@@ -35,7 +35,7 @@ from operator import ne
 
 from .actions import (ActionData, CoactionData, check_comodule, check_module,
                       check_quasicomodule, check_quasimodule)
-from .errors import HMismatch
+from .errors import HMismatch, HopfloopError
 from .laws import build, construction, evaluate, law, legs
 from .report import VerificationReport, slab_witness
 from .structures import HopfQuasigroup
@@ -167,13 +167,9 @@ def unit_dimodule(H):
                         CoactionData.trivial(H, 1))
 
 
-def _same_structure(H, K):
-    return H is K or H.same_tensors(K)
-
-
 def tensor_dimodule(D1, D2):
     """Diagonal action and multiplied coaction on the flattened product."""
-    if not _same_structure(D1.H, D2.H):
+    if not D1.H.same_tensors(D2.H):
         raise HMismatch("dimodules live over different Hopf structures")
     if D1.variant != D2.variant:
         raise HMismatch("dimodule variants differ")
@@ -205,10 +201,13 @@ def check_adjunction(H, D):
     h.  adj.unit_colinear says it is colinear: it is comod.coassoc with
     its sides swapped.  The triangular identities are counitality on the
     dimodule side, adj.triangle1 (comod.counital), and on the free side,
-    adj.triangle2.  D must live over H (HMismatch otherwise).
+    adj.triangle2, all of the quasigroup side.  D must live over H
+    (HMismatch otherwise) and over a Hopf quasigroup (HopfloopError).
     """
-    if not _same_structure(H, D.H):
+    if not H.same_tensors(D.H):
         raise HMismatch("the dimodule lives over a different Hopf structure")
+    if D.variant == OVER_COQUASIGROUP:
+        raise HopfloopError("no adjunction over a Hopf coquasigroup")
     return evaluate(ADJUNCTION, H, act=D.act, coact=D.coact)
 
 

@@ -10,7 +10,8 @@ not depend on which one holds a value.  GF(p) scalars are plain ints in
 import operator
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import (DivisionByZero, FieldMismatch, HopfloopError,
+                     ParseError)
 
 # Miller-Rabin on the prime bases 2..41 is exact for every n below this
 # bound, the least strong pseudoprime to all of them (Sorenson & Webster
@@ -75,7 +76,11 @@ class RationalField:
         return int(k)
 
     def format(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # Python's limit on an int string's digits
+            raise HopfloopError("a rational scalar has too many digits "
+                                "to write") from None
 
     def parse(self, text, line=None):
         try:

@@ -51,26 +51,44 @@ builds a witness only from the slab returned (`report.slab_witness`): the
 first failing instance in walk order, its indices in domain order.
 
 Each side is a loop nest emitted from its chain.  A step is one loop over
-the image of its input legs, read from the cached fibres of its map, and a
-swap only renames legs; the steps of both sides read one list of fibres,
-the right side's after the left's.  A step sits outside the loops over the
-instance legs it does not read, so that the (S (x) id)Delta(h) of qm2.left
-is formed once per h, not once per (h, m), and the coefficients are
-multiplied where a term is stored, or before an instance loop for the
-steps outside it:
+the nonzeros of its map, and a swap only renames legs.  A step binds its
+input legs not yet bound, the free instance legs it is the first to read,
+from its map's nonzeros grouped by the input legs already bound
+(`SparseTensor.fibres`); for mu or act, (i, j) -> k:
+
+    bound legs      view                   pairs
+    none            the items of nz        (i, j, k), coeff
+    i               _by_first[i]           (j, k), coeff
+    j               _by_second[j]          (i, k), coeff
+    i and j         _by_first_two[i][j]    k, coeff
+
+A map of one input leg is read through the items of nz, or `_nonzeros`
+for a counit (and a unit, with no input), when the leg is free, and by
+that leg when it is bound: `_by_first`, or `_by_second` for S.  So assoc
+on a diagonal mu of dim n visits n terms per slab, not n^2 empty fibres.
+Only a leg that no step reads, an identity leg, is bound by a range
+loop, innermost.  Each compiled function records in its `views` the
+(map, bound legs) that each of its steps reads, and `evaluate` and
+`build` look each such view up once per call; the steps of both sides
+read one list of views, the right side's after the left's.
+A step sits outside the loops over the instance legs it does not read,
+so that the (S (x) id)Delta(h) of qm2.left is formed once per h, not once
+per (h, m), and the coefficients are multiplied where a term is stored,
+or before a loop that binds a leg, for the steps outside it:
 
     for x0 in slabs:                                # the slab's h
         lhs = {}
         for (y0_0, y0_1), v0 in t[0][x0]:           # delta@0
             for y1_0, v1 in t[1][y0_1]:             # S@1
                 c4 = mul(v0, v1)
-                for x1 in range(nA):                # the instance m
-                    for y2_0, v2 in t[2][y1_0][x1]:     # act@1
-                        for y3_0, v3 in t[3][y0_0][y2_0]:   # act@0
-                            key = (x1) * nA + y3_0
-                            ...  # add mul(mul(c4, v2), v3) to lhs[key]
+                for (x1, y2_0), v2 in t[2][y1_0]:   # act@1 binds m
+                    for y3_0, v3 in t[3][y0_0][y2_0]:   # act@0
+                        key = (x1) * nA + y3_0
+                        ...  # add mul(mul(c4, v2), v3) to lhs[key]
         rhs = {}
-        ...  # eps@0 from t[4], into rhs
+        for (), v4 in t[4][x0]:                     # eps@0
+            for x1 in range(nA):                    # m, read by no step
+                ...  # add v4 to rhs[(x1) * nA + x1]
         if lhs != rhs and differ(lhs, rhs, zero):
             return x0, lhs, rhs
 
@@ -81,9 +99,10 @@ smash inputs run it when they are made.
 
 A construction declares one chain as a map, `construction(id, domain, out,
 chain)`, checked as a law's chains are.  Its nest, `Construction.nest`,
-walks every index of the first leg outermost and keys each term by the
-tuple of its leg groups' flat indices, domain first, so that `build` only
-hands the dict to a sparse tensor: "(AH)(AH)" -> "(AH)" is a product.
+binds every domain leg as a law's nest binds an instance leg and keys
+each term by the tuple of its leg groups' flat indices, domain first, so
+that `build` only hands the dict to a sparse tensor: "(AH)(AH)" -> "(AH)"
+is a product.
 """
 
 import re
@@ -107,17 +126,14 @@ SIGNATURES = {
     "act_B": ("HB", "B"), "coact_B": ("B", "BH"),
 }
 
-# The fibres of each map of a Hopf structure, (co)algebra or (co)action X by
-# its input legs: (output legs, coeff) pairs, one leg an int, more a tuple.
-_FIBRES = {
-    "mu": lambda X: X.mu._by_first_two,
-    "delta": lambda X: X.delta._by_first,
-    "S": lambda X: X.antipode._by_second,
-    "eta": lambda X: X.unit._nonzeros,
-    "eps": lambda X: X.counit._by_first,
-    "act": lambda X: X._by_first_two,
-    "coact": lambda X: X._by_first,
-}
+# Each map's legs in its index order, i an input and o an output.
+_LAYOUTS = {"mu": "iio", "delta": "ioo", "S": "oi", "eta": "o", "eps": "i",
+            "act": "iio", "coact": "ioo"}
+
+# The attribute of a Hopf structure, (co)algebra X holding each map; an
+# action or coaction is its own map.
+_MAPS = {"mu": "mu", "delta": "delta", "S": "antipode", "eta": "unit",
+         "eps": "counit"}
 
 
 @dataclass(frozen=True)
@@ -134,17 +150,12 @@ class Law:
     out_sizes: tuple = None
 
     @cached_property
-    def names(self):
-        """The maps read by the steps of both chains, in order."""
-        return tuple(name for name, _ in self.lhs + self.rhs)
-
-    @cached_property
     def check(self):
         """The law compiled on first use: a function of the indices of the
-        walked leg to evaluate, the fibres t of `names`, the dims nH and
-        nA, and the field's one, mul, add and zero, that returns the first
-        failing (index, lhs slab, rhs slab), or None."""
-        s = self.slab
+        walked leg to evaluate, the views t that its `views` name, the
+        dims nH and nA, and the field's one, mul, add and zero, that
+        returns the first failing (index, lhs slab, rhs slab), or None."""
+        s, views = self.slab, []
         spaces = self.domain[:s] + self.domain[s + 1:] + self.out
 
         def key(xs, ys):
@@ -153,11 +164,12 @@ class Law:
         return _function("check(slabs, t, nH, nA, one, mul, add, zero)", [
             f"    for x{s} in slabs:",
             "        lhs = {}",
-            *_nest(self.lhs, self.domain, s, 0, "lhs", key, 2),
+            *_nest(self.lhs, self.domain, s, 0, "lhs", key, 2, views),
             "        rhs = {}",
-            *_nest(self.rhs, self.domain, s, len(self.lhs), "rhs", key, 2),
+            *_nest(self.rhs, self.domain, s, len(self.lhs), "rhs", key, 2,
+                   views),
             "        if lhs != rhs and differ(lhs, rhs, zero):",
-            f"            return x{s}, lhs, rhs"])
+            f"            return x{s}, lhs, rhs"], views)
 
     @cached_property
     def _dims(self):
@@ -248,15 +260,14 @@ class Construction:
     domain: str  # the legs, groups dissolved
     out: str
     chain: tuple  # ((name, p), ...)
-    names: frozenset  # the maps the chain reads
     groups: tuple  # the legs of each index of a built tensor, domain first
 
     @cached_property
     def nest(self):
-        """The map compiled on first use: a function of the fibres t of
-        its chain's steps, the dims nH, nA and nB, and the field's one, mul
+        """The map compiled on first use: a function of the views t that
+        its `views` name, the dims nH, nA and nB, and the field's one, mul
         and add, that returns its terms keyed by the groups' indices."""
-        sizes = [len(group) for group in self.groups]
+        sizes, views = [len(group) for group in self.groups], []
 
         def key(xs, ys):
             return "(" + "".join(
@@ -264,12 +275,10 @@ class Construction:
                 for names, group in zip(_runs(xs + ys, sizes), self.groups)
             ) + ")"
 
-        # the first domain leg is walked outermost; a rank-0 domain has none
-        walk = [f"    for x0 in range(n{leg}):" for leg in self.domain[:1]]
         return _function("nest(t, nH, nA, nB, one, mul, add)", [
-            "    out = {}", *walk,
-            *_nest(self.chain, self.domain, 0, 0, "out", key, 1 + len(walk)),
-            "    return out"])
+            "    out = {}",
+            *_nest(self.chain, self.domain, None, 0, "out", key, 1, views),
+            "    return out"], views)
 
 
 def construction(map_id, domain, out, chain):
@@ -277,8 +286,7 @@ def construction(map_id, domain, out, chain):
     (legs, _), (out_legs, _) = _legs(map_id, domain), _legs(map_id, out)
     steps = _checked(map_id, chain, legs, out_legs)
     groups = tuple(g.strip("()") for g in _LEG.findall(domain + out))
-    return Construction(map_id, legs, out_legs, steps,
-                        frozenset(name for name, _ in steps), groups)
+    return Construction(map_id, legs, out_legs, steps, groups)
 
 
 def _flat(names, spaces):
@@ -299,17 +307,20 @@ def _ravel(index, dims):
     return sum(i * prod(dims[k + 1:]) for k, i in enumerate(index))
 
 
-def _nest(chain, domain, walked, k0, slab, key, depth):
+def _nest(chain, domain, walked, k0, slab, key, depth, views):
     """The lines, indented `depth` levels, of the loop nest of `chain` on
-    the legs `domain`, named x0, x1, ..., with the leg `walked` bound
-    outside it: each term is added to the dict `slab` under the key
+    the legs `domain`, named x0, x1, ..., with the leg `walked`, if any,
+    bound outside it: each term is added to the dict `slab` under the key
     key(xs, ys), xs the domain legs' names and ys the output legs', and
-    step k of the chain reads the fibres t[k0 + k]."""
+    step k of the chain reads t[k0 + k], the view of its map's nonzeros
+    that it appends to `views`, None for a swap.
+
+    A step binds its free input legs from its map's nonzeros grouped by
+    its bound ones (`SparseTensor.fibres`), and only a leg that no step
+    reads is bound by a range loop."""
     xs = [f"x{i}" for i in range(len(domain))]
     legs = list(xs)  # the current legs' names
-    defined = set(xs[walked:walked + 1])
-    waiting = [(x, space) for i, (x, space) in enumerate(zip(xs, domain))
-               if i != walked]
+    defined = set() if walked is None else set(xs[walked:walked + 1])
     lines, coef = [], "one"
 
     def emit(line):
@@ -317,39 +328,54 @@ def _nest(chain, domain, walked, k0, slab, key, depth):
         lines.append("    " * depth + line)
         depth += line.endswith(":")
 
-    def loop(var, space):
+    def hoist():
+        # the product so far, formed once before a loop of many terms
         nonlocal coef
         if coef.startswith("mul("):
             emit(f"c{depth} = {coef}")
             coef = f"c{depth}"
-        emit(f"for {var} in range(n{space}):")
-        defined.add(var)
 
     for k, (name, p) in enumerate(chain, k0):
         if name == "swap":
             legs[p:p + 2] = legs[p + 1], legs[p]
+            views.append(None)
             continue
         n_in, n_out = map(len, SIGNATURES[name])
         ins, new = legs[p:p + n_in], [f"y{k}_{i}" for i in range(n_out)]
-        while not defined.issuperset(ins):
-            loop(*waiting.pop(0))
-        target = new[0] if n_out == 1 else f"({', '.join(new)})"
-        emit(f"for {target}, v{k} in t[{k}]{''.join(f'[{a}]' for a in ins)}:")
-        defined.update(new)
+        # the map's index, its legs named; `by` the positions bound
+        order = iter(ins), iter(new)
+        index = [next(order[leg == "o"])
+                 for leg in _LAYOUTS[name.partition("_")[0]]]
+        by = tuple(i for i, a in enumerate(index) if a in defined)
+        rest = [a for a in index if a not in defined]
+        if len(by) < n_in:
+            hoist()
+        target = rest[0] if len(rest) == 1 else f"({', '.join(rest)})"
+        emit(f"for {target}, v{k} in t[{k}]"
+             f"{''.join(f'[{index[i]}]' for i in by)}:")
+        views.append((name, by))
+        defined.update(ins + new)
         coef = f"v{k}" if coef == "one" else f"mul({coef}, v{k})"
         legs[p:p + n_in] = new
-    for var, space in waiting:
-        loop(var, space)
+    for var, space in zip(xs, domain):
+        if var not in defined:
+            hoist()
+            emit(f"for {var} in range(n{space}):")
     emit(f"key = {key(xs, legs)}")
     emit(f"{slab}[key] = add({slab}[key], {coef}) if key in {slab} else {coef}")
     return lines
 
 
-def _function(head, lines):
-    """The function `head` with the body `lines`, compiled."""
+def _function(head, lines, views):
+    """The function `head` with the body `lines`, compiled; its `views`
+    name the view of its map's nonzeros that each step reads, and its
+    `source` is its text."""
     namespace = {"differ": differ}
-    exec("\n".join([f"def {head}:", *lines]), namespace)
-    return namespace[head.partition("(")[0]]
+    source = "\n".join([f"def {head}:", *lines])
+    exec(source, namespace)
+    function = namespace[head.partition("(")[0]]
+    function.views, function.source = tuple(views), source
+    return function
 
 
 def legs(H, A=None, act=None, coact=None, act_B=None, coact_B=None):
@@ -384,17 +410,20 @@ def legs(H, A=None, act=None, coact=None, act_B=None, coact_B=None):
     return nH, nA, nB
 
 
-def _inputs(names, H, A, act, coact, act_B=None, coact_B=None):
-    """The dims of the legs H, A and B, checked by `legs`, and the fibres
-    of the maps `names`."""
+def _inputs(views, H, A, act, coact, act_B=None, coact_B=None):
+    """The dims of the legs H, A and B, checked by `legs`, and each of the
+    `views` of its map's nonzeros, (name, bound legs) or None for a
+    swap."""
     nH, nA, nB = legs(H, A, act, coact, act_B, coact_B)
     maps = {"act": act, "coact": coact, "act_B": act_B, "coact_B": coact_B}
-    fibres = {"swap": None}
-    for name in names:
-        if name != "swap":
+    found = {None: None}
+    for step in views:
+        if step not in found:
+            name, by = step
             X = maps.get(name, A if name.endswith("_A") else H)
-            fibres[name] = _FIBRES[name.partition("_")[0]](X)
-    return {"H": nH, "A": nA, "B": nB}, fibres
+            attr = _MAPS.get(name.partition("_")[0])
+            found[step] = (X if attr is None else getattr(X, attr)).fibres(by)
+    return {"H": nH, "A": nA, "B": nB}, found
 
 
 def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
@@ -409,9 +438,9 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
     f = H.field
     if firsts is None:
         firsts = [None] * len(laws)
-    names = {name for lw, chosen in zip(laws, firsts)
-             if chosen is None or chosen for name in lw.names}
-    dims, fibres = _inputs(names, H, A, act, coact)
+    views = {view for lw, chosen in zip(laws, firsts)
+             if chosen is None or chosen for view in lw.check.views}
+    dims, found = _inputs(views, H, A, act, coact)
     nH, nA = dims["H"], dims["A"]
     rep = VerificationReport()
     for lw, chosen in zip(laws, firsts):
@@ -419,7 +448,7 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
         if chosen is None or chosen:
             slabs, inst_dims, out_dims = lw.dims_at(nH, nA)
             bad = lw.check(slabs if chosen is None else chosen,
-                           [fibres[name] for name in lw.names],
+                           [found[view] for view in lw.check.views],
                            nH, nA, f.one, f.mul, f.add, f.zero)
             if bad is not None:
                 witness = _witness(lw, f, dims, bad, inst_dims, out_dims)
@@ -451,8 +480,9 @@ def build(con, H, A=None, act=None, coact=None, cls=SparseTensor, *,
     """The map `con` over the inputs of `evaluate` and those of the leg B,
     as a `cls` whose legs are its leg groups."""
     f = H.field
-    dims, fibres = _inputs(con.names, H, A, act, coact, act_B, coact_B)
+    views = con.nest.views
+    dims, found = _inputs(views, H, A, act, coact, act_B, coact_B)
     sizes = tuple(prod(dims[leg] for leg in group) for group in con.groups)
-    terms = con.nest([fibres[name] for name, _ in con.chain], dims["H"],
-                     dims["A"], dims["B"], f.one, f.mul, f.add)
+    terms = con.nest([found[view] for view in views], dims["H"], dims["A"],
+                     dims["B"], f.one, f.mul, f.add)
     return cls._from_nz(f, sizes, terms)

@@ -64,9 +64,10 @@ class HopfStructure:
         self.dim, self.field = n, mu.field
 
     def same_tensors(self, other):
-        return (self.mu == other.mu and self.delta == other.delta
-                and self.unit == other.unit and self.counit == other.counit
-                and self.antipode == other.antipode)
+        return self is other or (
+            self.mu == other.mu and self.delta == other.delta
+            and self.unit == other.unit and self.counit == other.counit
+            and self.antipode == other.antipode)
 
 
 class HopfQuasigroup(HopfStructure):

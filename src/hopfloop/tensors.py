@@ -5,8 +5,14 @@ entries keyed by index tuple.  Zeros are never stored, and an index tuple
 given more than once at construction is summed exactly, so builders pass
 one entry per term and never accumulate themselves.  Memory is O(nnz).
 
-The law checkers read fibres: the nonzeros grouped by one or two index
-legs, as (rest of the index, coeff) pairs in the order of `nz`.  Each
+The law checkers read fibres: the nonzeros grouped by the input legs a
+step has already bound, as (rest of the index, coeff) pairs in the order
+of `nz`, the rest one int when one leg is left.  `fibres(by)` names the
+view of the legs `by`: the items of `nz` for none (`_nonzeros` for a
+rank-1 tensor), `_by_first` for the first, `_by_second` for the second
+(of a matrix or an order-3 tensor) and `_by_first_two` for both.  A
+step binds its free legs from the rest, so it walks only the nonzeros
+(Kjolstad et al., "The Tensor Algebra Compiler", OOPSLA 2017).  Each
 grouping is built in one pass over the nonzeros on first use and held in
 nested tuples, so a lookup is one or two subscripts and never hashes an
 index tuple.  Exact sums do not depend on the order of their terms, and a
@@ -38,8 +44,8 @@ over such maps are decided by composing and comparing integer rows
 
 A unit or counit is a tensor of dims (n,): read as a counit, its fibres
 are those of `_by_first`, one ((), coeff) pair or none per basis vector;
-read as a unit, its one fibre is `_nonzeros`, every (i, coeff) pair in
-index order.
+read as a unit, or as a counit whose leg no earlier step bound, its one
+fibre is `_nonzeros`, every (i, coeff) pair in index order.
 """
 
 from functools import cached_property
@@ -130,8 +136,17 @@ class SparseTensor:
 
     rows = data
 
-    # Fibres: the nonzeros grouped by leading legs, each group a tuple of
-    # (rest of the index, coeff) pairs in the order of nz.
+    # Fibres: the nonzeros grouped by some of their legs, each group a
+    # tuple of (rest of the index, coeff) pairs in the order of nz.
+
+    def fibres(self, by):
+        """The view of the nonzeros grouped by the legs `by`, (0,), (1,) or
+        (0, 1), or of every nonzero for (); a matrix is read by its
+        second leg only."""
+        if not by:
+            return self._nonzeros if len(self.dims) == 1 else self.nz.items()
+        return (self._by_first if by == (0,) else self._by_second
+                if by == (1,) else self._by_first_two)
 
     @cached_property
     def _by_first(self):
@@ -148,19 +163,32 @@ class SparseTensor:
 
     @cached_property
     def _by_first_two(self):
-        """[i][j] -> (k, coeff) pairs, for an order-3 tensor."""
+        """[i][j] -> (k, coeff) pairs, for an order-3 tensor.  Only an i
+        with nonzeros gets a row of its own, the others share one row of
+        empty fibres, so a diagonal tensor costs O(n), not n^2 empty
+        lists.  A fibre grows by tuple concatenation, cheap for the one or
+        few pairs a fibre of a structure map holds."""
         n1 = self.dims[1]
-        out = [[[] for _ in range(n1)] for _ in range(self.dims[0])]
+        empty = ((),) * n1
+        out = [empty] * self.dims[0]
         for (i, j, k), c in self.nz.items():
-            out[i][j].append((k, c))
-        return tuple([tuple(map(tuple, row)) for row in out])
+            row = out[i]
+            if row is empty:
+                row = out[i] = list(empty)
+            row[j] += ((k, c),)
+        return tuple([row if row is empty else tuple(row) for row in out])
 
     @cached_property
     def _by_second(self):
-        """[j] -> (i, coeff) pairs, for a matrix."""
+        """[j] -> (i, coeff) pairs for a matrix, ((i, k), coeff) pairs for
+        an order-3 tensor."""
         out = [[] for _ in range(self.dims[1])]
-        for (i, j), c in self.nz.items():
-            out[j].append((i, c))
+        if len(self.dims) == 2:
+            for (i, j), c in self.nz.items():
+                out[j].append((i, c))
+        else:
+            for (i, j, k), c in self.nz.items():
+                out[j].append(((i, k), c))
         return tuple(map(tuple, out))
 
     def basis_map(self, out):

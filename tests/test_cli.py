@@ -282,6 +282,21 @@ def test_rational_exponent_beyond_bound_exit_2(tmp_path, capsys, H2):
     _assert_error_line(capsys, f"line {no}:", "1e999999999", "exponent")
 
 
+@pytest.mark.parametrize("command", ["verify", "dual"])
+def test_scalar_too_long_to_write_exit_2(tmp_path, capsys, H2, command):
+    # 1e4300 parses, but an int of 4301 digits has no str: verify fails a
+    # law and writes it in a witness, dual writes it in its output
+    lines = fileio.serialize_structure(H2).splitlines()
+    no = lines.index("antipode:") + 2
+    lines[no - 1] = lines[no - 1].rsplit(" ", 1)[0] + " 1e4300"
+    path, out = tmp_path / "long.hq", tmp_path / "out.hq"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, str(path), "-o", str(out)]
+                if command == "dual" else [command, str(path)]) == 2
+    _assert_error_line(capsys, "error:", "digits")
+    assert not out.exists()
+
+
 def test_loop_order_beyond_budget_exit_2(tmp_path, capsys):
     # its loop algebra would be a structure file that verify refuses
     path = tmp_path / "c257.cayley"

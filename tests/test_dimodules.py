@@ -23,7 +23,9 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
                       tensor_dimodule, trivial_action_dimodule,
                       trivial_coaction_dimodule, unit_dimodule)
 from hopfloop.dimodules import D_MAP, _basis_row, _first_failing_slab
-from hopfloop.errors import DimMismatch, FieldMismatch, HMismatch
+from hopfloop.errors import (DimMismatch, FieldMismatch, HMismatch,
+                             HopfloopError, HypothesisNotMet, InvalidInput,
+                             NotIPLoop)
 from hopfloop.laws import build
 from hopfloop.tensors import SparseTensor
 from tensors_reference import find_basis_map
@@ -178,6 +180,22 @@ def test_ldmcp_fails_on_a_valid_dimodule():
     assert [(e.law_id, e.passed, e.witness.indices)
             for e in check_lemma_identities(D).entries] == [
         ("ldmcp1", False, (9,)), ("ldmcp2", False, (1, 9))]
+
+
+def test_adjunction_refuses_the_coquasigroup_side():
+    """The adjunction laws are the quasigroup side's: over a Hopf
+    coquasigroup they are refused, not failed, so the valid free H (x) M
+    dimodule over the dual of Q[L7] is not reported as failing
+    adj.unit_colinear, and the refusal is not an exit-1 error."""
+    H7 = loop_algebra(loop7())
+    Hd = dualize(H7)
+    D = build_from_comodule(Hd, CoactionData.dual_of_action(
+        ActionData.from_mu(H7)))
+    with pytest.raises(HopfloopError, match="coquasigroup") as refused:
+        check_adjunction(Hd, D)
+    assert not isinstance(refused.value,
+                          (NotIPLoop, InvalidInput, HypothesisNotMet))
+    assert "\n" not in str(refused.value)
 
 
 def test_free_dimodules_over_nonassociative_order8_loops():
