@@ -17,9 +17,9 @@ The action and coaction of the free dimodules on M (x) H, legs (AH), and
 H (x) M, legs (HA), and of the tensor product M (x) N, legs (AB), N the
 second carrier B, are constructions of `hopfloop.laws` built by
 `laws.build`, as is `d_map`, m (x) n -> n^(1) . m (x) n^(0) on legs (AA),
-unless the action is a basis map and each coaction fibre one basis term
-with coefficient one: then R is one basis vector per input, read off
-integer rows.
+a matrix in (out, in) order.  When the action and the coaction send each
+input to one basis tuple with coefficient one, `build` reads R off
+integer rows with no field product, and R holds its basis_map(0).
 
 eq.d is contracted by hand in `check_d_equation`: R is input data, not a
 chain of structure maps.  When R sends basis vectors to basis vectors, as
@@ -236,31 +236,12 @@ D_MAP = construction("d_map", "(AA)", "(AA)",
 
 
 def d_map(D):
-    """The candidate D-equation solution m (x) n -> n^(1) . m (x) n^(0).
-
-    When the action is a basis map and each e_n coacts as one e_n0 (x) e_h
-    with coefficient one, R(e_m (x) e_n) = e_(h.m) (x) e_n0 is one basis
-    vector, and R is made from the flat row of those indices, which it
-    holds as its `basis_map(0)`; no field product is formed.  Any other
-    dimodule is built by the construction D_MAP."""
-    r = _basis_row(D)
-    if r is None:
-        return build(D_MAP, D.H, act=D.act, coact=D.coact,
-                     cls=RMap).transpose()
-    return RMap._from_basis_map(D.field, (len(r),) * 2, r)
-
-
-def _basis_row(D):
-    """r with R(e_j) = e_r[j] for the d_map R of D, j = m nd + n and
-    r[j] = (h.m) nd + n0 for the one term e_n0 (x) e_h of the coaction of
-    e_n; None unless the action is a basis map and every coaction fibre
-    is one term with coefficient one."""
-    act, one, nd = D.act.basis_map(2), D.field.one, D.dim
-    terms = [fibre[0][0] for fibre in D.coact._by_first
-             if len(fibre) == 1 and fibre[0][1] == one]
-    if act is None or len(terms) != nd:
-        return None
-    return [act[h][m] * nd + n0 for m in range(nd) for n0, h in terms]
+    """The candidate D-equation solution m (x) n -> n^(1) . m (x) n^(0),
+    built by the construction D_MAP.  When the action and the coaction
+    send each input to one basis tuple, with coefficient one, R is read
+    off integer rows and holds its `basis_map(0)`, and no field product
+    is formed (`laws.build`)."""
+    return build(D_MAP, D.H, act=D.act, coact=D.coact, cls=RMap)
 
 
 def _first_failing_slab(r, nd):
@@ -398,7 +379,7 @@ def check_d_equation(R):
     in the contraction, is read off r (`_basis_witness`).  Any other R
     contracts the slabs in order up to the first that fails.  The d_map of
     a basis dimodule holds r from when it is made (`d_map`), so nothing
-    is transposed or sorted here.
+    is transposed or sorted here, and R's nonzeros are never made.
     """
     nd = R.m_dim
     r = R.basis_map(0)

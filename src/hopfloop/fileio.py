@@ -223,27 +223,36 @@ def _field_line(field):
     return "field Q" if field == QQ else f"field F {field.p}"
 
 
-def _entry_lines(tensor):
-    """One `indices scalar` line per nonzero, in sorted index order, built
-    column-wise: each index name and each distinct scalar is formatted
-    once.  Only ints and Fractions share a scalar's text, since equal
-    values of those types print alike (True, 1.0 and 1 do not)."""
-    nz, form = tensor.nz, tensor.field.format
-    keys = sorted(nz)
-    values = list(map(nz.__getitem__, keys))
-    if set(map(type, values)) <= {int, Fraction}:
-        form = {v: form(v) for v in set(values)}.__getitem__
-    name = list(map(str, range(max(tensor.dims, default=0)))).__getitem__
-    return list(map(" ".join, zip(*[map(name, leg) for leg in zip(*keys)],
-                                  map(form, values))))
+def _entry_lines(tensors):
+    """Per tensor, one `indices scalar` line per nonzero, in sorted index
+    order, built column-wise: each index name and each distinct scalar is
+    formatted once for all of `tensors`, which share a field.  Only ints
+    and Fractions share a scalar's text, since equal values of those types
+    print alike (True, 1.0 and 1 do not)."""
+    form = tensors[0].field.format
+    exact = [set(map(type, t.nz.values())) <= {int, Fraction}
+             for t in tensors]
+    memo = {v: form(v) for v in set().union(
+        *[t.nz.values() for t, ok in zip(tensors, exact) if ok])}.__getitem__
+    name = list(map(str, range(max(
+        [d for t in tensors for d in t.dims], default=0)))).__getitem__
+    lines = []
+    for t, ok in zip(tensors, exact):
+        nz = t.nz
+        keys = sorted(nz)
+        lines.append(list(map(" ".join, zip(
+            *[map(name, leg) for leg in zip(*keys)],
+            map(memo if ok else form, map(nz.__getitem__, keys))))))
+    return lines
 
 
 def serialize_structure(H):
     out = ["hopfqg" if isinstance(H, HopfQuasigroup) else "hopfcoqg",
            _field_line(H.field), f"dim {H.dim}"]
-    for name in _SECTIONS:
+    sections = _entry_lines([getattr(H, name) for name in _SECTIONS])
+    for name, lines in zip(_SECTIONS, sections):
         out.append(f"{name}:")
-        out.extend(_entry_lines(getattr(H, name)))
+        out.extend(lines)
     return "\n".join(out) + "\n"
 
 
@@ -323,7 +332,7 @@ def parse_action(text, field):
 
 
 def serialize_action(act):
-    out = [f"action {act.h_dim} {act.m_dim}"] + _entry_lines(act)
+    out = [f"action {act.h_dim} {act.m_dim}"] + _entry_lines([act])[0]
     return "\n".join(out) + "\n"
 
 
@@ -332,7 +341,7 @@ def parse_coaction(text, field):
 
 
 def serialize_coaction(coact):
-    out = [f"coaction {coact.m_dim} {coact.h_dim}"] + _entry_lines(coact)
+    out = [f"coaction {coact.m_dim} {coact.h_dim}"] + _entry_lines([coact])[0]
     return "\n".join(out) + "\n"
 
 

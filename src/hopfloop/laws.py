@@ -102,7 +102,21 @@ chain)`, checked as a law's chains are.  Its nest, `Construction.nest`,
 binds every domain leg as a law's nest binds an instance leg and keys
 each term by the tuple of its leg groups' flat indices, domain first, so
 that `build` only hands the dict to a sparse tensor: "(AH)(AH)" -> "(AH)"
-is a product.
+is a product.  A map of one domain and one output index, "(AH)" ->
+"(AH)" as an antipode or d_map is, is keyed output first, a matrix in
+(out, in) order, so nothing built is transposed.
+
+A construction whose output is one leg group also has a basis form,
+`Construction.rows`: the same nest, reading the same views, that forms
+no product and writes the flat output index of each domain tuple into a
+list `row`, row-major over the domain legs.  `build` runs it when every
+map the chain reads sends each input to one basis tuple with
+coefficient one (`SparseTensor.is_forward`): then each domain tuple has
+one term, with coefficient one, and the row is the map, handed
+to `SparseTensor._from_basis_map`, which holds it as its basis map and
+makes its nonzeros only when they are read.  Laws have no basis form:
+one inside `evaluate` measured slower on the smash sweep and no faster on
+the dimodules (ROADMAP item 14).
 """
 
 import re
@@ -129,6 +143,10 @@ SIGNATURES = {
 # Each map's legs in its index order, i an input and o an output.
 _LAYOUTS = {"mu": "iio", "delta": "ioo", "S": "oi", "eta": "o", "eps": "i",
             "act": "iio", "coact": "ioo"}
+
+# Each map's input legs, by position.
+_INS = {name: tuple(i for i, leg in enumerate(_LAYOUTS[name.partition("_")[0]])
+                    if leg == "i") for name in SIGNATURES}
 
 # The attribute of a Hopf structure, (co)algebra X holding each map; an
 # action or coaction is its own map.
@@ -164,10 +182,11 @@ class Law:
         return _function("check(slabs, t, nH, nA, one, mul, add, zero)", [
             f"    for x{s} in slabs:",
             "        lhs = {}",
-            *_nest(self.lhs, self.domain, s, 0, "lhs", key, 2, views),
-            "        rhs = {}",
-            *_nest(self.rhs, self.domain, s, len(self.lhs), "rhs", key, 2,
+            *_nest(self.lhs, self.domain, s, 0, _sum_into("lhs", key), 2,
                    views),
+            "        rhs = {}",
+            *_nest(self.rhs, self.domain, s, len(self.lhs),
+                   _sum_into("rhs", key), 2, views),
             "        if lhs != rhs and differ(lhs, rhs, zero):",
             f"            return x{s}, lhs, rhs"], views)
 
@@ -260,7 +279,8 @@ class Construction:
     domain: str  # the legs, groups dissolved
     out: str
     chain: tuple  # ((name, p), ...)
-    groups: tuple  # the legs of each index of a built tensor, domain first
+    groups: tuple  # the legs of each index of a built tensor, in its order
+    out_index: int = None  # that of the output, if it is one group
 
     @cached_property
     def nest(self):
@@ -270,23 +290,50 @@ class Construction:
         sizes, views = [len(group) for group in self.groups], []
 
         def key(xs, ys):
+            # the legs' names in the order of the built tensor's indices
+            names = ys + xs if self.out_index == 0 else xs + ys
             return "(" + "".join(
-                f"{_flat(names, group)}, "
-                for names, group in zip(_runs(xs + ys, sizes), self.groups)
-            ) + ")"
+                f"{_flat(run, group)}, "
+                for run, group in zip(_runs(names, sizes), self.groups)) + ")"
 
         return _function("nest(t, nH, nA, nB, one, mul, add)", [
             "    out = {}",
-            *_nest(self.chain, self.domain, None, 0, "out", key, 1, views),
+            *_nest(self.chain, self.domain, None, 0, _sum_into("out", key),
+                   1, views),
             "    return out"], views)
+
+    @cached_property
+    def rows(self):
+        """The basis form of `nest`: a function of the same views and
+        dims and a list `row` with one place per input, row-major over
+        the domain legs, that sets the place of each input to the flat
+        index of its one output, row-major over the output legs, and
+        returns `row`.  It forms no product, so it is run only when every
+        map it reads sends each input to one basis tuple, with
+        coefficient one (`SparseTensor.is_forward`); then so does the map
+        it builds."""
+
+        def store(xs, ys, coef):
+            return [f"row[{_flat(xs, self.domain)}] = {_flat(ys, self.out)}"]
+
+        views = []
+        return _function("rows(t, nH, nA, nB, row)", [
+            *_nest(self.chain, self.domain, None, 0, store, 1, views, False),
+            "    return row"], views)
 
 
 def construction(map_id, domain, out, chain):
-    """Declare a map: `chain` must take `domain` to `out`."""
+    """Declare a map: `chain` must take `domain` to `out`.  A map of one
+    domain and one output index is built as a matrix, in (out, in)
+    order; any other keeps its domain indices first."""
     (legs, _), (out_legs, _) = _legs(map_id, domain), _legs(map_id, out)
     steps = _checked(map_id, chain, legs, out_legs)
-    groups = tuple(g.strip("()") for g in _LEG.findall(domain + out))
-    return Construction(map_id, legs, out_legs, steps, groups)
+    ins, outs = ([g.strip("()") for g in _LEG.findall(text)]
+                 for text in (domain, out))
+    if len(ins) == len(outs) == 1:
+        return Construction(map_id, legs, out_legs, steps, (*outs, *ins), 0)
+    return Construction(map_id, legs, out_legs, steps, (*ins, *outs),
+                        len(ins) if len(outs) == 1 else None)
 
 
 def _flat(names, spaces):
@@ -307,13 +354,25 @@ def _ravel(index, dims):
     return sum(i * prod(dims[k + 1:]) for k, i in enumerate(index))
 
 
-def _nest(chain, domain, walked, k0, slab, key, depth, views):
+def _sum_into(slab, key):
+    """The store of a nest that adds each term to the dict `slab` under
+    the key key(xs, ys)."""
+    def store(xs, ys, coef):
+        return [f"key = {key(xs, ys)}",
+                f"{slab}[key] = add({slab}[key], {coef}) if key in {slab} "
+                f"else {coef}"]
+    return store
+
+
+def _nest(chain, domain, walked, k0, store, depth, views, field=True):
     """The lines, indented `depth` levels, of the loop nest of `chain` on
     the legs `domain`, named x0, x1, ..., with the leg `walked`, if any,
-    bound outside it: each term is added to the dict `slab` under the key
-    key(xs, ys), xs the domain legs' names and ys the output legs', and
-    step k of the chain reads t[k0 + k], the view of its map's nonzeros
-    that it appends to `views`, None for a swap.
+    bound outside it: each term is stored by the lines store(xs, ys,
+    coef), xs the domain legs' names, ys the output legs' and coef the
+    term's coefficient, and step k of the chain reads t[k0 + k], the view
+    of its map's nonzeros that it appends to `views`, None for a swap.
+    Unless `field`, the coefficients are not multiplied, and coef is
+    "one".
 
     A step binds its free input legs from its map's nonzeros grouped by
     its bound ones (`SparseTensor.fibres`), and only a leg that no step
@@ -331,7 +390,7 @@ def _nest(chain, domain, walked, k0, slab, key, depth, views):
     def hoist():
         # the product so far, formed once before a loop of many terms
         nonlocal coef
-        if coef.startswith("mul("):
+        if field and coef.startswith("mul("):
             emit(f"c{depth} = {coef}")
             coef = f"c{depth}"
 
@@ -355,14 +414,15 @@ def _nest(chain, domain, walked, k0, slab, key, depth, views):
              f"{''.join(f'[{index[i]}]' for i in by)}:")
         views.append((name, by))
         defined.update(ins + new)
-        coef = f"v{k}" if coef == "one" else f"mul({coef}, v{k})"
+        if field:
+            coef = f"v{k}" if coef == "one" else f"mul({coef}, v{k})"
         legs[p:p + n_in] = new
     for var, space in zip(xs, domain):
         if var not in defined:
             hoist()
             emit(f"for {var} in range(n{space}):")
-    emit(f"key = {key(xs, legs)}")
-    emit(f"{slab}[key] = add({slab}[key], {coef}) if key in {slab} else {coef}")
+    for line in store(xs, legs, coef):
+        emit(line)
     return lines
 
 
@@ -411,19 +471,22 @@ def legs(H, A=None, act=None, coact=None, act_B=None, coact_B=None):
 
 
 def _inputs(views, H, A, act, coact, act_B=None, coact_B=None):
-    """The dims of the legs H, A and B, checked by `legs`, and each of the
+    """The dims of the legs H, A and B, checked by `legs`, each of the
     `views` of its map's nonzeros, (name, bound legs) or None for a
-    swap."""
+    swap, and the map of each name that they read."""
     nH, nA, nB = legs(H, A, act, coact, act_B, coact_B)
     maps = {"act": act, "coact": coact, "act_B": act_B, "coact_B": coact_B}
-    found = {None: None}
+    found, read = {None: None}, {}
     for step in views:
         if step not in found:
             name, by = step
-            X = maps.get(name, A if name.endswith("_A") else H)
-            attr = _MAPS.get(name.partition("_")[0])
-            found[step] = (X if attr is None else getattr(X, attr)).fibres(by)
-    return {"H": nH, "A": nA, "B": nB}, found
+            T = read.get(name)
+            if T is None:
+                X = maps.get(name, A if name.endswith("_A") else H)
+                attr = _MAPS.get(name.partition("_")[0])
+                T = read[name] = X if attr is None else getattr(X, attr)
+            found[step] = T.fibres(by)
+    return {"H": nH, "A": nA, "B": nB}, found, read
 
 
 def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
@@ -440,7 +503,7 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
         firsts = [None] * len(laws)
     views = {view for lw, chosen in zip(laws, firsts)
              if chosen is None or chosen for view in lw.check.views}
-    dims, found = _inputs(views, H, A, act, coact)
+    dims, found, _ = _inputs(views, H, A, act, coact)
     nH, nA = dims["H"], dims["A"]
     rep = VerificationReport()
     for lw, chosen in zip(laws, firsts):
@@ -478,11 +541,18 @@ def _witness(lw, field, dims, bad, inst_dims, out_dims):
 def build(con, H, A=None, act=None, coact=None, cls=SparseTensor, *,
           act_B=None, coact_B=None):
     """The map `con` over the inputs of `evaluate` and those of the leg B,
-    as a `cls` whose legs are its leg groups."""
+    as a `cls` whose legs are its leg groups.  When its output is one
+    group and every map it reads sends each input to one basis tuple,
+    with coefficient one, it is built by `con.rows` with no field
+    product, from the row of its basis map (`SparseTensor._from_basis_map`)."""
     f = H.field
     views = con.nest.views
-    dims, found = _inputs(views, H, A, act, coact, act_B, coact_B)
-    sizes = tuple(prod(dims[leg] for leg in group) for group in con.groups)
-    terms = con.nest([found[view] for view in views], dims["H"], dims["A"],
-                     dims["B"], f.one, f.mul, f.add)
-    return cls._from_nz(f, sizes, terms)
+    dims, found, read = _inputs(views, H, A, act, coact, act_B, coact_B)
+    nH, nA, nB = dims["H"], dims["A"], dims["B"]
+    sizes = tuple(prod(map(dims.get, group)) for group in con.groups)
+    t = [found[view] for view in views]
+    if con.out_index is not None and all(
+            T.is_forward(_INS[name]) for name, T in read.items()):
+        row = con.rows(t, nH, nA, nB, [None] * prod(map(dims.get, con.domain)))
+        return cls._from_basis_map(f, sizes, con.out_index, row)
+    return cls._from_nz(f, sizes, con.nest(t, nH, nA, nB, f.one, f.mul, f.add))

@@ -12,7 +12,10 @@ The conditions (cocommu, modass, commu, comodcoass) are declarations of
 `hopfloop.laws`, evaluated by `laws.evaluate`; on their legs "A" is the
 algebra A acted on or the coalgebra C coacted on.  The maps of the
 candidates are constructions, chains on the legs (AH) of A (x) H and (HA)
-of H (x) C built by `laws.build`.
+of H (x) C built by `laws.build`: S comes out as a matrix in (out, in)
+order, and a map whose inputs are all basis maps, as mu and S of the
+smash product of loop algebras under a permutation action are, comes out
+holding its basis map, so the candidate's checkers never search for it.
 """
 
 from .actions import (check_coqm_algebra, check_coqm_coalgebra,
@@ -60,8 +63,7 @@ SMASH_COPRODUCT = (
 def _structure(kind, maps, H, A, act=None, coact=None):
     """The structure `kind` whose mu, eta, delta, eps and S are the
     constructions `maps` over H, A and the (co)action."""
-    mu, eta, delta, eps, anti = (build(con, H, A, act, coact) for con in maps)
-    return kind(mu, eta, delta, eps, anti.transpose())
+    return kind(*(build(con, H, A, act, coact) for con in maps))
 
 
 def _require(rep, error, what):

@@ -39,8 +39,17 @@ None for any other tensor.  The product of a magma algebra is
 `delta.basis_map(0)`, and an antipode that sends basis vectors to basis
 vectors `S.basis_map(0)`, or `S.basis_map(1)` for its transpose.  Laws
 over such maps are decided by composing and comparing integer rows
-(`assoc_mismatches`, `quasi_rows`).  A matrix made from such a row by
-`_from_basis_map` holds it as its `basis_map(0)` from the start.
+(`assoc_mismatches`, `quasi_rows`).
+
+A builder that knows such a map's row, the output index of each input in
+row-major order, hands it to `_from_basis_map(field, dims, out, row)`:
+the tensor holds the row as its `basis_map(out)` from the start and makes
+`nz` from it, cached, only when something reads it, so a reader of the
+row alone, as `eq.d` on a basis R is, never makes the dict.  Whether a
+tensor, read as a map from some of its legs to the others, sends each
+input to one basis tuple with coefficient one is `is_forward(ins)`;
+`laws.build` asks it of every map a construction reads before it builds
+the construction's row.
 
 A unit or counit is a tensor of dims (n,): read as a counit, its fibres
 are those of `_by_first`, one ((), coeff) pair or none per basis vector;
@@ -49,9 +58,9 @@ fibre is `_nonzeros`, every (i, coeff) pair in index order.
 """
 
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import DimMismatch
 
@@ -94,14 +103,34 @@ class SparseTensor:
         return self
 
     @classmethod
-    def _from_basis_map(cls, field, dims, flat):
-        """The matrix of dims `dims` whose column j is e_flat[j], holding
-        `flat` as its `basis_map(0)` rather than searching for it.  Callers
-        guarantee len(flat) == dims[1] and 0 <= flat[j] < dims[0]."""
-        self = cls._from_nz(field, dims, dict.fromkeys(
-            zip(flat, range(len(flat))), field.one))
-        self._basis_maps[0] = tuple(flat)
+    def _from_basis_map(cls, field, dims, out, flat):
+        """The tensor of dims `dims` that sends input x, the x-th index of
+        its other legs in row-major order, to e_flat[x] on leg `out` with
+        coefficient one.  It holds `flat`, nested, as its `basis_map(out)`
+        rather than searching for it, and makes `nz` only when something
+        reads it.  Callers guarantee that len(flat) is the number of
+        inputs and that each flat[x] lies in range(dims[out])."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.dims = dims = tuple(dims)
+        self._basis_maps = {out: _nested(flat, dims[:out] + dims[out + 1:])}
+        self._forward = {(*range(out), *range(out + 1, len(dims))): True}
         return self
+
+    @cached_property
+    def nz(self):
+        # set in __init__ and _from_nz, so only a tensor made by
+        # _from_basis_map gets here, from the basis map it was made from:
+        # input x, row-major over the legs other than `out`, has the key
+        # x with flat[x] put in at leg `out`
+        (out, rows), = self._basis_maps.items()
+        for _ in range(len(self.dims) - 2):
+            rows = chain.from_iterable(rows)
+        inputs = product(*map(range, self.dims[:out] + self.dims[out + 1:]))
+        keys = (map(add, zip(rows), inputs) if out == 0
+                else map(add, inputs, zip(rows)) if out == len(self.dims) - 1
+                else (x[:out] + (k,) + x[out:] for x, k in zip(inputs, rows)))
+        return dict.fromkeys(keys, self.field.one)
 
     def __getitem__(self, key):
         """The entry at the full index tuple `key`; IndexError on any other
@@ -225,6 +254,26 @@ class SparseTensor:
             if list(map(by, keys)) != list(inputs):
                 return None
         return _nested(list(map(itemgetter(out), keys)), rest)
+
+    def is_forward(self, ins):
+        """Whether this tensor, read as a map from its legs `ins` to the
+        others, sends each input to one basis tuple, with coefficient
+        one.  A tensor with as many nonzeros as inputs is checked in one
+        pass of C-level calls over its values and keys; any other is
+        refused in O(1).  Cached per `ins`."""
+        known = self._forward
+        if ins not in known:
+            nz = self.nz
+            n = len(nz)
+            known[ins] = (
+                n == prod(self.dims[i] for i in ins)
+                and list(nz.values()).count(self.field.one) == n
+                and (n < 2 or len(set(map(itemgetter(*ins), nz))) == n))
+        return known[ins]
+
+    @cached_property
+    def _forward(self):
+        return {}
 
     def transpose(self):
         """The transpose of a matrix."""

@@ -22,12 +22,12 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
                       dualize, loop_algebra, search_ip_loops,
                       tensor_dimodule, trivial_action_dimodule,
                       trivial_coaction_dimodule, unit_dimodule)
-from hopfloop.dimodules import D_MAP, _basis_row, _first_failing_slab
+from hopfloop.dimodules import _first_failing_slab
 from hopfloop.errors import (DimMismatch, FieldMismatch, HMismatch,
                              HopfloopError, HypothesisNotMet, InvalidInput,
                              NotIPLoop)
-from hopfloop.laws import build
 from hopfloop.tensors import SparseTensor
+from smash_reference import d_map as reference_d_map
 from tensors_reference import find_basis_map
 
 
@@ -661,13 +661,7 @@ def test_d_equation_stops_after_the_first_failing_slab(monkeypatch):
     assert witness.rhs == (((0, 7, 1), "2"),)
 
 
-# --- d_map on integer rows against the construction ----------------------
-
-def constructed_d_map(D):
-    """The d_map of D built by the construction D_MAP, as any dimodule's
-    is when its (co)action is not one basis term per input."""
-    return build(D_MAP, D.H, act=D.act, coact=D.coact, cls=RMap).transpose()
-
+# --- d_map on integer rows against the term-by-term reference -----------
 
 def basis_dimodules():
     """Dimodules whose action is a basis map and whose coaction sends each
@@ -692,25 +686,27 @@ def basis_dimodules():
 
 
 def test_d_map_on_integer_rows_matches_the_construction():
-    """On every basis dimodule, d_map reads R off integer rows, and R
-    equals the construction's: type, dims, nonzeros and basis_map(0),
-    which it holds from when it is made."""
+    """On every basis dimodule, `build` reads d_map's R off integer rows:
+    R equals the term-by-term reference, type and dims included, holds
+    its basis_map(0) from when it is made, and makes nz only when it is
+    read, which eq.d never does."""
     dims = set()
     for D in basis_dimodules():
-        assert _basis_row(D) is not None, D
-        R, built = d_map(D), constructed_d_map(D)
-        assert type(R) is type(built) is RMap
-        assert R.dims == built.dims and R.nz == built.nz
-        assert R._basis_maps == {0: find_basis_map(built, 0)}
-        assert R.basis_map(0) == built.basis_map(0)
+        R, ref = d_map(D), reference_d_map(D)
+        assert type(R) is type(ref) is RMap
+        assert "nz" not in vars(R), D
+        assert R._basis_maps == {0: find_basis_map(ref, 0)}, D
+        check_d_equation(R)
+        assert "nz" not in vars(R), D
+        assert R == ref, D
         dims.add(D.dim)
     assert {1, 144} <= dims
 
 
 def test_d_map_falls_back_to_the_construction():
     """A coaction term with coefficient 2, a coaction of two terms and an
-    action with a missing image each leave the integer rows: d_map is the
-    construction's."""
+    action with a missing image each send `build` to the field nest: R
+    equals the reference and is no basis map."""
     H2 = loop_algebra(cyclic(2))
     inv = inversion_action()
     graded = [(m, m, h, 1) for m, h in enumerate([0, 1, 0])]
@@ -721,24 +717,22 @@ def test_d_map_falls_back_to_the_construction():
         for m, k in enumerate(perm) if (h, m) != (1, 2)])
     for act, coact in ((inv, doubled), (inv, two_terms),
                        (missing, CoactionData.from_entries(QQ, 3, 2, graded))):
+        assert not (act.is_forward((0, 1)) and coact.is_forward((0,)))
         D = LongDimodule(H2, act, coact)
-        assert _basis_row(D) is None
         R = d_map(D)
-        assert R == constructed_d_map(D)
-        assert R.basis_map(0) is None
+        assert "nz" in vars(R) and R._basis_maps == {}
+        assert R == reference_d_map(D) and R.basis_map(0) is None
 
 
 def test_d_equation_of_a_basis_d_map_neither_searches_nor_transposes(
         monkeypatch):
-    """Once the action's basis map is known, d_map and eq.d of a basis
-    dimodule run with the basis-map search and the transpose removed:
-    R holds its row, and the witness is read off it."""
+    """d_map and eq.d of a basis dimodule run with the basis-map search
+    and the transpose removed: R holds its row, and the witness is read
+    off it."""
     H2, H7 = loop_algebra(cyclic(2)), loop_algebra(loop7())
     D = build_from_quasimodule(H7, ActionData.from_mu(H7))
     bad = LongDimodule(H2, inversion_action(),
                        CoactionData.graded(H2, [0, 1, 0]))
-    for X in (D, bad):
-        X.act.basis_map(2)
 
     def refused(*args):
         raise AssertionError("searched or transposed")

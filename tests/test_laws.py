@@ -28,6 +28,7 @@ from conftest import (cyclic, inversion_action, loop7, perm_action,
                       s3_table, vector)
 from test_module_laws import action_inputs, actions, dimodules, structures
 from test_structures import SCALARS, random_structures, s3_perturbations
+from tensors_reference import find_basis_map
 
 import hopfloop
 from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
@@ -41,7 +42,8 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
                       check_hopf_quasigroup, check_lemma_identities,
                       check_long_dimodule, check_modass, check_module,
                       check_qm_algebra, check_qm_coalgebra,
-                      check_quasicomodule, check_quasimodule, d_map,
+                      check_quasicomodule, check_quasimodule,
+                      check_d_equation, d_map,
                       dualize, loop_algebra, tensor_dimodule)
 from hopfloop.actions import COQM_ALGEBRA, QM_COALGEBRA
 from hopfloop.dimodules import D_MAP, OVER_QUASIGROUP
@@ -355,8 +357,13 @@ def dimodule_maps(H, act, coact, act_B, coact_B):
 
 def assert_maps_match(maps, zero):
     """Each built map equals its reference, type and dims included, and
-    stores no zero."""
+    stores no zero; a matrix's basis_map(0) and an order-3 map's
+    basis_map(2), which a basis-form build holds from when it is made,
+    equal a fresh search of its entries."""
     for map_id, (new, old) in maps.items():
+        out = {2: 0, 3: 2}.get(len(new.dims))
+        if out is not None:
+            assert new.basis_map(out) == find_basis_map(old, out), map_id
         assert new == old, map_id
         assert zero not in new.nz.values(), map_id
 
@@ -440,6 +447,33 @@ def test_dimodule_maps_match_hand_built_references(inp):
     their chains, equal the hand-built references, type and dims
     included, and no stored entry is zero."""
     assert_maps_match(dimodule_maps(*inp), inp[0].field.zero)
+
+
+def test_basis_builds_are_never_searched(monkeypatch):
+    """The smash product's mu and S, the free M (x) H action and a basis
+    d_map are built in basis form: checking the smash candidate, the
+    dimodule and the D-equation reads their basis maps without one
+    search of their entries."""
+    H, A = loop_algebra(loop7()), loop_algebra(cyclic(3))
+    act = perm_action(QQ, 7, [(0, 1, 2)] * 7)
+    searched = []
+    find = SparseTensor._find_basis_map
+
+    def counted(self, out):
+        searched.append(self)
+        return find(self, out)
+
+    monkeypatch.setattr(SparseTensor, "_find_basis_map", counted)
+    probe = ActionData.from_mu(H)
+    assert probe.basis_map(2) is not None and searched == [probe]
+    smash = _structure(HopfQuasigroup, SMASH_PRODUCT, H, A, act=act)
+    D = build_from_quasimodule(H, probe)
+    R = d_map(D)
+    assert check_hopf_quasigroup(smash).ok
+    assert check_long_dimodule(D).ok and check_d_equation(R).ok
+    built = (smash.mu, smash.antipode, D.act, R)
+    assert all(X.basis_map(2 if len(X.dims) == 3 else 0) for X in built)
+    assert not [X for X in searched for Y in built if X is Y]
 
 
 def declared_constructions():

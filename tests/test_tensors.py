@@ -248,7 +248,7 @@ def test_fibres_match_sorted_reference(t):
 
 
 VIEW_CACHES = {"_basis_maps", "_by_first", "_by_first_two", "_by_second",
-               "_nonzeros"}
+               "_forward", "_nonzeros"}
 
 
 def cache_writes(tree):
@@ -303,9 +303,39 @@ def test_from_basis_map_holds_its_row(field):
     """The matrix with column j the basis vector e_flat[j] equals the one
     built entry by entry, and its basis_map(0) is the row itself."""
     flat = [2, 0, 2, 1]
-    t = SparseTensor._from_basis_map(field, (3, 4), flat)
+    t = SparseTensor._from_basis_map(field, (3, 4), 0, flat)
     assert t == SparseTensor(field, (3, 4), [(k, j, field.one)
                                              for j, k in enumerate(flat)])
     assert t._basis_maps == {0: (2, 0, 2, 1)}
     assert t.basis_map(0) == find_basis_map(t, 0)
     assert t.basis_map(1) is None
+
+
+FIBRES = {1: ((), (0,)), 2: ((), (0,), (1,)), 3: ((), (0,), (1,), (0, 1))}
+
+
+@pytest.mark.parametrize("dims, out, flat", [
+    ((3, 4), 0, [2, 0, 2, 1]), ((4, 3), 1, [1, 1, 0, 2]),
+    ((2, 3, 3), 2, [0, 2, 1, 1, 1, 0]), ((2, 2, 3), 1, [1, 0, 0, 1, 1, 1]),
+    ((3,), 0, [2]), ((0, 0), 0, []), ((2, 0, 3), 2, [])])
+def test_tensor_from_a_row_equals_the_one_from_entries(dims, out, flat):
+    """A tensor made from a row reads as the one made from its entries,
+    whether nz is read first or not: ==, repr, data, rows, every fibre
+    view and the transpose.  It makes nz only when that is read, and
+    holds the row as its basis map on leg `out`."""
+    rest = dims[:out] + dims[out + 1:]
+    entries = [x[:out] + (k,) + x[out:] + (QQ.one,)
+               for x, k in zip(product(*map(range, rest)), flat)]
+    expected = SparseTensor(QQ, dims, entries)
+    reads = [lambda t: t, repr, lambda t: t.data, lambda t: t.rows]
+    reads += [lambda t, by=by: list(t.fibres(by)) for by in FIBRES[len(dims)]]
+    if len(dims) == 2:
+        reads.append(lambda t: t.transpose())
+    for nz_first in (False, True):
+        for read in reads:
+            t = SparseTensor._from_basis_map(QQ, dims, out, flat)
+            assert "nz" not in vars(t)
+            if nz_first:
+                assert t.nz == expected.nz
+            assert read(t) == read(expected)
+            assert t.basis_map(out) == find_basis_map(expected, out)
