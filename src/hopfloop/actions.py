@@ -43,8 +43,7 @@ class ActionData(SparseTensor):
     @classmethod
     def from_mu(cls, H):
         """H acting on itself by its own multiplication."""
-        return cls(H.field, H.mu.dims,
-                   (key + (c,) for key, c in H.mu.nz.items()))
+        return H.mu.permuted((0, 1, 2), cls)
 
 
 class CoactionData(SparseTensor):
@@ -74,8 +73,7 @@ class CoactionData(SparseTensor):
     @classmethod
     def from_delta(cls, H):
         """H coacting on itself by its own comultiplication."""
-        return cls(H.field, H.delta.dims,
-                   (key + (c,) for key, c in H.delta.nz.items()))
+        return H.delta.permuted((0, 1, 2), cls)
 
     @classmethod
     def graded(cls, H, grading):
@@ -90,13 +88,12 @@ class CoactionData(SparseTensor):
         """The coaction over the dual structure induced by an action.
 
         The carrier stays the same: rho(m) = sum_i (h_i . m) (x) h^i over
-        dual bases, i.e. coact[m, m', h] = act[h, m, m'].  Pair the result
-        with the dualized Hopf structure; (quasi)module laws for the action
-        become the corresponding (quasi)comodule laws for this coaction.
+        dual bases, so coact[m, m', h] = act[h, m, m'], the action's legs
+        relabelled.  Pair the result with the dualized Hopf structure;
+        (quasi)module laws for the action become the corresponding
+        (quasi)comodule laws for this coaction.
         """
-        return cls.from_entries(
-            act.field, act.m_dim, act.h_dim,
-            ((m, m2, h, c) for (h, m, m2), c in act.nz.items()))
+        return act.permuted((1, 2, 0), cls)
 
 
 QUASIMODULE = (

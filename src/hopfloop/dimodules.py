@@ -227,8 +227,7 @@ class RMap(SparseTensor):
         return self.dims[0]
 
     def is_identity(self):
-        one = self.field.one
-        return self.nz == {(j, j): one for j in range(self.dim)}
+        return self.basis_map(0) == tuple(range(self.dim))
 
 
 D_MAP = construction("d_map", "(AA)", "(AA)",

@@ -86,6 +86,8 @@ class RationalField:
         try:
             if text.isdecimal():  # what Fraction(text) reads as an int
                 return int(text)
+            if "_" in text:  # digit groups, which Fraction reads from 3.11
+                raise ValueError(f"Invalid literal for Fraction: {text!r}")
             # Fraction(text) expands an exponent as a power of ten, for
             # seconds past 10**1000000: one beyond 4300, Python's limit on
             # an int string's digits, is refused first, in linear time

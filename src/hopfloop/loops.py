@@ -140,14 +140,14 @@ def loop_algebra(T, field=QQ):
     n = T.n
     f = field
     rows = T.rows
-    mu = SparseTensor._from_nz(f, (n, n, n), {
-        (i, j, rows[i][j]): f.one for i in range(n) for j in range(n)})
+    mu = SparseTensor._from_basis_map(f, (n, n, n), 2,
+                                      [k for row in rows for k in row])
     delta = SparseTensor._from_nz(f, (n, n, n),
                                   {(i, i, i): f.one for i in range(n)})
     unit = SparseTensor._from_nz(f, (n,), {(0,): f.one})
     counit = SparseTensor._from_nz(f, (n,), {(i,): f.one for i in range(n)})
-    anti = SparseTensor._from_nz(f, (n, n), {(T.inverse_of(a), a): f.one
-                                             for a in range(n)})
+    anti = SparseTensor._from_basis_map(f, (n, n), 0,
+                                        map(T.inverse_of, range(n)))
     return HopfQuasigroup(mu, unit, delta, counit, anti)
 
 

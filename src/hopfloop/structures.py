@@ -34,8 +34,7 @@ from .errors import DimMismatch
 from .fields import check_same_field
 from .laws import evaluate, law
 from .report import VerificationReport
-from .tensors import (SparseTensor, assoc_mismatches, assoc_sides,
-                      mismatches, quasi_rows)
+from .tensors import assoc_mismatches, assoc_sides, mismatches, quasi_rows
 
 
 class HopfStructure:
@@ -231,16 +230,14 @@ def check_bialgebra_compat(H):
 def _table_maps(rows, s, diag, ones):
     """(rows, s) when the quasi identities read from them compose basis
     maps: rows and s basis-map views, the tensor `diag` diagonal and the
-    tensor `ones`, of dims (n,), 1 on every basis vector; else None.  For
+    tensor `ones` forward from its leg, 1 on each basis vector; else None.  For
     quasi* these are mu.basis_map(2), S.basis_map(0), delta and the
     counit; for coq*, the same views of dualize(H) read from H:
     delta.basis_map(0), S.basis_map(1), mu and the unit, since the coq
     identities of H are the transposes of the quasi identities of its dual
     and each holds exactly when its dual holds."""
-    one = ones.field.one
     if (rows is None or s is None or not diag.is_diagonal()
-            or len(ones.nz) != ones.dims[0]
-            or any(c != one for c in ones.nz.values())):
+            or not ones.is_forward((0,))):
         return None
     return rows, s
 
@@ -327,11 +324,6 @@ def dualize(H):
     unit and counit swap roles, shared as they are, the antipode
     transposes.
     """
-    f = H.field
-    n = H.dim
-    mu = SparseTensor._from_nz(
-        f, (n, n, n), {(i, j, k): c for (k, i, j), c in H.delta.nz.items()})
-    delta = SparseTensor._from_nz(
-        f, (n, n, n), {(i, j, k): c for (j, k, i), c in H.mu.nz.items()})
+    mu, delta = H.delta.permuted((1, 2, 0)), H.mu.permuted((2, 0, 1))
     cls = HopfCoquasigroup if isinstance(H, HopfQuasigroup) else HopfQuasigroup
     return cls(mu, H.counit, delta, H.unit, H.antipode.transpose())

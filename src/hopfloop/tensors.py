@@ -31,25 +31,26 @@ Index conventions, used identically everywhere:
 * the tensor product of spaces of dims (m, n) is flattened row-major,
   ``(i, j) -> i * n + j``.
 
-A tensor that sends every input to one basis vector with coefficient one
-also has a basis-map view, `basis_map(out)`: the output index on leg `out`
-of each input on the other legs, as plain ints nested by those legs, and
-None for any other tensor.  The product of a magma algebra is
-`mu.basis_map(2)`, the coproduct of its dual read through the transpose
-`delta.basis_map(0)`, and an antipode that sends basis vectors to basis
-vectors `S.basis_map(0)`, or `S.basis_map(1)` for its transpose.  Laws
-over such maps are decided by composing and comparing integer rows
-(`assoc_mismatches`, `quasi_rows`).
+Whether a tensor, read as a map from its legs `ins` to the others, sends
+each input to one basis tuple with coefficient one is `is_forward(ins)`,
+the one such test, which `laws.build` asks of every map a construction
+reads.  When it holds on every leg but `out`, `basis_map(out)` reads off
+the keys the output index on leg `out` of each input on the other legs,
+as plain ints nested by those legs; it is None otherwise.  The product
+of a magma algebra is `mu.basis_map(2)`, the coproduct of its dual read
+through the transpose `delta.basis_map(0)`, and an antipode that sends
+basis vectors to basis vectors `S.basis_map(0)`, or `S.basis_map(1)` for
+its transpose.  Laws over such maps are decided by composing and
+comparing integer rows (`assoc_mismatches`, `quasi_rows`).
 
 A builder that knows such a map's row, the output index of each input in
 row-major order, hands it to `_from_basis_map(field, dims, out, row)`:
 the tensor holds the row as its `basis_map(out)` from the start and makes
 `nz` from it, cached, only when something reads it, so a reader of the
-row alone, as `eq.d` on a basis R is, never makes the dict.  Whether a
-tensor, read as a map from some of its legs to the others, sends each
-input to one basis tuple with coefficient one is `is_forward(ins)`;
-`laws.build` asks it of every map a construction reads before it builds
-the construction's row.
+row alone, as `eq.d` on a basis R is, never makes the dict.
+
+Every relabelling of legs, a transpose or a dual, is `permuted(order)`:
+leg p of the result is leg order[p] of the tensor.
 
 A unit or counit is a tensor of dims (n,): read as a counit, its fibres
 are those of `_by_first`, one ((), coeff) pair or none per basis vector;
@@ -224,36 +225,26 @@ class SparseTensor:
         """This tensor as a map from its other legs to leg `out`: the k with
         e_x -> e_k for each input x, nested by the other legs as the fibres
         are ([x] -> k on a matrix, [x][y] -> k on an order-3 tensor).  None
-        unless every input goes to one basis vector with coefficient one.
-        Found in one pass of C-level calls: count the ones among the
-        values, sort the keys by the other legs, compare them with every
-        input in row-major order and read leg `out`.  Cached per `out`."""
+        unless `is_forward` holds on the other legs; then the keys, sorted
+        by the other legs, list every input once, in row-major order, and
+        the row is their leg `out`.  Cached per `out`."""
         views = self._basis_maps
         if out not in views:
-            views[out] = self._find_basis_map(out)
+            dims = self.dims
+            ins = (*range(out), *range(out + 1, len(dims)))
+            row = None
+            if self.is_forward(ins):
+                keys = list(self.nz)
+                if ins:
+                    keys.sort(key=itemgetter(*ins))
+                row = _nested(map(itemgetter(out), keys),
+                              dims[:out] + dims[out + 1:])
+            views[out] = row
         return views[out]
 
     @cached_property
     def _basis_maps(self):
         return {}
-
-    def _find_basis_map(self, out):
-        # a basis map has one nonzero per input, each of them one: sorted
-        # by the other legs, its keys list every input once, in order
-        dims, nz = self.dims, self.nz
-        rest = dims[:out] + dims[out + 1:]
-        size = prod(rest)
-        if len(nz) != size or list(nz.values()).count(self.field.one) != size:
-            return None
-        keys = list(nz)
-        if rest:
-            by = itemgetter(*range(out), *range(out + 1, len(dims)))
-            keys.sort(key=by)
-            inputs = (product(*map(range, rest)) if len(rest) > 1
-                      else range(size))
-            if list(map(by, keys)) != list(inputs):
-                return None
-        return _nested(list(map(itemgetter(out), keys)), rest)
 
     def is_forward(self, ins):
         """Whether this tensor, read as a map from its legs `ins` to the
@@ -275,10 +266,18 @@ class SparseTensor:
     def _forward(self):
         return {}
 
+    def permuted(self, order, cls=None):
+        """The tensor, of type `cls` or else this one's, whose leg p is leg
+        order[p] of this one: each key relabelled in one C-level pass."""
+        nz = self.nz
+        keys = map(itemgetter(*order), nz) if len(order) > 1 else nz
+        return (cls or type(self))._from_nz(
+            self.field, [self.dims[i] for i in order],
+            dict(zip(keys, nz.values())))
+
     def transpose(self):
         """The transpose of a matrix."""
-        nz = {(j, i): c for (i, j), c in self.nz.items()}
-        return type(self)._from_nz(self.field, self.dims[::-1], nz)
+        return self.permuted((1, 0))
 
     def is_diagonal(self):
         """T[i, ..., i] = 1 for every i and no other nonzero: a grouplike

@@ -1,11 +1,11 @@
 """The basis-map view found one nonzero at a time, and the fibre views in
 sorted order, as references.
 
-`find_basis_map` is the earlier `SparseTensor._find_basis_map`: it places
-each nonzero at the flat index of its other legs, computed with a Python
-stride loop, and gives up on a coefficient other than one or a second
-nonzero for one input.  It is kept only so that `SparseTensor.basis_map`
-can be tested against it.
+`find_basis_map` places each nonzero at the flat index of its other legs,
+computed with a Python stride loop, and gives up on a coefficient other
+than one or a second nonzero for one input.  It is kept only so that
+`SparseTensor.basis_map`, which asks `is_forward` of the other legs and
+reads leg `out` off the sorted keys, can be tested against it.
 """
 
 from math import prod

@@ -1,13 +1,15 @@
 import inspect
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
                       s3_table)
 
 import hopfloop
 from hopfloop import (GF, ActionData, CoactionData, CosmashInput,
-                      LongDimodule, QQ, SmashInput, build_from_comodule,
+                      HopfQuasigroup, LongDimodule, QQ, SmashInput,
+                      SparseTensor, build_from_comodule,
                       build_from_quasimodule, check_antipode_colinear,
                       check_antipode_linear, check_comodule,
                       check_coqm_algebra, check_coqm_coalgebra, check_module,
@@ -29,6 +31,43 @@ def _bad_action(field=QQ):
 def test_mu_action_is_quasimodule():
     H = loop_algebra(loop7())
     assert check_quasimodule(H, ActionData.from_mu(H)).ok
+
+
+@st.composite
+def entries(draw, field, dims):
+    """Distinct in-range (index..., coeff) entries of a tensor of dims
+    `dims`, some coefficients zero over GF(2)."""
+    if not all(dims):
+        return []
+    keys = st.tuples(*[st.integers(0, d - 1) for d in dims])
+    scalars = st.sampled_from(["1", "2", "-1", "3"]).map(field.parse)
+    return [key + (c,) for key, c in draw(
+        st.dictionaries(keys, scalars, max_size=20)).items()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_relabelled_maps_equal_their_entry_builds(data):
+    """dual_of_action, from_mu and from_delta, each one relabelling of
+    legs, equal the tensors from_entries builds from the relabelled
+    entries, by == and by type: on drawn maps, and on the product a loop
+    algebra holds only as its basis map."""
+    f = data.draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    h, m, n = (data.draw(st.integers(0, 3)) for _ in range(3))
+    act = ActionData.from_entries(f, h, m, data.draw(entries(f, (h, m, m))))
+    dual = CoactionData.dual_of_action(act)
+    assert type(dual) is CoactionData and dual == CoactionData.from_entries(
+        f, m, h, [(j, k, i, c) for (i, j, k), c in act.nz.items()])
+    mu, delta = (SparseTensor(f, (n,) * 3, data.draw(entries(f, (n,) * 3)))
+                 for _ in range(2))
+    zero = SparseTensor(f, (n,), ())
+    drawn = HopfQuasigroup(mu, zero, delta, zero, SparseTensor(f, (n, n), ()))
+    for H in (drawn, loop_algebra(cyclic(3), field=f)):
+        for got, cls, T in ((ActionData.from_mu(H), ActionData, H.mu),
+                            (CoactionData.from_delta(H), CoactionData,
+                             H.delta)):
+            assert type(got) is cls and got == cls.from_entries(
+                f, H.dim, H.dim, [key + (c,) for key, c in T.nz.items()])
 
 
 def test_trivial_action_quasimodule():

@@ -689,11 +689,12 @@ def test_d_map_on_integer_rows_matches_the_construction():
     """On every basis dimodule, `build` reads d_map's R off integer rows:
     R equals the term-by-term reference, type and dims included, holds
     its basis_map(0) from when it is made, and makes nz only when it is
-    read, which eq.d never does."""
+    read, which neither is_identity nor eq.d does."""
     dims = set()
     for D in basis_dimodules():
         R, ref = d_map(D), reference_d_map(D)
         assert type(R) is type(ref) is RMap
+        R.is_identity()
         assert "nz" not in vars(R), D
         assert R._basis_maps == {0: find_basis_map(ref, 0)}, D
         check_d_equation(R)
@@ -726,18 +727,26 @@ def test_d_map_falls_back_to_the_construction():
 
 def test_d_equation_of_a_basis_d_map_neither_searches_nor_transposes(
         monkeypatch):
-    """d_map and eq.d of a basis dimodule run with the basis-map search
-    and the transpose removed: R holds its row, and the witness is read
-    off it."""
+    """d_map and eq.d of a basis dimodule run with every basis-map
+    search (a basis_map call that finds no row held for its leg) and
+    every relabelling of legs refused: R holds its row, and the witness
+    is read off it."""
     H2, H7 = loop_algebra(cyclic(2)), loop_algebra(loop7())
     D = build_from_quasimodule(H7, ActionData.from_mu(H7))
     bad = LongDimodule(H2, inversion_action(),
                        CoactionData.graded(H2, [0, 1, 0]))
+    read = SparseTensor.basis_map
 
     def refused(*args):
         raise AssertionError("searched or transposed")
 
-    monkeypatch.setattr(SparseTensor, "_find_basis_map", refused)
+    def held(self, out):
+        if out not in self._basis_maps:
+            refused()
+        return read(self, out)
+
+    monkeypatch.setattr(SparseTensor, "basis_map", held)
+    monkeypatch.setattr(SparseTensor, "permuted", refused)
     monkeypatch.setattr(SparseTensor, "transpose", refused)
     assert check_d_equation(d_map(D)).ok
     rep = check_d_equation(d_map(bad))

@@ -97,8 +97,12 @@ def test_field_equality_and_mismatch():
 
 def _parse_via_fraction(text):
     """QQ.parse without its shortcut for digit strings.  Like QQ.parse, it
-    refuses a text whose part after the last e or E reads by int() as an
-    exponent beyond ±4300, which Fraction would expand as a power of ten."""
+    refuses an underscore, as Fraction does before Python 3.11, and a
+    text whose part after the last e or E reads by int() as an exponent
+    beyond ±4300, which Fraction would expand as a power of ten."""
+    if "_" in text:
+        return ("error", f"bad rational scalar {text!r}: "
+                f"Invalid literal for Fraction: {text!r}")
     _, e, exp = text.replace("E", "e").rpartition("e")
     try:
         huge = bool(e) and abs(int(exp)) > 4300
@@ -133,6 +137,17 @@ def test_rational_parse_matches_fraction(text):
     else:
         got = ("ok", type(q), q)
     assert got == _parse_via_fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1_000", "1_0/3", "1/1_0", "1e1_0",
+                                  "1_0.5", "-1_2"])
+def test_rational_parse_refuses_digit_groups(text):
+    """An underscore is no part of a scalar on any supported Python, as
+    Fraction refuses it before 3.11 and reads it as a digit group from
+    3.11 on; GF(p) scalars go through int(), the same on every one."""
+    with pytest.raises(ParseError, match=f"bad rational scalar {text!r}: "
+                       "Invalid literal for Fraction"):
+        QQ.parse(text)
 
 
 def test_rational_huge_exponent_refused_quickly():

@@ -450,20 +450,23 @@ def test_dimodule_maps_match_hand_built_references(inp):
 
 
 def test_basis_builds_are_never_searched(monkeypatch):
-    """The smash product's mu and S, the free M (x) H action and a basis
-    d_map are built in basis form: checking the smash candidate, the
-    dimodule and the D-equation reads their basis maps without one
-    search of their entries."""
+    """A loop algebra's mu and S, the smash product's mu and S, the free
+    M (x) H action and a basis d_map are built in basis form: checking
+    the smash candidate, the dimodule and the D-equation reads their
+    basis maps without one search of their entries, a basis_map call
+    that finds no row held for its leg."""
     H, A = loop_algebra(loop7()), loop_algebra(cyclic(3))
     act = perm_action(QQ, 7, [(0, 1, 2)] * 7)
     searched = []
-    find = SparseTensor._find_basis_map
+    read = SparseTensor.basis_map
 
     def counted(self, out):
-        searched.append(self)
-        return find(self, out)
+        if out not in self._basis_maps:
+            searched.append(self)
+        return read(self, out)
 
-    monkeypatch.setattr(SparseTensor, "_find_basis_map", counted)
+    monkeypatch.setattr(SparseTensor, "basis_map", counted)
+    assert H.mu.basis_map(2) and H.antipode.basis_map(0) and not searched
     probe = ActionData.from_mu(H)
     assert probe.basis_map(2) is not None and searched == [probe]
     smash = _structure(HopfQuasigroup, SMASH_PRODUCT, H, A, act=act)

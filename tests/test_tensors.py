@@ -1,6 +1,6 @@
 import ast
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -224,6 +224,29 @@ def summed_tensors(draw):
         entries.append(e[:-1] + (draw(st.sampled_from(
             [e[-1], f.neg(e[-1])])),))
     return SparseTensor(f, dims, draw(st.permutations(entries)))
+
+
+class Relabelled(SparseTensor):
+    """A subclass of no meaning, to see which type `permuted` returns."""
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(summed_tensors())
+def test_permuted_matches_per_key_reference(t):
+    """For every order of the legs, permuted(order) equals the tensor
+    built key by key with leg p of each key taken from leg order[p] (so
+    a rank-1 key stays a tuple), keeps its type unless `cls` names
+    another, and is undone by the inverse order."""
+    sub = Relabelled._from_nz(t.field, t.dims, dict(t.nz))
+    for order in permutations(range(len(t.dims))):
+        expected = SparseTensor(t.field, [t.dims[i] for i in order], [
+            tuple(key[i] for i in order) + (c,) for key, c in t.nz.items()])
+        inverse = tuple(sorted(range(len(order)), key=order.__getitem__))
+        assert t.permuted(order) == expected
+        assert t.permuted(order).permuted(inverse) == t
+        assert type(sub.permuted(order)) is Relabelled
+        assert sub.permuted(order).permuted(inverse) == sub
+        assert sub.permuted(order, SparseTensor) == expected
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
