@@ -12,7 +12,7 @@ from .report import VerificationReport, Witness
 from .structures import HopfQuasigroup
 from .tensors import SparseTensor, assoc_mismatches, mismatches, quasi_rows
 
-SEARCH_MAX_ORDER = 9
+SEARCH_MAX_ORDER = 11
 
 
 class LoopTable:
@@ -169,8 +169,54 @@ def inversion_maps(n):
     return maps
 
 
+def _row1_is_least(row, J, sigma, inv, y):
+    """False if a relabelling that extends sigma gives row 1 a smaller image.
+
+    sigma is a partial relabelling that fixes 0 and 1 and commutes with J,
+    inv its inverse, both -1 where unset.  The image of row 1 under sigma
+    is y -> sigma(row[sigma^-1(y)]), and it agrees with row before
+    position y.  Walking on from y: where sigma^-1(y) is unset, each free
+    element of y's kind (self-inverse or paired) is tried on a copy; where
+    sigma(row[x]) is unset, the least free label of its kind decides, as
+    below row[y] the image is smaller, above it larger, and equal it is
+    taken.  Labelling an element labels its inverse with the inverse label,
+    so every partial sigma reached extends to a whole relabelling, and the
+    walk never lists the relabellings themselves.
+    """
+    n = len(row)
+    while y < n:
+        x = inv[y]
+        if x < 0:
+            kind = J[y] == y
+            for x in range(2, n):
+                if sigma[x] < 0 and (J[x] == x) == kind:
+                    s, i = sigma[:], inv[:]
+                    s[x], i[y], s[J[x]], i[J[y]] = y, x, J[y], J[x]
+                    if not _row1_is_least(row, J, s, i, y):
+                        return False
+            return True
+        v = row[x]
+        w = sigma[v]
+        want = row[y]
+        if w < 0:
+            kind = J[v] == v
+            for w in range(2, want + 1):
+                if inv[w] < 0 and (J[w] == w) == kind:
+                    break
+            else:
+                return True
+            if w < want:
+                return False
+            sigma[v], inv[w], sigma[J[v]], inv[J[w]] = w, v, J[w], J[v]
+        elif w != want:
+            return w > want
+        y += 1
+    return True
+
+
 def ip_tables(J):
-    """Every reduced IP-loop table whose inversion is J, as row tuples.
+    """Reduced IP-loop tables whose inversion is J, as row tuples: every
+    such table whose row 1 is least under the relabellings below.
 
     Rows are filled top to bottom, columns left to right.  Row r has its
     one 0 at column J[r]; a row with J[r] < r is forced as the inverse
@@ -178,19 +224,30 @@ def ip_tables(J):
     involution.  Each placed value is checked against (ba)J(a) = b on both
     the pairs it completes: r c = v with v < r needs v J(c) = r, and r c = v
     with v > r is refused if some earlier row b already has b J(c) = r.
+
+    A relabelling sigma that fixes 0 and 1 and commutes with J sends each
+    such table to another one, whose row 1 is y -> sigma(T[1][sigma^-1(y)]).
+    A complete row 1 is kept only if it is lexicographically least among
+    these images, so the rows below the others are never filled.  Each
+    orbit of tables under these sigma keeps the tables whose row 1 is least
+    in it, so every isomorphism class with inversion J keeps at least one
+    table, though not every labelled copy.
     """
     n = len(J)
     if n == 1:
         return [((0,),)]
     table = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
     col_used = [1 << c for c in range(n)]  # bitmask of values in column c
+    start = [-1] * n  # sigma fixes 0, 1 and so J(1)
+    for x in (0, 1, J[1]):
+        start[x] = x
     results = []
 
     def fill(r, c, row_used):
         if c == n:
             if r == n - 1:
                 results.append(tuple(tuple(row) for row in table))
-            else:
+            elif r > 1 or _row1_is_least(table[1], J, start[:], start[:], 1):
                 fill(r + 1, 1, 1 << (r + 1))
             return
         row = table[r]
@@ -322,8 +379,8 @@ def search_ip_loops(n, want_nonassociative=False, limit=None):
 
     With want_nonassociative=True only nonassociative tables are returned,
     and with a limit only the first `limit` of them.  The search visits only
-    the tables whose inversion is one of `inversion_maps(n)`, and
-    deduplicates them by `canonical_form`; output is sorted
+    the tables of `ip_tables(J)` for J in `inversion_maps(n)`, at least one
+    per class, and deduplicates them by `canonical_form`; output is sorted
     lexicographically, so repeated runs are identical.
     """
     if n < 1:
@@ -333,6 +390,8 @@ def search_ip_loops(n, want_nonassociative=False, limit=None):
     if n > SEARCH_MAX_ORDER:
         raise BudgetExceeded(
             f"exhaustive search is budgeted for order <= {SEARCH_MAX_ORDER}")
+    if limit == 0:
+        return []
     canon = {canonical_form(t)
              for J in inversion_maps(n) for t in ip_tables(J)}
     tables = []

@@ -1,13 +1,16 @@
-"""Reference IP-loop search: every labelled reduced table of an order, and
-the canonical form by brute force over every relabelling.
+"""Reference IP-loop search: every labelled reduced table of an order, every
+labelled table with a given inversion, and the canonical form by brute
+force over every relabelling.
 
 `enumerate_ip_tables` is the exhaustive backtracker that `search_ip_loops`
 used before it fixed the inversion map to one involution per conjugacy
 class.  It visits every labelled reduced IP-loop table (7,800 at order 8).
-`canonical_form` tries all (n-1)! relabellings fixing 0, as
-`hopfloop.loops.canonical_form` did before it became a branch and bound.
-Both are kept here only as the slow paths of differential tests, not in the
-package.
+`ip_tables` is the backtracker for one inversion J as it was before it
+kept only a least row 1: it yields every table with inversion J (8,856 at
+order 10 over all J_k).  `canonical_form` tries all (n-1)! relabellings
+fixing 0, as `hopfloop.loops.canonical_form` did before it became a branch
+and bound.  All three are kept here only as the slow paths of differential
+tests, not in the package.
 
 Tables are reduced: element 0 is the identity, row 0 and column 0 are the
 identity permutation.  The backtracker fills rows top to bottom and prunes
@@ -114,6 +117,61 @@ def enumerate_ip_tables(n):
             col_used[c] ^= 1 << v
 
     fill_row(1)
+    return results
+
+
+def ip_tables(J):
+    """Every reduced IP-loop table whose inversion is J, as row tuples.
+
+    Rows are filled top to bottom, columns left to right.  Row r has its
+    one 0 at column J[r]; a row with J[r] < r is forced as the inverse
+    permutation of row J[r] (a^-1(ab) = b), and a self-inverse row is an
+    involution.  Each placed value is checked against (ba)J(a) = b on both
+    the pairs it completes: r c = v with v < r needs v J(c) = r, and r c = v
+    with v > r is refused if some earlier row b already has b J(c) = r.
+    """
+    n = len(J)
+    if n == 1:
+        return [((0,),)]
+    table = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
+    col_used = [1 << c for c in range(n)]  # bitmask of values in column c
+    results = []
+
+    def fill(r, c, row_used):
+        if c == n:
+            if r == n - 1:
+                results.append(tuple(tuple(row) for row in table))
+            else:
+                fill(r + 1, 1, 1 << (r + 1))
+            return
+        row = table[r]
+        jr = J[r]
+        if c == jr:
+            choices = (0,)
+        elif jr < r:
+            choices = (table[jr].index(c),)
+        elif jr == r:
+            choices = ((row.index(c),) if row_used >> c & 1
+                       else range(c + 1, n))
+        else:
+            choices = range(1, n)
+        jc = J[c]
+        used = row_used | col_used[c]
+        for v in choices:
+            if used >> v & 1:
+                continue
+            if v < r:
+                if table[v][jc] != r:
+                    continue
+            elif col_used[jc] >> r & 1:
+                continue
+            row[c] = v
+            col_used[c] |= 1 << v
+            fill(r, c + 1, row_used | 1 << v)
+            col_used[c] ^= 1 << v
+        row[c] = -1
+
+    fill(1, 1, 1 << 1)
     return results
 
 

@@ -379,7 +379,9 @@ def test_bad_scalar_names_its_line(tmp_path, capsys, kind, field_line, bad):
     (["search-loops", "0"], "order must be positive, got 0"),
     (["search-loops", "-3"], "order must be positive, got -3"),
     (["search-loops", "3", "--limit", "-1"],
-     "--limit must not be negative, got -1")])
+     "--limit must not be negative, got -1"),
+    (["search-loops", "12"],
+     "exhaustive search is budgeted for order <= 11")])
 def test_search_loops_bad_arguments_exit_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--prefix", str(tmp_path) + "/"]) == 2
     _assert_error_line(capsys, f"error: {message}")

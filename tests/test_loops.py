@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +12,16 @@ from conftest import LOOP7_ROWS, NON_IP_ROWS, cyclic, klein, loop7, s3_table
 from ip_check_reference import check_ip_loop as reference_check_ip_loop
 from ip_search_reference import canonical_form as reference_canonical_form
 from ip_search_reference import enumerate_ip_tables
+from ip_search_reference import ip_tables as reference_ip_tables
 
 from hopfloop import (GF, LoopTable, QQ, check_ip_loop, is_associative,
-                      loop_algebra, search_ip_loops)
+                      loop_algebra, loops, search_ip_loops)
 from hopfloop.errors import BudgetExceeded, MalformedTable, NotIPLoop
-from hopfloop.loops import canonical_form, inversion_maps, ip_tables
+from hopfloop.loops import (SEARCH_MAX_ORDER, canonical_form, inversion_maps,
+                            ip_tables)
 
 reference_tables = functools.cache(enumerate_ip_tables)
+reference_ip_tables_of = functools.cache(reference_ip_tables)
 
 
 def test_table_validation():
@@ -122,8 +126,9 @@ def test_search_determinism_and_limit():
 
 
 def test_search_budget():
+    assert SEARCH_MAX_ORDER == 11
     with pytest.raises(BudgetExceeded):
-        search_ip_loops(10)
+        search_ip_loops(12)
 
 
 def test_search_bad_arguments():
@@ -133,6 +138,17 @@ def test_search_bad_arguments():
     with pytest.raises(ValueError):
         search_ip_loops(3, limit=-1)
     assert search_ip_loops(4, limit=0) == []
+
+
+def test_search_limit_zero_searches_nothing(monkeypatch):
+    def no_search(J):
+        raise AssertionError("limit=0 ran the search")
+
+    monkeypatch.setattr(loops, "ip_tables", no_search)
+    assert search_ip_loops(SEARCH_MAX_ORDER, limit=0) == []
+    assert search_ip_loops(9, want_nonassociative=True, limit=0) == []
+    with pytest.raises(BudgetExceeded):
+        search_ip_loops(SEARCH_MAX_ORDER + 1, limit=0)
 
 
 def test_inversion_maps_one_per_involution_class():
@@ -173,14 +189,15 @@ def relabel(rows, sigma):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_canonical_form_matches_brute_force(n):
     for J in inversion_maps(n):
-        for rows in ip_tables(J):
+        for rows in reference_ip_tables_of(J):
             assert canonical_form(rows) == reference_canonical_form(rows)
 
 
 @pytest.mark.parametrize("n, count", [(7, 40), (8, 20)])
 def test_canonical_form_of_relabelled_tables(n, count):
     rng = random.Random(1998 + n)
-    tables = [rows for J in inversion_maps(n) for rows in ip_tables(J)]
+    tables = [rows for J in inversion_maps(n)
+              for rows in reference_ip_tables_of(J)]
     for _ in range(count):
         tail = list(range(1, n))
         rng.shuffle(tail)
@@ -223,14 +240,50 @@ def test_canonical_form_of_loops_without_inverse_property():
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_ip_tables_are_the_reference_tables_with_that_inversion(n):
+def test_reference_ip_tables_are_the_tables_with_that_inversion(n):
     reference = {}
     for rows in reference_tables(n):
         T = LoopTable(rows)
         J = tuple(T.inverse_of(a) for a in range(n))
         reference.setdefault(J, set()).add(rows)
     for J in inversion_maps(n):
-        assert set(ip_tables(J)) == reference.get(J, set())
+        assert set(reference_ip_tables_of(J)) == reference.get(J, set())
+
+
+def row1_stabiliser(J):
+    """Every relabelling that fixes 0 and 1 and commutes with J."""
+    n = len(J)
+    return [sigma for sigma in ((0, 1) + p
+                                for p in itertools.permutations(range(2, n)))
+            if all(sigma[J[x]] == J[sigma[x]] for x in range(n))]
+
+
+def row1_is_least(rows, stabiliser):
+    row = rows[1]
+    for sigma in stabiliser:
+        inv = [0] * len(sigma)
+        for old, new in enumerate(sigma):
+            inv[new] = old
+        if tuple(sigma[row[inv[y]]] for y in range(len(row))) < row:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ip_tables_are_the_reference_tables_with_that_inversion(n):
+    # ip_tables keeps the reference tables whose row 1 is least under the
+    # relabellings that fix 0 and 1 and commute with J, and loses no class
+    for J in inversion_maps(n):
+        reference = set(reference_ip_tables_of(J))
+        kept = ip_tables(J)
+        assert len(set(kept)) == len(kept)
+        assert set(kept) <= reference
+        assert ({canonical_form(rows) for rows in kept}
+                == {canonical_form(rows) for rows in reference})
+        if n > 1:
+            stabiliser = row1_stabiliser(J)
+            assert set(kept) == {rows for rows in reference
+                                 if row1_is_least(rows, stabiliser)}
 
 
 def test_ip_tables_yield_ip_loops_with_their_inversion():
@@ -249,22 +302,52 @@ def test_search_order_7_is_loop7():
         == [tuple(map(tuple, LOOP7_ROWS))]
 
 
-def test_search_order_8():
-    tables = search_ip_loops(8)
-    assert len(tables) == 8
-    nonassoc = [T for T in tables if not is_associative(T)[0]]
-    assert len(nonassoc) == 3
+def pinned_classes():
+    """Order -> the sorted canonical rows in tests/ip_loop_classes.txt."""
+    classes = {}
+    text = (Path(__file__).parent / "ip_loop_classes.txt").read_text()
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            n, *rows = line.split()
+            classes.setdefault(int(n), []).append(
+                tuple(tuple(int(v, 16) for v in row) for row in rows))
+    return classes
+
+
+PINNED = pinned_classes()
+
+
+def assert_search_is_pinned(n, count, nonassoc_count):
+    classes = PINNED[n]
+    assert len(classes) == count
+    nonassoc = [rows for rows in classes
+                if not is_associative(LoopTable(rows))[0]]
+    assert len(nonassoc) == nonassoc_count
+    tables = search_ip_loops(n)
+    assert [T.rows for T in tables] == classes
+    assert [T.rows for T in search_ip_loops(
+        n, want_nonassociative=True)] == nonassoc
     for T in tables:
         assert check_ip_loop(T).ok
+
+
+def test_search_order_8():
+    assert_search_is_pinned(8, 8, 3)
+    assert [T.rows for T in search_ip_loops(8, limit=5)] == PINNED[8][:5]
 
 
 def test_search_order_9():
-    tables = search_ip_loops(9)
-    assert len(tables) == 7
-    nonassoc = [T for T in tables if not is_associative(T)[0]]
-    assert len(nonassoc) == 5
-    for T in tables:
-        assert check_ip_loop(T).ok
+    assert_search_is_pinned(9, 7, 5)
+    assert [T.rows for T in search_ip_loops(
+        9, want_nonassociative=True, limit=2)] == PINNED[9][2:4]
+
+
+def test_search_order_10():
+    assert_search_is_pinned(10, 47, 45)
+
+
+def test_search_order_11():
+    assert_search_is_pinned(11, 49, 48)
 
 
 # --- row-reading check_ip_loop against the per-pair reference -------------
