@@ -243,16 +243,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
     except (NotIPLoop, InvalidInput, HypothesisNotMet) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_LAW_FAIL
-    except HopfloopError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
+    except (HopfloopError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except MemoryError:

@@ -1,11 +1,11 @@
 """Long dimodules, their constructions, lemma identities and the D-equation.
 
-Both variants share one type with a tag: the action/coaction compatibility
-law is the same tensor equation in both cases, only the constituent
+One type serves both sides, its `variant` read from H: the action/coaction
+compatibility law is the same tensor equation on both, only the constituent
 preconditions differ (quasimodule + comodule over a Hopf quasigroup,
 module + quasicomodule over a Hopf coquasigroup).  A dimodule is refused
 when it is made unless its action and coaction fit H and one carrier
-(`laws.legs`).
+(`laws.legs`), and a bundle naming the other side of its H when it is read.
 
 The compatibility, lemma and adjunction laws are declarations of
 `hopfloop.laws` on legs H and A, A the dimodule's carrier M, checked by
@@ -46,19 +46,18 @@ OVER_COQUASIGROUP = "coquasigroup"
 
 
 class LongDimodule:
-    __slots__ = ("H", "act", "coact", "variant")
+    __slots__ = ("H", "act", "coact")
 
-    def __init__(self, H, act, coact, variant=None):
-        if variant is None:
-            variant = (OVER_QUASIGROUP if isinstance(H, HopfQuasigroup)
-                       else OVER_COQUASIGROUP)
-        if variant not in (OVER_QUASIGROUP, OVER_COQUASIGROUP):
-            raise ValueError(f"unknown variant {variant!r}")
+    def __init__(self, H, act, coact):
         legs(H, act=act, coact=coact)
         self.H = H
         self.act = act
         self.coact = coact
-        self.variant = variant
+
+    @property
+    def variant(self):
+        return (OVER_QUASIGROUP if isinstance(self.H, HopfQuasigroup)
+                else OVER_COQUASIGROUP)
 
     @property
     def dim(self):
@@ -133,11 +132,11 @@ TENSOR = (
                  "coact@0 coact_B@2 swap@1 mu@2"))
 
 
-def _dimodule(maps, H, variant=None, **carriers):
+def _dimodule(maps, H, **carriers):
     """The dimodule whose action and coaction are `maps` over H."""
     act, coact = (build(con, H, cls=cls, **carriers)
                   for con, cls in zip(maps, (ActionData, CoactionData)))
-    return LongDimodule(H, act, coact, variant)
+    return LongDimodule(H, act, coact)
 
 
 def build_from_quasimodule(H, act):
@@ -173,7 +172,7 @@ def tensor_dimodule(D1, D2):
         raise HMismatch("dimodules live over different Hopf structures")
     if D1.variant != D2.variant:
         raise HMismatch("dimodule variants differ")
-    return _dimodule(TENSOR, D1.H, D1.variant, act=D1.act, coact=D1.coact,
+    return _dimodule(TENSOR, D1.H, act=D1.act, coact=D1.coact,
                      act_B=D2.act, coact_B=D2.coact)
 
 

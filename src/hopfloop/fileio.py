@@ -388,26 +388,28 @@ def _bundle_paths(lines, base_dir, count):
     return paths
 
 
-_VARIANTS = {"quasigroup": OVER_QUASIGROUP, "coquasigroup": OVER_COQUASIGROUP}
+_SIDES = {OVER_QUASIGROUP: "hopfqg", OVER_COQUASIGROUP: "hopfcoqg"}
 
 
 def load_dimodule_bundle(path):
-    """`dimodule <variant>` plus structure, action, coaction path lines."""
+    """`dimodule <variant>` plus structure, action, coaction path lines;
+    the structure must be of the variant's side."""
     lines = _Lines(_read(path))
     no, header = lines.next("dimodule header")
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "dimodule" or parts[1] not in _VARIANTS:
+    if len(parts) != 2 or parts[0] != "dimodule" or parts[1] not in _SIDES:
         raise ParseError(
             "expected 'dimodule quasigroup' or 'dimodule coquasigroup', "
             f"got {header!r}", no)
-    variant = _VARIANTS[parts[1]]
     h_path, act_path, coact_path = _bundle_paths(
         lines, os.path.dirname(os.path.abspath(path)), 3)
-    H = load_structure(h_path)
+    H, kind = load_structure(h_path), _SIDES[parts[1]]
+    if not isinstance(H, _STRUCT_HEADERS[kind]):
+        raise ParseError(
+            f"dimodule {parts[1]} bundle requires a {kind} structure", no)
     return LongDimodule(H,
                         load_action(act_path, H.field),
-                        load_coaction(coact_path, H.field),
-                        variant)
+                        load_coaction(coact_path, H.field))
 
 
 def load_smash_bundle(path):

@@ -46,9 +46,10 @@ dicts of each and compares them with one `==`; only when they differ does
 it compare them again with zero values read as absent, copying neither,
 and it returns the first slab that still differs, with both dicts.  Once a
 law has failed, its later slabs are not evaluated.  `evaluate` makes one
-call per law, with the law's slabs and dims memoized per (nH, nA), and
-builds a witness only from the slab returned (`report.slab_witness`): the
-first failing instance in walk order, its indices in domain order.
+call per law, which walks every index of its leg unless it is given slabs,
+and builds a witness only from the slab returned (`report.slab_witness`),
+computing its dims there: the first failing instance in walk order, its
+indices in domain order.
 
 Each side is a loop nest emitted from its chain.  A step is one loop over
 the nonzeros of its map, and a swap only renames legs.  A step binds its
@@ -164,23 +165,26 @@ class Law:
     rhs: tuple
     informational: bool = False
     slab: int = 0  # the domain leg walked outermost
-    dom_sizes: tuple = None  # legs per witness index, if grouped
-    out_sizes: tuple = None
+    dom_groups: tuple = ()  # the legs of each index of a witness
+    out_groups: tuple = ()
 
     @cached_property
     def check(self):
         """The law compiled on first use: a function of the indices of the
-        walked leg to evaluate, the views t that its `views` name, the
-        dims nH and nA, and the field's one, mul, add and zero, that
-        returns the first failing (index, lhs slab, rhs slab), or None."""
+        walked leg to evaluate, None for all of them, the views t that its
+        `views` name, the dims nH and nA, and the field's one, mul, add and
+        zero, that returns the first failing (index, lhs slab, rhs slab),
+        or None.  A law of rank-0 domain is one slab, of index None."""
         s, views = self.slab, []
         spaces = self.domain[:s] + self.domain[s + 1:] + self.out
+        walk = (f"range(n{self.domain[s]}) if slabs is None else slabs"
+                if self.domain else "(None,)")
 
         def key(xs, ys):
             return _flat(xs[:s] + xs[s + 1:] + ys, spaces)
 
         return _function("check(slabs, t, nH, nA, one, mul, add, zero)", [
-            f"    for x{s} in slabs:",
+            f"    for x{s} in {walk}:",
             "        lhs = {}",
             *_nest(self.lhs, self.domain, s, 0, _sum_into("lhs", key), 2,
                    views),
@@ -189,25 +193,6 @@ class Law:
                    _sum_into("rhs", key), 2, views),
             "        if lhs != rhs and differ(lhs, rhs, zero):",
             f"            return x{s}, lhs, rhs"], views)
-
-    @cached_property
-    def _dims(self):
-        return {}
-
-    def dims_at(self, nH, nA):
-        """The indices of the walked leg, or (None,) for a rank-0 domain,
-        and the instance and output dims, at the dims nH and nA."""
-        shape = self._dims.get((nH, nA))
-        if shape is None:
-            dims, s = {"H": nH, "A": nA}, self.slab
-            dom = [dims[leg] for leg in self.domain]
-            out = tuple(dims[leg] for leg in self.out)
-            if self.out_sizes:
-                out = tuple(map(prod, _runs(out, self.out_sizes)))
-            shape = self._dims[nH, nA] = (
-                range(dom[s]) if dom else (None,),
-                tuple(dom[:s] + dom[s + 1:]), out)
-        return shape
 
 
 _LEG = re.compile(r"[HAB]|\([HAB]+\)")  # one index of a witness
@@ -240,13 +225,13 @@ def _chain(law_id, text):
 
 
 def _legs(law_id, text):
-    """The legs of the leg string `text`, and if it has a group, the number
-    of legs in each index of a witness: one, or a group's."""
+    """The legs of the leg string `text` and the legs of each of its
+    indices: one leg, or a group's."""
     indices = _LEG.findall(text)
     if "".join(indices) != text:
         raise ValueError(f"{law_id}: bad leg string {text!r}")
-    groups = [index.strip("()") for index in indices]
-    return "".join(groups), tuple(map(len, groups)) if "(" in text else None
+    groups = tuple(index.strip("()") for index in indices)
+    return "".join(groups), groups
 
 
 def _checked(law_id, text, domain, out):
@@ -261,7 +246,7 @@ def _checked(law_id, text, domain, out):
 
 def law(law_id, domain, out, lhs, rhs, informational=False, slab=0):
     """Declare a law on legs H and A: both chains take `domain` to `out`."""
-    (domain, dom_sizes), (out, out_sizes) = (
+    (domain, dom_groups), (out, out_groups) = (
         _legs(law_id, domain), _legs(law_id, out))
     if "B" in domain + out:
         raise ValueError(f"{law_id}: leg B in a law, {domain!r} -> {out!r}")
@@ -269,7 +254,7 @@ def law(law_id, domain, out, lhs, rhs, informational=False, slab=0):
         raise ValueError(f"{law_id}: no leg {slab} in {domain!r} to walk")
     return Law(law_id, domain, out, _checked(law_id, lhs, domain, out),
                _checked(law_id, rhs, domain, out), informational, slab,
-               dom_sizes, out_sizes)
+               dom_groups, out_groups)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,19 +290,19 @@ class Construction:
     @cached_property
     def rows(self):
         """The basis form of `nest`: a function of the same views and
-        dims and a list `row` with one place per input, row-major over
-        the domain legs, that sets the place of each input to the flat
-        index of its one output, row-major over the output legs, and
-        returns `row`.  It forms no product, so it is run only when every
-        map it reads sends each input to one basis tuple, with
-        coefficient one (`SparseTensor.is_forward`); then so does the map
-        it builds."""
+        dims that returns a list `row` with one place per input, row-major
+        over the domain legs, holding the flat index of each input's one
+        output, row-major over the output legs.  It forms no product, so
+        it is run only when every map it reads sends each input to one
+        basis tuple, with coefficient one (`SparseTensor.is_forward`);
+        then so does the map it builds."""
 
         def store(xs, ys, coef):
             return [f"row[{_flat(xs, self.domain)}] = {_flat(ys, self.out)}"]
 
-        views = []
-        return _function("rows(t, nH, nA, nB, row)", [
+        views, size = [], " * ".join(f"n{leg}" for leg in self.domain)
+        return _function("rows(t, nH, nA, nB)", [
+            f"    row = [None] * ({size or 1})",
             *_nest(self.chain, self.domain, None, 0, store, 1, views, False),
             "    return row"], views)
 
@@ -326,10 +311,8 @@ def construction(map_id, domain, out, chain):
     """Declare a map: `chain` must take `domain` to `out`.  A map of one
     domain and one output index is built as a matrix, in (out, in)
     order; any other keeps its domain indices first."""
-    (legs, _), (out_legs, _) = _legs(map_id, domain), _legs(map_id, out)
+    (legs, ins), (out_legs, outs) = _legs(map_id, domain), _legs(map_id, out)
     steps = _checked(map_id, chain, legs, out_legs)
-    ins, outs = ([g.strip("()") for g in _LEG.findall(text)]
-                 for text in (domain, out))
     if len(ins) == len(outs) == 1:
         return Construction(map_id, legs, out_legs, steps, (*outs, *ins), 0)
     return Construction(map_id, legs, out_legs, steps, (*ins, *outs),
@@ -507,33 +490,32 @@ def evaluate(laws, H, A=None, act=None, coact=None, firsts=None):
     nH, nA = dims["H"], dims["A"]
     rep = VerificationReport()
     for lw, chosen in zip(laws, firsts):
-        witness = None
+        bad = None
         if chosen is None or chosen:
-            slabs, inst_dims, out_dims = lw.dims_at(nH, nA)
-            bad = lw.check(slabs if chosen is None else chosen,
-                           [found[view] for view in lw.check.views],
+            bad = lw.check(chosen, [found[view] for view in lw.check.views],
                            nH, nA, f.one, f.mul, f.add, f.zero)
-            if bad is not None:
-                witness = _witness(lw, f, dims, bad, inst_dims, out_dims)
+        witness = None if bad is None else _witness(lw, f, dims, bad)
         rep.add(lw.law_id, witness is None, witness, lw.informational)
     return rep
 
 
-def _witness(lw, field, dims, bad, inst_dims, out_dims):
+def _witness(lw, field, dims, bad):
     """The witness of `lw` at its first failing (index, lhs, rhs), the
     walked leg's index in its place and each leg group one index."""
     first, lhs, rhs = bad
-    witness = slab_witness(field, () if first is None else (first,),
-                           lhs, rhs, inst_dims, out_dims)
-    s = lw.slab
-    if s or lw.dom_sizes:
+    s, dom = lw.slab, [dims[leg] for leg in lw.domain]
+    witness = slab_witness(
+        field, () if first is None else (first,), lhs, rhs,
+        tuple(dom[:s] + dom[s + 1:]),
+        tuple(prod(map(dims.get, group)) for group in lw.out_groups))
+    grouped = len(lw.dom_groups) < len(dom)
+    if s or grouped:
         # the walked leg's index, first in the witness, to its place
         index = witness.indices
         index = index[1:s + 1] + index[:1] + index[s + 1:]
-        if lw.dom_sizes:
-            dom = [dims[leg] for leg in lw.domain]
-            index = tuple(map(_ravel, _runs(index, lw.dom_sizes),
-                              _runs(dom, lw.dom_sizes)))
+        if grouped:
+            sizes = list(map(len, lw.dom_groups))
+            index = tuple(map(_ravel, _runs(index, sizes), _runs(dom, sizes)))
         witness = replace(witness, indices=index)
     return witness
 
@@ -553,6 +535,6 @@ def build(con, H, A=None, act=None, coact=None, cls=SparseTensor, *,
     t = [found[view] for view in views]
     if con.out_index is not None and all(
             T.is_forward(_INS[name]) for name, T in read.items()):
-        row = con.rows(t, nH, nA, nB, [None] * prod(map(dims.get, con.domain)))
-        return cls._from_basis_map(f, sizes, con.out_index, row)
+        return cls._from_basis_map(f, sizes, con.out_index,
+                                   con.rows(t, nH, nA, nB))
     return cls._from_nz(f, sizes, con.nest(t, nH, nA, nB, f.one, f.mul, f.add))

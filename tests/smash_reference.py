@@ -207,4 +207,4 @@ def tensor_coaction(H, co1, co2):
 def tensor_dimodule(D1, D2):
     """Diagonal action and multiplied coaction on the flattened product."""
     return LongDimodule(D1.H, diagonal_action(D1.H, D1.act, D2.act),
-                        tensor_coaction(D1.H, D1.coact, D2.coact), D1.variant)
+                        tensor_coaction(D1.H, D1.coact, D2.coact))

@@ -11,8 +11,8 @@ from conftest import (automorphisms, cyclic, inversion_action, klein, loop7,
                       perm_action, s3_table)
 
 from hopfloop import (ActionData, CoactionData, CosmashInput, GF, LongDimodule,
-                      OVER_COQUASIGROUP, QQ, SmashInput,
-                      build_from_comodule, build_from_quasimodule,
+                      QQ, SmashInput, build_from_comodule,
+                      build_from_quasimodule,
                       build_smash_product, check_antipode_basic,
                       check_antipode_colinear, check_antipode_linear,
                       check_d_equation, check_hopf_coquasigroup,
@@ -227,8 +227,7 @@ def test_criterion_7_lemma_coverage():
     m, m2, h, _ = entries[0]
     entries[0] = (m, m2, h, f.from_int(2))
     bad_co = CoactionData.from_entries(f, 3, 2, entries)
-    bad_c = LongDimodule(H2d, ActionData.trivial(H2d, 3), bad_co,
-                         OVER_COQUASIGROUP)
+    bad_c = LongDimodule(H2d, ActionData.trivial(H2d, 3), bad_co)
     rep = check_lemma_identities(bad_c)
     for law in ("ldmcp1", "ldmcp2"):
         assert not rep.law(law).passed and rep.law(law).witness is not None

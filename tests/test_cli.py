@@ -395,6 +395,48 @@ def test_search_loops_limit_zero_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["verify"], "note.hq", "# a comment, no header\n", "empty file"),
+    (["verify"], "zero.hq", "hopfqg\nfield Q\ndim 0\n",
+     "line 3: dimension must be positive, got 0"),
+    (["loop-algebra"], "c.cayley", "loops 2\n0 1\n1 0\n",
+     "line 1: expected 'loop <n>', got 'loops 2'"),
+    (["verify"], "c.bundle", "cosmash\nh2.hq\nh3.hq\ntriv.coact\n",
+     "line 1: cosmash bundle requires two hopfcoqg structures"),
+    (["--field", "X", "loop-algebra"], "c2.cayley", None,
+     "bad --field value 'X' (use Q or F<p>)"),
+    (["verify"], "d.bundle",
+     "dimodule coquasigroup\nh2.hq\ninv.act\ntriv.coact\n",
+     "line 1: dimodule coquasigroup bundle requires a hopfcoqg structure"),
+    (["dequation"], "d.bundle",
+     "dimodule quasigroup\nh2d.hq\ninv.act\ntriv.coact\n",
+     "line 1: dimodule quasigroup bundle requires a hopfqg structure")],
+    ids=["comment-only", "dim-0", "cayley-header", "cosmash-over-hopfqg",
+         "field-X", "coquasigroup-over-hopfqg", "quasigroup-over-hopfcoqg"])
+def test_refusals_exit_2(tmp_path, capsys, H2, H3, argv, name, text,
+                         message):
+    """Refusals that no other test reaches: exit 2 and one line.  A
+    dimodule bundle is of its structure's side, whichever it names."""
+    write_fixture_tree(tmp_path, H2, H3)
+    (tmp_path / "h2d.hq").write_text(fileio.serialize_structure(dualize(H2)))
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    assert main(argv + [str(tmp_path / name)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_write_to_a_directory_exit_2(tmp_path, capsys, H2, H3):
+    """An I/O error past reading, -o naming a directory, exits 2 with one
+    line."""
+    write_fixture_tree(tmp_path, H2, H3)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["loop-algebra", str(tmp_path / "c2.cayley"),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 21] Is a directory: {str(out)!r}\n")
+
+
 @pytest.mark.parametrize("command, name", [
     ("verify", "h2.hq"), ("dual", "h2.hq"), ("loop-algebra", "c2.cayley"),
     ("dequation", "inv.act"), ("dequation", "triv.coact"),

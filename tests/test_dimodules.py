@@ -26,6 +26,7 @@ from hopfloop.dimodules import _first_failing_slab
 from hopfloop.errors import (DimMismatch, FieldMismatch, HMismatch,
                              HopfloopError, HypothesisNotMet, InvalidInput,
                              NotIPLoop)
+from hopfloop.structures import HopfCoquasigroup
 from hopfloop.tensors import SparseTensor
 from smash_reference import d_map as reference_d_map
 from tensors_reference import find_basis_map
@@ -42,6 +43,8 @@ def test_variant_inferred_from_structure(H2):
     Dd = trivial_action_dimodule(
         H2d, CoactionData.dual_of_action(inversion_action()))
     assert Dd.variant == OVER_COQUASIGROUP
+    with pytest.raises(AttributeError):
+        Dd.variant = OVER_QUASIGROUP
 
 
 def test_free_dimodule_valid(H2):
@@ -114,6 +117,15 @@ def test_tensor_dimodule_h_mismatch(H2, H3):
     D2 = trivial_coaction_dimodule(H3, ActionData.trivial(H3, 2))
     with pytest.raises(HMismatch):
         tensor_dimodule(D1, D2)
+
+
+def test_tensor_dimodule_refuses_two_sides(H2):
+    """H2 read as a Hopf coquasigroup has H2's tensors, but a dimodule over
+    it is of the other side."""
+    H2c = HopfCoquasigroup(H2.mu, H2.unit, H2.delta, H2.counit, H2.antipode)
+    assert H2c.same_tensors(H2)
+    with pytest.raises(HMismatch, match="^dimodule variants differ$"):
+        tensor_dimodule(unit_dimodule(H2), unit_dimodule(H2c))
 
 
 def test_adjunction_refuses_other_dims(H2, H3):
@@ -572,8 +584,7 @@ def test_lemma_falsification_coquasigroup_side(H2):
     entries[0] = (entries[0][0], entries[0][1], entries[0][2],
                   f.from_int(2))
     bad = CoactionData.from_entries(f, 3, 2, entries)
-    D = LongDimodule(H2d, ActionData.trivial(H2d, 3), bad,
-                     OVER_COQUASIGROUP)
+    D = LongDimodule(H2d, ActionData.trivial(H2d, 3), bad)
     rep = check_lemma_identities(D)
     assert not rep.ok
     assert {e.law_id for e in rep.failing()} <= {"ldmcp1", "ldmcp2"}

@@ -13,6 +13,7 @@ out by hand or read off the tensors directly.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -47,7 +48,8 @@ from hopfloop import (GF, QQ, ActionData, CoactionData, CosmashInput,
                       dualize, loop_algebra, tensor_dimodule)
 from hopfloop.actions import COQM_ALGEBRA, QM_COALGEBRA
 from hopfloop.dimodules import D_MAP, OVER_QUASIGROUP
-from hopfloop.laws import Construction, build, construction, evaluate, law
+from hopfloop.laws import (Construction, Law, build, construction, evaluate,
+                           law)
 from hopfloop.smash import SMASH_COPRODUCT, SMASH_PRODUCT, _structure
 from hopfloop.structures import (HopfCoquasigroup, HopfQuasigroup,
                                  check_associativity)
@@ -280,6 +282,22 @@ def test_rank0_output_and_failure_in_second_slab():
     assert entry(evaluate(QM_COALGEBRA, H, A, act=bad), "qmcoalg.counit") \
         == {"law": "qmcoalg.counit", "pass": False, "witness": {
             "indices": [1, 2], "lhs": [[[], "2"]], "rhs": [[[], "1"]]}}
+
+
+def test_a_law_holds_nothing_per_dims():
+    """A law walks every index of its leg unless it is given slabs, and a
+    witness computes its own dims: a law evaluated at two pairs of dims
+    holds only its compiled `check`, and each witness is keyed by the dims
+    of its call.  rho(e_1) = e_1 (x) g against e_1 (x) 1, over C2 on a
+    carrier of dim 3 and over C3 on one of dim 2."""
+    grouped = law("grouped", "A", "(AH)", "coact@0", "eta@1")
+    for n, grades, key in ((2, [0, 1, 0], 3), (3, [0, 2], 5)):
+        H = loop_algebra(cyclic(n))
+        rep = evaluate((grouped,), H, coact=CoactionData.graded(H, grades))
+        assert entry(rep, "grouped")["witness"] == {
+            "indices": [1], "lhs": [[[key], "1"]], "rhs": [[[n], "1"]]}
+    declared = {f.name for f in dataclasses.fields(Law)}
+    assert set(vars(grouped)) - declared == {"check"}
 
 
 # --- constructions -----------------------------------------------------------
@@ -710,7 +728,7 @@ def test_relabelling_keeps_dimodule_verdicts():
         p = rng.sample(range(D.H.dim), D.H.dim)
         q = rng.sample(range(D.dim), D.dim)
         moved = LongDimodule(relabel(D.H, p), relabel(D.act, p, q),
-                             relabel(D.coact, p, q), D.variant)
+                             relabel(D.coact, p, q))
         assert dimodule_verdicts(moved) == verdicts
         failed.update((repr(D.field), law_id)
                       for law_id, ok in verdicts.items() if not ok)
