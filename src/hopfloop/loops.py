@@ -176,25 +176,29 @@ def _row1_is_least(row, J, sigma, inv, y):
     inv its inverse, both -1 where unset.  The image of row 1 under sigma
     is y -> sigma(row[sigma^-1(y)]), and it agrees with row before
     position y.  Walking on from y: where sigma^-1(y) is unset, each free
-    element of y's kind (self-inverse or paired) is tried on a copy; where
+    element of y's kind (self-inverse or paired) is tried in turn; where
     sigma(row[x]) is unset, the least free label of its kind decides, as
     below row[y] the image is smaller, above it larger, and equal it is
     taken.  Labelling an element labels its inverse with the inverse label,
     so every partial sigma reached extends to a whole relabelling, and the
-    walk never lists the relabellings themselves.
+    walk never lists the relabellings themselves.  The walk labels sigma
+    and inv in place and unsets, before it returns, every label it set.
     """
     n = len(row)
+    trail = []  # the elements this call labelled, each with its inverse
+    least = True
     while y < n:
         x = inv[y]
         if x < 0:
             kind = J[y] == y
             for x in range(2, n):
                 if sigma[x] < 0 and (J[x] == x) == kind:
-                    s, i = sigma[:], inv[:]
-                    s[x], i[y], s[J[x]], i[J[y]] = y, x, J[y], J[x]
-                    if not _row1_is_least(row, J, s, i, y):
-                        return False
-            return True
+                    sigma[x], inv[y], sigma[J[x]], inv[J[y]] = y, x, J[y], J[x]
+                    least = _row1_is_least(row, J, sigma, inv, y)
+                    sigma[x] = sigma[J[x]] = inv[y] = inv[J[y]] = -1
+                    if not least:
+                        break
+            break
         v = row[x]
         w = sigma[v]
         want = row[y]
@@ -204,14 +208,20 @@ def _row1_is_least(row, J, sigma, inv, y):
                 if inv[w] < 0 and (J[w] == w) == kind:
                     break
             else:
-                return True
+                break
             if w < want:
-                return False
+                least = False
+                break
             sigma[v], inv[w], sigma[J[v]], inv[J[w]] = w, v, J[w], J[v]
+            trail.append(v)
         elif w != want:
-            return w > want
+            least = w > want
+            break
         y += 1
-    return True
+    for v in trail:
+        w = sigma[v]
+        sigma[v] = sigma[J[v]] = inv[w] = inv[J[w]] = -1
+    return least
 
 
 def ip_tables(J):
@@ -224,6 +234,11 @@ def ip_tables(J):
     involution.  Each placed value is checked against (ba)J(a) = b on both
     the pairs it completes: r c = v with v < r needs v J(c) = r, and r c = v
     with v > r is refused if some earlier row b already has b J(c) = r.
+    Inversion is an anti-automorphism, (ab)^-1 = J(b) J(a), so r c = v is
+    also refused when the mirror cell (J(c), J(r)) is already placed and
+    holds anything but J(v).  The one cell that is its own mirror is
+    (r, J(r)), which holds 0 = J(0).  Every IP loop obeys both checks, so
+    they cut only branches that complete to no table.
 
     A relabelling sigma that fixes 0 and 1 and commutes with J sends each
     such table to another one, whose row 1 is y -> sigma(T[1][sigma^-1(y)]).
@@ -238,16 +253,17 @@ def ip_tables(J):
         return [((0,),)]
     table = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
     col_used = [1 << c for c in range(n)]  # bitmask of values in column c
-    start = [-1] * n  # sigma fixes 0, 1 and so J(1)
+    sigma = [-1] * n  # a relabelling that fixes 0, 1 and so J(1)
     for x in (0, 1, J[1]):
-        start[x] = x
+        sigma[x] = x
+    inv = sigma[:]
     results = []
 
     def fill(r, c, row_used):
         if c == n:
             if r == n - 1:
                 results.append(tuple(tuple(row) for row in table))
-            elif r > 1 or _row1_is_least(table[1], J, start[:], start[:], 1):
+            elif r > 1 or _row1_is_least(table[1], J, sigma, inv, 1):
                 fill(r + 1, 1, 1 << (r + 1))
             return
         row = table[r]
@@ -262,6 +278,9 @@ def ip_tables(J):
         else:
             choices = range(1, n)
         jc = J[c]
+        if jc < r or jc == r and jr < c:  # mirror cell placed: J(r c) there
+            v = J[table[jc][jr]]
+            choices = (v,) if v in choices else ()
         used = row_used | col_used[c]
         for v in choices:
             if used >> v & 1:
@@ -318,6 +337,15 @@ def canonical_form(table):
     remaining length with each of their elements as start, are tried.  Each
     such sigma has the least row 1; the rest of its table is compared with
     the best so far row by row, with early exit.
+
+    Once a best table is known, a branch is cut after each cycle is
+    labelled if row 2 must come out above the best's row 2 however the
+    remaining elements are labelled.  Row 2 is read left to right over the
+    labelled columns: a product with a label gives its cell exactly, and a
+    product with none will get a label at least the next free one.  The
+    first cell where that value or bound differs from the best's decides;
+    a bound equal to the best's cell decides nothing.  Every table cut is
+    larger than the best, so the least one is never lost.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
@@ -349,11 +377,28 @@ def canonical_form(table):
                         [row] + [relabelled(k) for k in range(i + 1, n)])
                 return
 
+    def row2_exceeds(free):
+        # True if row 2 exceeds best's however the elements still without
+        # a label get the labels free, free+1, ...: p has a label only if
+        # sigma[p] < free and inv[sigma[p]] == p (sigma is reused across
+        # branches), and a product p without one gets a label >= free
+        src = rows[inv[2]]
+        want = best[2]
+        for j in range(1, free):
+            p = src[inv[j]]
+            w = sigma[p]
+            if w >= free or inv[w] != p:
+                return free > want[j]
+            if w != want[j]:
+                return w > want[j]
+        return False
+
     def place(cycles, label):
         if not cycles:
             compare()
             return
         length = len(cycles[0])
+        free = label + length
         for i, cycle in enumerate(cycles):
             if len(cycle) != length:
                 break
@@ -363,7 +408,9 @@ def canonical_form(table):
                     x = cycle[(start + t) % length]
                     sigma[x] = label + t
                     inv[label + t] = x
-                place(others, label + length)
+                if others and best is not None and row2_exceeds(free):
+                    continue
+                place(others, free)
 
     for lengths, zero, rest in shapes:
         if lengths == least:
@@ -381,7 +428,9 @@ def search_ip_loops(n, want_nonassociative=False, limit=None):
     and with a limit only the first `limit` of them.  The search visits only
     the tables of `ip_tables(J)` for J in `inversion_maps(n)`, at least one
     per class, and deduplicates them by `canonical_form`; output is sorted
-    lexicographically, so repeated runs are identical.
+    lexicographically, so repeated runs are identical.  Associativity is an
+    isomorphism invariant, so with want_nonassociative=True an associative
+    table is dropped before it is canonicalised.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -392,14 +441,8 @@ def search_ip_loops(n, want_nonassociative=False, limit=None):
             f"exhaustive search is budgeted for order <= {SEARCH_MAX_ORDER}")
     if limit == 0:
         return []
-    canon = {canonical_form(t)
-             for J in inversion_maps(n) for t in ip_tables(J)}
-    tables = []
-    for rows in sorted(canon):
-        T = LoopTable._trusted(rows)
-        if want_nonassociative and is_associative(T)[0]:
-            continue
-        tables.append(T)
-    if limit is not None:
-        tables = tables[:limit]
-    return tables
+    canon = sorted({canonical_form(t)
+                    for J in inversion_maps(n) for t in ip_tables(J)
+                    if not want_nonassociative
+                    or next(assoc_mismatches(t), None)})
+    return [LoopTable._trusted(rows) for rows in canon[:limit]]

@@ -1,6 +1,6 @@
 """Reference IP-loop search: every labelled reduced table of an order, every
 labelled table with a given inversion, and the canonical form by brute
-force over every relabelling.
+force over every relabelling and by branch and bound.
 
 `enumerate_ip_tables` is the exhaustive backtracker that `search_ip_loops`
 used before it fixed the inversion map to one involution per conjugacy
@@ -9,8 +9,12 @@ class.  It visits every labelled reduced IP-loop table (7,800 at order 8).
 kept only a least row 1: it yields every table with inversion J (8,856 at
 order 10 over all J_k).  `canonical_form` tries all (n-1)! relabellings
 fixing 0, as `hopfloop.loops.canonical_form` did before it became a branch
-and bound.  All three are kept here only as the slow paths of differential
-tests, not in the package.
+and bound.  `branch_and_bound_canonical_form` is that branch and bound as
+it was before it bounded row 2 while a relabelling is still partial: it
+compares every relabelling with the least row 1 in full, and is the
+reference at orders 9 to 11, where brute force is out of reach.  All four
+are kept here only as the slow paths of differential tests, not in the
+package.
 
 Tables are reduced: element 0 is the identity, row 0 and column 0 are the
 identity permutation.  The backtracker fills rows top to bottom and prunes
@@ -201,4 +205,86 @@ def canonical_form(table):
             continue
         if best is None or verdict == -1:
             best = tuple(cand)
+    return best
+
+
+def _left_cycles(row):
+    """Cycles of x -> row[x]: the one through 0 first, then the others
+    ordered by length (ties by least element), each from that element."""
+    seen = [False] * len(row)
+    cycles = []
+    for start in range(len(row)):
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = row[x]
+        if cycle:
+            cycles.append(cycle)
+    return cycles[0], sorted(cycles[1:], key=len)
+
+
+def branch_and_bound_canonical_form(table):
+    """Lexicographically least relabeling fixing the identity element, of a
+    reduced loop table.
+
+    Fix a = sigma^-1(1): the labels of the least row 1 follow the cycles of
+    x -> ax, the one through 0 first and then the others by length, so only
+    the a whose cycle lengths are least are tried, and a branch happens only
+    where a cycle of the least remaining length starts.  Every complete
+    relabelling reached is compared with the best so far from row 2 on.
+    """
+    rows = [tuple(row) for row in table]
+    n = len(rows)
+    if n < 3:
+        return tuple(rows)  # the only reduced table of its order
+    shapes = []
+    for a in range(1, n):
+        zero, rest = _left_cycles(rows[a])
+        shapes.append(([len(zero)] + [len(c) for c in rest], zero, rest))
+    least = min(lengths for lengths, _, _ in shapes)
+    sigma = [0] * n
+    inv = [0] * n
+    best = None
+
+    def relabelled(i):
+        src = rows[inv[i]]
+        return tuple([sigma[src[k]] for k in inv])
+
+    def compare():
+        nonlocal best
+        if best is None:
+            best = tuple(relabelled(i) for i in range(n))
+            return
+        for i in range(2, n):
+            row = relabelled(i)
+            if row != best[i]:
+                if row < best[i]:
+                    best = best[:i] + tuple(
+                        [row] + [relabelled(k) for k in range(i + 1, n)])
+                return
+
+    def place(cycles, label):
+        if not cycles:
+            compare()
+            return
+        length = len(cycles[0])
+        for i, cycle in enumerate(cycles):
+            if len(cycle) != length:
+                break
+            others = cycles[:i] + cycles[i + 1:]
+            for start in range(length):
+                for t in range(length):
+                    x = cycle[(start + t) % length]
+                    sigma[x] = label + t
+                    inv[label + t] = x
+                place(others, label + length)
+
+    for lengths, zero, rest in shapes:
+        if lengths == least:
+            for label, x in enumerate(zero):
+                sigma[x] = label
+                inv[label] = x
+            place(rest, len(zero))
     return best

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from chein import chein_double, symmetric_group
 from conftest import LOOP7_ROWS, NON_IP_ROWS, cyclic, klein, loop7, s3_table
 from ip_check_reference import check_ip_loop as reference_check_ip_loop
+from ip_search_reference import branch_and_bound_canonical_form
 from ip_search_reference import canonical_form as reference_canonical_form
 from ip_search_reference import enumerate_ip_tables
 from ip_search_reference import ip_tables as reference_ip_tables
@@ -22,6 +24,7 @@ from hopfloop.loops import (SEARCH_MAX_ORDER, canonical_form, inversion_maps,
 
 reference_tables = functools.cache(enumerate_ip_tables)
 reference_ip_tables_of = functools.cache(reference_ip_tables)
+ip_tables_of = functools.cache(ip_tables)
 
 
 def test_table_validation():
@@ -205,6 +208,25 @@ def test_canonical_form_of_relabelled_tables(n, count):
         assert canonical_form(rows) == reference_canonical_form(rows)
 
 
+@pytest.mark.parametrize("n", (9, 10, 11))
+def test_canonical_form_matches_branch_and_bound_reference(n):
+    # past order 8 brute force is out of reach; the reference is the branch
+    # and bound without the row-2 bound on a partial relabelling
+    for J in inversion_maps(n):
+        for rows in ip_tables_of(J):
+            assert canonical_form(rows) == branch_and_bound_canonical_form(rows)
+
+
+def test_canonical_form_of_relabelled_order_10_tables():
+    rng = random.Random(2010)
+    tables = [rows for J in inversion_maps(10) for rows in ip_tables_of(J)]
+    for _ in range(40):
+        tail = list(range(1, 10))
+        rng.shuffle(tail)
+        rows = relabel(rng.choice(tables), [0] + tail)
+        assert canonical_form(rows) == branch_and_bound_canonical_form(rows)
+
+
 def random_loop(n, rng):
     """A reduced Latin square filled cell by cell with shuffled values."""
     rows = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
@@ -295,6 +317,50 @@ def test_ip_tables_yield_ip_loops_with_their_inversion():
                 T = LoopTable(rows)
                 assert check_ip_loop(T).ok
                 assert tuple(T.inverse_of(a) for a in range(n)) == J
+
+
+# per J in inversion_maps(n), the number of tables ip_tables(J) yields
+IP_TABLE_COUNTS = {1: [1], 2: [1], 3: [1, 0], 4: [1, 1], 5: [1, 0, 0],
+                   6: [2, 1, 0], 7: [2, 0, 0, 0], 8: [7, 8, 4, 2],
+                   9: [18, 0, 0, 0, 0], 10: [166, 126, 64, 16, 8],
+                   11: [424, 0, 0, 0, 0, 0]}
+
+# sha256 of repr([ip_tables(J) for J in inversion_maps(n)]): the tables and
+# their order, as the search made them before the mirror check
+IP_TABLE_SHA256 = {
+    10: "83dc53c79401e6bfea86e6bf5285063291fe0c9691c5801f24928df7cd519c9d",
+    11: "951d4b482e9a3476152528866ceb3c4807bb58c81a35fe4b49d109765ff1685a"}
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_ip_table_counts_are_pinned(n):
+    assert ([len(ip_tables_of(J)) for J in inversion_maps(n)]
+            == IP_TABLE_COUNTS[n])
+
+
+@pytest.mark.parametrize("n", sorted(IP_TABLE_SHA256))
+def test_ip_tables_are_pinned(n):
+    tables = repr([ip_tables_of(J) for J in inversion_maps(n)])
+    assert hashlib.sha256(tables.encode()).hexdigest() == IP_TABLE_SHA256[n]
+
+
+@pytest.mark.parametrize("n", (6, 7, 8))
+def test_nonassociative_search_canonicalises_no_associative_table(
+        n, monkeypatch):
+    # associativity is an isomorphism invariant, so an associative table
+    # is dropped before it is brought to its canonical form
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return canonical_form(rows)
+
+    nonassoc = [rows for J in inversion_maps(n) for rows in ip_tables_of(J)
+                if not is_associative(LoopTable(rows))[0]]
+    monkeypatch.setattr(loops, "canonical_form", counted)
+    tables = search_ip_loops(n, want_nonassociative=True)
+    assert calls == nonassoc
+    assert [T.rows for T in tables] == sorted(set(map(canonical_form, calls)))
 
 
 def test_search_order_7_is_loop7():
