@@ -10,31 +10,40 @@ every basis tuple, with a witness on the first mismatch per law.
 Four law families are first read on integer tables when the tensors they
 read are basis maps, each input going to one basis vector with coefficient
 one, as on loop algebras, their duals and the smash (co)products built
-from them:
+from them.  The tables are cached views, `SparseTensor.basis_map`:
+mu.basis_map(2), delta.basis_map(0) (the product of the dual),
+antipode.basis_map(0) and (1).  Both sides of every instance are then
+single basis vectors, compared lazily as integer rows
+(`tensors.assoc_mismatches`, `tensors.quasi_rows`) and never stored.  The
+tables only pick the slabs `evaluate` walks, as `firsts`, and the
+declaration decides each slab walked, so every verdict and witness is the
+one the walk over every slab gives.
 
-* assoc, when mu is a basis map (a magma algebra);
-* quasi*, when mu and S are basis maps, delta is grouplike
-  (delta(e_i) = e_i (x) e_i) and the counit is 1 on every basis vector;
+* assoc, when mu is a basis map (a magma algebra), and quasi*, when mu and
+  S are basis maps, delta is grouplike (delta(e_i) = e_i (x) e_i) and the
+  counit is 1 on every basis vector.  The first mismatch lies in the
+  law's first failing slab, the i of assoc's (i, j, k), the h of quasi's
+  (h, g): that slab alone is walked, and no later row is compared.
 * coassoc, when the transpose of delta is a basis map (the dual is a
-  magma algebra);
-* coq*, when the dual meets the quasi* condition: delta and S transpose to
-  basis maps, e_i e_j = [i = j] e_i and the unit is the sum of the basis.
+  magma algebra), and coq*, when the dual meets the quasi* condition:
+  delta and S transpose to basis maps, e_i e_j = [i = j] e_i and the unit
+  is the sum of the basis.  Each is the transpose of a law of the dual
+  (assoc, and quasi_k.side for coq_k.side), and two maps are equal
+  exactly when their transposes are, so the law holds exactly when the
+  dual law holds on the transposed tables.  A dual mismatch says only
+  that the law fails, and a slab of the dual law is not one of the law's
+  own, so a failing law is walked from slab 0 and a holding one not at
+  all.
 
-bialg.delta_mult holds outright when mu is a basis map and delta is
-grouplike, or dually.  One rule covers all of these: the tables only pick
-the slabs that can fail, the first failing one or none, and `evaluate`
-gives every verdict and witness from the declarations, as it does for
-every other structure.
+bialg.delta_mult holds outright, and no slab of it is walked, when mu is a
+basis map and delta is grouplike, or dually (`_delta_mult_holds`).
 """
-
-from itertools import compress
-from operator import ne
 
 from .errors import DimMismatch
 from .fields import check_same_field
 from .laws import evaluate, law
 from .report import VerificationReport
-from .tensors import assoc_mismatches, assoc_sides, mismatches, quasi_rows
+from .tensors import assoc_mismatches, mismatches, quasi_rows
 
 
 class HopfStructure:
@@ -83,34 +92,12 @@ class HopfCoquasigroup(HopfStructure):
 # delta, S, eta, eps and swap on legs of H (see hopfloop.laws) and checked
 # by laws.evaluate, one slab of fixed first input at a time: the i of
 # assoc's (i, j, k), the h of quasi's (h, g).  Its witness is the least
-# failing instance.  Two shortcuts read the shape of the tensors first.
-#
-# The table paths (see the module docstring for when they apply) read one
-# cached view, SparseTensor.basis_map: mu.basis_map(2), delta.basis_map(0)
-# (the product of the dual), antipode.basis_map(0) and (1).  Both sides of
-# every instance are then single basis vectors, so a law's failing slabs
-# are found by composing and comparing integer rows (tensors.assoc_sides,
-# tensors.quasi_rows).  The tables only pick slabs: `evaluate` is given the
-# first failing slab, or none, as `firsts`, and the declaration decides
-# that slab, so verdict and witness are the ones the walk over every slab
-# gives.  Mismatches are produced lazily and never stored.
-#
-# * assoc and quasi*: the first mismatch is in the first failing slab, the
-#   i of assoc's (i, j, k), the h of quasi's (h, g), and no later row is
-#   compared.
-# * coassoc and coq*: each is the transpose of a law of the dual (assoc,
-#   and quasi_k.side for coq_k.side), and two maps are equal exactly when
-#   their transposes are, so the law holds exactly when the dual law holds
-#   on the transposed tables.  A mismatch l != r of the dual law at some
-#   input makes slabs l and r of the law differ, so the first failing slab
-#   is the least min(l, r) over every mismatch.
-#
-# The shape check: bialg.delta_mult holds when mu is a basis map and delta
-# grouplike, or dually (_delta_mult_holds), and then no slab of it is
-# evaluated.  On the smash coproduct of the duals of two loop algebras, of
-# dim n, delta transposes to a basis map and mu is diagonal, and the
-# declared right side would visit about n^3 products per slab, nearly all
-# zero.
+# failing instance.  The table paths and the shape check of the module
+# docstring only choose the slabs walked.  The shape check pays on the
+# smash coproduct of the duals of two loop algebras, of dim n: delta
+# transposes to a basis map and mu is diagonal, and the declared right
+# side of bialg.delta_mult would visit about n^3 products per slab, nearly
+# all zero.
 
 UNITAL_COUNITAL = (
     law("unit.left", "H", "H", "eta@0 mu@0", ""),
@@ -166,24 +153,10 @@ def _first_slab(items):
     return () if bad is None else (bad[0],)
 
 
-def _least_slab(sides):
-    """The slabs to evaluate of the transposed law whose dual law compares
-    the two lists of rows of each pair in `sides`: the least min(l, r)
-    over every place where rows hold l != r, its first failing slab, or
-    none.  Each differing row pair is compared in C, and the scan stops
-    at slab 0."""
-    least = None
-    for left, right in sides:
-        if left != right:
-            for lrow, rrow in zip(left, right):
-                if lrow != rrow:
-                    m = min(map(min, compress(zip(lrow, rrow),
-                                              map(ne, lrow, rrow))))
-                    if least is None or m < least:
-                        if m == 0:
-                            return (0,)
-                        least = m
-    return () if least is None else (least,)
+def _dual_slabs(items):
+    """The slabs to evaluate of the transposed law whose dual law has the
+    mismatches `items`: none if there are none, else every slab."""
+    return () if next(items, None) is None else None
 
 
 def check_unital_counital(H):
@@ -205,7 +178,7 @@ def check_coassociativity(H, informational=False):
     if rows is not None:
         # delta is coassociative exactly when its transpose, the product
         # of the dual, is associative
-        firsts = [_least_slab(assoc_sides(rows))]
+        firsts = [_dual_slabs(assoc_mismatches(rows))]
     return evaluate((COASSOC[informational],), H, firsts=firsts)
 
 
@@ -284,7 +257,7 @@ def check_coq_identities(H):
     rep = check_associativity(H)
     maps, firsts = _coq_maps(H), None
     if maps is not None:
-        firsts = [_least_slab([law_sides])
+        firsts = [_dual_slabs(mismatches(*law_sides))
                   for law_sides in _quasi_sides(maps)]
     rep.extend(evaluate(COQ, H, firsts=firsts))
     return rep

@@ -325,19 +325,12 @@ def mismatches(left, right):
                         yield m, x, a, b
 
 
-def assoc_sides(t):
-    """Per i, the rows j -> ((ij)k for each k) and j -> (i(jk) for each k)
-    of the product table t, as a pair of lists of rows; lazy, one i at a
-    time."""
-    after = [_composer(row) for row in t]
-    for ti in t:
-        yield [t[x] for x in ti], [after_j(ti) for after_j in after]
-
-
 def assoc_mismatches(t):
     """(i, j, k, (ij)k, i(jk)) for every triple where the two differ in the
     product table t, in row-major order; lazy, one i at a time."""
-    for i, (left, right) in enumerate(assoc_sides(t)):
+    after = [_composer(row) for row in t]
+    for i, ti in enumerate(t):
+        left, right = [t[x] for x in ti], [after_j(ti) for after_j in after]
         for j, k, a, b in mismatches(left, right):
             yield i, j, k, a, b
 

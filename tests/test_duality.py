@@ -36,6 +36,10 @@ DUAL_LAWS = (
     ("unit.left", "counit.left"), ("unit.right", "counit.right"),
     ("bialg.counit_mult", "bialg.delta_unit"),
     ("antipode.antimult", "antipode.anticomult"),
+    ("bialg.delta_mult", "bialg.delta_mult"),
+    ("bialg.counit_unit", "bialg.counit_unit"),
+    ("antipode.conv_left", "antipode.conv_left"),
+    ("antipode.conv_right", "antipode.conv_right"),
 )
 
 

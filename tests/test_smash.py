@@ -1,7 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
+from chein import chein_double, permutation_group, symmetric_group
 from conftest import (cyclic, inversion_action, klein, loop7, perm_action,
                       s3_table, vector)
 from instance_reference import tensor_mul
@@ -214,3 +216,56 @@ def test_smash_coproduct_sums_terms_sharing_legs(H2, H3):
     rt = theorem_cosmash_roundtrip(
         CosmashInput(dualize(H2), rebase(dualize(H3), P, Q), co))
     assert rt.condition_ok and rt.candidate_ok
+
+
+def sign_action(L, m_dim):
+    """(g, s) of M(G, 2), at index g + s|G|, acts on Q[C_m] by
+    m -> (-1)^s m: a homomorphism through the sign map M(G, 2) -> C2."""
+    half = L.n // 2
+    return [tuple(m if h < half else -m % m_dim for m in range(m_dim))
+            for h in range(L.n)]
+
+
+def random_action(L, m_dim, seed):
+    """A seeded assignment of automorphisms m -> km of C_m, m_dim prime,
+    with pi_{h^-1} = pi_h^-1 and pi_e the identity."""
+    rng, ks = random.Random(seed), {0: 1}
+    for h in range(1, L.n):
+        hinv = L[h].index(0)
+        if h not in ks:
+            k = rng.choice([k for k in range(1, m_dim)
+                            if h != hinv or k * k % m_dim == 1])
+            ks[h], ks[hinv] = k, pow(k, -1, m_dim)
+    return [tuple(ks[h] * m % m_dim for m in range(m_dim))
+            for h in range(L.n)]
+
+
+def is_homomorphism(L, perms):
+    """pi_g o pi_h = pi_{gh} on the Cayley table of L."""
+    return all(tuple(perms[g][x] for x in perms[h]) == perms[L[g][h]]
+               for g in range(L.n) for h in range(L.n))
+
+
+@pytest.mark.parametrize("group", [
+    symmetric_group(3), permutation_group([(1, 2, 0, 3), (1, 0, 3, 2)])],
+    ids=["M(S3,2)", "M(A4,2)"])
+def test_roundtrips_on_nonassociative_moufang_loops(group):
+    """Q[M(G, 2)], nonassociative since G is not abelian, acting on Q[C5]
+    by the sign map and by a random quasi-action: both theorems agree
+    with the integer oracle, the smash on the action and the cosmash on
+    its dual, and both verdicts occur."""
+    L = chein_double(group)
+    H, A = loop_algebra(L), loop_algebra(cyclic(5))
+    assert not check_hopf_quasigroup(H).law("assoc").passed
+    verdicts = set()
+    for perms in (sign_action(L, 5), random_action(L, 5, seed=L.n)):
+        act = perm_action(QQ, L.n, perms)
+        oracle = is_homomorphism(L, perms)
+        cosmash = CosmashInput(dualize(H), dualize(A),
+                               CoactionData.dual_of_action(act))
+        for rt in (theorem_smash_roundtrip(SmashInput(H, A, act)),
+                   theorem_cosmash_roundtrip(cosmash)):
+            assert rt.equivalent
+            assert rt.candidate_ok == rt.condition_ok == oracle
+        verdicts.add(oracle)
+    assert verdicts == {True, False}

@@ -346,10 +346,10 @@ def test_bumped_tensors_leave_the_table_paths(H):
 
 def test_table_paths_keep_no_mismatch_list():
     """On a dim-48 magma algebra where most triples fail, the table paths
-    keep only the first mismatch or the least failing slab: a list of every
-    mismatch would take megabytes.  Each checker is traced on its second
-    call, once the cached views exist; the failing slabs, hence the
-    witnesses, are small (1 is the product of one pair only)."""
+    keep only the first mismatch: a list of every mismatch would take
+    megabytes.  Each checker is traced on its second call, once the cached
+    views exist; the failing slabs, hence the witnesses, are small (1 is
+    the product of one pair only)."""
     n = 48
     rng = random.Random(48)
     t = [[rng.randrange(2, n) for _ in range(n)] for _ in range(n)]
