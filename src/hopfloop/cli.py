@@ -200,27 +200,17 @@ def build_parser():
                             "dimodule", "smash", "cosmash"])
     v.set_defaults(func=cmd_verify)
 
-    la = sub.add_parser("loop-algebra",
-                        help="linearize a Cayley file to a structure file")
-    la.add_argument("path")
-    la.add_argument("-o", "--out", default=None)
-    la.set_defaults(func=cmd_loop_algebra)
-
-    du = sub.add_parser("dual", help="dualize a structure file")
-    du.add_argument("path")
-    du.add_argument("-o", "--out", default=None)
-    du.set_defaults(func=cmd_dual)
-
-    sm = sub.add_parser("smash", help="build a smash product from a bundle")
-    sm.add_argument("path")
-    sm.add_argument("-o", "--out", default=None)
-    sm.set_defaults(func=cmd_smash)
-
-    cs = sub.add_parser("cosmash",
-                        help="build a smash coproduct from a bundle")
-    cs.add_argument("path")
-    cs.add_argument("-o", "--out", default=None)
-    cs.set_defaults(func=cmd_cosmash)
+    for name, func, text in (
+            ("loop-algebra", cmd_loop_algebra,
+             "linearize a Cayley file to a structure file"),
+            ("dual", cmd_dual, "dualize a structure file"),
+            ("smash", cmd_smash, "build a smash product from a bundle"),
+            ("cosmash", cmd_cosmash,
+             "build a smash coproduct from a bundle")):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("path")
+        sp.add_argument("-o", "--out", default=None)
+        sp.set_defaults(func=func)
 
     dq = sub.add_parser("dequation",
                         help="check the D-equation for a dimodule bundle")

@@ -298,7 +298,9 @@ def _basis_witness(f, r, nd, l):
     r[l nd + m'] nd + z with (m', z) = divmod(r[m nd + n], nd), and
     R23 R12 e_lmn is x nd^2 + r[y' nd + n] with (x, y') =
     divmod(r[l nd + m], nd).  Only the least differing (m, n) goes to
-    `slab_witness`."""
+    `slab_witness`.  It stays beside `_first_witness`: contracting slab l
+    there gives the same witness, but makes R's nonzeros, which a basis R
+    never needs, and took 3 to 11 times as long on carrier dims 7 to 144."""
     row = r[l * nd:(l + 1) * nd]
     lhs = [row[v // nd] * nd + v % nd for v in r]
     rhs = [u // nd * nd * nd + v for u in row

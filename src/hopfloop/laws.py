@@ -34,8 +34,9 @@ step or a step on the wrong legs fails at import, whatever the dims.
 the leg `slab`, 0 unless declared (ldmp2 walks the m of (h, m) outermost),
 and a law of rank-0 domain is one slab.  A caller that knows which slabs
 can fail names them, and only those are evaluated: the integer tables of
-`hopfloop.structures` only pick the first failing slab, or none, and the
-declaration decides it, so every verdict and witness comes from here.
+`hopfloop.structures` only pick the first failing slab, every slab or
+none, and the declaration decides each slab picked, so every verdict and
+witness comes from here.
 Each side of a slab is one dict keyed by the flat int
 inst * prod(out_dims) + out, inst the instance's other legs and out the
 output basis tuple, both row-major.
@@ -117,7 +118,7 @@ one term, with coefficient one, and the row is the map, handed
 to `SparseTensor._from_basis_map`, which holds it as its basis map and
 makes its nonzeros only when they are read.  Laws have no basis form:
 one inside `evaluate` measured slower on the smash sweep and no faster on
-the dimodules (ROADMAP item 14).
+the dimodules (ROADMAP item 10, under Settled).
 """
 
 import re

@@ -3,7 +3,9 @@
 Checkers never skip a law: every law is evaluated and recorded, one entry
 each, so that reports for two structures can be diffed law by law.  Within
 a law a checker stops at its first failing slab, the instances that share
-a first input, and `slab_witness` reads the law's witness off that slab.
+the index of the leg the law walks (its first input, or leg 1 for ldmp2,
+ldmcp2 and adj.unit_linear), and `slab_witness` reads the law's witness
+off that slab.
 A failing entry always carries a witness (the basis indices plus both
 evaluated sides) that reproduces the discrepancy when re-evaluated.
 """

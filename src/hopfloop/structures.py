@@ -14,10 +14,10 @@ from them.  The tables are cached views, `SparseTensor.basis_map`:
 mu.basis_map(2), delta.basis_map(0) (the product of the dual),
 antipode.basis_map(0) and (1).  Both sides of every instance are then
 single basis vectors, compared lazily as integer rows
-(`tensors.assoc_mismatches`, `tensors.quasi_rows`) and never stored.  The
-tables only pick the slabs `evaluate` walks, as `firsts`, and the
-declaration decides each slab walked, so every verdict and witness is the
-one the walk over every slab gives.
+(`tensors.assoc_mismatches`, `tensors.quasi_mismatches`) and never
+stored.  The tables only pick the slabs `evaluate` walks, as `firsts`,
+and the declaration decides each slab walked, so every verdict and
+witness is the one the walk over every slab gives.
 
 * assoc, when mu is a basis map (a magma algebra), and quasi*, when mu and
   S are basis maps, delta is grouplike (delta(e_i) = e_i (x) e_i) and the
@@ -43,7 +43,7 @@ from .errors import DimMismatch
 from .fields import check_same_field
 from .laws import evaluate, law
 from .report import VerificationReport
-from .tensors import assoc_mismatches, mismatches, quasi_rows
+from .tensors import assoc_mismatches, quasi_mismatches
 
 
 class HopfStructure:
@@ -200,39 +200,19 @@ def check_bialgebra_compat(H):
     return evaluate(BIALGEBRA, H, firsts=firsts)
 
 
-def _table_maps(rows, s, diag, ones):
-    """(rows, s) when the quasi identities read from them compose basis
-    maps: rows and s basis-map views, the tensor `diag` diagonal and the
-    tensor `ones` forward from its leg, 1 on each basis vector; else None.  For
-    quasi* these are mu.basis_map(2), S.basis_map(0), delta and the
-    counit; for coq*, the same views of dualize(H) read from H:
-    delta.basis_map(0), S.basis_map(1), mu and the unit, since the coq
-    identities of H are the transposes of the quasi identities of its dual
-    and each holds exactly when its dual holds."""
+def _quasi_firsts(pick, rows, s, diag, ones):
+    """`pick` applied to each quasi identity's stream of `quasi_mismatches`
+    on the tables rows and s, or None unless they compose basis maps: rows
+    and s basis-map views, the tensor `diag` diagonal and the tensor `ones`
+    1 on each basis vector.  quasi* reads H's own mu.basis_map(2),
+    S.basis_map(0), delta and counit; coq* reads those of dualize(H) off H,
+    delta.basis_map(0), S.basis_map(1), mu and the unit, as the module
+    docstring says."""
     if (rows is None or s is None or not diag.is_diagonal()
             or not ones.is_forward((0,))):
         return None
-    return rows, s
-
-
-def _quasi_maps(H):
-    return _table_maps(H.mu.basis_map(2), H.antipode.basis_map(0), H.delta,
-                       H.counit)
-
-
-def _coq_maps(H):
-    return _table_maps(H.delta.basis_map(0), H.antipode.basis_map(1), H.mu,
-                       H.unit)
-
-
-def _quasi_sides(maps):
-    """Per quasi law (1.left, 1.right, 2.left, 2.right), the pair of its
-    rows h -> (the law's basis image at (h, g) for each g) and the rows
-    h -> (g for each g) they must equal."""
-    rows, s = maps
-    expected = [tuple(range(len(rows)))] * len(rows)
-    return [(side, expected)
-            for side in quasi_rows(rows, list(enumerate(s)))]
+    return [pick(stream)
+            for stream in quasi_mismatches(rows, list(enumerate(s)))]
 
 
 def check_quasi_identities(H):
@@ -241,10 +221,8 @@ def check_quasi_identities(H):
     Coassociativity is a prerequisite and is reported first.
     """
     rep = check_coassociativity(H)
-    maps, firsts = _quasi_maps(H), None
-    if maps is not None:
-        firsts = [_first_slab(mismatches(*law_sides))
-                  for law_sides in _quasi_sides(maps)]
+    firsts = _quasi_firsts(_first_slab, H.mu.basis_map(2),
+                           H.antipode.basis_map(0), H.delta, H.counit)
     rep.extend(evaluate(QUASI, H, firsts=firsts))
     return rep
 
@@ -255,10 +233,8 @@ def check_coq_identities(H):
     Associativity of the product is a prerequisite and is reported first.
     """
     rep = check_associativity(H)
-    maps, firsts = _coq_maps(H), None
-    if maps is not None:
-        firsts = [_dual_slabs(mismatches(*law_sides))
-                  for law_sides in _quasi_sides(maps)]
+    firsts = _quasi_firsts(_dual_slabs, H.delta.basis_map(0),
+                           H.antipode.basis_map(1), H.mu, H.unit)
     rep.extend(evaluate(COQ, H, firsts=firsts))
     return rep
 

@@ -40,8 +40,9 @@ as plain ints nested by those legs; it is None otherwise.  The product
 of a magma algebra is `mu.basis_map(2)`, the coproduct of its dual read
 through the transpose `delta.basis_map(0)`, and an antipode that sends
 basis vectors to basis vectors `S.basis_map(0)`, or `S.basis_map(1)` for
-its transpose.  Laws over such maps are decided by composing and
-comparing integer rows (`assoc_mismatches`, `quasi_rows`).
+its transpose.  On such maps, composing and comparing integer rows
+(`assoc_mismatches`, `quasi_mismatches`) picks the slabs a law's check
+walks, and the law's declaration decides each slab walked.
 
 A builder that knows such a map's row, the output index of each input in
 row-major order, hands it to `_from_basis_map(field, dims, out, row)`:
@@ -335,16 +336,17 @@ def assoc_mismatches(t):
             yield i, j, k, a, b
 
 
-def quasi_rows(t, inverse):
-    """The rows g -> S(h)(hg), h(S(h)g), (gh)S(h), (gS(h))h for a product
-    table t and each (h, S(h)) pair of the list `inverse`, as four lists of
-    rows: the Hopf quasigroup identities when the coproduct is grouplike,
-    and the IP laws of a loop."""
+def quasi_mismatches(t, inverse):
+    """The four lazy `mismatches` of the rows g -> S(h)(hg), h(S(h)g),
+    (gh)S(h) and (gS(h))h against g -> g in a product table t, row m for
+    the m-th (h, S(h)) pair of `inverse`: the Hopf quasigroup identities
+    when the coproduct is grouplike, and the IP laws of a loop."""
     cols = tuple(zip(*t))
     after_row = [_composer(row) for row in t]
     after_col = [_composer(col) for col in cols]
-    return ([after_row[h](t[sh]) for h, sh in inverse],
-            [after_row[sh](t[h]) for h, sh in inverse],
-            [after_col[h](cols[sh]) for h, sh in inverse],
-            [after_col[sh](cols[h]) for h, sh in inverse])
-
+    expected = [tuple(range(len(t)))] * len(inverse)
+    return [mismatches(sides, expected) for sides in (
+        [after_row[h](t[sh]) for h, sh in inverse],
+        [after_row[sh](t[h]) for h, sh in inverse],
+        [after_col[h](cols[sh]) for h, sh in inverse],
+        [after_col[sh](cols[h]) for h, sh in inverse])]

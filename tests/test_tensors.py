@@ -13,6 +13,7 @@ from tensors_reference import find_basis_map
 import hopfloop
 from hopfloop import GF, QQ, SparseTensor, loop_algebra
 from hopfloop.errors import DimMismatch
+from hopfloop.tensors import quasi_mismatches
 
 
 def test_rank1_groupings():
@@ -362,3 +363,38 @@ def test_tensor_from_a_row_equals_the_one_from_entries(dims, out, flat):
                 assert t.nz == expected.nz
             assert read(t) == read(expected)
             assert t.basis_map(out) == find_basis_map(expected, out)
+
+
+@st.composite
+def tables_with_inverses(draw):
+    """A square table of order 1-6, a Latin square (an isotope of the
+    cyclic group) or any table, and a list of (h, s) pairs for some of
+    its h in drawn order, s any element."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        p, q, r = (draw(st.permutations(range(n))) for _ in range(3))
+        t = [[p[(q[i] + r[j]) % n] for j in range(n)] for i in range(n)]
+    else:
+        row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        t = draw(st.lists(row, min_size=n, max_size=n))
+    hs = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return t, [(h, draw(st.integers(0, n - 1))) for h in hs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables_with_inverses())
+def test_quasi_mismatches_match_elementwise_reference(drawn):
+    """Every item of all four streams, in order, is the (m, g, got, g)
+    of an element-by-element evaluation of S(h)(hg), h(S(h)g), (gh)S(h)
+    and (gS(h))h, h and S(h) the m-th pair, for each g that it misses."""
+    t, inverse = drawn
+    t = tuple(map(tuple, t))
+    sides = (lambda h, s, g: t[s][t[h][g]], lambda h, s, g: t[h][t[s][g]],
+             lambda h, s, g: t[t[g][h]][s], lambda h, s, g: t[t[g][s]][h])
+    streams = quasi_mismatches(t, inverse)
+    assert len(streams) == 4
+    for stream, side in zip(streams, sides):
+        expected = [(m, g, side(h, s, g), g)
+                    for m, (h, s) in enumerate(inverse)
+                    for g in range(len(t)) if side(h, s, g) != g]
+        assert list(stream) == expected
